@@ -39,49 +39,16 @@ __all__ = ["BicpaAllocator"]
 
 
 class _VirtualCpa(CpaAllocator):
-    """CPA whose T_A balance pretends the machine has ``virtual_p``
-    processors while allocations stay bounded by the real ``P``."""
+    """CPA on a virtual cluster of ``virtual_p`` processors: the stop
+    test becomes ``T_CP <= area / k`` and no task grows beyond ``k``,
+    for ``k = min(virtual_p, P)``."""
 
     def __init__(self, virtual_p: int) -> None:
         super().__init__()
         self.virtual_p = virtual_p
 
-    def allocate(self, ptg: PTG, table: TimeTable) -> np.ndarray:
-        # Reuse the CPA loop but rescale the area test: CPA stops when
-        # T_CP <= area / P; with a virtual size k the test becomes
-        # T_CP <= area / k.  We implement it by bounding candidates to
-        # k processors AND scaling the area denominator via a wrapper
-        # table view is overkill — instead replicate the loop with the
-        # virtual denominator.
-        P = table.num_processors
-        V = ptg.num_tasks
-        cap = min(self.virtual_p, P)
-        alloc = np.ones(V, dtype=np.int64)
-        times = table.times_for(alloc)
-        area = float(times.sum())
-        idx = np.arange(V)
-        from .cpa import _EPS, _kernel_if_matching, critical_path_mask
-
-        kernel = _kernel_if_matching(ptg, table)
-        for _ in range(V * cap):
-            on_cp, t_cp = critical_path_mask(ptg, times, kernel)
-            if t_cp <= area / cap:
-                break
-            cand = on_cp & (alloc < cap)
-            if not cand.any():
-                break
-            grown = table.array[idx[cand], alloc[cand]]
-            gains = times[cand] - grown
-            best_pos = int(np.argmax(gains))
-            if float(gains[best_pos]) <= _EPS:
-                break
-            v = int(idx[cand][best_pos])
-            s = int(alloc[v])
-            t_new = float(table.array[v, s])
-            area += (s + 1) * t_new - s * float(times[v])
-            alloc[v] = s + 1
-            times[v] = t_new
-        return alloc
+    def _area_divisor(self, table: TimeTable) -> int:
+        return min(self.virtual_p, table.num_processors)
 
 
 class BicpaAllocator(AllocationHeuristic):

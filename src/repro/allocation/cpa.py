@@ -23,6 +23,24 @@ task improves by growing — which reproduces the paper's observation that
 under Model 2 "allocations will grow up to a size of 4-8 processors before
 the allocation procedure stops" (Section V-B).
 
+**One loop for the family.**  :class:`CpaAllocator` is the growth loop of
+CPA, HCPA, MCPA, MCPA2 and BiCPA's virtual cluster sizes.  The variants
+differ only in data: a per-task cap vector (MCPA2's work shares, a
+virtual size), MCPA's per-level budget flag, and the divisor ``k`` of
+the stop test ``T_CP <= area / k``.
+
+**Native path.**  When the compiled library of
+:mod:`repro.mapping._cscheduler` loads, the whole loop runs in one C
+call (``cpa_allocate``) over the PTG's cached CSR arrays, on per-call
+buffers — safe from concurrent threads, and no
+:class:`~repro.mapping.ScheduleKernel` is built.  A growth step then
+costs 0.3–1.4 µs on the paper's graphs, against 17–79 µs for the Python
+loop (``results/seeding_speedup.txt``).
+The Python loop below is the bit-identity oracle and the fallback when
+there is no compiler or ``REPRO_NO_CKERNEL=1`` is set: it performs the
+same floating-point operations in the same order, over plain list
+sweeps, and ``tests/test_allocation_cpa.py`` pins the two together.
+
 Complexity: ``O(V (V + E) P)`` — each of at most ``V P`` growth steps
 recomputes bottom levels in ``O(V + E)`` — matching the bound the paper
 cites for (H)CPA's allocation procedure.
@@ -30,40 +48,65 @@ cites for (H)CPA's allocation procedure.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
+from typing import NamedTuple
 
 import numpy as np
 
-from ..graph import PTG, bottom_levels, top_levels
+from ..exceptions import AllocationError, ValidationError
+from ..graph import PTG, csr_adjacency, precedence_levels
+from ..mapping import _cscheduler
 from ..timemodels import TimeTable
 from .base import AllocationHeuristic
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard for hints
-    from ..mapping import ScheduleKernel
 
 __all__ = ["CpaAllocator", "critical_path_mask"]
 
 _EPS = 1e-12
 
 
-def _kernel_if_matching(
-    ptg: PTG, table: TimeTable
-) -> "ScheduleKernel | None":
-    """The table's compiled kernel when it was built for ``ptg``.
+def _sweep_lists(ptg: PTG) -> tuple[list, list, list]:
+    """Topological order, successors and predecessors as plain lists."""
+    V = ptg.num_tasks
+    return (
+        ptg.topological_order.tolist(),
+        [ptg.successors(v) for v in range(V)],
+        [ptg.predecessors(v) for v in range(V)],
+    )
 
-    The CPA-family loops accept any (ptg, table) pair; the compiled
-    sweeps only apply when the table's own PTG is being allocated
-    (the overwhelmingly common case).
+
+def _bottom_levels(topo: list, succ: list, t: list) -> list:
+    """``bl(v) = t(v) + max over successors`` (0 for sinks), as a list.
+
+    The one addition per task sees the operands of
+    :func:`repro.graph.bottom_levels` and IEEE max is exact, so the
+    values are bit-identical to the layered numpy sweep.
     """
-    from ..mapping import kernel_for
+    bl = [0.0] * len(t)
+    for v in reversed(topo):
+        m = 0.0
+        for w in succ[v]:
+            x = bl[w]
+            if x > m:
+                m = x
+        bl[v] = t[v] + m
+    return bl
 
-    if ptg is table.ptg or ptg == table.ptg:
-        return kernel_for(table)
-    return None
+
+def _top_levels(topo: list, pred: list, t: list) -> list:
+    """``tl(v) = max over predecessors of tl(u) + t(u)`` (0 for sources),
+    bit-identical to :func:`repro.graph.top_levels`."""
+    tl = [0.0] * len(t)
+    for v in topo:
+        m = 0.0
+        for u in pred[v]:
+            x = tl[u] + t[u]
+            if x > m:
+                m = x
+        tl[v] = m
+    return tl
 
 
 def critical_path_mask(
-    ptg: PTG, times: np.ndarray, kernel: "ScheduleKernel | None" = None
+    ptg: PTG, times: np.ndarray
 ) -> tuple[np.ndarray, float]:
     """Boolean mask of tasks lying on *some* critical path, plus ``T_CP``.
 
@@ -72,19 +115,116 @@ def critical_path_mask(
     task's own time).  Using the mask instead of a single concrete path
     lets the allocator consider every critical task — important when
     several parallel branches are equally critical.
-
-    ``kernel`` (a :class:`~repro.mapping.ScheduleKernel` built for
-    ``ptg``) computes both level vectors through the compiled CSR
-    sweeps — bit-identical values, several times faster per growth step.
     """
-    if kernel is not None:
-        bl, tl = kernel.levels(times)
-    else:
-        bl = bottom_levels(ptg, times)
-        tl = top_levels(ptg, times)
-    t_cp = float(bl.max())
-    on_cp = (tl + bl) >= t_cp * (1.0 - 1e-12) - _EPS
+    t = np.asarray(times, dtype=np.float64)
+    if t.shape != (ptg.num_tasks,):
+        raise ValidationError(
+            f"times has shape {t.shape}, expected ({ptg.num_tasks},)"
+        )
+    if not np.all(np.isfinite(t)) or np.any(t < 0):
+        raise ValidationError("times must be finite and non-negative")
+    topo, succ, pred = _sweep_lists(ptg)
+    t = t.tolist()
+    bl = _bottom_levels(topo, succ, t)
+    tl = _top_levels(topo, pred, t)
+    t_cp = max(bl)
+    threshold = t_cp * (1.0 - 1e-12) - _EPS
+    on_cp = np.array([a + b >= threshold for a, b in zip(tl, bl)])
     return on_cp, t_cp
+
+
+class _Loop(NamedTuple):
+    """The inputs of one run of the growth loop, shared by both engines."""
+
+    ptg: PTG
+    table: np.ndarray  # C-contiguous (V, P) execution times
+    caps: np.ndarray  # int64 per-task ceilings, each <= P
+    levels: np.ndarray | None  # precedence levels under MCPA's budget
+    area: float  # sum_v T(v, 1), summed by numpy
+    divisor: int  # k of the stop test T_CP <= area / k
+    allow_negative_gain: bool
+    limit: int  # growth steps at most
+
+
+def _grow_python(loop: _Loop) -> tuple[np.ndarray, int]:
+    """The growth loop in Python: the oracle and the fallback engine."""
+    V, P = loop.table.shape
+    topo, succ, pred = _sweep_lists(loop.ptg)
+    rows = loop.table.tolist()
+    caps = loop.caps.tolist()
+    alloc = [1] * V
+    t = [row[0] for row in rows]
+    area = loop.area
+    level = None
+    if loop.levels is not None:
+        level = loop.levels.tolist()
+        level_sum = np.bincount(loop.levels).tolist()  # all alloc == 1
+    steps = 0
+    while steps < loop.limit:
+        bl = _bottom_levels(topo, succ, t)
+        t_cp = max(bl)
+        if t_cp <= area / loop.divisor:
+            break
+        tl = _top_levels(topo, pred, t)
+        # first maximum gain among critical tasks that may still grow
+        threshold = t_cp * (1.0 - 1e-12) - _EPS
+        best = -1
+        best_gain = 0.0
+        for v in range(V):
+            s = alloc[v]
+            if s >= caps[v] or not tl[v] + bl[v] >= threshold:
+                continue
+            if level is not None and level_sum[level[v]] >= P:
+                continue
+            gain = t[v] - rows[v][s]  # T(v, s) - T(v, s+1)
+            if best < 0 or gain > best_gain:
+                best = v
+                best_gain = gain
+        if best < 0 or (not loop.allow_negative_gain and best_gain <= _EPS):
+            break
+        # update area incrementally: area += (s+1) T(v,s+1) - s T(v,s)
+        s = alloc[best]
+        t_new = rows[best][s]
+        area += (s + 1) * t_new - s * t[best]
+        alloc[best] = s + 1
+        t[best] = t_new
+        if level is not None:
+            level_sum[level[best]] += 1
+        steps += 1
+    return np.array(alloc, dtype=np.int64), steps
+
+
+def _grow_native(loop: _Loop, ffi, lib) -> tuple[np.ndarray, int]:
+    """The growth loop as one ``cpa_allocate`` call."""
+    V, P = loop.table.shape
+    csr = csr_adjacency(loop.ptg)
+    alloc = np.empty(V, dtype=np.int64)
+
+    def ptr(arr: np.ndarray):
+        return ffi.cast("const int64_t *", arr.ctypes.data)
+
+    levels = loop.levels
+    steps = lib.cpa_allocate(
+        V,
+        P,
+        ffi.cast("const double *", loop.table.ctypes.data),
+        ptr(loop.ptg.topological_order),
+        ptr(csr.succ_indptr),
+        ptr(csr.succ_indices),
+        ptr(csr.pred_indptr),
+        ptr(csr.pred_indices),
+        ptr(loop.caps),
+        ffi.NULL if levels is None else ptr(levels),
+        0 if levels is None else int(levels.max()) + 1,
+        loop.area,
+        loop.divisor,
+        loop.allow_negative_gain,
+        loop.limit,
+        ffi.cast("int64_t *", alloc.ctypes.data),
+    )
+    if steps < 0:
+        raise MemoryError("cpa_allocate could not allocate its buffers")
+    return alloc, int(steps)
 
 
 class CpaAllocator(AllocationHeuristic):
@@ -97,10 +237,15 @@ class CpaAllocator(AllocationHeuristic):
         safe with monotone models; used by tests to document why the
         guard exists).
     max_iterations:
-        Hard safety bound on growth steps; ``None`` derives ``V * P``.
+        Hard safety bound on growth steps; ``None`` derives ``V * k``
+        for the area divisor ``k`` (``V * P`` for CPA itself).
     """
 
     name = "cpa"
+
+    #: MCPA's per-level budget: a task may grow only while the sum of
+    #: its precedence level's allocations stays below ``P``
+    level_budget = False
 
     def __init__(
         self,
@@ -110,58 +255,51 @@ class CpaAllocator(AllocationHeuristic):
         self.allow_negative_gain = bool(allow_negative_gain)
         self.max_iterations = max_iterations
 
-    # hook points for subclasses (MCPA constrains candidates per level)
-    def _candidate_mask(
-        self,
-        ptg: PTG,
-        table: TimeTable,
-        alloc: np.ndarray,
-        on_cp: np.ndarray,
-    ) -> np.ndarray:
-        """Tasks eligible to receive one more processor this step."""
-        return on_cp & (alloc < table.num_processors)
+    def _area_divisor(self, table: TimeTable) -> int:
+        """``k`` of the stop test ``T_CP <= area / k``: the machine size."""
+        return table.num_processors
 
-    def _on_grow(self, ptg: PTG, v: int, alloc: np.ndarray) -> None:
-        """Notification hook after task ``v``'s allocation grew."""
+    def _caps(self, ptg: PTG, table: TimeTable) -> np.ndarray:
+        """Per-task allocation ceilings: every task may reach ``k``."""
+        return np.full(
+            ptg.num_tasks, self._area_divisor(table), dtype=np.int64
+        )
 
-    def allocate(self, ptg: PTG, table: TimeTable) -> np.ndarray:
-        P = table.num_processors
+    def _loop(self, ptg: PTG, table: TimeTable) -> _Loop:
         V = ptg.num_tasks
-        alloc = np.ones(V, dtype=np.int64)
-        times = table.times_for(alloc)
-        area = float(times.sum())  # = sum alloc * times at alloc == 1
+        P = table.num_processors
+        if table.array.shape != (V, P):
+            raise AllocationError(
+                f"time table has shape {table.array.shape}, PTG "
+                f"{ptg.name!r} needs ({V}, {P})"
+            )
+        divisor = int(self._area_divisor(table))
         limit = (
             self.max_iterations
             if self.max_iterations is not None
-            else V * P
+            else V * divisor
+        )
+        return _Loop(
+            ptg=ptg,
+            table=np.ascontiguousarray(table.array, dtype=np.float64),
+            caps=np.minimum(self._caps(ptg, table), P).astype(np.int64),
+            levels=precedence_levels(ptg) if self.level_budget else None,
+            # = sum alloc * times at alloc == 1
+            area=float(table.array[:, 0].copy().sum()),
+            divisor=divisor,
+            allow_negative_gain=self.allow_negative_gain,
+            # no run can take more than V * P steps: every step grows
+            # one task by one processor
+            limit=min(int(limit), V * P),
         )
 
-        # compiled CSR level sweeps for the per-step critical-path test
-        # (bit-identical to the layered numpy sweeps)
-        kernel = _kernel_if_matching(ptg, table)
+    def grow(self, ptg: PTG, table: TimeTable) -> tuple[np.ndarray, int]:
+        """The allocation and the number of growth steps it took."""
+        loop = self._loop(ptg, table)
+        ffi, lib = _cscheduler.load()
+        if lib is None:
+            return _grow_python(loop)
+        return _grow_native(loop, ffi, lib)
 
-        idx = np.arange(V)
-        for _ in range(limit):
-            on_cp, t_cp = critical_path_mask(ptg, times, kernel)
-            if t_cp <= area / P:
-                break
-            cand = self._candidate_mask(ptg, table, alloc, on_cp)
-            if not cand.any():
-                break
-            # gain of adding one processor, restricted to candidates
-            grown = table.array[idx[cand], alloc[cand]]  # T(v, s+1)
-            gains = times[cand] - grown
-            best_pos = int(np.argmax(gains))
-            best_gain = float(gains[best_pos])
-            if not self.allow_negative_gain and best_gain <= _EPS:
-                break
-            v = int(idx[cand][best_pos])
-            # update area incrementally: area += (s+1) T(v,s+1) - s T(v,s)
-            s = int(alloc[v])
-            t_old = float(times[v])
-            t_new = float(table.array[v, s])  # column s == p = s+1
-            area += (s + 1) * t_new - s * t_old
-            alloc[v] = s + 1
-            times[v] = t_new
-            self._on_grow(ptg, v, alloc)
-        return alloc
+    def allocate(self, ptg: PTG, table: TimeTable) -> np.ndarray:
+        return self.grow(ptg, table)[0]

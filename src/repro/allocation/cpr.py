@@ -30,7 +30,7 @@ from ..graph import PTG
 from ..mapping import makespan_of
 from ..timemodels import TimeTable
 from .base import AllocationHeuristic
-from .cpa import _kernel_if_matching, critical_path_mask
+from .cpa import critical_path_mask
 
 __all__ = ["CprAllocator"]
 
@@ -62,11 +62,10 @@ class CprAllocator(AllocationHeuristic):
             else V * P
         )
         idx = np.arange(V)
-        kernel = _kernel_if_matching(ptg, table)
 
         for _ in range(limit):
             times = table.times_for(alloc)
-            on_cp, _ = critical_path_mask(ptg, times, kernel)
+            on_cp, _ = critical_path_mask(ptg, times)
             cand = on_cp & (alloc < P)
             if not cand.any():
                 break

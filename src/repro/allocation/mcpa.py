@@ -42,22 +42,7 @@ class McpaAllocator(CpaAllocator):
     """CPA with MCPA's per-precedence-level allocation budget."""
 
     name = "mcpa"
-
-    def _candidate_mask(
-        self,
-        ptg: PTG,
-        table: TimeTable,
-        alloc: np.ndarray,
-        on_cp: np.ndarray,
-    ) -> np.ndarray:
-        P = table.num_processors
-        levels = precedence_levels(ptg)
-        # total allocation currently claimed by each level
-        level_sum = np.bincount(
-            levels, weights=alloc, minlength=int(levels.max()) + 1
-        )
-        has_budget = level_sum[levels] < P
-        return on_cp & (alloc < P) & has_budget
+    level_budget = True
 
 
 class Mcpa2Allocator(CpaAllocator):
@@ -74,13 +59,3 @@ class Mcpa2Allocator(CpaAllocator):
         )
         share = P * seq / level_work[levels]
         return np.maximum(1, np.rint(share)).astype(np.int64)
-
-    def _candidate_mask(
-        self,
-        ptg: PTG,
-        table: TimeTable,
-        alloc: np.ndarray,
-        on_cp: np.ndarray,
-    ) -> np.ndarray:
-        caps = self._caps(ptg, table)
-        return on_cp & (alloc < table.num_processors) & (alloc < caps)

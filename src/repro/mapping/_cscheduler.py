@@ -14,7 +14,7 @@ Bit-identity with the reference engine is preserved by construction:
   ``t_start``/``t_finish`` additions, the ``<= t_start + 1e-12``
   candidate test) maps to the identical IEEE-754 double operation —
   there is no reassociation, fused arithmetic, or extended precision
-  (x86-64 SSE2 doubles, no ``-ffast-math``);
+  (x86-64 SSE2 doubles, no ``-ffast-math``, ``-ffp-contract=off``);
 * the ready queue pops tasks in the exact (bottom level descending,
   index ascending) order — a strict total order, so any correct heap
   yields the same sequence as :mod:`heapq`;
@@ -33,8 +33,15 @@ batch loop is annotated with OpenMP pragmas; when built with
 ``-fopenmp`` (attempted first, plain build as fallback) the caller can
 fan rows across threads via the ``nthreads`` argument.
 
+A third entry point, ``cpa_allocate``, runs the whole CPA-family
+allocation loop of :mod:`repro.allocation.cpa` (level sweeps,
+critical-path mask, best-gain growth) in one call on per-call buffers;
+it needs no kernel, only the PTG's CSR arrays and the time table.
+
 The property suite in ``tests/test_mapping_kernel.py`` pins the native
-path against the pure-Python reference with exact ``==`` comparisons.
+scheduling path against the pure-Python reference with exact ``==``
+comparisons; ``tests/test_allocation_cpa.py`` does the same for the
+allocation loop.
 
 If :mod:`cffi` or a C compiler is unavailable, or compilation fails
 for any reason, :func:`load` returns ``(None, None)`` and the kernel
@@ -85,6 +92,18 @@ void schedule_makespan_batch(
     const int32_t *indeg,
     double bound,
     double *out);
+
+int64_t cpa_allocate(
+    int64_t V, int64_t P,
+    const double *table,
+    const int64_t *topo,
+    const int64_t *succ_indptr, const int64_t *succ_indices,
+    const int64_t *pred_indptr, const int64_t *pred_indices,
+    const int64_t *caps,
+    const int64_t *level, int64_t num_levels,
+    double area, int64_t divisor,
+    int allow_negative_gain, int64_t max_steps,
+    int64_t *alloc);
 """
 
 _C_SOURCE = r"""
@@ -655,6 +674,111 @@ void schedule_makespan_batch(
         free(marena);
     }
 }
+
+/* ------------------------------------------------------------------
+ * The CPA-family allocation loop (repro.allocation.cpa).
+ *
+ * Starting from one processor per task, each step recomputes bottom
+ * and top levels, stops once T_CP <= area / divisor, and otherwise
+ * gives one more processor to the first critical-path task of largest
+ * gain T(v, s) - T(v, s+1) among those below their cap (and, with a
+ * level vector, whose precedence level still claims fewer than P
+ * processors — MCPA's budget).  Every floating-point operation is the
+ * one the Python loop performs, in the same order; the caller seeds
+ * `area` with numpy's sum of T(v, 1).  All buffers are per call, so
+ * concurrent calls are safe.  Returns the number of growth steps, or
+ * -1 when the work buffers cannot be allocated.
+ */
+int64_t cpa_allocate(
+    int64_t V, int64_t P,
+    const double *table,
+    const int64_t *topo,
+    const int64_t *succ_indptr, const int64_t *succ_indices,
+    const int64_t *pred_indptr, const int64_t *pred_indices,
+    const int64_t *caps,
+    const int64_t *level, int64_t num_levels,
+    double area, int64_t divisor,
+    int allow_negative_gain, int64_t max_steps,
+    int64_t *alloc)
+{
+    double *t = (double *)malloc(3 * (size_t)V * sizeof(double));
+    int64_t *level_sum = NULL;
+    if (level != NULL)
+        level_sum = (int64_t *)calloc((size_t)num_levels, sizeof(int64_t));
+    if (t == NULL || (level != NULL && level_sum == NULL)) {
+        free(t);
+        free(level_sum);
+        return -1;
+    }
+    double *bl = t + V, *tl = bl + V;
+    for (int64_t v = 0; v < V; v++) {
+        alloc[v] = 1;
+        t[v] = table[(size_t)v * P];
+        if (level != NULL)
+            level_sum[level[v]]++;
+    }
+    const double k = (double)divisor;
+    int64_t steps = 0;
+    for (; steps < max_steps; steps++) {
+        /* bottom levels: reverse topological, exact max chains */
+        for (int64_t i = V - 1; i >= 0; i--) {
+            int64_t v = topo[i];
+            double m = 0.0;
+            for (int64_t j = succ_indptr[v]; j < succ_indptr[v + 1]; j++) {
+                double x = bl[succ_indices[j]];
+                if (x > m)
+                    m = x;
+            }
+            bl[v] = t[v] + m;
+        }
+        double t_cp = bl[0];
+        for (int64_t v = 1; v < V; v++)
+            if (bl[v] > t_cp)
+                t_cp = bl[v];
+        if (t_cp <= area / k)
+            break;
+        /* top levels: topological, 0 for sources */
+        for (int64_t i = 0; i < V; i++) {
+            int64_t v = topo[i];
+            double m = 0.0;
+            for (int64_t j = pred_indptr[v]; j < pred_indptr[v + 1]; j++) {
+                int64_t u = pred_indices[j];
+                double x = tl[u] + t[u];
+                if (x > m)
+                    m = x;
+            }
+            tl[v] = m;
+        }
+        /* first maximum gain among critical tasks that may grow */
+        double threshold = t_cp * (1.0 - 1e-12) - EPS;
+        int64_t best = -1;
+        double best_gain = 0.0;
+        for (int64_t v = 0; v < V; v++) {
+            int64_t s = alloc[v];
+            if (s >= caps[v] || !(tl[v] + bl[v] >= threshold))
+                continue;
+            if (level != NULL && level_sum[level[v]] >= P)
+                continue;
+            double gain = t[v] - table[(size_t)v * P + s];
+            if (best < 0 || gain > best_gain) {
+                best = v;
+                best_gain = gain;
+            }
+        }
+        if (best < 0 || (!allow_negative_gain && best_gain <= EPS))
+            break;
+        int64_t s = alloc[best];
+        double t_new = table[(size_t)best * P + s];
+        area += (double)(s + 1) * t_new - (double)s * t[best];
+        alloc[best] = s + 1;
+        t[best] = t_new;
+        if (level != NULL)
+            level_sum[level[best]]++;
+    }
+    free(t);
+    free(level_sum);
+    return steps;
+}
 """
 
 _ffi = None
@@ -671,7 +795,11 @@ def _cache_dir() -> Path:
 
 
 def _flags(openmp: bool) -> list[str]:
-    flags = ["-O2", "-shared", "-fPIC"]
+    # -ffp-contract=off: a toolchain targeting FMA hardware (clang with
+    # -march=native, distro GCCs defaulting to x86-64-v3) may otherwise
+    # fuse a multiply-add such as the CPA area update into one rounding
+    # and diverge from the Python loops
+    flags = ["-O2", "-shared", "-fPIC", "-ffp-contract=off"]
     if openmp:
         flags.append("-fopenmp")
     return flags
@@ -771,13 +899,17 @@ def _describe_failure(exc: BaseException) -> str:
 
 
 def _dlopen_checked(ffi, lib_path: Path):
-    """dlopen the cached build and verify it exports both entry points.
+    """dlopen the cached build and verify it exports every entry point.
 
     A truncated or stale cached library fails here — at load time,
     where the caller can rebuild — rather than mid-optimization.
     """
     lib = ffi.dlopen(str(lib_path))
-    for symbol in ("schedule_makespan", "schedule_makespan_batch"):
+    for symbol in (
+        "schedule_makespan",
+        "schedule_makespan_batch",
+        "cpa_allocate",
+    ):
         getattr(lib, symbol)
     return lib
 

@@ -152,47 +152,6 @@ def _compile_bl_sweep(num_tasks: int, bl_sweep: list):
     return namespace["_bl_sweep_unrolled"]
 
 
-def _compile_tl_sweep(num_tasks: int, tl_sweep: list):
-    """Generate a straight-line top-level sweep for one DAG.
-
-    The topological recurrence ``tl[v] = max over predecessors u of
-    (tl[u] + t[u])`` (0 for sources) mirrors the bottom-level sweep;
-    every addition sees the same operands as the layered numpy sweep in
-    :func:`repro.graph.top_levels` and IEEE max is exact, so results
-    are bit-identical.  Returns ``None`` above the unroll limit.
-    """
-    n_edges = sum(
-        1 if type(us) is int else len(us) for _, us in tl_sweep
-    )
-    if num_tasks + n_edges > _BL_UNROLL_LIMIT:
-        return None
-    non_source = {v for v, _ in tl_sweep}
-    # sources contribute tl[u] + t[u] = t[u]; their own tl is 0.0
-    ref = [
-        f"l{v}" if v in non_source else "0.0"
-        for v in range(num_tasks)
-    ]
-
-    def term(u: int) -> str:
-        return f"l{u} + t[{u}]" if u in non_source else f"t[{u}]"
-
-    lines = ["def _tl_sweep_unrolled(t):"]
-    for v, us in tl_sweep:
-        if type(us) is int:
-            # single predecessor: the max over one positive term
-            lines.append(f" l{v} = {term(us)}")
-        else:
-            lines.append(f" m = {term(us[0])}")
-            for u in us[1:]:
-                lines.append(f" x = {term(u)}")
-                lines.append(" m = m if m > x else x")
-            lines.append(f" l{v} = m")
-    lines.append(" return [" + ",".join(ref) + "]")
-    namespace: dict = {}
-    exec("\n".join(lines), namespace)  # noqa: S102 - self-generated code
-    return namespace["_tl_sweep_unrolled"]
-
-
 def check_allocation(alloc: np.ndarray, ptg: PTG, P: int) -> np.ndarray:
     """Validate and canonicalize an allocation vector.
 
@@ -262,19 +221,9 @@ class ScheduleKernel:
             for v, ws in ((v, self._succ[v]) for v in rev_topo)
             if ws
         ]
-        # top-level sweep: forward topological, non-source tasks only
-        # (sources keep tl = 0); same single-predecessor flattening
-        preds = [ptg.predecessors(v) for v in range(V)]
-        topo = ptg.topological_order.tolist()
-        self._tl_sweep = [
-            (v, us[0] if len(us) == 1 else us)
-            for v, us in ((v, preds[v]) for v in topo)
-            if us
-        ]
-        # specialized straight-line sweeps, generated from the DAG once
+        # specialized straight-line sweep, generated from the DAG once
         # (None for graphs too large to unroll)
         self._bl_compiled = _compile_bl_sweep(V, self._bl_sweep)
-        self._tl_compiled = _compile_tl_sweep(V, self._tl_sweep)
 
         # --- dense time model -----------------------------------------
         # flat row-major view: T(v, p) lives at v * P + (p - 1);
@@ -370,7 +319,6 @@ class ScheduleKernel:
         state["ptg"] = None
         state["table"] = None
         state["_bl_compiled"] = None
-        state["_tl_compiled"] = None
         state["_c"] = None
         state.pop("_c_bl", None)
         state.pop("_c_dr", None)
@@ -382,9 +330,6 @@ class ScheduleKernel:
         self.__dict__.update(state)
         self._bl_compiled = _compile_bl_sweep(
             self.num_tasks, self._bl_sweep
-        )
-        self._tl_compiled = _compile_tl_sweep(
-            self.num_tasks, self._tl_sweep
         )
         self._attach_c()
 
@@ -460,46 +405,6 @@ class ScheduleKernel:
         """Dispatch to the unrolled sweep when one was generated."""
         fn = self._bl_compiled
         return fn(times) if fn is not None else self._bl_from_times(times)
-
-    def _tl_from_times(self, times: list) -> list:
-        """Top levels as a Python list (interpreted fallback sweep)."""
-        tl = [0.0] * self.num_tasks
-        for v, us in self._tl_sweep:
-            if type(us) is int:
-                tl[v] = tl[us] + times[us]
-            else:
-                m = 0.0
-                for u in us:
-                    x = tl[u] + times[u]
-                    if x > m:
-                        m = x
-                tl[v] = m
-        return tl
-
-    def _top_levels_list(self, times: list) -> list:
-        """Dispatch to the unrolled sweep when one was generated."""
-        fn = self._tl_compiled
-        return fn(times) if fn is not None else self._tl_from_times(times)
-
-    def levels(self, times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Bottom and top levels under per-task execution ``times``.
-
-        Bit-identical to :func:`repro.graph.bottom_levels` /
-        :func:`repro.graph.top_levels` on the kernel's PTG, but computed
-        by the straight-line scalar sweeps — the CPA-family allocation
-        loops call this once per growth step instead of two layered
-        numpy sweeps.
-        """
-        t = np.ascontiguousarray(times, dtype=np.float64)
-        if t.shape != (self.num_tasks,):
-            raise AllocationError(
-                f"times has shape {t.shape}, expected ({self.num_tasks},)"
-            )
-        tlist = t.tolist()
-        return (
-            np.array(self._bottom_levels_list(tlist)),
-            np.array(self._top_levels_list(tlist)),
-        )
 
     def _load_times(self, alloc: np.ndarray) -> list:
         """Gather ``T(v, alloc[v])`` into the time buffer, as a list.

@@ -1,17 +1,49 @@
-"""Unit tests for CPA and the CPA-family machinery."""
+"""Unit tests for CPA and the CPA-family machinery.
+
+The second half pins the native growth loop (``cpa_allocate`` in
+:mod:`repro.mapping._cscheduler`) against the Python loop of
+:mod:`repro.allocation.cpa` with exact comparisons: every CPA-family
+allocator, three time models, regular and random graphs on both paper
+platforms, and the degenerate shapes.
+"""
+
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
 from repro.allocation import (
+    BicpaAllocator,
     CpaAllocator,
+    HcpaAllocator,
+    Mcpa2Allocator,
+    McpaAllocator,
     cpa_quantities,
     critical_path_mask,
 )
-from repro.graph import PTG, Task, chain
-from repro.mapping import makespan_of
-from repro.platform import Cluster
-from repro.timemodels import AmdahlModel, SyntheticModel, TimeTable
+from repro.allocation import cpa as cpa_mod
+from repro.allocation.bicpa import _VirtualCpa
+from repro.core import seed_population
+from repro.core.mutation import AllocationMutation
+from repro.exceptions import AllocationError
+from repro.graph import PTG, Task, bottom_levels, chain, top_levels
+from repro.mapping import ScheduleKernel, _cscheduler, makespan_of
+from repro.online import ReactionPolicy, Rescheduler
+from repro.platform import Cluster, chti, grelon
+from repro.timemodels import (
+    AmdahlModel,
+    DowneyModel,
+    SyntheticModel,
+    TimeTable,
+)
+from repro.workloads import (
+    DaggenParams,
+    generate_daggen,
+    generate_fft,
+    generate_strassen,
+)
 
 
 def table_for(ptg, P=8, model=None, speed=1.0):
@@ -128,3 +160,270 @@ class TestCpaNonMonotoneGuard:
         )
         # at most 3 growth steps from all-ones
         assert (capped - 1).sum() <= 3
+
+
+# ----------------------------------------------------------------------
+# the native loop against the Python oracle, in one process
+
+MODELS = (AmdahlModel, SyntheticModel, DowneyModel)
+
+
+PARITY_GRAPHS = {
+    "fft": generate_fft(8, rng=21),
+    "strassen": generate_strassen(rng=22),
+    "daggen-layered": generate_daggen(
+        DaggenParams(
+            num_tasks=40, width=0.5, regularity=0.9, density=0.3, jump=1
+        ),
+        rng=23,
+    ),
+    "daggen-irregular": generate_daggen(
+        DaggenParams(
+            num_tasks=50, width=0.4, regularity=0.1, density=0.6, jump=3
+        ),
+        rng=24,
+    ),
+}
+
+
+def _native_library():
+    ffi, lib = _cscheduler.load()
+    if lib is None:
+        pytest.skip("native library unavailable on this host")
+    return ffi, lib
+
+
+def _python_loop(loop, ffi, lib):
+    return cpa_mod._grow_python(loop)
+
+
+def assert_loops_agree(allocator, ptg, table):
+    """C and Python produce the same allocation in the same steps."""
+    ffi, lib = _native_library()
+    loop = allocator._loop(ptg, table)
+    c_alloc, c_steps = cpa_mod._grow_native(loop, ffi, lib)
+    py_alloc, py_steps = cpa_mod._grow_python(loop)
+    assert c_alloc.dtype == py_alloc.dtype == np.int64
+    assert np.array_equal(c_alloc, py_alloc)
+    assert c_steps == py_steps
+    return c_alloc, c_steps
+
+
+def assert_allocators_agree(monkeypatch, allocator, ptg, table):
+    """The whole ``allocate`` agrees with the Python loop swapped in."""
+    _native_library()
+    native = allocator.allocate(ptg, table)
+    with monkeypatch.context() as m:
+        m.setattr(cpa_mod, "_grow_native", _python_loop)
+        oracle = allocator.allocate(ptg, table)
+    assert np.array_equal(native, oracle)
+
+
+@pytest.mark.parametrize("platform", [chti, grelon])
+@pytest.mark.parametrize("graph", sorted(PARITY_GRAPHS))
+@pytest.mark.parametrize("model_cls", MODELS)
+def test_native_loop_matches_python_oracle(model_cls, graph, platform):
+    ptg = PARITY_GRAPHS[graph]
+    cluster = platform()
+    table = TimeTable.build(model_cls(), ptg, cluster)
+    V = ptg.num_tasks
+    family = [
+        CpaAllocator(),
+        McpaAllocator(),
+        Mcpa2Allocator(),
+        CpaAllocator(allow_negative_gain=True, max_iterations=2 * V),
+    ]
+    family += [
+        _VirtualCpa(k)
+        for k in BicpaAllocator(step=7)._virtual_sizes(
+            cluster.num_processors
+        )
+    ]
+    grew = 0
+    for allocator in family:
+        _, steps = assert_loops_agree(allocator, ptg, table)
+        grew += steps
+    assert grew > 0  # the sweep exercises real growth, not only stops
+
+
+@pytest.mark.parametrize("model_cls", MODELS)
+def test_whole_allocators_match_python_oracle(monkeypatch, model_cls):
+    """HCPA (default and non-default reference speed) and BiCPA run
+    the same loop through their own translation and selection."""
+    ptg = PARITY_GRAPHS["fft"]
+    cluster = chti()
+    table = TimeTable.build(model_cls(), ptg, cluster)
+    for allocator in (
+        HcpaAllocator(),
+        HcpaAllocator(
+            reference_speed_gflops=cluster.speed_gflops * 2,
+            model=model_cls(),
+        ),
+        BicpaAllocator(),
+        BicpaAllocator(objective="area"),
+    ):
+        assert_allocators_agree(monkeypatch, allocator, ptg, table)
+
+
+EDGE_GRAPHS = {
+    "single": PTG([Task("only", work=8e9, alpha=0.1)], [], name="single"),
+    "edgeless": PTG(
+        [Task(f"t{i}", work=(i + 1) * 1e9, alpha=0.05) for i in range(6)],
+        [],
+        name="edgeless",
+    ),
+    "chain": chain([3e9, 1e9, 4e9, 1e9, 5e9], name="chain5"),
+}
+
+
+@pytest.mark.parametrize("P", [1, 2, 8])
+@pytest.mark.parametrize("graph", sorted(EDGE_GRAPHS))
+@pytest.mark.parametrize("model_cls", MODELS)
+def test_edge_cases_match_python_oracle(model_cls, graph, P):
+    ptg = EDGE_GRAPHS[graph]
+    table = table_for(ptg, P=P, model=model_cls())
+    for allocator in (
+        CpaAllocator(),
+        McpaAllocator(),
+        Mcpa2Allocator(),
+        CpaAllocator(allow_negative_gain=True, max_iterations=5),
+        CpaAllocator(max_iterations=0),
+        _VirtualCpa(max(1, P // 2)),
+    ):
+        alloc, steps = assert_loops_agree(allocator, ptg, table)
+        assert alloc.min() >= 1 and alloc.max() <= P
+        if P == 1 or allocator.max_iterations == 0:
+            assert steps == 0 and np.all(alloc == 1)
+
+
+def test_native_build_keeps_multiply_and_add_separate():
+    """An FMA-targeting toolchain must not fuse the area update or the
+    critical-path threshold into one rounding."""
+    for openmp in (True, False):
+        assert "-ffp-contract=off" in _cscheduler._flags(openmp)
+
+
+def test_concurrent_allocations_are_independent():
+    """Per-call buffers: threads allocating at once (more threads than
+    cores, frequent switches) get exactly the sequential allocations."""
+    _native_library()
+    problems = [
+        (ptg, TimeTable.build(model_cls(), ptg, grelon()))
+        for ptg in (PARITY_GRAPHS["fft"], PARITY_GRAPHS["daggen-irregular"])
+        for model_cls in (AmdahlModel, SyntheticModel)
+    ]
+    allocators = (CpaAllocator(), McpaAllocator(), Mcpa2Allocator())
+    jobs = [(a, ptg, table) for a in allocators for ptg, table in problems]
+    expected = [a.allocate(ptg, table) for a, ptg, table in jobs]
+    threads = 4
+    start = threading.Barrier(threads)
+
+    shifts = [k * len(jobs) // threads for k in range(threads)]
+
+    def worker(shift):
+        start.wait(timeout=30)
+        order = (jobs[shift:] + jobs[:shift]) * 3
+        return [a.allocate(ptg, table) for a, ptg, table in order]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            futures = [pool.submit(worker, shift) for shift in shifts]
+            results = [f.result(timeout=120) for f in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    for got, shift in zip(results, shifts):
+        want = (expected[shift:] + expected[:shift]) * 3
+        assert len(got) == len(want)
+        for alloc, ref in zip(got, want):
+            assert np.array_equal(alloc, ref)
+
+
+@pytest.mark.parametrize(
+    "allocator",
+    [CpaAllocator(), McpaAllocator(), Mcpa2Allocator(), _VirtualCpa(3)],
+    ids=["cpa", "mcpa", "mcpa2", "virtual"],
+)
+def test_table_shape_mismatch_raises_before_any_loop(
+    monkeypatch, allocator, fft8_ptg
+):
+    """A table built for another PTG is rejected with a typed error
+    before either engine runs."""
+
+    def forbidden(*args):
+        raise AssertionError("the growth loop must not run")
+
+    monkeypatch.setattr(cpa_mod, "_grow_native", forbidden)
+    monkeypatch.setattr(cpa_mod, "_grow_python", forbidden)
+    table = table_for(chain([1e9, 2e9, 3e9]), P=8)
+    with pytest.raises(AllocationError, match="shape"):
+        allocator.allocate(fft8_ptg, table)
+
+
+@pytest.mark.parametrize("model_cls", MODELS)
+def test_list_sweeps_match_graph_analysis(model_cls):
+    """The oracle's list sweeps reproduce the layered numpy sweeps
+    bitwise, and so does the critical-path mask built on them."""
+    rng = np.random.default_rng(7)
+    for ptg in (*PARITY_GRAPHS.values(), *EDGE_GRAPHS.values()):
+        table = table_for(ptg, P=16, model=model_cls())
+        topo, succ, pred = cpa_mod._sweep_lists(ptg)
+        for _ in range(4):
+            alloc = rng.integers(1, 17, size=ptg.num_tasks)
+            times = table.times_for(alloc)
+            bl = bottom_levels(ptg, times)
+            tl = top_levels(ptg, times)
+            t = times.tolist()
+            assert np.array_equal(cpa_mod._bottom_levels(topo, succ, t), bl)
+            assert np.array_equal(cpa_mod._top_levels(topo, pred, t), tl)
+            mask, t_cp = critical_path_mask(ptg, times)
+            assert t_cp == float(bl.max())
+            assert np.array_equal(
+                mask, (tl + bl) >= t_cp * (1.0 - 1e-12) - 1e-12
+            )
+
+
+def test_cpa_family_builds_no_schedule_kernel(monkeypatch):
+    """Seeding, a repair reschedule and an EMTS-rung reschedule run the
+    CPA family without constructing a ScheduleKernel."""
+    built = []
+    original = ScheduleKernel.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(self)
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(ScheduleKernel, "__init__", counting)
+    ptg = generate_fft(8, rng=31)
+    table = TimeTable.build(SyntheticModel(), ptg, grelon())
+    rng = np.random.default_rng(3)
+    individuals, seeds = seed_population(
+        ptg,
+        table,
+        ("mcpa", "hcpa", "mcpa2", "cpa", "delta-critical"),
+        10,
+        AllocationMutation(table.num_processors),
+        rng,
+    )
+    assert len(individuals) == 10 and "mcpa" in seeds
+
+    policy = ReactionPolicy()
+    V, P = ptg.num_tasks, table.num_processors
+    state = dict(
+        now=0.0,
+        frontier=np.arange(V, dtype=np.int64),
+        release=np.zeros(V),
+        allocation=np.ones(V, dtype=np.int64),
+        alive=np.arange(P - 3, dtype=np.int64),
+        avail=np.zeros(P - 3),
+    )
+    for budget, rung in (
+        (policy.emts_cost() - 1, "repair"),
+        (policy.budget_evaluations, "emts"),
+    ):
+        result = Rescheduler(ptg, table, policy, rng=1).reschedule(
+            **state, remaining_budget=budget
+        )
+        assert result.rung == rung
+    assert built == []

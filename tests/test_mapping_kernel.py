@@ -22,7 +22,7 @@ import pytest
 
 from repro._rng import spawn
 from repro.exceptions import AllocationError
-from repro.graph import bottom_levels, top_levels
+from repro.graph import bottom_levels
 from repro.mapping import makespan_of, map_allocations
 from repro.mapping.kernel import ScheduleKernel, kernel_for
 from repro.platform import Cluster
@@ -134,20 +134,6 @@ def test_makespan_batch_matches_scalar(model_cls):
         assert value == kernel.makespan(alloc, abort_above=bound)
 
 
-@pytest.mark.parametrize("model_cls", MODELS)
-def test_levels_match_graph_analysis(model_cls):
-    """kernel.levels() reproduces the vectorized graph sweeps bitwise
-    (CPA/HCPA/MCPA rely on this for identical allocation decisions)."""
-    for case in GRAPH_CASES[:5]:
-        ptg, table = _problem(case, model_cls)
-        kernel = kernel_for(table)
-        for alloc in _random_allocs(case, model_cls, 3):
-            times = table.times_for(alloc)
-            bl, tl = kernel.levels(times)
-            assert np.array_equal(bl, bottom_levels(ptg, times))
-            assert np.array_equal(tl, top_levels(ptg, times))
-
-
 def test_pickle_roundtrip_bit_identical():
     """Workers receive the kernel by pickle; the rebuilt kernel (with
     regenerated compiled sweeps) must agree bitwise."""
@@ -211,8 +197,8 @@ def test_no_ckernel_env_forces_python_loop(monkeypatch):
 
 
 def test_interpreted_sweep_fallback_bit_identical(monkeypatch):
-    """Above the unroll limit the kernel falls back to interpreted
-    level sweeps; force that path (native loop off) and re-check
+    """Above the unroll limit the kernel falls back to the interpreted
+    bottom-level sweep; force that path (native loop off) and re-check
     bit-identity."""
     from repro.mapping import kernel as kernel_mod
 
@@ -222,15 +208,14 @@ def test_interpreted_sweep_fallback_bit_identical(monkeypatch):
     kernel = ScheduleKernel(ptg, table)
     kernel._c = None  # exercise the interpreted Python sweeps
     assert kernel._bl_compiled is None
-    assert kernel._tl_compiled is None
     for alloc in _random_allocs(case, AmdahlModel, 4):
         assert kernel.makespan(alloc) == makespan_of(
             ptg, table, alloc, compiled=False
         )
-        times = table.times_for(alloc)
-        bl, tl = kernel.levels(times)
-        assert np.array_equal(bl, bottom_levels(ptg, times))
-        assert np.array_equal(tl, top_levels(ptg, times))
+        assert np.array_equal(
+            kernel.bottom_levels(alloc),
+            bottom_levels(ptg, table.times_for(alloc)),
+        )
 
 
 class TestErrorPaths:
@@ -274,10 +259,6 @@ class TestErrorPaths:
         block[0, 0] = 1.5
         with pytest.raises(AllocationError):
             kernel.makespan_batch(block)
-
-    def test_levels_wrong_shape(self, kernel):
-        with pytest.raises(AllocationError):
-            kernel.levels(np.ones(kernel.num_tasks + 2))
 
     def test_batch_integral_floats_accepted(self, kernel):
         block = np.full((2, kernel.num_tasks), 2.0)
