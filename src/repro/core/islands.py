@@ -45,7 +45,11 @@ from ..ea import EvolutionLog, GenerationStats, Individual
 from ..ea.operators import MutationOperator
 from ..ea.selection import best_of, plus_selection
 from ..ea.strategy import EvolutionResult, Fitness
-from ..ea.termination import GenerationLimit, TerminationCriterion
+from ..ea.termination import (
+    GenerationLimit,
+    TerminationCriterion,
+    annealing_horizon,
+)
 from ..exceptions import ConfigurationError
 from ..obs.log import get_logger
 from ..obs.profiler import NULL_PROFILER
@@ -226,12 +230,7 @@ class IslandStrategy:
                     "total_generations"
                 )
             termination = GenerationLimit(total_generations)
-        if total_generations is None:
-            total_generations = (
-                termination.limit
-                if isinstance(termination, GenerationLimit)
-                else 10
-            )
+        total_generations = annealing_horizon(termination, total_generations)
         termination.start()
 
         if resume_log is not None:
@@ -295,22 +294,23 @@ class IslandStrategy:
             per_island: list[list[Individual]] = []
             with profiler.phase("mutation"):
                 for i in range(self.mu):
-                    rng_i = island_rngs[i]
                     parent = parents[i]
-                    brood = [
-                        parent.with_genome(
-                            self.mutation.mutate(
-                                parent.genome,
-                                rng_i,
-                                generation,
-                                total_generations,
-                            ),
-                            "mutation",
-                            generation,
-                        )
-                        for _ in range(self.offspring_counts[i])
-                    ]
-                    per_island.append(brood)
+                    # one parent: the block call draws no parent index
+                    _, children = self.mutation.offspring(
+                        parent.genome[np.newaxis],
+                        self.offspring_counts[i],
+                        island_rngs[i],
+                        generation,
+                        total_generations,
+                    )
+                    per_island.append(
+                        [
+                            parent.with_genome(
+                                child, "mutation", generation
+                            )
+                            for child in children
+                        ]
+                    )
             evals = hits = 0
             for lo, hi in shard_bounds:
                 shard_offspring = [

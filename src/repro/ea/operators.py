@@ -6,7 +6,8 @@ are known to suffice for several combinatorial problems).  The engine
 nevertheless defines a small operator algebra so ablation studies can
 swap in alternatives:
 
-* :class:`MutationOperator` — the protocol (genome in, genome out);
+* :class:`MutationOperator` — the protocol (genome in, genome out, or a
+  whole generation's offspring from a block of parents);
 * :class:`UniformIntegerMutation` — resample positions uniformly in the
   domain (the naive operator Section III-D argues against);
 * :class:`UniformPointCrossover` / :class:`OnePointCrossover` — optional
@@ -25,12 +26,36 @@ import numpy as np
 from ..exceptions import ConfigurationError
 
 __all__ = [
+    "per_child_offspring",
     "MutationOperator",
     "CrossoverOperator",
     "UniformIntegerMutation",
     "UniformPointCrossover",
     "OnePointCrossover",
 ]
+
+
+def per_child_offspring(
+    parents: np.ndarray,
+    count: int,
+    rng: np.random.Generator,
+    mutate_one,
+) -> tuple[np.ndarray, np.ndarray]:
+    """``count`` children of a ``(n, V)`` parent block, one at a time.
+
+    Child ``k`` draws its parent with ``rng.integers(n)`` (no draw when
+    ``n == 1``, as ``integers(1)`` consumes nothing) and then
+    ``mutate_one(parents[i])`` makes it, so the random stream is that of
+    a loop which picks a parent and mutates it, child by child.
+    """
+    n = parents.shape[0]
+    index = np.zeros(count, dtype=np.int64)
+    children = np.empty((count, parents.shape[1]), dtype=np.int64)
+    for k in range(count):
+        i = int(rng.integers(n)) if n > 1 else 0
+        index[k] = i
+        children[k] = mutate_one(parents[i])
+    return index, children
 
 
 class MutationOperator(abc.ABC):
@@ -49,6 +74,31 @@ class MutationOperator(abc.ABC):
         ``generation`` / ``total_generations`` let operators anneal their
         step size over the run, as EMTS's operator does.
         """
+
+    def offspring(
+        self,
+        parents: np.ndarray,
+        count: int,
+        rng: np.random.Generator,
+        generation: int,
+        total_generations: int,
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """A generation's offspring: ``(parent_index, children)``.
+
+        ``parents`` is an ``(n, V)`` block; child ``k`` (row ``k`` of
+        ``children``) mutates ``parents[parent_index[k]]``, a parent
+        drawn uniformly just before the child is made.  This default is
+        the per-child loop over :meth:`mutate`; an override may make the
+        block another way but must consume ``rng`` identically.
+        """
+        return per_child_offspring(
+            np.asarray(parents),
+            count,
+            rng,
+            lambda genome: self.mutate(
+                genome, rng, generation, total_generations
+            ),
+        )
 
 
 class CrossoverOperator(abc.ABC):

@@ -33,7 +33,11 @@ from .individual import Individual
 from .operators import CrossoverOperator, MutationOperator
 from .selection import best_of, comma_selection, plus_selection
 from .statistics import EvolutionLog, GenerationStats
-from .termination import GenerationLimit, TerminationCriterion
+from .termination import (
+    GenerationLimit,
+    TerminationCriterion,
+    annealing_horizon,
+)
 
 __all__ = ["EvolutionStrategy", "EvolutionResult", "BatchFitness"]
 
@@ -246,7 +250,8 @@ class EvolutionStrategy:
             Stop condition; defaults to ``GenerationLimit(total_generations)``.
         total_generations:
             The annealing horizon ``U`` handed to the mutation operator;
-            defaults to the generation limit when one is used.
+            defaults to the smallest generation limit in
+            ``termination`` (:func:`~repro.ea.termination.annealing_horizon`).
         on_generation_start:
             Optional hook called with ``(parents, generation)`` before
             each generation's offspring are created.
@@ -288,12 +293,7 @@ class EvolutionStrategy:
                     "total_generations"
                 )
             termination = GenerationLimit(total_generations)
-        if total_generations is None:
-            total_generations = (
-                termination.limit
-                if isinstance(termination, GenerationLimit)
-                else 10
-            )
+        total_generations = annealing_horizon(termination, total_generations)
 
         termination.start()
 
@@ -353,32 +353,51 @@ class EvolutionStrategy:
             t0 = time.perf_counter()
             offspring: list[Individual] = []
             with profiler.phase("mutation"):
-                for _ in range(self.lam):
-                    parent = population[
-                        int(rng.integers(len(population)))
+                if self.crossover is None:
+                    # the whole generation in one operator call, with
+                    # the draws of picking a parent and mutating it,
+                    # child by child
+                    index, children = self.mutation.offspring(
+                        np.stack([ind.genome for ind in population]),
+                        self.lam,
+                        rng,
+                        generation,
+                        total_generations,
+                    )
+                    offspring = [
+                        population[i].with_genome(
+                            child, "mutation", generation
+                        )
+                        for i, child in zip(index.tolist(), children)
                     ]
-                    genome = parent.genome
-                    origin = "mutation"
-                    if (
-                        self.crossover is not None
-                        and len(population) > 1
-                        and rng.random() < self.crossover_rate
-                    ):
-                        mate = population[
+                else:
+                    # crossover interleaves its draws with the parent
+                    # picks, so it keeps the per-child loop
+                    for _ in range(self.lam):
+                        parent = population[
                             int(rng.integers(len(population)))
                         ]
-                        genome = self.crossover.crossover(
-                            genome, mate.genome, rng
+                        genome = parent.genome
+                        origin = "mutation"
+                        if (
+                            len(population) > 1
+                            and rng.random() < self.crossover_rate
+                        ):
+                            mate = population[
+                                int(rng.integers(len(population)))
+                            ]
+                            genome = self.crossover.crossover(
+                                genome, mate.genome, rng
+                            )
+                            origin = "crossover+mutation"
+                        child_genome = self.mutation.mutate(
+                            genome, rng, generation, total_generations
                         )
-                        origin = "crossover+mutation"
-                    child_genome = self.mutation.mutate(
-                        genome, rng, generation, total_generations
-                    )
-                    offspring.append(
-                        parent.with_genome(
-                            child_genome, origin, generation
+                        offspring.append(
+                            parent.with_genome(
+                                child_genome, origin, generation
+                            )
                         )
-                    )
             evals, hits = self._evaluate(offspring, fitness, bound)
             if self.selection == "plus":
                 population = plus_selection(

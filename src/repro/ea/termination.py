@@ -16,6 +16,7 @@ from ..exceptions import ConfigurationError
 from .statistics import EvolutionLog
 
 __all__ = [
+    "annealing_horizon",
     "TerminationCriterion",
     "GenerationLimit",
     "TimeBudget",
@@ -160,3 +161,33 @@ class AnyOf(TerminationCriterion):
 
     def should_stop(self, log: EvolutionLog) -> bool:
         return any(c.should_stop(log) for c in self.criteria)
+
+
+def _generation_limits(criterion: TerminationCriterion):
+    if isinstance(criterion, GenerationLimit):
+        yield criterion.limit
+    elif isinstance(criterion, AnyOf):
+        for inner in criterion.criteria:
+            yield from _generation_limits(inner)
+
+
+def annealing_horizon(
+    termination: TerminationCriterion, total_generations: int | None
+) -> int:
+    """The annealing horizon ``U`` a run hands its mutation operator.
+
+    An explicit ``total_generations`` wins.  Otherwise ``U`` is the
+    smallest :class:`GenerationLimit` in ``termination``, looked up
+    through :class:`AnyOf` — no run outlasts it.  With neither, the
+    mutation width ``(1 - u/U) f_m V`` is undefined, so this raises
+    :class:`ConfigurationError` before the first generation.
+    """
+    if total_generations is not None:
+        return int(total_generations)
+    horizon = min(_generation_limits(termination), default=None)
+    if horizon is None:
+        raise ConfigurationError(
+            "no annealing horizon: pass total_generations, or a "
+            "GenerationLimit (alone or inside AnyOf) as termination"
+        )
+    return horizon

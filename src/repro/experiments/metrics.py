@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
 
 __all__ = ["MeanCI", "mean_confidence_interval", "relative_makespans"]
 
@@ -57,6 +56,10 @@ def mean_confidence_interval(
     sem = float(values.std(ddof=1)) / np.sqrt(n)
     if sem == 0.0:
         return MeanCI(mean, mean, mean, n, confidence)
+    # imported here: scipy.stats costs about a second and 60 MB, and
+    # ``import repro`` reaches this module through the harness
+    from scipy import stats
+
     half = float(stats.t.ppf((1.0 + confidence) / 2.0, n - 1)) * sem
     return MeanCI(mean, mean - half, mean + half, n, confidence)
 

@@ -38,10 +38,26 @@ allocation loop of :mod:`repro.allocation.cpa` (level sweeps,
 critical-path mask, best-gain growth) in one call on per-call buffers;
 it needs no kernel, only the PTG's CSR arrays and the time table.
 
+A fourth, ``mutation_offspring``, makes one generation of Eq. 1
+offspring for :mod:`repro.core.mutation`: parent picks, positions,
+shrink flags and magnitudes, drawn from the caller's
+``np.random.Generator`` through its ``bitgen_t`` with numpy's own
+samplers (``random_bounded_uint64``, ``random_standard_uniform``,
+``random_normal``) and mirroring both branches of
+``Generator.choice``.  The samplers come from numpy's static archive
+``numpy/random/lib/libnpyrandom.a``; they are declared in the C source,
+which includes only ``numpy/random/bitgen.h`` from
+``numpy.get_include()``, because numpy's ``distributions.h`` needs
+``Python.h``.  The archive is linked, and the entry point compiled in,
+only when it and the header exist; the archive's path and
+``numpy.__version__`` are part of the cache digest.  Without them (or when they will not
+link) the library is built without this entry point and the scheduling
+kernel loads as before.
+
 The property suite in ``tests/test_mapping_kernel.py`` pins the native
 scheduling path against the pure-Python reference with exact ``==``
 comparisons; ``tests/test_allocation_cpa.py`` does the same for the
-allocation loop.
+allocation loop and ``tests/test_core_mutation.py`` for the offspring.
 
 If :mod:`cffi` or a C compiler is unavailable, or compilation fails
 for any reason, :func:`load` returns ``(None, None)`` and the kernel
@@ -59,6 +75,7 @@ import hashlib
 import os
 import subprocess
 import tempfile
+import threading
 from contextlib import contextmanager
 from pathlib import Path
 
@@ -104,6 +121,14 @@ int64_t cpa_allocate(
     double area, int64_t divisor,
     int allow_negative_gain, int64_t max_steps,
     int64_t *alloc);
+
+int mutation_offspring(
+    void *bitgen,
+    int64_t n_parents, int64_t V, int64_t P,
+    const int64_t *parents,
+    int64_t count, int64_t m,
+    double shrink_probability, double sigma_shrink, double sigma_stretch,
+    int64_t *parent_index, int64_t *children);
 """
 
 _C_SOURCE = r"""
@@ -779,11 +804,142 @@ int64_t cpa_allocate(
     free(level_sum);
     return steps;
 }
+
+#ifdef REPRO_NPYRANDOM
+/* ------------------------------------------------------------------
+ * One generation of Eq. 1 offspring (repro.core.mutation).
+ *
+ * The draws come from the caller's numpy Generator through its bitgen_t
+ * and numpy's own samplers, linked from numpy/random/lib/libnpyrandom.a.
+ * They are declared here rather than through numpy's distributions.h,
+ * which includes Python.h.  Per child, in this order: the parent index
+ * (Generator.integers(n_parents): no draw for one parent), the m
+ * positions (Generator.choice(V, m, replace=False)), m uniforms for the
+ * shrink flags, m shrink then m stretch normals — exactly the per-child
+ * Python loop, so children and generator state match it bit for bit.
+ */
+#include <stdbool.h>
+#include "numpy/random/bitgen.h"
+
+uint64_t random_bounded_uint64(bitgen_t *bitgen_state, uint64_t off,
+                               uint64_t rng, uint64_t mask,
+                               bool use_masked);
+double random_standard_uniform(bitgen_t *bitgen_state);
+double random_normal(bitgen_t *bitgen_state, double loc, double scale);
+
+/* Generator.choice's _shuffle_int: swaps data[i] with a uniform
+ * data[j], j <= i, for i = n-1 down to first */
+static void shuffle_int(bitgen_t *bg, int64_t n, int64_t first,
+                        int64_t *data)
+{
+    for (int64_t i = n - 1; i >= first; i--) {
+        int64_t j = (int64_t)random_bounded_uint64(bg, 0, (uint64_t)i,
+                                                   0, false);
+        int64_t tmp = data[j];
+        data[j] = data[i];
+        data[i] = tmp;
+    }
+}
+
+/* Generator.choice(V, m, replace=False, shuffle=True) into out[0..m) */
+static void choice_without_replacement(bitgen_t *bg, int64_t V, int64_t m,
+                                       uint64_t mask, uint64_t *hash_set,
+                                       int64_t *pool, int64_t *out)
+{
+    if (V > 10000 && m > V / 50) {
+        /* tail shuffle of a fresh arange; the sample is its last m */
+        for (int64_t i = 0; i < V; i++)
+            pool[i] = i;
+        shuffle_int(bg, V, V - m > 1 ? V - m : 1, pool);
+        memcpy(out, pool + (V - m), (size_t)m * sizeof(int64_t));
+        return;
+    }
+    /* Floyd's algorithm over an open-addressing set, then a shuffle */
+    for (uint64_t k = 0; k <= mask; k++)
+        hash_set[k] = UINT64_MAX;
+    for (int64_t j = V - m; j < V; j++) {
+        uint64_t val = random_bounded_uint64(bg, 0, (uint64_t)j, 0, false);
+        uint64_t loc = val & mask;
+        while (hash_set[loc] != UINT64_MAX && hash_set[loc] != val)
+            loc = (loc + 1) & mask;
+        if (hash_set[loc] == UINT64_MAX) {
+            hash_set[loc] = val;
+            out[j - V + m] = (int64_t)val;
+        } else {
+            loc = (uint64_t)j & mask;
+            while (hash_set[loc] != UINT64_MAX)
+                loc = (loc + 1) & mask;
+            hash_set[loc] = (uint64_t)j;
+            out[j - V + m] = j;
+        }
+    }
+    shuffle_int(bg, m, 1, out);
+}
+
+/* Returns 0, or -1 when the buffers cannot be allocated — checked
+ * before the first draw, so the generator is then untouched. */
+int mutation_offspring(
+    void *bitgen,
+    int64_t n_parents, int64_t V, int64_t P,
+    const int64_t *parents,
+    int64_t count, int64_t m,
+    double shrink_probability, double sigma_shrink, double sigma_stretch,
+    int64_t *parent_index, int64_t *children)
+{
+    bitgen_t *bg = (bitgen_t *)bitgen;
+    /* choice's set size: smallest all-ones mask >= (uint64)(1.2 m) */
+    uint64_t mask = (uint64_t)(1.2 * (double)m);
+    mask |= mask >> 1;
+    mask |= mask >> 2;
+    mask |= mask >> 4;
+    mask |= mask >> 8;
+    mask |= mask >> 16;
+    mask |= mask >> 32;
+    /* one arena, 8-byte types first: hash set, arange pool (V),
+     * positions, shrink magnitudes, shrink flags (m each; m <= V) */
+    uint64_t *hash_set = (uint64_t *)malloc(
+        ((size_t)mask + 1 + (size_t)V + 2 * (size_t)m) * 8 + (size_t)m);
+    if (hash_set == NULL)
+        return -1;
+    int64_t *pool = (int64_t *)(hash_set + mask + 1);
+    int64_t *pos = pool + V;
+    double *mag_shrink = (double *)(pos + m);
+    unsigned char *shrink = (unsigned char *)(mag_shrink + m);
+    for (int64_t c = 0; c < count; c++) {
+        int64_t p = (int64_t)random_bounded_uint64(
+            bg, 0, (uint64_t)(n_parents - 1), 0, false);
+        parent_index[c] = p;
+        choice_without_replacement(bg, V, m, mask, hash_set, pool, pos);
+        for (int64_t k = 0; k < m; k++)
+            shrink[k] = random_standard_uniform(bg) < shrink_probability;
+        for (int64_t k = 0; k < m; k++)
+            mag_shrink[k] =
+                floor(fabs(random_normal(bg, 0.0, sigma_shrink))) + 1.0;
+        int64_t *child = children + (size_t)c * V;
+        memcpy(child, parents + (size_t)p * V,
+               (size_t)V * sizeof(int64_t));
+        for (int64_t k = 0; k < m; k++) {
+            double stretch =
+                floor(fabs(random_normal(bg, 0.0, sigma_stretch))) + 1.0;
+            int64_t adjust =
+                (int64_t)(shrink[k] ? -mag_shrink[k] : stretch);
+            /* wrapping add, as numpy's int64 arithmetic */
+            child[pos[k]] =
+                (int64_t)((uint64_t)child[pos[k]] + (uint64_t)adjust);
+        }
+        for (int64_t v = 0; v < V; v++)
+            child[v] = child[v] < 1 ? 1 : (child[v] > P ? P : child[v]);
+    }
+    free(hash_set);
+    return 0;
+}
+#endif
 """
 
 _ffi = None
 _lib = None
 _tried = False
+_load_lock = threading.Lock()
 
 
 def _cache_dir() -> Path:
@@ -794,7 +950,33 @@ def _cache_dir() -> Path:
     return Path(tempfile.gettempdir()) / f"repro-ckernel-{uid}"
 
 
-def _flags(openmp: bool) -> list[str]:
+def _npyrandom_archive() -> Path:
+    """numpy's static sampler library, ``numpy/random/lib/libnpyrandom.a``."""
+    import numpy
+
+    return Path(numpy.__file__).parent / "random" / "lib" / "libnpyrandom.a"
+
+
+def _npyrandom() -> tuple[Path, Path] | None:
+    """numpy's include directory and sampler archive, when both exist.
+
+    Only ``numpy/random/bitgen.h`` is included from that directory: the
+    samplers' own header pulls in ``Python.h``, which an ABI-mode build
+    does not need.
+    """
+    import numpy
+
+    include = Path(numpy.get_include())
+    archive = _npyrandom_archive()
+    header = include / "numpy" / "random" / "bitgen.h"
+    if header.is_file() and archive.is_file():
+        return include, archive
+    return None
+
+
+def _flags(openmp: bool, npyrandom: bool = True) -> list[str]:
+    """Compiler flags; ``npyrandom`` adds the offspring entry point when
+    numpy's sampler archive is present."""
     # -ffp-contract=off: a toolchain targeting FMA hardware (clang with
     # -march=native, distro GCCs defaulting to x86-64-v3) may otherwise
     # fuse a multiply-add such as the CPA area update into one rounding
@@ -802,14 +984,35 @@ def _flags(openmp: bool) -> list[str]:
     flags = ["-O2", "-shared", "-fPIC", "-ffp-contract=off"]
     if openmp:
         flags.append("-fopenmp")
+    found = _npyrandom() if npyrandom else None
+    if found is not None:
+        flags += ["-DREPRO_NPYRANDOM", f"-I{found[0]}"]
     return flags
 
 
-def _lib_path(openmp: bool) -> Path:
-    """Cached artifact path for one build variant (source+flag hash)."""
-    digest = hashlib.sha256(
-        (_C_SOURCE + "\0" + " ".join(_flags(openmp))).encode("utf-8")
-    ).hexdigest()[:16]
+def _link_args(npyrandom: bool = True) -> list[str]:
+    """What follows the source on the command line: numpy's archive."""
+    found = _npyrandom() if npyrandom else None
+    return [] if found is None else [str(found[1]), "-lm"]
+
+
+def _lib_path(openmp: bool, npyrandom: bool = True) -> Path:
+    """Cached artifact path for one build variant.
+
+    The digest covers the source, the flags, the archive path and the
+    numpy version, whose samplers the archive holds.
+    """
+    import numpy
+
+    key = "\0".join(
+        [
+            _C_SOURCE,
+            " ".join(_flags(openmp, npyrandom)),
+            " ".join(_link_args(npyrandom)),
+            numpy.__version__,
+        ]
+    )
+    digest = hashlib.sha256(key.encode("utf-8")).hexdigest()[:16]
     return _cache_dir() / f"scheduler-{digest}.so"
 
 
@@ -848,19 +1051,20 @@ def _compile_cache_lock(cache: Path):
         handle.close()
 
 
-def _build(openmp: bool) -> Path:
+def _build(openmp: bool, npyrandom: bool = True) -> Path:
     """Compile the shared library (cached by source + flag hash).
 
     ``openmp=True`` adds ``-fopenmp`` so the batch entry point can fan
     genomes across threads (``REPRO_CKERNEL_THREADS``); the flag is
     part of the cache digest, so the two variants never collide.
     Without OpenMP the ``#pragma omp`` lines are inert and the batch
-    path runs serially — same results either way.
+    path runs serially — same results either way.  ``npyrandom`` links
+    numpy's sampler archive, when present, for ``mutation_offspring``.
     """
-    flags = _flags(openmp)
+    flags = _flags(openmp, npyrandom)
     cache = _cache_dir()
     cache.mkdir(parents=True, exist_ok=True)
-    lib_path = _lib_path(openmp)
+    lib_path = _lib_path(openmp, npyrandom)
     if lib_path.exists():
         return lib_path
     with _compile_cache_lock(cache):
@@ -874,7 +1078,14 @@ def _build(openmp: bool) -> Path:
         compiler = os.environ.get("CC", "cc")
         try:
             subprocess.run(
-                [compiler, *flags, str(src_path), "-o", str(tmp_path)],
+                [
+                    compiler,
+                    *flags,
+                    str(src_path),
+                    "-o",
+                    str(tmp_path),
+                    *_link_args(npyrandom),
+                ],
                 check=True,
                 capture_output=True,
                 timeout=120,
@@ -898,18 +1109,17 @@ def _describe_failure(exc: BaseException) -> str:
     return f"{type(exc).__name__}: {exc}"
 
 
-def _dlopen_checked(ffi, lib_path: Path):
+def _dlopen_checked(ffi, lib_path: Path, npyrandom: bool = False):
     """dlopen the cached build and verify it exports every entry point.
 
     A truncated or stale cached library fails here — at load time,
     where the caller can rebuild — rather than mid-optimization.
     """
     lib = ffi.dlopen(str(lib_path))
-    for symbol in (
-        "schedule_makespan",
-        "schedule_makespan_batch",
-        "cpa_allocate",
-    ):
+    symbols = ["schedule_makespan", "schedule_makespan_batch", "cpa_allocate"]
+    if npyrandom:
+        symbols.append("mutation_offspring")
+    for symbol in symbols:
         getattr(lib, symbol)
     return lib
 
@@ -922,11 +1132,23 @@ def load():
     cache — degrade to ``(None, None)`` with a logged warning so
     callers keep their pure-Python path.  A cached library that fails
     to load or lacks the expected symbols is deleted and rebuilt once.
+    A thread that calls while another is loading waits for that load's
+    result rather than reading ``(None, None)`` before it is done.
     """
     global _ffi, _lib, _tried
     if _tried:
         return _ffi, _lib
-    _tried = True
+    with _load_lock:
+        if not _tried:
+            try:
+                _ffi, _lib = _load()
+            finally:
+                _tried = True
+    return _ffi, _lib
+
+
+def _load():
+    """The one attempt behind :func:`load`."""
     if os.environ.get("REPRO_NO_CKERNEL"):
         return None, None
     try:
@@ -940,17 +1162,23 @@ def load():
     ffi.cdef(CDEF)
     # Prefer the OpenMP build (threaded batch path); fall back to a
     # plain build when -fopenmp does not compile or its runtime
-    # library fails to load on this machine.
+    # library fails to load on this machine.  When numpy's sampler
+    # archive is present but will not link, the scheduling kernel is
+    # still built without it.
+    has_archive = _npyrandom() is not None
+    variants = [(True, has_archive), (False, has_archive)]
+    if has_archive:
+        variants += [(True, False), (False, False)]
     lib = None
     failures: list[str] = []
-    for openmp in (True, False):
+    for openmp, npyrandom in variants:
         try:
-            lib_path = _build(openmp)
+            lib_path = _build(openmp, npyrandom)
         except Exception as exc:
             failures.append(_describe_failure(exc))
             continue
         try:
-            lib = _dlopen_checked(ffi, lib_path)
+            lib = _dlopen_checked(ffi, lib_path, npyrandom)
             break
         except Exception as exc:
             _log.warning(
@@ -966,13 +1194,13 @@ def load():
                     # retry the load before deleting, so a *good*
                     # library is never unlinked from under a peer
                     try:
-                        lib = _dlopen_checked(ffi, lib_path)
+                        lib = _dlopen_checked(ffi, lib_path, npyrandom)
                     except Exception:
                         Path(lib_path).unlink(missing_ok=True)
                         lib = None
                 if lib is None:
-                    lib_path = _build(openmp)
-                    lib = _dlopen_checked(ffi, lib_path)
+                    lib_path = _build(openmp, npyrandom)
+                    lib = _dlopen_checked(ffi, lib_path, npyrandom)
                 break
             except Exception as exc2:
                 failures.append(_describe_failure(exc2))
@@ -984,5 +1212,4 @@ def load():
             "; ".join(failures) or "no compiler attempt succeeded",
         )
         return None, None
-    _ffi, _lib = ffi, lib
-    return _ffi, _lib
+    return ffi, lib

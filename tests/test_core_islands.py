@@ -305,3 +305,57 @@ def test_semantic_config_defaults_accept_pre_island_checkpoints(
         verify_resumable(
             old, emts5_config().with_updates(islands=2), PTG, table
         )
+
+
+# ----------------------------------------------------------------------
+# annealing horizon
+
+
+def _island_initial():
+    from repro.ea import Individual
+
+    return [
+        Individual(genome=np.full(6, i + 1, dtype=np.int64), origin="seed")
+        for i in range(2)
+    ]
+
+
+def _distance(genome):
+    return float(np.abs(genome - 4).sum())
+
+
+def test_horizon_from_generation_limit_inside_anyof():
+    # U used to default to 10 here, and the Eq. 1 operator then raised
+    # at generation 11
+    from repro.core import AllocationMutation
+    from repro.ea import AnyOf, GenerationLimit, TimeBudget
+
+    strategy = IslandStrategy(2, 4, AllocationMutation(P=8))
+    result = strategy.evolve(
+        _island_initial(),
+        _distance,
+        island_rngs=[np.random.default_rng(i) for i in range(2)],
+        termination=AnyOf(GenerationLimit(15), TimeBudget(100.0)),
+    )
+    assert result.generations == 15
+
+
+def test_no_horizon_raises_before_first_generation():
+    from repro.core import AllocationMutation
+    from repro.ea import StagnationLimit
+
+    calls = []
+
+    def counting(genome):
+        calls.append(1)
+        return _distance(genome)
+
+    strategy = IslandStrategy(2, 4, AllocationMutation(P=8))
+    with pytest.raises(ConfigurationError, match="annealing horizon"):
+        strategy.evolve(
+            _island_initial(),
+            counting,
+            island_rngs=[np.random.default_rng(i) for i in range(2)],
+            termination=StagnationLimit(3),
+        )
+    assert calls == []

@@ -7,11 +7,14 @@ so EA behaviour is verifiable independently of the scheduling domain.
 import numpy as np
 import pytest
 
+from repro.core import AllocationMutation
 from repro.ea import (
+    AnyOf,
     EvolutionStrategy,
     GenerationLimit,
     Individual,
     StagnationLimit,
+    TimeBudget,
     UniformIntegerMutation,
     UniformPointCrossover,
 )
@@ -233,3 +236,58 @@ class TestEvolve:
         gated = run(True)
         assert plain.best_fitness == gated.best_fitness
         assert np.array_equal(plain.best.genome, gated.best.genome)
+
+
+class TestAnnealingHorizon:
+    """``U`` for the mutation operator when only a termination is given."""
+
+    def test_horizon_from_generation_limit_inside_anyof(self, rng):
+        # U used to default to 10 here, and the Eq. 1 operator then
+        # raised at generation 11
+        strategy = EvolutionStrategy(
+            mu=3, lam=6, mutation=AllocationMutation(P=10)
+        )
+        result = strategy.evolve(
+            initial_pop(),
+            fitness,
+            rng,
+            termination=AnyOf(GenerationLimit(15), TimeBudget(100.0)),
+        )
+        assert result.generations == 15
+
+    def test_smallest_limit_is_the_horizon(self, rng):
+        horizons = []
+
+        class Recording(UniformIntegerMutation):
+            def mutate(self, genome, rng, generation, total_generations):
+                horizons.append(total_generations)
+                return super().mutate(
+                    genome, rng, generation, total_generations
+                )
+
+        make_strategy(mutation=Recording(1, 10)).evolve(
+            initial_pop(),
+            fitness,
+            rng,
+            termination=AnyOf(
+                StagnationLimit(50),
+                AnyOf(GenerationLimit(12), GenerationLimit(20)),
+            ),
+        )
+        assert set(horizons) == {12}
+
+    def test_no_horizon_raises_before_first_generation(self, rng):
+        calls = []
+
+        def counting(genome):
+            calls.append(1)
+            return fitness(genome)
+
+        with pytest.raises(ConfigurationError, match="annealing horizon"):
+            make_strategy().evolve(
+                initial_pop(),
+                counting,
+                rng,
+                termination=AnyOf(StagnationLimit(2), TimeBudget(10.0)),
+            )
+        assert calls == []

@@ -307,6 +307,50 @@ class TestNativeCacheRecovery:
         )
         assert lib.schedule_makespan is not None
 
+    def test_caller_during_a_load_waits_for_it(self, monkeypatch):
+        """A thread calling load() while another thread loads gets the
+        library, not the ``(None, None)`` of a load still running (its
+        kernel would keep the numpy path for good)."""
+        import threading
+
+        pytest.importorskip("cffi")
+        from repro.mapping import _cscheduler
+
+        if _cscheduler.load()[1] is None:
+            pytest.skip("no C compiler available")
+        monkeypatch.setattr(_cscheduler, "_tried", False)
+        monkeypatch.setattr(_cscheduler, "_ffi", None)
+        monkeypatch.setattr(_cscheduler, "_lib", None)
+        entered, release = threading.Event(), threading.Event()
+        dlopen = _cscheduler._dlopen_checked
+
+        def held_dlopen(*args, **kwargs):
+            entered.set()
+            release.wait(timeout=10)
+            return dlopen(*args, **kwargs)
+
+        monkeypatch.setattr(_cscheduler, "_dlopen_checked", held_dlopen)
+        results = {}
+
+        def call(name):
+            results[name] = _cscheduler.load()
+
+        first = threading.Thread(target=call, args=("first",))
+        second = threading.Thread(target=call, args=("second",))
+        first.start()
+        try:
+            assert entered.wait(timeout=10)
+            second.start()
+            second.join(timeout=0.2)
+            assert second.is_alive(), "load() returned mid-load"
+        finally:
+            release.set()
+            first.join(timeout=30)
+            if second.ident is not None:
+                second.join(timeout=30)
+        assert results["first"][1] is not None
+        assert results["second"] == results["first"]
+
     def test_build_failure_degrades_to_numpy_path(
         self, tmp_path, monkeypatch, caplog
     ):

@@ -3,6 +3,10 @@ exception hierarchy, and docstring coverage of public items."""
 
 import importlib
 import inspect
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -38,6 +42,27 @@ class TestExports:
         mod = importlib.import_module(module_name)
         for name in mod.__all__:
             assert hasattr(mod, name), f"{module_name}.{name}"
+
+
+def test_import_does_not_load_scipy():
+    """``import repro`` stays light: scipy.stats alone costs about a
+    second and 60 MB, and only the confidence intervals need it."""
+    code = (
+        "import sys, repro, repro.cli\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
 
 
 class TestExceptionHierarchy:
