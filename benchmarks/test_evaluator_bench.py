@@ -5,14 +5,12 @@ Measures one EA-generation-sized batch of offspring evaluations on a
 backend:
 
 * serial — the historical one-mapper-call-per-genome path;
-* pool-4 — four worker processes, chunked dispatch;
-* memoized — steady-state cache behavior (duplicate offspring, as the
-  annealed mutation produces in late generations).
+* pool-4 — four worker processes, chunked dispatch.
 
-``test_report_speedup`` additionally records the measured ratios in
+``test_report_speedup`` additionally records the measured ratio in
 ``results/evaluator_speedup.txt`` together with the machine's core
 count — the pool speedup is hardware-bound (a single-core host cannot
-show one; the cache speedup is hardware-independent).
+show one).
 """
 
 import os
@@ -21,11 +19,7 @@ import time
 import numpy as np
 import pytest
 
-from repro.core import (
-    MemoizedEvaluator,
-    ProcessPoolEvaluator,
-    SerialEvaluator,
-)
+from repro.core import ProcessPoolEvaluator, SerialEvaluator
 from repro.core.evaluator import create_evaluator
 from repro.platform import grelon
 from repro.timemodels import SyntheticModel, TimeTable
@@ -72,19 +66,10 @@ def test_evaluator_pool4_batch(benchmark, problem):
     assert min(values) > 0
 
 
-def test_evaluator_memoized_steady_state(benchmark, problem):
-    ptg, table, genomes = problem
-    ev = MemoizedEvaluator(SerialEvaluator(ptg, table))
-    ev.evaluate(genomes)  # warm: every genome cached
-    values = benchmark(ev.evaluate, genomes)
-    assert min(values) > 0
-    assert ev.stats.cache_hits >= BATCH
-
-
 def test_evaluator_verified_sample_batch(benchmark, problem):
     """Sampled differential verification must stay near-free."""
     ptg, table, genomes = problem
-    with create_evaluator(ptg, table, cache=False, verify="sample") as ev:
+    with create_evaluator(ptg, table, verify="sample") as ev:
         ev.evaluate(genomes)  # first-batch spot check outside the timing
         values = benchmark(ev.evaluate, genomes)
     assert min(values) > 0
@@ -97,9 +82,7 @@ def test_verify_sample_overhead(problem):
     def timed(verify, repeats=3, batches=20):
         best = float("inf")
         for _ in range(repeats):
-            with create_evaluator(
-                ptg, table, cache=False, verify=verify
-            ) as ev:
+            with create_evaluator(ptg, table, verify=verify) as ev:
                 ev.evaluate(genomes)  # warm-up / first-batch check
                 t0 = time.perf_counter()
                 for _ in range(batches):
@@ -116,7 +99,7 @@ def test_verify_sample_overhead(problem):
 
 
 def test_report_speedup(problem, results_dir):
-    """Record serial vs. pool vs. cached wall-times in results/."""
+    """Record serial vs. pool wall-times in results/."""
     ptg, table, genomes = problem
 
     def timed(fn, repeats=3):
@@ -134,10 +117,6 @@ def test_report_speedup(problem, results_dir):
         pool.evaluate(genomes[:2])  # pool start-up excluded
         t_pool = timed(lambda: pool.evaluate(genomes))
 
-    cached = MemoizedEvaluator(SerialEvaluator(ptg, table))
-    cached.evaluate(genomes)
-    t_cached = timed(lambda: cached.evaluate(genomes))
-
     cores = os.cpu_count() or 1
     lines = [
         "Fitness-evaluation engine: batch of "
@@ -147,15 +126,10 @@ def test_report_speedup(problem, results_dir):
         f"serial            : {t_serial * 1e3:9.2f} ms",
         f"pool (4 workers)  : {t_pool * 1e3:9.2f} ms  "
         f"(speedup {t_serial / t_pool:5.2f}x)",
-        f"memoized (warm)   : {t_cached * 1e3:9.2f} ms  "
-        f"(speedup {t_serial / t_cached:5.2f}x)",
         "",
         "note: the pool speedup is bounded by the host's core count; "
-        "on a single-core host it degrades to IPC overhead while the "
-        "memoized path stays hardware-independent.",
+        "on a single-core host it degrades to IPC overhead.",
     ]
     write_result("evaluator_speedup.txt", "\n".join(lines) + "\n")
-    # the warm cache must beat re-scheduling by a wide margin anywhere
-    assert t_cached < t_serial / 2
     if cores >= 4:
         assert t_pool < t_serial  # parallelism pays off given cores

@@ -105,7 +105,6 @@ def _make_model(name: str) -> ExecutionTimeModel:
 def _make_algorithm(
     name: str,
     workers: int = 0,
-    fitness_cache: bool = True,
     verify: str = "off",
     islands: int = 0,
     migration_interval: int = 1,
@@ -113,7 +112,6 @@ def _make_algorithm(
     name = name.lower()
     overrides = dict(
         workers=workers,
-        fitness_cache=fitness_cache,
         verify=verify,
         islands=islands,
         migration_interval=migration_interval,
@@ -177,7 +175,6 @@ def _cmd_schedule(args) -> int:
     algorithm = _make_algorithm(
         args.algorithm,
         workers=args.workers,
-        fitness_cache=not args.no_fitness_cache,
         verify=verify,
         islands=getattr(args, "islands", 0),
         migration_interval=getattr(args, "migration_interval", 1),
@@ -444,7 +441,6 @@ def _cmd_runtime(args) -> int:
         seed=args.seed,
         repetitions=args.repetitions,
         workers=args.workers,
-        fitness_cache=not args.no_fitness_cache,
         verify=getattr(args, "verify", "off"),
     )
     print(report.render())
@@ -499,7 +495,6 @@ def _cmd_convergence(args) -> int:
     ]
     overrides = dict(
         workers=args.workers,
-        fitness_cache=not args.no_fitness_cache,
         verify=getattr(args, "verify", "off"),
         islands=getattr(args, "islands", 0),
         migration_interval=getattr(args, "migration_interval", 1),
@@ -893,11 +888,6 @@ def build_parser() -> argparse.ArgumentParser:
                 "fitness-evaluation worker processes "
                 "(0/1 = serial, the default)"
             ),
-        )
-        p.add_argument(
-            "--no-fitness-cache",
-            action="store_true",
-            help="disable makespan memoization of duplicate offspring",
         )
         p.add_argument(
             "--profile",

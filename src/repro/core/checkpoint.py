@@ -60,6 +60,7 @@ __all__ = [
     "load_checkpoint",
     "problem_fingerprint",
     "fingerprint_digest",
+    "semantic_config",
     "verify_resumable",
 ]
 
@@ -67,7 +68,7 @@ CHECKPOINT_FORMAT = "repro-emts-checkpoint"
 CHECKPOINT_VERSION = 1
 
 #: Configuration fields that change the optimization outcome.  Engine
-#: knobs (worker count, cache sizes, retry policy) are deliberately
+#: knobs (worker count, shard count, retry policy) are deliberately
 #: excluded: all evaluation backends are bit-identical, so a run may be
 #: resumed under a different execution configuration.
 SEMANTIC_CONFIG_FIELDS = (
@@ -142,16 +143,19 @@ def fingerprint_digest(fingerprint: dict[str, Any]) -> str:
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
-def _semantic_config(config: "EMTSConfig") -> dict[str, Any]:
-    full = asdict(config)
-    full["island_mode"] = bool(full.get("islands", 0))
-    if not full["island_mode"]:
-        # migration only exists in island mode; normalize so classic
-        # runs with different (unused) intervals stay interchangeable
-        full["migration_interval"] = SEMANTIC_CONFIG_DEFAULTS[
-            "migration_interval"
-        ]
-    return {k: _jsonable(full[k]) for k in SEMANTIC_CONFIG_FIELDS}
+def semantic_config(config: "EMTSConfig") -> dict[str, Any]:
+    """The :data:`SEMANTIC_CONFIG_FIELDS` of ``config``, JSON-shaped."""
+    doc: dict[str, Any] = {}
+    for key in SEMANTIC_CONFIG_FIELDS:
+        if key == "island_mode":
+            doc[key] = bool(config.islands)
+        elif key == "migration_interval" and not config.islands:
+            # migration only exists in island mode; normalize so classic
+            # runs with different (unused) intervals stay interchangeable
+            doc[key] = SEMANTIC_CONFIG_DEFAULTS[key]
+        else:
+            doc[key] = _jsonable(getattr(config, key))
+    return doc
 
 
 @dataclass
@@ -219,11 +223,26 @@ class Checkpoint:
         elapsed_seconds: float = 0.0,
         completed: bool = False,
         island_rngs: list[np.random.Generator] | None = None,
+        *,
+        semantic: dict[str, Any] | None = None,
+        problem: dict[str, Any] | None = None,
     ) -> "Checkpoint":
-        """Snapshot the live state of a run at a generation boundary."""
+        """Snapshot the live state of a run at a generation boundary.
+
+        ``semantic`` and ``problem`` are the run's
+        :func:`semantic_config` and :func:`problem_fingerprint`, when
+        the caller already holds them: both are fixed for a whole run,
+        so a run journaling every generation computes them once.
+        """
         return cls(
-            config=_semantic_config(config),
-            problem=problem_fingerprint(ptg, table),
+            config=(
+                semantic if semantic is not None else semantic_config(config)
+            ),
+            problem=(
+                problem
+                if problem is not None
+                else problem_fingerprint(ptg, table)
+            ),
             generation=int(generation),
             rng_state=copy.deepcopy(rng.bit_generator.state),
             population=[
@@ -462,16 +481,19 @@ def verify_resumable(
     config: "EMTSConfig",
     ptg: "PTG",
     table: "TimeTable",
+    *,
+    problem: dict[str, Any] | None = None,
 ) -> None:
     """Refuse to resume a checkpoint against a different run.
 
     Compares the result-affecting configuration fields and the problem
-    fingerprint; any mismatch raises
-    :class:`~repro.exceptions.CheckpointError` naming every differing
-    field, so an operator sees at once *why* the resume was rejected.
+    fingerprint (``problem``, when the caller already computed it);
+    any mismatch raises :class:`~repro.exceptions.CheckpointError`
+    naming every differing field, so an operator sees at once *why*
+    the resume was rejected.
     """
     mismatches: list[str] = []
-    current_cfg = _semantic_config(config)
+    current_cfg = semantic_config(config)
     for key in SEMANTIC_CONFIG_FIELDS:
         saved = checkpoint.config.get(
             key, SEMANTIC_CONFIG_DEFAULTS.get(key)
@@ -481,7 +503,9 @@ def verify_resumable(
                 f"config.{key}: checkpoint={saved!r} "
                 f"run={current_cfg[key]!r}"
             )
-    current_problem = problem_fingerprint(ptg, table)
+    current_problem = (
+        problem if problem is not None else problem_fingerprint(ptg, table)
+    )
     for key, value in current_problem.items():
         saved = checkpoint.problem.get(key)
         if saved != value:

@@ -60,11 +60,6 @@ class EMTSConfig:
         Fitness-evaluation worker processes.  0 or 1 = serial (the
         historical behavior); N >= 2 fans offspring batches out to N
         worker processes.  Results are bit-identical either way.
-    fitness_cache:
-        Memoize makespans by allocation vector so duplicate offspring
-        are never re-scheduled (exact, bounded LRU; on by default).
-    fitness_cache_size:
-        Capacity of the memoization cache (genomes).
     eval_max_retries:
         How often the parallel evaluator rebuilds a crashed worker pool
         and re-dispatches the failed chunks before falling back to
@@ -113,8 +108,6 @@ class EMTSConfig:
     use_rejection: bool = False
     time_budget_seconds: float | None = None
     workers: int = 0
-    fitness_cache: bool = True
-    fitness_cache_size: int = 65_536
     eval_max_retries: int = 3
     eval_retry_backoff: float = 0.05
     eval_timeout: float | None = None
@@ -164,11 +157,6 @@ class EMTSConfig:
         if self.workers < 0:
             raise ConfigurationError(
                 f"workers must be >= 0, got {self.workers}"
-            )
-        if self.fitness_cache_size < 1:
-            raise ConfigurationError(
-                "fitness cache size must be >= 1, got "
-                f"{self.fitness_cache_size}"
             )
         if self.eval_max_retries < 0:
             raise ConfigurationError(

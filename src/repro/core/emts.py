@@ -51,6 +51,7 @@ from .checkpoint import (
     load_checkpoint,
     problem_fingerprint,
     save_checkpoint,
+    semantic_config,
     verify_resumable,
 )
 from .config import EMTSConfig, emts5_config, emts10_config
@@ -85,8 +86,8 @@ class EMTSResult:
         discussion.
     evaluation_stats:
         Counters of the fitness-evaluation engine: genomes submitted,
-        mapper calls actually executed, cache hits and evaluation
-        wall-time (see :class:`repro.core.evaluator.EvaluationStats`).
+        mapper calls executed and evaluation wall-time (see
+        :class:`repro.core.evaluator.EvaluationStats`).
     interrupted:
         True when the run ended early at a generation boundary because
         a deadline (``max_wall_time``) expired or a stop signal/event
@@ -311,6 +312,19 @@ class EMTS:
             else:
                 table = TimeTable.build(model, ptg, cluster)
 
+            # fixed for the whole run: computed once, shared by the
+            # trace's run_start, the resume check and every checkpoint
+            problem = None
+            if (
+                tracer is not None
+                or checkpoint_path is not None
+                or resume_from is not None
+            ):
+                problem = problem_fingerprint(ptg, table)
+            semantic = (
+                semantic_config(cfg) if checkpoint_path is not None else None
+            )
+
             mutation = AllocationMutation(
                 P=table.num_processors,
                 fm=cfg.fm,
@@ -326,7 +340,7 @@ class EMTS:
                     "run_start",
                     attrs={
                         "algorithm": cfg.name,
-                        "problem": problem_fingerprint(ptg, table),
+                        "problem": problem,
                         "workers": cfg.workers,
                         "resumed": resume_from is not None,
                     },
@@ -344,7 +358,9 @@ class EMTS:
             island_rngs: list[np.random.Generator] | None = None
             if resume_from is not None:
                 checkpoint = load_checkpoint(resume_from)
-                verify_resumable(checkpoint, cfg, ptg, table)
+                verify_resumable(
+                    checkpoint, cfg, ptg, table, problem=problem
+                )
                 prior_elapsed = checkpoint.elapsed_seconds
                 prior_eval_stats = checkpoint.restore_eval_stats()
                 initial = checkpoint.restore_population()
@@ -384,8 +400,6 @@ class EMTS:
                 ptg,
                 table,
                 workers=cfg.workers,
-                cache=cfg.fitness_cache,
-                cache_size=cfg.fitness_cache_size,
                 max_retries=cfg.eval_max_retries,
                 retry_backoff=cfg.eval_retry_backoff,
                 chunk_timeout=cfg.eval_timeout,
@@ -467,6 +481,8 @@ class EMTS:
                             + (time.perf_counter() - t_start),
                             completed=completed,
                             island_rngs=island_rngs,
+                            semantic=semantic,
+                            problem=problem,
                         ),
                         checkpoint_path,
                     )
@@ -507,9 +523,8 @@ class EMTS:
                 resume_log = checkpoint.restore_log()
                 start_generation = checkpoint.generation
             else:
-                # Seed baselines go through the evaluator too: exact
-                # values that double as cache warm-up for the initial
-                # population.
+                # Seed baselines go through the evaluator too, so their
+                # values come from the same engine as every fitness.
                 seed_names = list(seed_allocs)
                 if isinstance(evaluator, ObservedEvaluator):
                     with evaluator.phase_as("seed_fitness"):

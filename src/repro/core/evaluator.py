@@ -15,27 +15,12 @@ path into a swappable component:
   genome block per chunk.  The rejection bound (``abort_above``) is
   re-sent with *every chunk at dispatch time*, so the paper's rejection
   strategy keeps working under parallelism.
-* :class:`MemoizedEvaluator` — a bounded-LRU genome cache that wraps any
-  backend.  Duplicate offspring (common under the annealed Eq. 1
-  mutation, which mutates ever fewer alleles in late generations) are
-  never re-scheduled.
 
-All backends are **exact**: for the same genome they return bit-identical
-makespans, so swapping backends never changes the optimization outcome
-for a fixed RNG seed.  Fitness is counted in two ways: *evaluations*
-(genomes submitted — the paper's ``U * mu * lambda`` quantity) and
-*mapper calls* (list-scheduler runs actually executed); the difference is
-what the cache saved.
-
-Rejection + memoization soundness
----------------------------------
-``makespan_of(..., abort_above=b)`` returns ``inf`` for any genome whose
-makespan provably reaches ``b`` — a value that depends on ``b``, not just
-the genome.  The cache therefore stores rejections as ``(inf, b)``
-markers: a later lookup under a bound ``b' <= b`` may reuse the rejection
-(the true makespan is ``>= b >= b'``), while a lookup under a laxer (or
-absent) bound re-evaluates.  Finite cached values are exact makespans and
-are valid under every bound.
+Both backends are **exact**: for the same genome they return
+bit-identical makespans, so swapping backends never changes the
+optimization outcome for a fixed RNG seed.  Every submitted genome is
+scored: there is no fitness cache, because the batch kernel maps a
+genome faster than a cache could look it up (``results/fitness_cache.txt``).
 
 Fault tolerance
 ---------------
@@ -61,7 +46,6 @@ from __future__ import annotations
 import os
 import time
 from abc import ABC, abstractmethod
-from collections import OrderedDict
 from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
 from concurrent.futures import TimeoutError as FutureTimeoutError
 from dataclasses import dataclass
@@ -88,14 +72,8 @@ __all__ = [
     "FitnessEvaluator",
     "SerialEvaluator",
     "ProcessPoolEvaluator",
-    "MemoizedEvaluator",
     "create_evaluator",
 ]
-
-#: Default capacity of the genome memoization cache.  An EMTS10 run
-#: submits ``10 + 10 * 100`` genomes, so the default never evicts in
-#: practice while still bounding memory for very long searches.
-DEFAULT_CACHE_SIZE = 65_536
 
 #: Default bounded-retry budget for failed worker chunks.
 DEFAULT_MAX_RETRIES = 3
@@ -115,15 +93,14 @@ class EvaluationStats:
     ----------
     evaluations:
         Genomes submitted for evaluation (logical fitness evaluations;
-        one per offspring, cache hits included).
+        one per offspring).
     mapper_calls:
-        List-scheduler runs actually executed (``evaluations`` minus the
-        work the cache saved).
-    cache_hits, cache_misses:
-        Memoization-cache outcomes (both zero without a cache).
-    evictions:
-        Entries dropped from a full memoization cache (0 until the
-        genome stream exceeds the cache capacity).
+        List-scheduler runs executed (equal to ``evaluations``: every
+        genome is scored).
+    cache_hits, cache_misses, evictions:
+        Always 0: fitness values are not cached.  Kept so traces,
+        checkpoints and metrics keep their documented keys; older
+        checkpoints and traces hold nonzero counts here.
     batches:
         Number of ``evaluate`` calls (one per EA generation, typically).
     wall_seconds:
@@ -144,13 +121,6 @@ class EvaluationStats:
     wall_seconds: float = 0.0
     retries: int = 0
     pool_rebuilds: int = 0
-
-    @property
-    def hit_rate(self) -> float:
-        """Fraction of submitted genomes served from the cache."""
-        if self.evaluations == 0:
-            return 0.0
-        return self.cache_hits / self.evaluations
 
     def copy(self) -> "EvaluationStats":
         """An independent snapshot of the current counters."""
@@ -182,13 +152,9 @@ class EvaluationStats:
         """One-line human-readable digest."""
         text = (
             f"{self.evaluations} evaluations "
-            f"({self.mapper_calls} mapper calls, "
-            f"{self.cache_hits} cache hits, "
-            f"{self.hit_rate:.1%} hit rate) "
+            f"({self.mapper_calls} mapper calls) "
             f"in {self.wall_seconds:.3f} s"
         )
-        if self.evictions:
-            text += f" [{self.evictions} cache evictions]"
         if self.retries or self.pool_rebuilds:
             text += (
                 f" [{self.retries} chunk retries, "
@@ -304,27 +270,6 @@ def _kernel_if_matching(
     return None
 
 
-def _genome_bytes(genome: np.ndarray) -> bytes:
-    """Fallback cache key: the genome's canonical int64 byte content."""
-    return np.ascontiguousarray(genome, dtype=np.int64).tobytes()
-
-
-def _genome_block_bytes(
-    genome_block: np.ndarray,
-) -> tuple[np.ndarray, list[bytes]]:
-    """Fallback batch keys: one contiguous serialization, sliced per row.
-
-    Mirrors ``ScheduleKernel.genome_block_keys`` for backends without a
-    compiled kernel: ``keys[i]`` equals ``_genome_bytes(block[i])``, but
-    the block is canonicalized and serialized once instead of B times.
-    """
-    block = np.ascontiguousarray(genome_block, dtype=np.int64)
-    data = block.tobytes()
-    step = block.shape[1] * 8
-    keys = [data[i * step : (i + 1) * step] for i in range(block.shape[0])]
-    return block, keys
-
-
 class SerialEvaluator(FitnessEvaluator):
     """In-process evaluation, one mapper call per genome (the default).
 
@@ -339,20 +284,6 @@ class SerialEvaluator(FitnessEvaluator):
         self.ptg = ptg
         self.table = table
         self._kernel = _kernel_if_matching(ptg, table)
-
-    def genome_key(self, genome: np.ndarray) -> bytes:
-        """Canonical cache key (the kernel's validated int64 buffer)."""
-        if self._kernel is not None:
-            return self._kernel.genome_key(genome)
-        return _genome_bytes(genome)
-
-    def genome_block_keys(
-        self, genome_block: np.ndarray
-    ) -> tuple[np.ndarray, list[bytes]]:
-        """Canonical block plus one cache key per row (hashed once)."""
-        if self._kernel is not None:
-            return self._kernel.genome_block_keys(genome_block)
-        return _genome_block_bytes(genome_block)
 
     def _evaluate_batch(
         self,
@@ -608,12 +539,6 @@ class ProcessPoolEvaluator(FitnessEvaluator):
         self._kernel = _kernel_if_matching(ptg, table)
         self._executor: ProcessPoolExecutor | None = None
 
-    def genome_key(self, genome: np.ndarray) -> bytes:
-        """Canonical cache key (the kernel's validated int64 buffer)."""
-        if self._kernel is not None:
-            return self._kernel.genome_key(genome)
-        return _genome_bytes(genome)
-
     # -- pool lifecycle ------------------------------------------------
     def _ensure_executor(self) -> ProcessPoolExecutor:
         if self._executor is None:
@@ -691,14 +616,6 @@ class ProcessPoolEvaluator(FitnessEvaluator):
         view = np.ndarray(block.shape, dtype=np.int64, buffer=shm.buf)
         view[:] = block
         return shm
-
-    def genome_block_keys(
-        self, genome_block: np.ndarray
-    ) -> tuple[np.ndarray, list[bytes]]:
-        """Canonical block plus one cache key per row (hashed once)."""
-        if self._kernel is not None:
-            return self._kernel.genome_block_keys(genome_block)
-        return _genome_block_bytes(genome_block)
 
     def _serial_chunk(
         self, chunk: np.ndarray, abort_above: float | None
@@ -882,223 +799,10 @@ class ProcessPoolEvaluator(FitnessEvaluator):
         )
 
 
-class MemoizedEvaluator(FitnessEvaluator):
-    """Bounded-LRU genome cache around any :class:`FitnessEvaluator`.
-
-    The key is the raw byte content of the backend kernel's validated
-    int64 allocation buffer (``ScheduleKernel.genome_key``), so equal
-    genomes share one entry whatever their dtype or layout on arrival;
-    backends without a kernel fall back to canonical int64 bytes — the
-    identical key for every valid genome.  Exact makespans are cached
-    unconditionally; rejected evaluations (``inf`` under
-    ``abort_above=b``) are cached together with their bound and only
-    reused while still sound (see module docstring).
-    """
-
-    def __init__(
-        self,
-        inner: FitnessEvaluator,
-        max_entries: int = DEFAULT_CACHE_SIZE,
-    ) -> None:
-        super().__init__()
-        if max_entries < 1:
-            raise ConfigurationError(
-                f"cache needs max_entries >= 1, got {max_entries}"
-            )
-        self.inner = inner
-        self.max_entries = int(max_entries)
-        self._key_fn = getattr(inner, "genome_key", _genome_bytes)
-        self._block_key_fn = getattr(
-            inner, "genome_block_keys", _genome_block_bytes
-        )
-        # key -> (value, bound). bound is None for exact values and the
-        # abort_above under which the rejection was observed otherwise.
-        self._cache: OrderedDict[bytes, tuple[float, float | None]] = (
-            OrderedDict()
-        )
-
-    def __len__(self) -> int:
-        return len(self._cache)
-
-    def close(self) -> None:
-        self.inner.close()
-
-    def rebind(self, inner: FitnessEvaluator) -> "MemoizedEvaluator":
-        """Swap the wrapped backend while keeping the cache contents.
-
-        The scheduling service keeps one :class:`MemoizedEvaluator` per
-        problem fingerprint alive across requests; each EMTS run builds
-        a fresh backend stack, and ``rebind`` splices the long-lived
-        cache around it (via ``EMTS.schedule(evaluator_wrapper=...)``).
-        Sound because cached finite values are exact makespans of the
-        *problem*, not of any particular backend — every backend is
-        bit-identical — and rejection markers keep their recorded
-        bounds.  Returns ``self`` so it can be used directly as an
-        ``evaluator_wrapper`` callable.
-        """
-        self.inner = inner
-        self._key_fn = getattr(inner, "genome_key", _genome_bytes)
-        self._block_key_fn = getattr(
-            inner, "genome_block_keys", _genome_block_bytes
-        )
-        return self
-
-    def _lookup(
-        self, key: bytes, abort_above: float | None
-    ) -> float | None:
-        entry = self._cache.get(key)
-        if entry is None:
-            return None
-        value, bound = entry
-        if bound is None:  # exact makespan: valid under any bound
-            if abort_above is not None and value >= abort_above:
-                # the serial-with-rejection path would have aborted
-                self._cache.move_to_end(key)
-                return float("inf")
-            self._cache.move_to_end(key)
-            return value
-        # rejection marker: reusable only under an equal-or-tighter bound
-        if abort_above is not None and abort_above <= bound:
-            self._cache.move_to_end(key)
-            return float("inf")
-        return None  # laxer bound: must re-evaluate
-
-    def _store(
-        self, key: bytes, value: float, abort_above: float | None
-    ) -> None:
-        if np.isnan(value):
-            # a NaN is not a makespan — never let a transient fault
-            # (chaos injection, corrupted worker) poison the cache
-            return
-        bound = abort_above if np.isinf(value) else None
-        self._cache[key] = (value, bound)
-        self._cache.move_to_end(key)
-        while len(self._cache) > self.max_entries:
-            self._cache.popitem(last=False)
-            self.stats.evictions += 1
-
-    def _evaluate_keyed(
-        self,
-        keys: list[bytes],
-        abort_above: float | None,
-        evaluate_misses: Callable[[list[int]], list[float]],
-    ) -> list[float]:
-        """Shared hit/miss resolution for the list and block paths.
-
-        ``evaluate_misses`` receives the input positions of the unique
-        misses (first-seen order) and returns their fresh values.
-        """
-        values: list[float | None] = []
-        miss_order: list[bytes] = []  # unique misses, first-seen order
-        miss_rows: list[int] = []
-        pending: set[bytes] = set()
-        for row, key in enumerate(keys):
-            hit = self._lookup(key, abort_above)
-            if hit is not None:
-                self.stats.cache_hits += 1
-                values.append(hit)
-            elif key in pending:
-                # duplicate within this batch: evaluated once below
-                self.stats.cache_hits += 1
-                values.append(None)
-            else:
-                self.stats.cache_misses += 1
-                pending.add(key)
-                miss_order.append(key)
-                miss_rows.append(row)
-                values.append(None)
-        fresh_by_key: dict[bytes, float] = {}
-        if miss_rows:
-            fresh = evaluate_misses(miss_rows)
-            for key, value in zip(miss_order, fresh):
-                fresh_by_key[key] = value
-                self._store(key, value, abort_above)
-        out: list[float] = []
-        for key, value in zip(keys, values):
-            if value is None:
-                # prefer the cache (it normalizes rejection markers),
-                # but fall back to the raw fresh value for results the
-                # cache refused to store (NaN)
-                hit = self._lookup(key, abort_above)
-                value = hit if hit is not None else fresh_by_key[key]
-            out.append(value)
-        return out
-
-    def _evaluate_batch(
-        self,
-        genomes: list[np.ndarray],
-        abort_above: float | None,
-    ) -> list[float]:
-        key_fn = self._key_fn
-        keys = [key_fn(g) for g in genomes]
-        return self._evaluate_keyed(
-            keys,
-            abort_above,
-            lambda rows: self.inner.evaluate(
-                [genomes[r] for r in rows], abort_above
-            ),
-        )
-
-    def _evaluate_block(
-        self,
-        block: np.ndarray,
-        abort_above: float | None,
-    ) -> list[float]:
-        # one batch validation + one contiguous serialization for the
-        # whole block — not a per-genome re-hash of every row
-        block, keys = self._block_key_fn(block)
-        return self._evaluate_keyed(
-            keys,
-            abort_above,
-            lambda rows: self.inner.evaluate_batch(
-                block[np.asarray(rows)], abort_above
-            ),
-        )
-
-    @property
-    def mapper_calls(self) -> int:
-        """Mapper invocations executed by the wrapped backend."""
-        return self.inner.stats.mapper_calls
-
-    def evaluate(
-        self,
-        genomes: Sequence[np.ndarray],
-        abort_above: float | None = None,
-    ) -> list[float]:
-        values = super().evaluate(genomes, abort_above)
-        self._mirror_inner_stats()
-        return values
-
-    def evaluate_batch(
-        self,
-        genome_block: np.ndarray,
-        abort_above: float | None = None,
-    ) -> list[float]:
-        values = super().evaluate_batch(genome_block, abort_above)
-        self._mirror_inner_stats()
-        return values
-
-    def _mirror_inner_stats(self) -> None:
-        # mirror the backend's mapper-call and fault-recovery counters
-        # into our own stats so callers only ever need to read the
-        # outermost evaluator
-        self.stats.mapper_calls = self.inner.stats.mapper_calls
-        self.stats.retries = self.inner.stats.retries
-        self.stats.pool_rebuilds = self.inner.stats.pool_rebuilds
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (
-            f"MemoizedEvaluator({self.inner!r}, "
-            f"entries={len(self)}/{self.max_entries})"
-        )
-
-
 def create_evaluator(
     ptg: "PTG",
     table: "TimeTable",
     workers: int = 0,
-    cache: bool = True,
-    cache_size: int = DEFAULT_CACHE_SIZE,
     mp_context: str | None = None,
     max_retries: int = DEFAULT_MAX_RETRIES,
     retry_backoff: float = DEFAULT_RETRY_BACKOFF,
@@ -1112,8 +816,7 @@ def create_evaluator(
 
     ``workers <= 1`` selects the serial backend (a single-worker pool
     would only add IPC overhead); larger values fan out across that many
-    worker processes.  ``cache=True`` wraps the backend in the genome
-    memoization cache.  ``os.cpu_count()`` is *not* consulted: the
+    worker processes.  ``os.cpu_count()`` is *not* consulted: the
     caller's explicit worker count wins, even above the core count.
     ``max_retries`` / ``retry_backoff`` / ``chunk_timeout`` configure
     the pool backend's crash recovery and ``fault_hook`` its
@@ -1153,8 +856,6 @@ def create_evaluator(
             metrics=metrics,
         )
     evaluator: FitnessEvaluator = backend
-    if cache:
-        evaluator = MemoizedEvaluator(backend, max_entries=cache_size)
     if verify != "off":
         # imported lazily: repro.verify pulls in the mapping and
         # simulator packages, which in turn import this module

@@ -139,19 +139,17 @@ class IslandStrategy:
         individuals: list[Individual],
         fitness: Fitness,
         abort_above: float | None = None,
-    ) -> tuple[int, int]:
+    ) -> int:
         """Assign fitness to unevaluated individuals, block-at-once.
 
-        Same contract as ``EvolutionStrategy._evaluate``: returns
-        ``(evaluations, cache_hits)`` and degrades NaN to rejection.
+        Same contract as ``EvolutionStrategy._evaluate``: returns the
+        number of genomes submitted and degrades NaN to rejection.
         """
         todo = [ind for ind in individuals if not ind.evaluated]
         if not todo:
-            return 0, 0
+            return 0
         nan_count = 0
         if hasattr(fitness, "evaluate"):
-            stats = getattr(fitness, "stats", None)
-            hits_before = stats.cache_hits if stats is not None else 0
             evaluate_batch = getattr(fitness, "evaluate_batch", None)
             if evaluate_batch is not None:
                 values = evaluate_batch(
@@ -168,14 +166,8 @@ class IslandStrategy:
                     f"batch evaluator returned {len(values)} values "
                     f"for {len(todo)} genomes"
                 )
-            hits = (
-                stats.cache_hits - hits_before
-                if stats is not None
-                else 0
-            )
         else:
             values = [float(fitness(ind.genome)) for ind in todo]
-            hits = 0
         for ind, value in zip(todo, values):
             value = float(value)
             if math.isnan(value):
@@ -189,7 +181,7 @@ class IslandStrategy:
                 nan_count,
                 len(todo),
             )
-        return len(todo), hits
+        return len(todo)
 
     # ------------------------------------------------------------------
     def evolve(
@@ -259,7 +251,7 @@ class IslandStrategy:
                 )
                 for ind in initial
             ]
-            evals, hits = self._evaluate(population, fitness)
+            evals = self._evaluate(population, fitness)
             # the initial global selection doubles as the island
             # assignment: the i-th survivor becomes island i's parent
             # (cycled when there are fewer starters than islands)
@@ -275,7 +267,6 @@ class IslandStrategy:
                     parents,
                     evals,
                     time.perf_counter() - t0,
-                    cache_hits=hits,
                 )
             )
             if on_generation_end is not None:
@@ -311,14 +302,12 @@ class IslandStrategy:
                             for child in children
                         ]
                     )
-            evals = hits = 0
+            evals = 0
             for lo, hi in shard_bounds:
                 shard_offspring = [
                     ind for island in per_island[lo:hi] for ind in island
                 ]
-                e, h = self._evaluate(shard_offspring, fitness, bound)
-                evals += e
-                hits += h
+                evals += self._evaluate(shard_offspring, fitness, bound)
             migrating = (
                 self.mu > 1
                 and generation % self.migration_interval == 0
@@ -342,7 +331,6 @@ class IslandStrategy:
                     parents,
                     evals,
                     time.perf_counter() - t0,
-                    cache_hits=hits,
                 )
             )
             if on_generation_end is not None:

@@ -46,8 +46,8 @@ class GenerationStats:
     worst: float
     evaluations: int
     elapsed_seconds: float
-    #: Evaluations served by the fitness-cache (0 without memoization);
-    #: ``evaluations - cache_hits`` mapper calls were actually executed.
+    #: Reads 0: fitness values are not cached.  Kept because traces and
+    #: checkpoints carry it; older ones hold nonzero counts.
     cache_hits: int = 0
 
     @classmethod
@@ -57,7 +57,6 @@ class GenerationStats:
         population: list[Individual],
         evaluations: int,
         elapsed_seconds: float,
-        cache_hits: int = 0,
     ) -> "GenerationStats":
         fits = np.array(
             [ind.evaluated_fitness() for ind in population],
@@ -74,7 +73,6 @@ class GenerationStats:
             worst=float(fits.max()),
             evaluations=evaluations,
             elapsed_seconds=elapsed_seconds,
-            cache_hits=cache_hits,
         )
 
     def trace_attrs(self) -> dict:
@@ -116,11 +114,6 @@ class EvolutionLog:
     def total_evaluations(self) -> int:
         """Total fitness evaluations across the run."""
         return sum(e.evaluations for e in self.entries)
-
-    @property
-    def total_cache_hits(self) -> int:
-        """Total fitness-cache hits across the run."""
-        return sum(e.cache_hits for e in self.entries)
 
     @property
     def total_seconds(self) -> float:

@@ -65,7 +65,7 @@ class BatchFitness(Protocol):
 
     Anything with an ``evaluate(genomes, abort_above=None) -> list[float]``
     method qualifies; the engine hands it whole offspring batches so the
-    backend may parallelize or memoize across individuals.
+    backend may parallelize across individuals.
     """
 
     def evaluate(
@@ -161,25 +161,21 @@ class EvolutionStrategy:
         individuals: list[Individual],
         fitness: Fitness,
         abort_above: float | None = None,
-    ) -> tuple[int, int]:
+    ) -> int:
         """Assign fitness to unevaluated individuals.
 
-        Returns ``(evaluations, cache_hits)``: the number of genomes
-        submitted, and how many of those a memoizing backend served
-        from its cache (0 for plain callables).
+        Returns the number of genomes submitted.
         """
         todo = [ind for ind in individuals if not ind.evaluated]
         if not todo:
-            return 0, 0
+            return 0
         nan_count = [0]
         if hasattr(fitness, "evaluate"):
-            stats = getattr(fitness, "stats", None)
-            hits_before = stats.cache_hits if stats is not None else 0
             evaluate_batch = getattr(fitness, "evaluate_batch", None)
             if evaluate_batch is not None:
                 # population-at-once: stack the genomes into one block
-                # so the backend validates, hashes and scores them in
-                # single vectorized (or native) passes
+                # so the backend validates and scores them in single
+                # vectorized (or native) passes
                 values = evaluate_batch(
                     np.stack([ind.genome for ind in todo]),
                     abort_above=abort_above,
@@ -196,17 +192,11 @@ class EvolutionStrategy:
                 )
             for ind, value in zip(todo, values):
                 ind.fitness = _sanitize_fitness(float(value), nan_count)
-            hits = (
-                stats.cache_hits - hits_before
-                if stats is not None
-                else 0
-            )
         else:
             for ind in todo:
                 ind.fitness = _sanitize_fitness(
                     float(fitness(ind.genome)), nan_count
                 )
-            hits = 0
         if nan_count[0]:
             _log.warning(
                 "fitness backend returned NaN for %d of %d genomes; "
@@ -214,7 +204,7 @@ class EvolutionStrategy:
                 nan_count[0],
                 len(todo),
             )
-        return len(todo), hits
+        return len(todo)
 
     def evolve(
         self,
@@ -242,7 +232,7 @@ class EvolutionStrategy:
         fitness:
             Objective to minimize — either a plain per-genome callable
             or a batch evaluator implementing :class:`BatchFitness`
-            (which may parallelize and memoize).  Either form may
+            (which may parallelize).  Either form may
             produce ``inf`` to reject an individual.
         rng:
             Random source for parent choice and operators.
@@ -324,7 +314,7 @@ class EvolutionStrategy:
                 )
                 for ind in initial
             ]
-            evals, hits = self._evaluate(population, fitness)
+            evals = self._evaluate(population, fitness)
             population = plus_selection(
                 population, [], min(self.mu, len(population))
             )
@@ -334,7 +324,6 @@ class EvolutionStrategy:
                     population,
                     evals,
                     time.perf_counter() - t0,
-                    cache_hits=hits,
                 )
             )
             if on_generation_end is not None:
@@ -398,7 +387,7 @@ class EvolutionStrategy:
                                 child_genome, origin, generation
                             )
                         )
-            evals, hits = self._evaluate(offspring, fitness, bound)
+            evals = self._evaluate(offspring, fitness, bound)
             if self.selection == "plus":
                 population = plus_selection(
                     population, offspring, self.mu
@@ -413,7 +402,6 @@ class EvolutionStrategy:
                     population,
                     evals,
                     time.perf_counter() - t0,
-                    cache_hits=hits,
                 )
             )
             if on_generation_end is not None:

@@ -154,7 +154,6 @@ def run_comparison(
     baselines: list[AllocationHeuristic],
     seed: int | None = None,
     workers: int | None = None,
-    fitness_cache: bool | None = None,
     max_wall_time: float | None = None,
 ) -> ComparisonResult:
     """Schedule every PTG on every platform with EMTS and all baselines.
@@ -175,23 +174,18 @@ def run_comparison(
         Root seed; each (class, platform, instance) triple gets its own
         derived stream, so adding a class never perturbs another's
         results.
-    workers, fitness_cache:
-        Optional fitness-evaluation-engine overrides applied on top of
-        ``emts``'s own configuration (``None`` keeps it).  Both are
-        exact optimizations: the recorded makespans do not change.
+    workers:
+        Optional fitness-evaluation worker count applied on top of
+        ``emts``'s own configuration (``None`` keeps it).  An exact
+        optimization: the recorded makespans do not change.
     max_wall_time:
         Optional per-run wall-clock budget (seconds) for each EMTS
         invocation; runs that hit it stop at a generation boundary and
         are recorded with ``interrupted=True`` (best-so-far makespan).
         Long sweeps then degrade gracefully instead of overrunning.
     """
-    updates = {}
     if workers is not None:
-        updates["workers"] = workers
-    if fitness_cache is not None:
-        updates["fitness_cache"] = fitness_cache
-    if updates:
-        emts = EMTS(emts.config.with_updates(**updates))
+        emts = EMTS(emts.config.with_updates(workers=workers))
     result = ComparisonResult()
     for cluster in platforms:
         for cls, graphs in ptgs.items():

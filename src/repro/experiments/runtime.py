@@ -147,14 +147,13 @@ def measure_runtimes(
     seed: int | None = None,
     repetitions: int = 5,
     workers: int = 0,
-    fitness_cache: bool = True,
     verify: str = "off",
 ) -> RuntimeReport:
     """Measure the paper's six runtime cells on this host.
 
-    ``workers`` / ``fitness_cache`` configure the fitness-evaluation
-    engine (see :mod:`repro.core.evaluator`); both leave the computed
-    schedules unchanged and only affect wall-clock time.  ``verify``
+    ``workers`` configures the fitness-evaluation engine (see
+    :mod:`repro.core.evaluator`); it leaves the computed schedules
+    unchanged and only affects wall-clock time.  ``verify``
     enables online differential verification of the fitness values
     (``"sample"`` or ``"full"``); it too is results-transparent but its
     cost shows up in the measured times — which is exactly how the
@@ -190,9 +189,7 @@ def measure_runtimes(
     ]
     cells = []
     for factory, cluster, workload, ptgs, p_mean, p_std in plan:
-        emts = factory(
-            workers=workers, fitness_cache=fitness_cache, verify=verify
-        )
+        emts = factory(workers=workers, verify=verify)
         mean, std, evals, calls, hit_rate = _measure(
             emts, cluster, ptgs, seed
         )

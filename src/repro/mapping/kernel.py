@@ -368,14 +368,6 @@ class ScheduleKernel:
         np.copyto(out, a, casting="unsafe")
         return out
 
-    def genome_key(self, alloc: np.ndarray) -> bytes:
-        """Canonical cache key: the validated int64 buffer's raw bytes.
-
-        The memoization cache keys off this so equal genomes — whatever
-        their dtype or layout on arrival — share one cache entry.
-        """
-        return self._load_alloc(alloc).tobytes()
-
     def _bl_from_times(self, times: list) -> list:
         """Bottom levels as a Python list, from a task-time list.
 
@@ -621,29 +613,6 @@ class ScheduleKernel:
                 f"got range [{block.min()}, {block.max()}]"
             )
         return block
-
-    def genome_block_keys(
-        self, genome_block
-    ) -> tuple[np.ndarray, list[bytes]]:
-        """Canonical cache keys for a whole genome block at once.
-
-        Returns ``(block, keys)`` where ``block`` is the canonical
-        int64 form of the input and ``keys[i]`` equals
-        ``genome_key(block[i])`` — one batch validation and one
-        contiguous ``tobytes`` instead of per-genome work, which is
-        what lets the memoization cache hash a population without
-        re-validating every row separately.
-        """
-        block = self.load_block(genome_block)
-        if block.shape[0] == 0:
-            return block, []
-        data = block.tobytes()
-        step = block.shape[1] * 8
-        keys = [
-            data[i * step:(i + 1) * step]
-            for i in range(block.shape[0])
-        ]
-        return block, keys
 
     def makespan_batch(
         self,

@@ -3,7 +3,7 @@
 Two pieces live here:
 
 * :class:`ObservedEvaluator` — the duck-typed evaluator wrapper
-  (``evaluate`` / ``stats`` / ``genome_key`` / ``close``, same contract
+  (``evaluate`` / ``stats`` / ``close``, same contract
   as :class:`~repro.verify.VerifyingEvaluator`) that records one
   ``evaluation`` trace event and one batch-duration histogram sample
   per fitness batch.  It is only ever constructed when tracing or
@@ -33,10 +33,9 @@ __all__ = ["ObservedEvaluator", "run_metrics", "run_snapshot"]
 class ObservedEvaluator:
     """Record per-batch trace events and metrics around any evaluator.
 
-    Sits outermost in the evaluator stack (outside verification and
-    memoization), so the recorded batch durations include the whole
-    stack's cost — which is what the run's phase breakdown attributes
-    to fitness evaluation.
+    Sits outermost in the evaluator stack (outside verification), so
+    the recorded batch durations include the whole stack's cost — which
+    is what the run's phase breakdown attributes to fitness evaluation.
     """
 
     def __init__(
@@ -60,18 +59,6 @@ class ObservedEvaluator:
     def stats(self):
         """The wrapped evaluator's counters."""
         return self.inner.stats
-
-    def genome_key(self, genome) -> bytes:
-        """Delegate cache-key computation down the wrapped stack."""
-        obj = self.inner
-        while obj is not None:
-            key_fn = getattr(obj, "genome_key", None)
-            if key_fn is not None:
-                return key_fn(genome)
-            obj = getattr(obj, "inner", None)
-        raise AttributeError(
-            "no evaluator in the wrapped stack exposes genome_key"
-        )
 
     def close(self) -> None:
         self.inner.close()
@@ -186,7 +173,7 @@ def run_metrics(
         reg.timer("emts.eval_seconds").observe(stats.wall_seconds)
         reg.gauge(
             "emts.cache_hit_rate",
-            help="memoization hits / submitted genomes",
+            help="always 0: every genome is scored",
         ).set(
             stats.cache_hits / stats.evaluations
             if stats.evaluations

@@ -213,11 +213,13 @@ def _render_run(summary: dict[str, Any], index: int, total: int) -> str:
         f"{_fmt_opt(summary['generations_per_sec'], '{:.2f}')} "
         "generations/s"
     )
-    lines.append(
-        f"cache     : {summary['cache_hits']}/"
-        f"{summary['evaluations']} hits "
-        f"({summary['hit_rate']:.1%} hit rate)"
-    )
+    if summary["cache_hits"]:
+        # only traces of builds that memoized fitness values have hits
+        lines.append(
+            f"cache     : {summary['cache_hits']}/"
+            f"{summary['evaluations']} hits "
+            f"({summary['hit_rate']:.1%} hit rate)"
+        )
     extras = []
     if summary["checkpoints"]:
         extras.append(f"{summary['checkpoints']} checkpoints")

@@ -4,10 +4,9 @@ Warm tier (per worker, no locking)
     :class:`WarmCache` maps :func:`~repro.service.protocol.problem_digest`
     to a :class:`PreparedProblem`: the parsed PTG, the built
     :class:`~repro.timemodels.TimeTable`, the compiled scheduling-kernel
-    binding (built once per table via ``kernel_for``) and a persistent
-    :class:`~repro.core.MemoizedEvaluator` shard whose contents survive
-    across requests — a repeated seed on a known problem replays fitness
-    values out of the shard instead of re-running the mapper.
+    binding (built once per table via ``kernel_for``) and the problem's
+    fingerprint digest.  A request on a known problem starts evolving at
+    once; every genome it submits is scored by the kernel.
 
 Result tier (shared, locked)
     :class:`ResultCache` maps :func:`~repro.service.protocol.result_key`
@@ -25,7 +24,7 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Any
 
-from ..core import MemoizedEvaluator
+from ..core import fingerprint_digest, problem_fingerprint
 from ..graph import ptg_from_dict
 from ..mapping.kernel import kernel_for
 from ..platform import by_name
@@ -42,7 +41,6 @@ __all__ = [
 
 DEFAULT_WARM_PROBLEMS = 32
 DEFAULT_RESULT_ENTRIES = 256
-DEFAULT_EVAL_CACHE_ENTRIES = 65_536
 
 
 @dataclass
@@ -70,32 +68,13 @@ class PreparedProblem:
     cluster: Any
     table: TimeTable
     build_seconds: float
-    eval_cache: MemoizedEvaluator | None = None
-    eval_cache_entries: int = DEFAULT_EVAL_CACHE_ENTRIES
+    #: ``fingerprint_digest(problem_fingerprint(ptg, table))``, the
+    #: ``problem_fingerprint`` field of every result on this problem
+    fingerprint: str = ""
     runs: int = 0
 
-    def evaluator_wrapper(self, inner):
-        """Splice the persistent fitness-cache shard into an EMTS run.
 
-        Passed as ``EMTS.schedule(evaluator_wrapper=...)``; the first
-        run creates the shard around whatever evaluator stack the run
-        built, later runs rebind the shard to the fresh stack while
-        keeping its contents.
-        """
-        if self.eval_cache is None:
-            self.eval_cache = MemoizedEvaluator(
-                inner, max_entries=self.eval_cache_entries
-            )
-        else:
-            self.eval_cache.rebind(inner)
-        return self.eval_cache
-
-
-def prepare_problem(
-    request: ScheduleRequest,
-    *,
-    eval_cache_entries: int = DEFAULT_EVAL_CACHE_ENTRIES,
-) -> PreparedProblem:
+def prepare_problem(request: ScheduleRequest) -> PreparedProblem:
     """Cold path: parse, build the table and warm the kernel binding."""
     # imported here to avoid a module cycle (cli -> service -> cli)
     from ..cli import _make_model
@@ -114,25 +93,19 @@ def prepare_problem(
         cluster=cluster,
         table=table,
         build_seconds=time.perf_counter() - t0,
-        eval_cache_entries=eval_cache_entries,
+        fingerprint=fingerprint_digest(problem_fingerprint(ptg, table)),
     )
 
 
 class WarmCache:
     """Per-worker LRU of :class:`PreparedProblem` (thread-confined)."""
 
-    def __init__(
-        self,
-        max_problems: int = DEFAULT_WARM_PROBLEMS,
-        *,
-        eval_cache_entries: int = DEFAULT_EVAL_CACHE_ENTRIES,
-    ) -> None:
+    def __init__(self, max_problems: int = DEFAULT_WARM_PROBLEMS) -> None:
         if max_problems < 1:
             raise ValueError(
                 f"WarmCache needs max_problems >= 1, got {max_problems}"
             )
         self.max_problems = int(max_problems)
-        self.eval_cache_entries = int(eval_cache_entries)
         self.stats = CacheStats()
         self._problems: OrderedDict[str, PreparedProblem] = OrderedDict()
 
@@ -147,14 +120,10 @@ class WarmCache:
             self._problems.move_to_end(digest)
             return prepared
         self.stats.misses += 1
-        prepared = prepare_problem(
-            request, eval_cache_entries=self.eval_cache_entries
-        )
+        prepared = prepare_problem(request)
         self._problems[digest] = prepared
         while len(self._problems) > self.max_problems:
-            _, evicted = self._problems.popitem(last=False)
-            if evicted.eval_cache is not None:
-                evicted.eval_cache.close()
+            self._problems.popitem(last=False)
             self.stats.evictions += 1
         return prepared
 

@@ -71,6 +71,9 @@ class Job:
     finished_at: float | None = None
     served_from: str = "run"  # "run" | "result-cache" | "resume"
     attempts: int = 0
+    #: ``result_key(request)``, hashed once per job: ``submit`` passes
+    #: the key it already computed, a recovered record derives it here
+    key: str = field(default="", compare=False)
     done_event: threading.Event = field(
         default_factory=threading.Event, repr=False, compare=False
     )
@@ -78,9 +81,9 @@ class Job:
         default_factory=threading.Event, repr=False, compare=False
     )
 
-    @property
-    def key(self) -> str:
-        return result_key(self.request)
+    def __post_init__(self) -> None:
+        if not self.key:
+            self.key = result_key(self.request)
 
     def wait_seconds(self) -> float | None:
         if self.started_at is None:
@@ -205,9 +208,13 @@ class JobStore:
         return self.spool / "jobs" / f"{job_id}.json"
 
     # ------------------------------------------------------------------
-    def create(self, request: ScheduleRequest) -> Job:
+    def create(self, request: ScheduleRequest, key: str = "") -> Job:
+        """Register a new job; ``key`` is its result key if known."""
         job = Job(
-            id=new_job_id(), request=request, submitted_at=time.time()
+            id=new_job_id(),
+            request=request,
+            submitted_at=time.time(),
+            key=key,
         )
         with self._lock:
             self._jobs[job.id] = job

@@ -9,7 +9,7 @@ Two identities are derived from a request:
 
 * :func:`problem_digest` — hash of the *problem* only (PTG + platform +
   model).  Two requests with the same digest share a prepared time
-  table, compiled kernel and fitness-cache shard (the warm tier).
+  table and compiled kernel (the warm tier).
 * :func:`result_key` — hash of everything that determines the *answer*
   (problem + algorithm + seed + budget).  Requests with the same key
   receive bit-identical responses from the cross-request result cache.
@@ -258,8 +258,8 @@ def problem_digest(request: ScheduleRequest) -> str:
     """Identity of the prepared problem (PTG + platform + model).
 
     This is the warm-tier cache key: requests sharing it reuse one
-    built time table, one compiled kernel binding and one fitness-cache
-    shard, whatever their algorithm, seed or budget.
+    built time table and one compiled kernel binding, whatever their
+    algorithm, seed or budget.
     """
     doc = {
         "ptg": request.ptg_doc,

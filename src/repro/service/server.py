@@ -121,7 +121,6 @@ class SchedulingService:
         tenant_quota: int = 64,
         result_cache_size: int = 256,
         warm_max_problems: int = 32,
-        eval_cache_entries: int = 65_536,
         retry_after: float = 1.0,
         trace_dir: str | None = None,
         slo_interval: float = 1.0,
@@ -157,7 +156,6 @@ class SchedulingService:
             metrics=self.metrics,
             metrics_lock=self.metrics_lock,
             warm_max_problems=warm_max_problems,
-            eval_cache_entries=eval_cache_entries,
             trace_dir=trace_dir,
         )
         self.slo = SLOEngine(default_service_slos())
@@ -280,7 +278,7 @@ class SchedulingService:
         cached = self.result_cache.get(key)
         if cached is not None:
             # answered on the event loop: no queue, no worker, no run
-            job = self.store.create(request)
+            job = self.store.create(request, key)
             job.state = "done"
             job.started_at = job.submitted_at
             job.finished_at = time.time()
@@ -299,7 +297,7 @@ class SchedulingService:
                 ).observe(total)
             self._trace_request(request, "result-cache", 200)
             return 200, self._job_doc(job), job
-        job = self.store.create(request)
+        job = self.store.create(request, key)
         try:
             self.queue.put(
                 job, tenant=request.tenant, priority=request.priority

@@ -3,9 +3,7 @@
 Each worker thread owns a private :class:`~repro.service.cache.WarmCache`
 (no locking on the hot path): the first request for a problem pays for
 PTG parsing, time-table construction and the compiled-kernel binding;
-every later request on that problem starts evolving immediately and
-reuses the problem's persistent fitness-cache shard via
-``EMTS.schedule(evaluator_wrapper=...)``.
+every later request on that problem starts evolving immediately.
 
 Every run journals a resumable checkpoint into the job spool, so a
 drain (SIGTERM) stops runs at the next generation boundary and a
@@ -35,12 +33,7 @@ import time
 from pathlib import Path
 from typing import Any, Callable
 
-from ..core import (
-    emts5,
-    emts10,
-    fingerprint_digest,
-    problem_fingerprint,
-)
+from ..core import emts5, emts10
 from ..mapping import schedule_to_dict
 from ..obs import MetricsRegistry
 from ..obs.flight import record as flight_record
@@ -87,8 +80,8 @@ def run_request(
     The document contains only run-deterministic fields (no wall-clock
     timings, no cumulative evaluator counters), so for a fixed request
     it is bit-identical whether produced by a cold worker, a warm
-    worker replaying its fitness-cache shard, a resumed run after a
-    drain, or the offline ``repro-emts`` CLI with the same seed.
+    worker, a resumed run after a drain, or the offline ``repro-emts``
+    CLI with the same seed.
 
     A ``tracer`` (the worker's per-attempt shard) is handed straight to
     the engine, which nests its ``run_start``..``run_end`` span — with
@@ -108,7 +101,6 @@ def run_request(
         resume_from=resume_from,
         max_wall_time=request.max_wall_time,
         stop_event=job.stop_event,
-        evaluator_wrapper=prepared.evaluator_wrapper,
         trace=tracer,
     )
     if result.interrupted and job.stop_event.is_set():
@@ -135,9 +127,7 @@ def run_request(
         },
         "generations": result.log.generations,
         "evaluations": result.log.total_evaluations,
-        "problem_fingerprint": fingerprint_digest(
-            problem_fingerprint(prepared.ptg, prepared.table)
-        ),
+        "problem_fingerprint": prepared.fingerprint,
         "verified": True,
         "verified_tasks": report.tasks,
         "interrupted": bool(result.interrupted),
@@ -178,7 +168,6 @@ class WorkerPool:
         metrics: MetricsRegistry | None = None,
         metrics_lock: threading.Lock | None = None,
         warm_max_problems: int = 32,
-        eval_cache_entries: int = 65_536,
         poll_interval: float = 0.1,
         on_job_done: Callable[[Job], None] | None = None,
         max_job_attempts: int = 3,
@@ -196,7 +185,6 @@ class WorkerPool:
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.metrics_lock = metrics_lock or threading.Lock()
         self.warm_max_problems = warm_max_problems
-        self.eval_cache_entries = eval_cache_entries
         self.poll_interval = poll_interval
         self.on_job_done = on_job_done
         self.max_job_attempts = int(max_job_attempts)
@@ -304,10 +292,7 @@ class WorkerPool:
             self.metrics.counter("service.jobs.failed").inc()
 
     def _worker_loop(self, index: int) -> None:
-        warm = WarmCache(
-            self.warm_max_problems,
-            eval_cache_entries=self.eval_cache_entries,
-        )
+        warm = WarmCache(self.warm_max_problems)
         while not self._stop.is_set():
             job = self.queue.get(timeout=self.poll_interval)
             if job is None:

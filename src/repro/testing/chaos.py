@@ -2,11 +2,11 @@
 
 Two attack surfaces, matching the two layers of the evaluation stack:
 
-* :class:`ChaosEvaluator` wraps a built evaluator (serial, pool or
-  memoized) in the *driver* process and injects faults on a per-batch
-  schedule (:class:`ChaosPlan`): kill a live pool worker, delay the
-  dispatch, raise an exception, corrupt a returned fitness to NaN, or
-  trip a stop event to simulate an operator interrupt.
+* :class:`ChaosEvaluator` wraps a built evaluator (serial or pool) in
+  the *dispatching* process and injects faults on a per-batch schedule
+  (:class:`ChaosPlan`): kill a live pool worker, delay the dispatch,
+  raise an exception, corrupt a returned fitness to NaN, or trip a
+  stop event to simulate an operator interrupt.
 
 * Picklable fault hooks (:class:`FlakyChunkFault`,
   :class:`WorkerKillFault`, :class:`AlwaysFailFault`,
@@ -220,7 +220,7 @@ class ChaosEvaluator:
     """Wrap a fitness evaluator and execute a :class:`ChaosPlan`.
 
     Implements the same interface as the wrapped evaluator (``evaluate``,
-    ``genome_key``, ``stats``, ``close``) so it drops into
+    ``stats``, ``close``) so it drops into
     :meth:`repro.core.emts.EMTS.schedule` via ``evaluator_wrapper`` or
     anywhere a :class:`~repro.core.evaluator.FitnessEvaluator` goes.
     Counts batches in ``batches_seen`` and faults actually fired in
@@ -237,10 +237,6 @@ class ChaosEvaluator:
     def stats(self):
         """The wrapped evaluator's counters (chaos adds none of its own)."""
         return self.inner.stats
-
-    def genome_key(self, genome: np.ndarray) -> bytes:
-        """Delegate cache-key computation to the wrapped evaluator."""
-        return self.inner.genome_key(genome)
 
     def _pre_batch(self) -> int:
         """Fire dispatch-side faults; returns this batch's plan index."""

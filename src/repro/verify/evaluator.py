@@ -1,7 +1,7 @@
 """Online verification of fitness evaluations.
 
 :class:`VerifyingEvaluator` wraps any fitness evaluator (serial, pool,
-memoized, or a chaos wrapper) and differentially verifies the makespans
+or a chaos wrapper) and differentially verifies the makespans
 it returns, behind the same ``verify={off,sample,full}`` knob the CLI
 and :class:`~repro.core.config.EMTSConfig` expose:
 
@@ -50,8 +50,8 @@ class VerifyingEvaluator:
     """Differentially verify the values another evaluator returns.
 
     Implements the same duck-typed interface as every evaluator wrapper
-    (``evaluate``, ``genome_key``, ``stats``, ``close``), so it stacks
-    on top of the memoization cache — or a chaos wrapper — transparently.
+    (``evaluate``, ``stats``, ``close``), so it stacks on top of a
+    backend — or a chaos wrapper — transparently.
 
     Parameters
     ----------
@@ -105,23 +105,6 @@ class VerifyingEvaluator:
     def stats(self):
         """The wrapped evaluator's counters."""
         return self.inner.stats
-
-    def genome_key(self, genome: np.ndarray) -> bytes:
-        """Delegate cache-key computation to the wrapped stack.
-
-        Walks ``.inner`` wrappers until one (a backend, usually) exposes
-        ``genome_key`` — the memoization cache sits between this wrapper
-        and the backend and does not re-export it.
-        """
-        obj = self.inner
-        while obj is not None:
-            key_fn = getattr(obj, "genome_key", None)
-            if key_fn is not None:
-                return key_fn(genome)
-            obj = getattr(obj, "inner", None)
-        raise AttributeError(
-            "no evaluator in the wrapped stack exposes genome_key"
-        )
 
     def close(self) -> None:
         """Release the wrapped evaluator's resources."""

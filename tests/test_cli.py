@@ -123,8 +123,8 @@ class TestSchedule:
         assert "evaluator" in out  # evaluation-engine statistics line
 
     def test_evaluator_flags(self, capsys):
-        """--workers / --no-fitness-cache configure the fitness engine
-        without changing the computed schedule."""
+        """--workers configures the fitness engine without changing
+        the computed schedule."""
 
         def run(extra):
             rc = main(
@@ -147,18 +147,15 @@ class TestSchedule:
             return makespan, out
 
         base_ms, base_out = run([])
-        assert "cache hits" in base_out
-        nocache_ms, nocache_out = run(["--no-fitness-cache"])
-        assert "0 cache hits" in nocache_out
+        assert "mapper calls" in base_out
         pool_ms, _ = run(["--workers", "2"])
-        assert base_ms == nocache_ms == pool_ms
+        assert base_ms == pool_ms
 
     def test_evaluator_flag_defaults(self):
         args = build_parser().parse_args(
             ["schedule", "--kind", "strassen"]
         )
         assert args.workers == 0
-        assert args.no_fitness_cache is False
 
     def test_gantt_flag(self, capsys):
         main(

@@ -18,7 +18,11 @@ from repro.core import (
     save_checkpoint,
     verify_resumable,
 )
-from repro.core.checkpoint import CHECKPOINT_FORMAT, CHECKPOINT_VERSION
+from repro.core.checkpoint import (
+    CHECKPOINT_FORMAT,
+    CHECKPOINT_VERSION,
+    semantic_config,
+)
 from repro.core.config import emts5_config
 from repro.exceptions import CheckpointError, ConfigurationError
 from repro.timemodels import TimeTable
@@ -208,7 +212,7 @@ def test_engine_knobs_are_not_fingerprinted(tmp_path):
         checkpoint_path=path, stop_event=stop,
     )
     baseline = run_baseline()
-    resumed = emts5(workers=2, fitness_cache=False).schedule(
+    resumed = emts5(workers=2).schedule(
         PTG, CLUSTER, MODEL, rng=7, resume_from=path
     )
     assert resumed.makespan == baseline.makespan
@@ -349,3 +353,63 @@ def test_sigint_triggers_graceful_stop_with_checkpoint(tmp_path):
         PTG, CLUSTER, MODEL, rng=7, resume_from=path
     )
     assert resumed.makespan == baseline.makespan
+
+
+# ----------------------------------------------------------------------
+# per-run invariants and checkpoints of builds that memoized fitness
+
+#: A mid-run EMTS10 checkpoint (FFT-5 on Chti, synthetic model, seed 5,
+#: stopped after generation 4) written by the build that still cached
+#: fitness values: its eval_stats and log rows carry cache counters.
+MEMOIZED_CHECKPOINT = os.path.join(
+    os.path.dirname(__file__), "data", "memoized_run_checkpoint.json"
+)
+#: That build's uninterrupted answer for the same run.
+MEMOIZED_RUN_MAKESPAN = "0x1.780f020613925p+6"
+
+
+def test_checkpointed_run_fingerprints_problem_once(
+    tmp_path, monkeypatch, table
+):
+    """The problem identity is fixed per run: one fingerprint, shared
+    by every journaled generation."""
+    import repro.core.checkpoint as checkpoint_module
+    import repro.core.emts as emts_module
+
+    calls = []
+
+    def counting(ptg, table):
+        calls.append(1)
+        return problem_fingerprint(ptg, table)
+
+    monkeypatch.setattr(checkpoint_module, "problem_fingerprint", counting)
+    monkeypatch.setattr(emts_module, "problem_fingerprint", counting)
+    path = tmp_path / "run.ckpt"
+    emts5().schedule(PTG, CLUSTER, MODEL, rng=7, checkpoint_path=path)
+    assert len(calls) == 1
+    ckpt = load_checkpoint(path)
+    assert ckpt.problem == problem_fingerprint(PTG, table)
+    assert ckpt.config == semantic_config(emts5().config)
+
+
+def test_checkpoint_with_cache_counters_resumes_to_same_answer():
+    from repro import chti, emts10
+
+    with open(MEMOIZED_CHECKPOINT, encoding="utf-8") as fh:
+        doc = json.load(fh)
+    assert doc["eval_stats"]["cache_hits"] > 0
+    assert any(row["cache_hits"] > 0 for row in doc["log_rows"])
+
+    ptg = generate_fft(2, rng=5)
+    uninterrupted = emts10().schedule(ptg, chti(), SyntheticModel(), rng=5)
+    resumed = emts10().schedule(
+        ptg, chti(), SyntheticModel(), rng=5,
+        resume_from=MEMOIZED_CHECKPOINT,
+    )
+    assert resumed.makespan.hex() == MEMOIZED_RUN_MAKESPAN
+    assert resumed.makespan == uninterrupted.makespan
+    assert np.array_equal(resumed.allocation, uninterrupted.allocation)
+    assert resumed.log.best_trajectory().tolist() == (
+        uninterrupted.log.best_trajectory().tolist()
+    )
+    assert resumed.evaluations == uninterrupted.evaluations

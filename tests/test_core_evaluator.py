@@ -1,10 +1,10 @@
 """Tests for the pluggable fitness-evaluation engine.
 
 Covers the acceptance invariants of the evaluator subsystem: every
-backend returns bit-identical makespans (serial vs. process pool vs.
-memoized), the cache accounts hits/misses correctly and stays bounded,
-the rejection bound keeps working when shipped to worker processes, and
-worker-count edge cases (0, 1, > cpu_count) behave sensibly.
+backend returns bit-identical makespans (serial vs. process pool),
+every submitted genome is scored, the rejection bound keeps working
+when shipped to worker processes, and worker-count edge cases (0, 1,
+> cpu_count) behave sensibly.
 """
 
 import os
@@ -14,13 +14,11 @@ import pytest
 
 from repro.core import (
     EMTSConfig,
-    MemoizedEvaluator,
     ProcessPoolEvaluator,
     SerialEvaluator,
     create_evaluator,
     emts5,
 )
-from repro.core.evaluator import DEFAULT_CACHE_SIZE
 from repro.ea import EvolutionStrategy, Individual, UniformIntegerMutation
 from repro.exceptions import ConfigurationError
 from repro.mapping import makespan_of
@@ -93,74 +91,6 @@ class TestSerialEvaluator:
         assert ev.stats.evaluations == 0
 
 
-class TestMemoizedEvaluator:
-    def test_hit_accounting(self, problem, genomes):
-        ptg, _, table = problem
-        ev = MemoizedEvaluator(SerialEvaluator(ptg, table))
-        first = ev.evaluate(genomes)
-        assert ev.stats.cache_hits == 0
-        assert ev.stats.cache_misses == len(genomes)
-        second = ev.evaluate(genomes)
-        assert second == first
-        assert ev.stats.cache_hits == len(genomes)
-        # the wrapped backend only ever ran the first batch
-        assert ev.stats.mapper_calls == len(genomes)
-        assert ev.stats.evaluations == 2 * len(genomes)
-        assert ev.stats.hit_rate == pytest.approx(0.5)
-
-    def test_duplicates_within_one_batch(self, problem, genomes):
-        ptg, _, table = problem
-        ev = MemoizedEvaluator(SerialEvaluator(ptg, table))
-        batch = [genomes[0], genomes[1], genomes[0], genomes[0]]
-        values = ev.evaluate(batch)
-        assert values[0] == values[2] == values[3]
-        assert ev.stats.cache_misses == 2
-        assert ev.stats.cache_hits == 2
-        assert ev.stats.mapper_calls == 2
-
-    def test_lru_bound(self, problem, genomes):
-        ptg, _, table = problem
-        ev = MemoizedEvaluator(
-            SerialEvaluator(ptg, table), max_entries=4
-        )
-        ev.evaluate(genomes)  # 12 genomes through a 4-entry cache
-        assert len(ev) == 4
-        # the 4 most recent genomes are retained, the rest evicted
-        ev.evaluate(genomes[-4:])
-        assert ev.stats.cache_hits == 4
-
-    def test_rejected_entries_stay_sound(self, problem, genomes):
-        """A rejection cached under bound b must not leak to laxer
-        bounds: re-querying without a bound yields the exact value."""
-        ptg, _, table = problem
-        genome = genomes[0]
-        exact = makespan_of(ptg, table, genome)
-        ev = MemoizedEvaluator(SerialEvaluator(ptg, table))
-        tight = exact * 0.5
-        assert ev.evaluate([genome], abort_above=tight) == [
-            float("inf")
-        ]
-        # tighter-or-equal bound: rejection marker reused
-        assert ev.evaluate([genome], abort_above=tight * 0.9) == [
-            float("inf")
-        ]
-        assert ev.stats.cache_hits == 1
-        # laxer bound: must re-evaluate and find the exact value
-        assert ev.evaluate([genome]) == [exact]
-        # now the exact value serves every future bound
-        assert ev.evaluate([genome], abort_above=tight) == [
-            float("inf")
-        ]
-        assert ev.evaluate([genome], abort_above=exact * 2) == [exact]
-
-    def test_invalid_capacity(self, problem):
-        ptg, _, table = problem
-        with pytest.raises(ConfigurationError):
-            MemoizedEvaluator(
-                SerialEvaluator(ptg, table), max_entries=0
-            )
-
-
 class TestProcessPoolEvaluator:
     def test_workers_zero_rejected(self, problem):
         ptg, _, table = problem
@@ -216,23 +146,14 @@ class TestCreateEvaluator:
     def test_workers_zero_and_one_are_serial(self, problem):
         ptg, _, table = problem
         for workers in (0, 1):
-            ev = create_evaluator(
-                ptg, table, workers=workers, cache=False
-            )
+            ev = create_evaluator(ptg, table, workers=workers)
             assert isinstance(ev, SerialEvaluator)
 
     def test_pool_backend_selected(self, problem):
         ptg, _, table = problem
-        ev = create_evaluator(ptg, table, workers=2, cache=False)
+        ev = create_evaluator(ptg, table, workers=2)
         assert isinstance(ev, ProcessPoolEvaluator)
         ev.close()
-
-    def test_cache_wraps_backend(self, problem):
-        ptg, _, table = problem
-        ev = create_evaluator(ptg, table, workers=0, cache=True)
-        assert isinstance(ev, MemoizedEvaluator)
-        assert isinstance(ev.inner, SerialEvaluator)
-        assert ev.max_entries == DEFAULT_CACHE_SIZE
 
     def test_negative_workers_rejected(self, problem):
         ptg, _, table = problem
@@ -241,31 +162,21 @@ class TestCreateEvaluator:
 
 
 class TestDeterminismAcrossBackends:
-    """Acceptance: serial, pool(4) and cached runs are bit-identical."""
+    """Acceptance: serial and pool(4) runs are bit-identical."""
 
     def test_strassen_model1_identical(self, problem):
         ptg, cluster, table = problem
-        serial = emts5(fitness_cache=False).schedule(
-            ptg, cluster, table, rng=7
-        )
-        pooled = emts5(workers=4, fitness_cache=False).schedule(
-            ptg, cluster, table, rng=7
-        )
-        cached = emts5(workers=0, fitness_cache=True).schedule(
-            ptg, cluster, table, rng=7
-        )
-        assert serial.makespan == pooled.makespan == cached.makespan
+        serial = emts5().schedule(ptg, cluster, table, rng=7)
+        pooled = emts5(workers=4).schedule(ptg, cluster, table, rng=7)
+        assert serial.makespan == pooled.makespan
         assert np.array_equal(serial.allocation, pooled.allocation)
-        assert np.array_equal(serial.allocation, cached.allocation)
 
     def test_rejection_plus_pool_identical(self, problem):
         ptg, cluster, table = problem
-        plain = emts5(fitness_cache=False).schedule(
+        plain = emts5().schedule(ptg, cluster, table, rng=13)
+        fast = emts5(workers=2, use_rejection=True).schedule(
             ptg, cluster, table, rng=13
         )
-        fast = emts5(
-            workers=2, use_rejection=True, fitness_cache=True
-        ).schedule(ptg, cluster, table, rng=13)
         assert fast.makespan == plain.makespan
         assert np.array_equal(fast.allocation, plain.allocation)
 
@@ -280,35 +191,15 @@ class TestEMTSIntegration:
         assert stats is not None
         # 3 seed baselines + 5 initial + 5 generations x 25 offspring
         assert stats.evaluations == 3 + 5 + 5 * 25
-        assert (
-            stats.mapper_calls + stats.cache_hits == stats.evaluations
-        )
-        assert result.log.total_cache_hits <= stats.cache_hits
-        # the logical evaluation count of the log is cache-independent
+        # every submitted genome reaches the mapper
+        assert stats.mapper_calls == stats.evaluations
+        assert stats.cache_hits == stats.cache_misses == 0
+        # the log counts the EA's genomes, not the seed baselines
         assert result.evaluations == 5 + 5 * 25
-
-    def test_cache_saves_mapper_calls_on_duplicates(self):
-        """Late-generation annealing produces duplicate offspring; the
-        cache must convert those into hits."""
-        ptg = generate_fft(4, rng=9)
-        cluster = grelon()
-        table = TimeTable.build(SyntheticModel(), ptg, cluster)
-        on = emts5().schedule(ptg, cluster, table, rng=21)
-        off = emts5(fitness_cache=False).schedule(
-            ptg, cluster, table, rng=21
-        )
-        assert on.makespan == off.makespan
-        assert on.evaluation_stats.cache_hits > 0
-        assert (
-            on.evaluation_stats.mapper_calls
-            < off.evaluation_stats.mapper_calls
-        )
 
     def test_config_validation(self):
         with pytest.raises(ConfigurationError):
             EMTSConfig(workers=-2)
-        with pytest.raises(ConfigurationError):
-            EMTSConfig(fitness_cache_size=0)
 
 
 class TestStrategyBatchPath:
@@ -376,13 +267,11 @@ class TestStrategyBatchPath:
             )
 
     def test_cache_hits_reach_generation_log(self, problem):
+        """The log keeps its documented ``cache_hits`` key; it reads 0."""
         ptg, cluster, table = problem
         result = emts5().schedule(ptg, cluster, table, rng=31)
-        assert result.log.total_cache_hits == sum(
-            e.cache_hits for e in result.log.entries
-        )
         rows = result.log.to_rows()
-        assert all("cache_hits" in row for row in rows)
+        assert [row["cache_hits"] for row in rows] == [0] * len(rows)
 
 
 class TestEvaluateBatch:
@@ -429,31 +318,12 @@ class TestEvaluateBatch:
                 block, abort_above=bound
             )
 
-    def test_memoized_block_hashes_once_and_mirrors_stats(
-        self, problem, genomes
-    ):
-        ptg, _, table = problem
-        block = np.stack(genomes)
-        memo = MemoizedEvaluator(SerialEvaluator(ptg, table))
-        try:
-            first = memo.evaluate_batch(block)
-            again = memo.evaluate_batch(block)
-            assert first == again
-            assert memo.stats.cache_hits == len(genomes)
-            assert memo.stats.cache_misses == len(genomes)
-            # mapper calls mirrored up from the inner evaluator: the
-            # second pass never reached it
-            assert memo.stats.mapper_calls == len(genomes)
-        finally:
-            memo.close()
-
     def test_cache_hit_rate_gauge_in_run_metrics(self, problem):
         from repro.obs import run_metrics
 
         ptg, cluster, table = problem
         result = emts5().schedule(ptg, cluster, table, rng=31)
         snap = run_metrics(result).snapshot()
-        stats = result.evaluation_stats
-        assert snap["emts.cache_hit_rate"]["value"] == pytest.approx(
-            stats.cache_hits / stats.evaluations
-        )
+        # the documented metric stays, and reads 0: nothing is cached
+        assert snap["emts.cache_hit_rate"]["value"] == 0.0
+        assert snap["emts.cache_hits"]["value"] == 0

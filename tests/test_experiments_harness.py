@@ -110,7 +110,7 @@ class TestRunComparison:
         )
         plain = run_comparison(ptgs, platforms, **kwargs)
         tuned = run_comparison(
-            ptgs, platforms, fitness_cache=False, **kwargs
+            ptgs, platforms, workers=2, **kwargs
         )
         assert (
             plain.records[0].emts_makespan

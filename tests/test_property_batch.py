@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from repro._rng import spawn
-from repro.core.evaluator import MemoizedEvaluator, SerialEvaluator
+from repro.core.evaluator import SerialEvaluator
 from repro.mapping.kernel import kernel_for
 from repro.platform import Cluster
 from repro.timemodels import SyntheticModel, TimeTable
@@ -96,34 +96,3 @@ def test_batch_matches_single_calls(kind, procs, seed, backend):
                     ev.evaluate_batch(block, abort_above=bound)
                     == bounded_singles
                 )
-
-
-def test_memoized_block_path_matches_inner(tmp_path):
-    """The memoized batch path (block keys hashed once) returns exactly
-    what the inner evaluator would, and accounts hits/misses."""
-    ptg = generate_strassen(rng=11)
-    cluster = Cluster(name="m", num_processors=9, speed_gflops=3.2)
-    table = TimeTable.build(SyntheticModel(), ptg, cluster)
-    rng = spawn(20110926, "prop-batch", "memo")
-    block = rng.integers(
-        1, 10, size=(20, ptg.num_tasks), dtype=np.int64
-    )
-    # duplicate some rows inside the block and repeat the whole block
-    block[5] = block[0]
-    block[13] = block[2]
-    with SerialEvaluator(ptg, table) as plain:
-        expected = plain.evaluate_batch(block)
-    memo = MemoizedEvaluator(SerialEvaluator(ptg, table))
-    try:
-        first = memo.evaluate_batch(block)
-        second = memo.evaluate_batch(block)
-        assert first == expected
-        assert second == expected
-        # 18 unique rows: 2 in-batch duplicates hit on the first pass,
-        # all 20 hit on the second
-        assert memo.stats.cache_misses == 18
-        assert memo.stats.cache_hits == 22
-        assert memo.stats.evaluations == 40
-        assert memo.inner.stats.mapper_calls == 18
-    finally:
-        memo.close()

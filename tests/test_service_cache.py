@@ -1,9 +1,9 @@
 """The two cache tiers: accounting, eviction and bit-identity.
 
 The load-bearing test here is :class:`TestOfflineBitIdentity`: a warm
-service worker (prepared problem reused, persistent fitness-cache shard
-populated by earlier runs) must produce *exactly* the document a cold
-offline run produces — caching may change speed, never results.
+service worker (prepared problem reused from an earlier run) must
+produce *exactly* the document a cold offline run produces — caching
+may change speed, never results.
 """
 
 from __future__ import annotations
@@ -102,8 +102,7 @@ class TestOfflineBitIdentity:
         store = JobStore(None)
 
         cold = run_request(store.create(req), warm)
-        # second run on the same worker: prepared problem reused and
-        # every fitness value served from the persistent shard
+        # second run on the same worker: prepared problem reused
         assert warm.stats.hits == 0
         second = run_request(store.create(req), warm)
         assert warm.stats.hits == 1

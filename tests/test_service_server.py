@@ -84,6 +84,28 @@ class TestEndpoints:
         ) == json.dumps(second["result"], sort_keys=True)
         assert service.result_cache.stats.hits >= 1
 
+    def test_served_request_hashes_its_request_once(
+        self, live_service, monkeypatch
+    ):
+        """``submit`` computes the result key; the worker's result-cache
+        lookup and store reuse it instead of re-hashing the request."""
+        import repro.service.jobs as jobs_module
+        import repro.service.server as server_module
+
+        original = server_module.result_key
+        calls = []
+
+        def counting(request):
+            calls.append(1)
+            return original(request)
+
+        monkeypatch.setattr(server_module, "result_key", counting)
+        monkeypatch.setattr(jobs_module, "result_key", counting)
+        _, client = live_service
+        doc = client.schedule(make_doc(seed=29), timeout=60)
+        assert doc["job"]["served_from"] == "run"
+        assert len(calls) == 1
+
     def test_poll_endpoint(self, live_service):
         _, client = live_service
         submitted = client.submit(make_doc(seed=13))

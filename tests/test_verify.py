@@ -212,8 +212,7 @@ class TestVerifyingEvaluator:
         with create_evaluator(
             fft8_ptg, synthetic_table, verify="full"
         ) as ev:
-            backend = ev.inner.inner  # verifier -> cache -> backend
-            assert ev.genome_key(alloc) == backend.genome_key(alloc)
+            assert ev.stats is ev.inner.stats  # verifier -> backend
             ev([alloc][0])
             assert ev.stats.evaluations >= 1
 
@@ -235,7 +234,7 @@ class TestChaosCorruptionDetection:
     def test_corruption_detected_full(
         self, fft8_ptg, synthetic_table, alloc
     ):
-        inner = create_evaluator(fft8_ptg, synthetic_table, cache=False)
+        inner = create_evaluator(fft8_ptg, synthetic_table)
         chaotic = ChaosEvaluator(
             inner, ChaosPlan(corrupt_batches=frozenset({0}))
         )
@@ -251,7 +250,7 @@ class TestChaosCorruptionDetection:
     def test_corruption_detected_by_sampling(
         self, fft8_ptg, synthetic_table, alloc
     ):
-        inner = create_evaluator(fft8_ptg, synthetic_table, cache=False)
+        inner = create_evaluator(fft8_ptg, synthetic_table)
         chaotic = ChaosEvaluator(
             inner, ChaosPlan(corrupt_batches=frozenset({0}))
         )
@@ -267,7 +266,7 @@ class TestChaosCorruptionDetection:
         self, fft8_ptg, synthetic_table, alloc
     ):
         # sanity: without verification the corrupted value sails through
-        inner = create_evaluator(fft8_ptg, synthetic_table, cache=False)
+        inner = create_evaluator(fft8_ptg, synthetic_table)
         chaotic = ChaosEvaluator(
             inner,
             ChaosPlan(
@@ -303,7 +302,7 @@ class TestEMTSIntegration:
         self, fft8_ptg, grelon_cluster, synthetic_table
     ):
         cfg = emts5().config.with_updates(
-            generations=2, verify="full", fitness_cache=False
+            generations=2, verify="full"
         )
 
         def wrapper(ev):
