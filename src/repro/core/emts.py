@@ -172,6 +172,7 @@ class EMTS:
         rng: np.random.Generator | int | None = None,
         *,
         checkpoint_path: str | Path | None = None,
+        checkpoint_interval: int = 1,
         resume_from: str | Path | None = None,
         max_wall_time: float | None = None,
         stop_event: threading.Event | None = None,
@@ -194,6 +195,16 @@ class EMTS:
             to this file after every completed generation (atomic
             write).  Costs one JSON dump per generation; ``None`` (the
             default) keeps the historical zero-overhead behavior.
+        checkpoint_interval:
+            Generations between journals.  ``1`` (the default)
+            journals every generation and archives the completed run
+            in a final journal marked ``completed``.  A larger interval
+            ``k`` journals after generation ``g`` when ``g + 1`` (the
+            seeded population counts as one generation) is a multiple
+            of ``k``, and only while generations remain: the run
+            completes with no journal, since it has nothing left to
+            resume.  A run that stops early (deadline, stop event,
+            signal) always journals its stop point.
         resume_from:
             Continue a checkpointed run: population, evolution log, RNG
             stream and evaluation counters are restored and the search
@@ -255,6 +266,13 @@ class EMTS:
         if max_wall_time is not None and max_wall_time <= 0:
             raise ConfigurationError(
                 f"max_wall_time must be > 0 seconds, got {max_wall_time}"
+            )
+        if isinstance(checkpoint_interval, bool) or not (
+            isinstance(checkpoint_interval, int) and checkpoint_interval >= 1
+        ):
+            raise ConfigurationError(
+                f"checkpoint_interval must be an integer >= 1, "
+                f"got {checkpoint_interval!r}"
             )
 
         tracer: Tracer | None
@@ -495,13 +513,22 @@ class EMTS:
                         },
                     )
 
+            def journal_due(generation) -> bool:
+                if checkpoint_interval == 1:
+                    return True
+                return (
+                    generation < cfg.generations
+                    and (generation + 1) % checkpoint_interval == 0
+                )
+
             def on_generation_end(population, generation, log):
                 if tracer is not None:
                     tracer.event(
                         "generation",
                         attrs=log.entries[-1].trace_attrs(),
                     )
-                journal(population, generation, log)
+                if journal_due(generation):
+                    journal(population, generation, log)
 
             if cfg.islands:
                 strategy = IslandStrategy(
@@ -596,10 +623,13 @@ class EMTS:
             (stop_event is not None and stop_event.is_set())
             or (deadline is not None and deadline.expired())
         )
-        if checkpoint_path is not None:
-            # final checkpoint: archives a completed run, or records the
-            # stop point of an interrupted one (same content the last
-            # per-generation journal wrote, plus the final elapsed time)
+        if checkpoint_path is not None and (
+            not completed or checkpoint_interval == 1
+        ):
+            # final checkpoint: records the stop point of an interrupted
+            # run, or archives a completed one under the per-generation
+            # default (same content the last per-generation journal
+            # wrote, plus the final elapsed time)
             journal(
                 outcome.population,
                 outcome.log.generations - 1,

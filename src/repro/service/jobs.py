@@ -28,25 +28,43 @@ Two durability mechanisms live here beyond the basic spool:
   partial-rename debris into ``spool/quarantine/`` instead of raising:
   one corrupt record must never poison recovery of the healthy ones.
   The daemon surfaces the count as ``service.spool.quarantined``.
+
+Memory holds every live job but only the newest ``max_finished``
+finished ones, while serving and after :meth:`JobStore.recover`.  With
+a spool, :meth:`JobStore.get` and idempotent dedupe read an older
+finished job's record back from disk; without one it is gone.
+
+Neither the spool record nor the run checkpoint is fsynced: both
+survive the death of the process (the kernel holds the written pages),
+not the loss of power.
 """
 
 from __future__ import annotations
 
+import heapq
 import json
 import os
+import re
 import threading
 import time
 import uuid
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any
+from typing import Any, Callable
 
 from ..exceptions import ServiceError
 from ..util.crash import crash_point
 from .protocol import ScheduleRequest, parse_request, result_key
 
-__all__ = ["Job", "JobStore", "JOB_STATES", "DEFAULT_IDEMPOTENCY_ENTRIES"]
+__all__ = [
+    "Job",
+    "JobStore",
+    "JOB_STATES",
+    "FINISHED_STATES",
+    "DEFAULT_FINISHED_JOBS",
+    "DEFAULT_IDEMPOTENCY_ENTRIES",
+]
 
 #: Bound of the idempotency key -> job id LRU index.  Sized for hours
 #: of retry windows, not forever: a key evicted here can in the worst
@@ -54,7 +72,18 @@ __all__ = ["Job", "JobStore", "JOB_STATES", "DEFAULT_IDEMPOTENCY_ENTRIES"]
 #: request — same bits, wasted work), never lose one.
 DEFAULT_IDEMPOTENCY_ENTRIES = 4096
 
+#: Finished jobs a store keeps in memory (the daemon passes its
+#: ``--result-cache-size``, which has the same default).
+DEFAULT_FINISHED_JOBS = 256
+
 JOB_STATES = ("queued", "running", "interrupted", "done", "failed")
+FINISHED_STATES = ("done", "failed")
+
+#: what a job id read from a URL must look like before it names a file
+_SAFE_JOB_ID = re.compile(r"[A-Za-z0-9_-]{1,64}")
+
+#: guards every job's done callbacks; held only for a list operation
+_callbacks_lock = threading.Lock()
 
 
 @dataclass
@@ -80,10 +109,38 @@ class Job:
     stop_event: threading.Event = field(
         default_factory=threading.Event, repr=False, compare=False
     )
+    _callbacks: list[Callable[[], None]] = field(
+        default_factory=list, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         if not self.key:
             self.key = result_key(self.request)
+
+    def add_done_callback(self, callback: Callable[[], None]) -> None:
+        """Call ``callback()`` once, when the job is done (now if it is).
+
+        It runs on the thread that finishes the job, so it must be
+        quick and must not raise.
+        """
+        with _callbacks_lock:
+            if not self.done_event.is_set():
+                self._callbacks.append(callback)
+                return
+        callback()
+
+    def remove_done_callback(self, callback: Callable[[], None]) -> None:
+        with _callbacks_lock:
+            if callback in self._callbacks:
+                self._callbacks.remove(callback)
+
+    def set_done(self) -> None:
+        """Set :attr:`done_event` and run the done callbacks."""
+        with _callbacks_lock:
+            self.done_event.set()
+            callbacks, self._callbacks = self._callbacks, []
+        for callback in callbacks:
+            callback()
 
     def wait_seconds(self) -> float | None:
         if self.started_at is None:
@@ -159,7 +216,7 @@ class Job:
             served_from=doc.get("served_from", "run"),
             attempts=int(doc.get("attempts", 0)),
         )
-        if job.state in ("done", "failed"):
+        if job.state in FINISHED_STATES:
             job.done_event.set()
         return job
 
@@ -176,16 +233,23 @@ class JobStore:
         spool: str | Path | None = None,
         *,
         idempotency_entries: int = DEFAULT_IDEMPOTENCY_ENTRIES,
+        max_finished: int = DEFAULT_FINISHED_JOBS,
     ) -> None:
-        if idempotency_entries < 1:
-            raise ServiceError(
-                f"idempotency_entries must be >= 1, "
-                f"got {idempotency_entries}",
-                code="bad-config",
-                status=500,
-            )
+        for name, value in (
+            ("idempotency_entries", idempotency_entries),
+            ("max_finished", max_finished),
+        ):
+            if value < 1:
+                raise ServiceError(
+                    f"{name} must be >= 1, got {value}",
+                    code="bad-config",
+                    status=500,
+                )
         self._lock = threading.Lock()
         self._jobs: dict[str, Job] = {}
+        #: ids of the finished jobs held in ``_jobs``, oldest first
+        self._finished: OrderedDict[str, None] = OrderedDict()
+        self.max_finished = int(max_finished)
         #: idempotency key -> job id, LRU-bounded (oldest key evicted)
         self._idempotency: OrderedDict[str, str] = OrderedDict()
         self.idempotency_entries = int(idempotency_entries)
@@ -218,7 +282,9 @@ class JobStore:
         )
         with self._lock:
             self._jobs[job.id] = job
-            self._register_idempotency_locked(job)
+            self._register_idempotency_locked(
+                job.request.idempotency_key, job.id
+            )
         self.persist(job)
         return job
 
@@ -226,18 +292,55 @@ class JobStore:
         """Register a job recovered from the spool."""
         with self._lock:
             self._jobs[job.id] = job
-            self._register_idempotency_locked(job)
+            self._register_idempotency_locked(
+                job.request.idempotency_key, job.id
+            )
+            if job.state in FINISHED_STATES:
+                self._retain_locked(job.id)
+
+    def finish(self, job: Job) -> None:
+        """The job is done or failed and its record written: wake it.
+
+        It joins the finished jobs kept in memory; past
+        ``max_finished`` the oldest of them leaves.
+        """
+        with self._lock:
+            if job.id in self._jobs:
+                self._retain_locked(job.id)
+        job.set_done()
+
+    def _retain_locked(self, job_id: str) -> None:
+        self._finished[job_id] = None
+        self._finished.move_to_end(job_id)
+        while len(self._finished) > self.max_finished:
+            old, _ = self._finished.popitem(last=False)
+            self._jobs.pop(old, None)
 
     def get(self, job_id: str) -> Job | None:
+        """The job, from memory or else (finished, spooled) from disk."""
         with self._lock:
-            return self._jobs.get(job_id)
+            job = self._jobs.get(job_id)
+        if job is None:
+            job = self._load(job_id)
+        return job
+
+    def _load(self, job_id: str) -> Job | None:
+        """Read a job that left memory back from its spool record."""
+        if self.spool is None or not _SAFE_JOB_ID.fullmatch(job_id):
+            return None
+        try:
+            text = self._record_path(job_id).read_text(encoding="utf-8")
+            return Job.from_dict(json.loads(text))
+        except Exception:  # missing, or unreadable: recover() judges
+            return None
 
     # -- idempotent submission -----------------------------------------
-    def _register_idempotency_locked(self, job: Job) -> None:
-        key = job.request.idempotency_key
+    def _register_idempotency_locked(
+        self, key: str | None, job_id: str
+    ) -> None:
         if key is None:
             return
-        self._idempotency[key] = job.id
+        self._idempotency[key] = job_id
         self._idempotency.move_to_end(key)
         while len(self._idempotency) > self.idempotency_entries:
             self._idempotency.popitem(last=False)
@@ -255,7 +358,7 @@ class JobStore:
             if job_id is None:
                 return None
             self._idempotency.move_to_end(key)
-            return self._jobs.get(job_id)
+        return self.get(job_id)
 
     def jobs(self) -> list[Job]:
         with self._lock:
@@ -327,6 +430,11 @@ class JobStore:
         come back as ``queued``/``interrupted`` depending on whether
         their run left a resumable checkpoint behind.
 
+        Of the finished records only the newest ``max_finished`` (by
+        finish time) become :class:`Job` objects in memory; the rest
+        register just their idempotency key, and :meth:`get` reads
+        them back on demand.
+
         A torn record cannot exist (atomic writes), so anything
         unreadable here — zero-byte, truncated, tampered, or an
         orphaned ``.json.tmp`` from a crash between temp-write and
@@ -342,17 +450,29 @@ class JobStore:
         for tmp in sorted(jobs_dir.glob("*.tmp")):
             self._quarantine(tmp)
         pending: list[Job] = []
+        #: min-heap of the newest finished records: (finished, path, doc)
+        newest: list[tuple[float, Path, dict]] = []
         for path in sorted(jobs_dir.glob("*.json")):
             try:
-                job = Job.from_dict(
-                    json.loads(path.read_text(encoding="utf-8"))
-                )
+                doc = json.loads(path.read_text(encoding="utf-8"))
+                if doc.get("state") in FINISHED_STATES:
+                    finished = float(
+                        doc.get("finished_at") or doc["submitted_at"]
+                    )
+                    key = doc["request"].get("idempotency_key")
+                    with self._lock:
+                        self._register_idempotency_locked(
+                            key, str(doc["id"])
+                        )
+                    heapq.heappush(newest, (finished, path, doc))
+                    if len(newest) > self.max_finished:
+                        heapq.heappop(newest)
+                    continue
+                job = Job.from_dict(doc)
             except Exception:
                 self._quarantine(path)
                 continue
             self.adopt(job)
-            if job.state in ("done", "failed"):
-                continue
             ckpt = self.checkpoint_path(job)
             if job.state == "running":
                 job.state = (
@@ -362,4 +482,11 @@ class JobStore:
                 )
                 self.persist(job)
             pending.append(job)
+        for _, path, doc in sorted(newest, key=lambda entry: entry[0]):
+            try:
+                job = Job.from_dict(doc)
+            except Exception:
+                self._quarantine(path)
+                continue
+            self.adopt(job)
         return pending

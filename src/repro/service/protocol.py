@@ -14,6 +14,10 @@ Two identities are derived from a request:
   (problem + algorithm + seed + budget).  Requests with the same key
   receive bit-identical responses from the cross-request result cache.
 
+:func:`estimate_work` models what a request's run costs from its shape
+alone (V, P, μ, λ and generations), and from that how often the run
+journals a checkpoint.
+
 Responses split into a deterministic ``result`` section (bit-identical
 for equal result keys, whether computed cold, warm or served from
 cache) and a ``stats`` envelope (timings, cache provenance) that is
@@ -24,6 +28,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -36,6 +41,8 @@ __all__ = [
     "KNOWN_PLATFORMS",
     "SEMANTIC_KEYS",
     "ScheduleRequest",
+    "WorkEstimate",
+    "estimate_work",
     "parse_request",
     "problem_digest",
     "request_trace_context",
@@ -274,6 +281,86 @@ def result_key(request: ScheduleRequest) -> str:
     return hashlib.sha256(
         canonical_json(request.semantic_doc()).encode("utf-8")
     ).hexdigest()
+
+
+#: Cost model of one EMTS generation and one checkpoint journal, in µs,
+#: fitted to in-process runs of FFT-15/39/95 under EMTS5 and EMTS10 on
+#: Chti and Grelon (``results/service_path.txt``).  A generation costs
+#: ``GENERATION_US + λ·V·(GENOME_TASK_US + GENOME_TASK_PROC_US·P)``; a
+#: journal costs ``JOURNAL_US + JOURNAL_ALLELE_US·μ·V``.
+GENERATION_US = 100.0
+GENOME_TASK_US = 0.14
+GENOME_TASK_PROC_US = 0.0006
+JOURNAL_US = 230.0
+JOURNAL_ALLELE_US = 0.3
+#: A run journals once the generations since its last journal cost this
+#: many journals: a crash then replays at most that much work, and the
+#: journals cost at most ``1 / JOURNAL_RATIO`` of the evolution.
+JOURNAL_RATIO = 10.0
+
+
+@dataclass(frozen=True)
+class WorkEstimate:
+    """Modelled cost of a request's EMTS run, from its shape alone."""
+
+    tasks: int
+    processors: int
+    mu: int
+    lam: int
+    generations: int
+
+    @property
+    def generation_us(self) -> float:
+        """One generation: λ offspring scored by the list scheduler."""
+        per_genome = self.tasks * (
+            GENOME_TASK_US + GENOME_TASK_PROC_US * self.processors
+        )
+        return GENERATION_US + self.lam * per_genome
+
+    @property
+    def journal_us(self) -> float:
+        """One checkpoint journal of the μ parents."""
+        return JOURNAL_US + JOURNAL_ALLELE_US * self.mu * self.tasks
+
+    @property
+    def run_us(self) -> float:
+        """The whole evolution, seeded population included."""
+        return (self.generations + 1) * self.generation_us
+
+    @property
+    def journal_interval(self) -> int:
+        """Generations between journals (``EMTS.schedule``'s keyword)."""
+        return math.ceil(
+            JOURNAL_RATIO * self.journal_us / self.generation_us
+        )
+
+
+def estimate_work(request: ScheduleRequest) -> WorkEstimate:
+    """The request's :class:`WorkEstimate`: a pure function of its shape.
+
+    Reads V from the inline PTG, P from the platform preset and μ, λ and
+    the default generation count from the algorithm preset — never wall
+    time, so every daemon (and every restart) journals a request at the
+    same generations.
+    """
+    from ..core.config import emts5_config, emts10_config
+    from ..platform import by_name
+
+    config = (
+        emts5_config() if request.algorithm == "emts5" else emts10_config()
+    )
+    tasks = request.ptg_doc.get("tasks")
+    return WorkEstimate(
+        tasks=len(tasks) if isinstance(tasks, list) else 0,
+        processors=by_name(request.platform).num_processors,
+        mu=config.mu,
+        lam=config.lam,
+        generations=(
+            request.generations
+            if request.generations is not None
+            else config.generations
+        ),
+    )
 
 
 def request_trace_context(request: ScheduleRequest):

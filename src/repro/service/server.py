@@ -11,11 +11,13 @@ Architecture
 
 Endpoints
     ``POST /v1/jobs``            submit; ``?wait=SECONDS`` blocks until
-    done (or times out back to 202).  Responses: 200 done, 202 queued,
-    400 malformed, 429 backpressure (with ``Retry-After``), 503
-    draining.
-    ``GET /v1/jobs/<id>``        poll one job (result inline when done).
-    ``GET /v1/jobs``             list job summaries.
+    done (or times out back to 202); the reply leaves as soon as the
+    worker finishes the job.  Responses: 200 done, 202 queued, 400
+    malformed, 429 backpressure (with ``Retry-After``), 503 draining.
+    ``GET /v1/jobs/<id>``        poll one job (result inline when done);
+    a finished job that left memory is read from the spool.
+    ``GET /v1/jobs``             list the summaries of the jobs in memory:
+    every live one and the newest ``result_cache_size`` finished ones.
     ``GET /metrics``             Prometheus text (run + service series).
     ``GET /v1/stats``            JSON snapshot of caches/queue/latency.
     ``GET /healthz``             liveness + drain flag.
@@ -96,6 +98,33 @@ def _json_response(
     )
 
 
+async def _wait_done(job: Job, timeout: float) -> None:
+    """Return once ``job`` is done, or after ``timeout`` seconds.
+
+    The worker thread that finishes the job completes a future on this
+    loop through ``call_soon_threadsafe``: the reply leaves at once,
+    with no polling.
+    """
+    loop = asyncio.get_running_loop()
+    done = loop.create_future()
+
+    def resolve() -> None:
+        if not done.done():
+            done.set_result(None)
+
+    def wake() -> None:
+        try:
+            loop.call_soon_threadsafe(resolve)
+        except RuntimeError:  # pragma: no cover - loop already closed
+            pass
+
+    job.add_done_callback(wake)
+    try:
+        await asyncio.wait((done,), timeout=timeout)
+    finally:
+        job.remove_done_callback(wake)
+
+
 def _error_response(exc: ServiceError) -> bytes:
     headers = {}
     if exc.retry_after is not None:
@@ -129,7 +158,7 @@ class SchedulingService:
         self.port = port
         self.metrics = MetricsRegistry()
         self.metrics_lock = threading.Lock()
-        self.store = JobStore(spool)
+        self.store = JobStore(spool, max_finished=result_cache_size)
         self.queue = FairQueue(
             max_depth=queue_limit,
             tenant_quota=tenant_quota,
@@ -284,7 +313,6 @@ class SchedulingService:
             job.finished_at = time.time()
             job.served_from = "result-cache"
             job.result = cached
-            job.done_event.set()
             self.store.persist(job)
             total = job.finished_at - job.submitted_at
             with self.metrics_lock:
@@ -295,6 +323,7 @@ class SchedulingService:
                 self.metrics.histogram(
                     "service.request_seconds", buckets=LATENCY_BUCKETS
                 ).observe(total)
+            self.store.finish(job)
             self._trace_request(request, "result-cache", 200)
             return 200, self._job_doc(job), job
         job = self.store.create(request, key)
@@ -308,6 +337,7 @@ class SchedulingService:
             self.store.persist(job)
             with self.metrics_lock:
                 self.metrics.counter("service.jobs.rejected").inc()
+            self.store.finish(job)
             self._trace_request(request, "rejected", 429)
             flight_record(
                 "server", "submission rejected", job_id=job.id
@@ -518,12 +548,8 @@ class SchedulingService:
                 budget = min(float(wait), 600.0)
             except ValueError:
                 budget = 0.0
-            deadline = time.monotonic() + budget
-            while (
-                not job.done_event.is_set()
-                and time.monotonic() < deadline
-            ):
-                await asyncio.sleep(0.005)
+            if budget > 0:  # False for NaN too
+                await _wait_done(job, budget)
             if job.done_event.is_set():
                 status = 200
             response = self._job_doc(job)

@@ -5,9 +5,13 @@ Each worker thread owns a private :class:`~repro.service.cache.WarmCache`
 PTG parsing, time-table construction and the compiled-kernel binding;
 every later request on that problem starts evolving immediately.
 
-Every run journals a resumable checkpoint into the job spool, so a
-drain (SIGTERM) stops runs at the next generation boundary and a
-restarted daemon resumes them bit-identically (PR 3 contract).
+With a spool, a run journals a resumable checkpoint into it on a
+cadence set by :func:`~repro.service.protocol.estimate_work`: only once
+the generations since the last journal cost well more than a journal
+(a short request journals never; replaying it from the request is
+cheaper and bit-identical).  A drain (SIGTERM) stops runs at the next
+generation boundary and journals the stop point, so a restarted daemon
+resumes them bit-identically; a completed run writes no journal.
 
 Metrics discipline: worker threads record into a thread-local
 :class:`~repro.obs.MetricsRegistry` and merge deltas into the shared
@@ -31,7 +35,7 @@ from __future__ import annotations
 import threading
 import time
 from pathlib import Path
-from typing import Any, Callable
+from typing import Any
 
 from ..core import emts5, emts10
 from ..mapping import schedule_to_dict
@@ -41,10 +45,11 @@ from ..obs.trace import TraceContext, Tracer, use_context
 from ..util.crash import crash_point
 from ..verify import ScheduleVerifier
 from .cache import ResultCache, WarmCache
-from .jobs import Job, JobStore
+from .jobs import FINISHED_STATES, Job, JobStore
 from .protocol import (
     PROTOCOL_VERSION,
     ScheduleRequest,
+    estimate_work,
     request_trace_context,
 )
 from .queue import FairQueue
@@ -87,6 +92,9 @@ def run_request(
     the engine, which nests its ``run_start``..``run_end`` span — with
     every generation, checkpoint and verify event — under the open
     ``service_run`` span.
+
+    With a ``checkpoint_path`` the run journals every
+    ``estimate_work(request).journal_interval`` generations.
     """
     request = job.request
     prepared = warm.get_or_prepare(request)
@@ -98,6 +106,7 @@ def run_request(
         prepared.table,
         rng=request.seed,
         checkpoint_path=checkpoint_path,
+        checkpoint_interval=estimate_work(request).journal_interval,
         resume_from=resume_from,
         max_wall_time=request.max_wall_time,
         stop_event=job.stop_event,
@@ -169,7 +178,6 @@ class WorkerPool:
         metrics_lock: threading.Lock | None = None,
         warm_max_problems: int = 32,
         poll_interval: float = 0.1,
-        on_job_done: Callable[[Job], None] | None = None,
         max_job_attempts: int = 3,
         trace_dir: str | Path | None = None,
     ) -> None:
@@ -186,7 +194,6 @@ class WorkerPool:
         self.metrics_lock = metrics_lock or threading.Lock()
         self.warm_max_problems = warm_max_problems
         self.poll_interval = poll_interval
-        self.on_job_done = on_job_done
         self.max_job_attempts = int(max_job_attempts)
         self.trace_dir = (
             Path(trace_dir) if trace_dir is not None else None
@@ -287,9 +294,9 @@ class WorkerPool:
         job.state = "failed"
         job.finished_at = time.time()
         self.store.persist(job)
-        job.done_event.set()
         with self.metrics_lock:
             self.metrics.counter("service.jobs.failed").inc()
+        self.store.finish(job)
 
     def _worker_loop(self, index: int) -> None:
         warm = WarmCache(self.warm_max_problems)
@@ -303,11 +310,13 @@ class WorkerPool:
             try:
                 self._run_one(job, warm, local)
             finally:
-                self._merge_metrics(local, warm)
-                if self.on_job_done is not None:
-                    self.on_job_done(job)
+                self._merge_metrics(local)
             with self._running_lock:
                 self._inflight.pop(index, None)
+            if job.state in FINISHED_STATES:
+                # last: a client woken by its reply finds its own job
+                # counted on /metrics and /v1/stats
+                self.store.finish(job)
 
     # ------------------------------------------------------------------
     def _open_attempt_trace(
@@ -408,18 +417,19 @@ class WorkerPool:
                 self._end_run_span(
                     tracer, state="done", served_from="result-cache"
                 )
-                self._finish(job, "done")
+                self._finish(job, "done", local)
                 return
 
             ckpt = store.checkpoint_path(job)
             resume = ckpt if ckpt is not None and ckpt.exists() else None
             if resume is not None and not _checkpoint_resumable(resume):
                 # two crash shapes leave a checkpoint that must NOT be
-                # passed to the engine: a *completed* one (the daemon
-                # died after the final generation but before the result
-                # became durable — nothing left to run) and an
-                # unreadable one.  Either way a fresh deterministic run
-                # re-derives the exact same result bits.
+                # passed to the engine: a *completed* one (a run
+                # journaled every generation archives its end; if the
+                # daemon died before the result became durable there is
+                # nothing left to run) and an unreadable one.  Either
+                # way a fresh deterministic run re-derives the exact
+                # same result bits.
                 resume = None
             if self._draining.is_set():
                 job.stop_event.set()
@@ -457,7 +467,7 @@ class WorkerPool:
                 warm_hit=warm_hit,
                 interrupted=bool(result_doc["interrupted"]),
             )
-            self._finish(job, "done")
+            self._finish(job, "done", local)
         except _Interrupted:
             job.state = "interrupted"
             local.counter("service.jobs.interrupted").inc()
@@ -483,9 +493,16 @@ class WorkerPool:
             self._end_run_span(
                 tracer, state="failed", error=job.error["code"]
             )
-            self._finish(job, "failed")
+            self._finish(job, "failed", local)
 
-    def _finish(self, job: Job, state: str) -> None:
+    def _finish(
+        self, job: Job, state: str, local: MetricsRegistry
+    ) -> None:
+        """Make the job's end durable and record its latency.
+
+        Its waiters wake later, in :meth:`_worker_loop`, once ``local``
+        has merged into the shared registry.
+        """
         job.state = state
         job.finished_at = time.time()
         with self._running_lock:
@@ -493,26 +510,15 @@ class WorkerPool:
         self.store.persist(job)
         self.store.forget_checkpoint(job)
         wait = job.wait_seconds()
-        total = job.total_seconds()
-        job.done_event.set()
-        self._observe_latency(wait, total)
+        if wait is not None:
+            local.histogram(
+                "service.wait_seconds", buckets=LATENCY_BUCKETS
+            ).observe(wait)
+        local.histogram(
+            "service.request_seconds", buckets=LATENCY_BUCKETS
+        ).observe(job.total_seconds())
 
-    def _observe_latency(
-        self, wait: float | None, total: float | None
-    ) -> None:
-        with self.metrics_lock:
-            if wait is not None:
-                self.metrics.histogram(
-                    "service.wait_seconds", buckets=LATENCY_BUCKETS
-                ).observe(wait)
-            if total is not None:
-                self.metrics.histogram(
-                    "service.request_seconds", buckets=LATENCY_BUCKETS
-                ).observe(total)
-
-    def _merge_metrics(
-        self, local: MetricsRegistry, warm: WarmCache
-    ) -> None:
+    def _merge_metrics(self, local: MetricsRegistry) -> None:
         snapshot = local.drain()
         with self.metrics_lock:
             self.metrics.merge(snapshot)
