@@ -95,7 +95,7 @@ def measure_paths(ptg, table, reps: int = 9) -> tuple[float, float]:
     FFI round-trip each, the per-call overhead the batch entry point
     amortizes across the population.
     """
-    evaluator = create_evaluator(ptg, table, workers=0)
+    evaluator = create_evaluator(ptg, table)
     rng = spawn(BENCH_SEED, "batch-bench")
     blocks = [
         rng.integers(

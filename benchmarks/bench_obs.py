@@ -103,7 +103,7 @@ def measure_disabled_overhead(
     runs the batch alone.  Both are timed interleaved (min of ``reps``)
     on the same evaluator so cache state and CPU frequency drift cancel.
     """
-    evaluator = create_evaluator(ptg, table, workers=0)
+    evaluator = create_evaluator(ptg, table)
     rng = spawn(BENCH_SEED, "obs-bench", "overhead")
     batch = [
         rng.integers(

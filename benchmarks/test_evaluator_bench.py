@@ -1,15 +1,13 @@
-"""Benchmarks of the fitness-evaluation engine backends.
+"""Benchmarks of the fitness-evaluation engine.
 
 Measures one EA-generation-sized batch of offspring evaluations on a
-100-task daggen PTG (the paper's "large" instance class) through each
-backend:
+100-task daggen PTG (the paper's "large" instance class) through the
+batch-kernel evaluator, plain and with sampled verification.
 
-* serial — the historical one-mapper-call-per-genome path;
-* pool-4 — four worker processes, chunked dispatch.
-
-``test_report_speedup`` additionally records the measured ratio in
+``test_report_speedup`` additionally records the batch on one thread
+and on two OpenMP threads (``REPRO_CKERNEL_THREADS=2``) in
 ``results/evaluator_speedup.txt`` together with the machine's core
-count — the pool speedup is hardware-bound (a single-core host cannot
+count — the thread speedup is hardware-bound (a single-core host cannot
 show one).
 """
 
@@ -19,7 +17,7 @@ import time
 import numpy as np
 import pytest
 
-from repro.core import ProcessPoolEvaluator, SerialEvaluator
+from repro.core import SerialEvaluator
 from repro.core.evaluator import create_evaluator
 from repro.platform import grelon
 from repro.timemodels import SyntheticModel, TimeTable
@@ -58,14 +56,6 @@ def test_evaluator_serial_batch(benchmark, problem):
     assert min(values) > 0
 
 
-def test_evaluator_pool4_batch(benchmark, problem):
-    ptg, table, genomes = problem
-    with ProcessPoolEvaluator(ptg, table, workers=4) as ev:
-        ev.evaluate(genomes[:2])  # warm the pool outside the timing
-        values = benchmark(ev.evaluate, genomes)
-    assert min(values) > 0
-
-
 def test_evaluator_verified_sample_batch(benchmark, problem):
     """Sampled differential verification must stay near-free."""
     ptg, table, genomes = problem
@@ -99,7 +89,7 @@ def test_verify_sample_overhead(problem):
 
 
 def test_report_speedup(problem, results_dir):
-    """Record serial vs. pool wall-times in results/."""
+    """Record one-thread vs. two-thread batch wall-times in results/."""
     ptg, table, genomes = problem
 
     def timed(fn, repeats=3):
@@ -113,9 +103,9 @@ def test_report_speedup(problem, results_dir):
     serial = SerialEvaluator(ptg, table)
     t_serial = timed(lambda: serial.evaluate(genomes))
 
-    with ProcessPoolEvaluator(ptg, table, workers=4) as pool:
-        pool.evaluate(genomes[:2])  # pool start-up excluded
-        t_pool = timed(lambda: pool.evaluate(genomes))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("REPRO_CKERNEL_THREADS", "2")
+        t_omp = timed(lambda: serial.evaluate(genomes))
 
     cores = os.cpu_count() or 1
     lines = [
@@ -124,12 +114,10 @@ def test_report_speedup(problem, results_dir):
         f"host cores: {cores}",
         "",
         f"serial            : {t_serial * 1e3:9.2f} ms",
-        f"pool (4 workers)  : {t_pool * 1e3:9.2f} ms  "
-        f"(speedup {t_serial / t_pool:5.2f}x)",
+        f"OpenMP (2 threads): {t_omp * 1e3:9.2f} ms  "
+        f"(speedup {t_serial / t_omp:5.2f}x)",
         "",
-        "note: the pool speedup is bounded by the host's core count; "
-        "on a single-core host it degrades to IPC overhead.",
+        "note: the thread speedup is bounded by the host's core count; "
+        "both rows compute bit-identical makespans.",
     ]
     write_result("evaluator_speedup.txt", "\n".join(lines) + "\n")
-    if cores >= 4:
-        assert t_pool < t_serial  # parallelism pays off given cores

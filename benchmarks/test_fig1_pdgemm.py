@@ -6,8 +6,6 @@ NOT monotonically decreasing in the processor count — and benchmarks the
 model evaluation itself.
 """
 
-import numpy as np
-
 from repro.experiments.figures import generate_figure1
 from repro.timemodels import pdgemm_time
 

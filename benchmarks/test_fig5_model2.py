@@ -14,7 +14,6 @@ Asserts the paper's findings for the non-monotone model:
 Set ``REPRO_BENCH_SCALE=1.0`` for the paper's full corpus.
 """
 
-import numpy as np
 import pytest
 
 from repro.allocation import HcpaAllocator, McpaAllocator

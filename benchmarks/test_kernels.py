@@ -155,13 +155,14 @@ def test_report_kernel_speedup(problem, results_dir):
     Companion of the PR 1 engine report (``evaluator_speedup.txt``):
     one EA-generation batch of 100 offspring through the reference
     mapper, the kernel's numpy loop, the native (C) loop, and the
-    process pool.  The final assertion is the tentpole promise — at
-    least 3x single-process speedup over the reference engine.
+    native loop on two OpenMP threads.  The final assertion is the
+    tentpole promise — at least 3x single-process speedup over the
+    reference engine.
     """
     import os
     import time
 
-    from repro.core import ProcessPoolEvaluator, SerialEvaluator
+    from repro.core import SerialEvaluator
 
     ptg, _, table = problem
     kernel = kernel_for(table)
@@ -199,9 +200,9 @@ def test_report_kernel_speedup(problem, results_dir):
         "" if saved is not None else "  [native loop unavailable]"
     )
 
-    with ProcessPoolEvaluator(ptg, table, workers=4) as pool:
-        pool.evaluate(genomes[:2])  # pool start-up excluded
-        t_pool = timed(lambda: pool.evaluate(genomes))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("REPRO_CKERNEL_THREADS", "2")
+        t_omp = timed(lambda: serial.evaluate(genomes))
 
     cores = os.cpu_count() or 1
     lines = [
@@ -214,13 +215,12 @@ def test_report_kernel_speedup(problem, results_dir):
         f"(speedup {t_ref / t_numpy:5.2f}x)",
         f"kernel, native loop     : {t_native * 1e3:9.2f} ms  "
         f"(speedup {t_ref / t_native:5.2f}x){native_note}",
-        f"pool (4 workers)        : {t_pool * 1e3:9.2f} ms  "
-        f"(speedup {t_ref / t_pool:5.2f}x)",
+        f"native, OpenMP(2)       : {t_omp * 1e3:9.2f} ms  "
+        f"(speedup {t_ref / t_omp:5.2f}x){native_note}",
         "",
         "note: all engines compute bit-identical makespans (see "
-        "tests/test_mapping_kernel.py).  The pool numbers are bounded "
-        "by the host's core count; on a single-core host the pool "
-        "degrades to IPC overhead while the single-process kernel "
+        "tests/test_mapping_kernel.py).  The OpenMP row is bounded "
+        "by the host's core count, while the single-thread kernel "
         "speedups are hardware-independent.",
     ]
     write_result("kernel_speedup.txt", "\n".join(lines) + "\n")

@@ -47,7 +47,6 @@ from . import (
 from .exceptions import (
     CampaignError,
     CheckpointError,
-    EvaluationError,
     ReproError,
     TimeModelError,
     TraceError,
@@ -105,7 +104,6 @@ __all__ = [
     "online",
     # error hierarchy
     "ReproError",
-    "EvaluationError",
     "CheckpointError",
     "VerificationError",
     "TimeModelError",

@@ -104,14 +104,12 @@ def _make_model(name: str) -> ExecutionTimeModel:
 
 def _make_algorithm(
     name: str,
-    workers: int = 0,
     verify: str = "off",
     islands: int = 0,
     migration_interval: int = 1,
 ):
     name = name.lower()
     overrides = dict(
-        workers=workers,
         verify=verify,
         islands=islands,
         migration_interval=migration_interval,
@@ -174,7 +172,6 @@ def _cmd_schedule(args) -> int:
     verify = getattr(args, "verify", "off")
     algorithm = _make_algorithm(
         args.algorithm,
-        workers=args.workers,
         verify=verify,
         islands=getattr(args, "islands", 0),
         migration_interval=getattr(args, "migration_interval", 1),
@@ -440,7 +437,6 @@ def _cmd_runtime(args) -> int:
     report = measure_runtimes(
         seed=args.seed,
         repetitions=args.repetitions,
-        workers=args.workers,
         verify=getattr(args, "verify", "off"),
     )
     print(report.render())
@@ -494,7 +490,6 @@ def _cmd_convergence(args) -> int:
         for i in range(args.instances)
     ]
     overrides = dict(
-        workers=args.workers,
         verify=getattr(args, "verify", "off"),
         islands=getattr(args, "islands", 0),
         migration_interval=getattr(args, "migration_interval", 1),
@@ -871,24 +866,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--jump", type=int, default=1)
         p.add_argument("--seed", type=int, default=None)
 
-    def _worker_count(text):
-        value = int(text)
-        if value < 0:
-            raise argparse.ArgumentTypeError(
-                f"worker count must be >= 0, got {value}"
-            )
-        return value
-
     def add_evaluator_options(p):
-        p.add_argument(
-            "--workers",
-            type=_worker_count,
-            default=0,
-            help=(
-                "fitness-evaluation worker processes "
-                "(0/1 = serial, the default)"
-            ),
-        )
         p.add_argument(
             "--profile",
             metavar="PATH",

@@ -11,8 +11,9 @@ Public API:
   operator (Figure 3);
 * :func:`seed_population` — heuristic-seeded initial populations;
 * encoding helpers (:func:`clamp_allocations` etc., Figure 2);
-* the fitness-evaluation engine (:class:`FitnessEvaluator` with serial
-  and process-pool backends, :func:`create_evaluator`);
+* the fitness-evaluation engine (:class:`FitnessEvaluator`, its
+  batch-kernel backend :class:`SerialEvaluator`, and
+  :func:`create_evaluator`);
 * resumable run checkpoints (:class:`Checkpoint`,
   :func:`save_checkpoint`, :func:`load_checkpoint`,
   :func:`verify_resumable`).
@@ -31,7 +32,6 @@ from .emts import EMTS, EMTSResult, emts5, emts10
 from .evaluator import (
     EvaluationStats,
     FitnessEvaluator,
-    ProcessPoolEvaluator,
     SerialEvaluator,
     create_evaluator,
 )
@@ -71,7 +71,6 @@ __all__ = [
     "EvaluationStats",
     "FitnessEvaluator",
     "SerialEvaluator",
-    "ProcessPoolEvaluator",
     "create_evaluator",
     "Checkpoint",
     "save_checkpoint",

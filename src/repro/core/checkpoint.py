@@ -2,7 +2,7 @@
 
 EMTS is a long-running (mu + lambda) search — Section V of the paper
 reports minutes-scale optimization times on Grelon-size instances — and
-a production deployment cannot afford to lose a whole run to a worker
+a production deployment cannot afford to lose a whole run to a process
 crash, an operator interrupt, or a wall-clock deadline.  This module
 journals everything the evolutionary loop needs to continue *bit
 identically* after a restart:
@@ -68,9 +68,9 @@ CHECKPOINT_FORMAT = "repro-emts-checkpoint"
 CHECKPOINT_VERSION = 1
 
 #: Configuration fields that change the optimization outcome.  Engine
-#: knobs (worker count, shard count, retry policy) are deliberately
-#: excluded: all evaluation backends are bit-identical, so a run may be
-#: resumed under a different execution configuration.
+#: knobs (shard count, verification, kernel threads) are deliberately
+#: excluded: they never change a result, so a run may be resumed under
+#: a different execution configuration.
 SEMANTIC_CONFIG_FIELDS = (
     "name",
     "mu",

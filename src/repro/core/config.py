@@ -56,21 +56,6 @@ class EMTSConfig:
         cannot beat the incumbent are cut short.
     time_budget_seconds:
         Optional wall-clock cap on the evolutionary search.
-    workers:
-        Fitness-evaluation worker processes.  0 or 1 = serial (the
-        historical behavior); N >= 2 fans offspring batches out to N
-        worker processes.  Results are bit-identical either way.
-    eval_max_retries:
-        How often the parallel evaluator rebuilds a crashed worker pool
-        and re-dispatches the failed chunks before falling back to
-        serial evaluation (ignored for ``workers <= 1``).
-    eval_retry_backoff:
-        Base of the exponential backoff (seconds) slept between pool
-        rebuild attempts.
-    eval_timeout:
-        Optional per-chunk wall-clock timeout (seconds) for the parallel
-        evaluator; a hung worker then counts as a retriable failure
-        instead of blocking the run forever.
     verify:
         Online differential verification of fitness values: ``"off"``
         (default), ``"sample"`` (NaN scan every batch plus one full
@@ -82,10 +67,10 @@ class EMTSConfig:
         Any value >= 1 switches to the island model
         (:mod:`repro.core.islands`): ``mu`` logical single-parent
         islands with ring migration, evaluated in ``islands``
-        contiguous execution shards.  The shard count is a pure
-        execution knob — same-seed results are bit-identical for any
-        value in ``{1, ..., mu}``.  Requires plus selection and
-        ``lam >= mu``.
+        contiguous execution shards (one batch-kernel call each per
+        generation).  The shard count is a pure execution knob —
+        same-seed results are bit-identical for any value in
+        ``{1, ..., mu}``.  Requires plus selection and ``lam >= mu``.
     migration_interval:
         Generations between ring migrations in island mode (>= 1;
         ignored when ``islands == 0``).
@@ -107,10 +92,6 @@ class EMTSConfig:
     selection: str = "plus"
     use_rejection: bool = False
     time_budget_seconds: float | None = None
-    workers: int = 0
-    eval_max_retries: int = 3
-    eval_retry_backoff: float = 0.05
-    eval_timeout: float | None = None
     verify: str = "off"
     islands: int = 0
     migration_interval: int = 1
@@ -154,24 +135,6 @@ class EMTSConfig:
             and self.time_budget_seconds <= 0
         ):
             raise ConfigurationError("time budget must be > 0 seconds")
-        if self.workers < 0:
-            raise ConfigurationError(
-                f"workers must be >= 0, got {self.workers}"
-            )
-        if self.eval_max_retries < 0:
-            raise ConfigurationError(
-                "eval_max_retries must be >= 0, got "
-                f"{self.eval_max_retries}"
-            )
-        if self.eval_retry_backoff < 0:
-            raise ConfigurationError(
-                "eval_retry_backoff must be >= 0 seconds, got "
-                f"{self.eval_retry_backoff}"
-            )
-        if self.eval_timeout is not None and self.eval_timeout <= 0:
-            raise ConfigurationError(
-                f"eval_timeout must be > 0 seconds, got {self.eval_timeout}"
-            )
         if self.verify not in ("off", "sample", "full"):
             raise ConfigurationError(
                 f"verify must be 'off', 'sample' or 'full', got "

@@ -253,9 +253,8 @@ class EMTS:
             :func:`repro.obs.strip_timestamps`.
         metrics:
             A :class:`repro.obs.MetricsRegistry` to fill with the run's
-            canonical ``emts.*`` counters/timers, live ``evaluation.*``
-            batch metrics, and — under the process-pool backend —
-            per-worker ``worker.*`` metrics merged at chunk boundaries.
+            canonical ``emts.*`` counters/timers and live
+            ``evaluation.*`` batch metrics.
 
         Both default to ``None``; the disabled path builds no wrapper
         and no profiler, keeping the historical zero-overhead hot path.
@@ -359,7 +358,9 @@ class EMTS:
                     attrs={
                         "algorithm": cfg.name,
                         "problem": problem,
-                        "workers": cfg.workers,
+                        # always 0 (there is no worker pool); kept
+                        # for the trace schema
+                        "workers": 0,
                         "resumed": resume_from is not None,
                     },
                 )
@@ -414,16 +415,7 @@ class EMTS:
                     # after seeding) so the decomposition is a pure
                     # function of the seed
                     island_rngs = spawn_children(rng, cfg.mu)
-            evaluator = create_evaluator(
-                ptg,
-                table,
-                workers=cfg.workers,
-                max_retries=cfg.eval_max_retries,
-                retry_backoff=cfg.eval_retry_backoff,
-                chunk_timeout=cfg.eval_timeout,
-                verify=cfg.verify,
-                metrics=metrics,
-            )
+            evaluator = create_evaluator(ptg, table, verify=cfg.verify)
             if evaluator_wrapper is not None:
                 evaluator = evaluator_wrapper(evaluator)
             if observing:
@@ -447,9 +439,8 @@ class EMTS:
             # selected (ties go to parents).  Using this bound — rather than
             # the best incumbent — keeps the optimization outcome bit-for-bit
             # identical to the unrejected run.  The bound is re-derived each
-            # generation and handed to the evaluator with every dispatched
-            # batch, so worker processes always reject against the current
-            # survivor set.
+            # generation and handed to the evaluator with every batch, so
+            # the kernel always rejects against the current survivor set.
             def abort_bound(parents) -> float | None:
                 if cfg.use_rejection and cfg.selection == "plus":
                     return max(

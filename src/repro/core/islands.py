@@ -24,9 +24,9 @@ population-at-once ``evaluate_batch`` call per shard per generation.
 Fitness evaluation is deterministic and the mutation stream of island
 ``i`` comes from its own child generator (derived once from the master
 RNG via :func:`repro._rng.spawn_children`), so the result is
-bit-identical for any ``k`` in ``{1, ..., mu}``, any worker count and
-either kernel backend.  ``islands = 0`` selects the classic panmictic
-engine (a different — also deterministic — trajectory).
+bit-identical for any ``k`` in ``{1, ..., mu}``, any kernel thread
+count and either kernel backend.  ``islands = 0`` selects the classic
+panmictic engine (a different — also deterministic — trajectory).
 
 Each island runs plus selection over ``[parent (+ migrant)] ∪
 offspring`` with ties resolved in that candidate order (stable sort),
@@ -36,7 +36,6 @@ equal offspring.
 
 from __future__ import annotations
 
-import math
 import time
 
 import numpy as np
@@ -44,19 +43,16 @@ import numpy as np
 from ..ea import EvolutionLog, GenerationStats, Individual
 from ..ea.operators import MutationOperator
 from ..ea.selection import best_of, plus_selection
-from ..ea.strategy import EvolutionResult, Fitness
+from ..ea.strategy import EvolutionResult, Fitness, evaluate_individuals
 from ..ea.termination import (
     GenerationLimit,
     TerminationCriterion,
     annealing_horizon,
 )
 from ..exceptions import ConfigurationError
-from ..obs.log import get_logger
 from ..obs.profiler import NULL_PROFILER
 
 __all__ = ["IslandStrategy", "island_offspring_counts"]
-
-_log = get_logger("core.islands")
 
 
 def island_offspring_counts(lam: int, num_islands: int) -> list[int]:
@@ -134,56 +130,6 @@ class IslandStrategy:
         self.offspring_counts = island_offspring_counts(lam, mu)
 
     # ------------------------------------------------------------------
-    def _evaluate(
-        self,
-        individuals: list[Individual],
-        fitness: Fitness,
-        abort_above: float | None = None,
-    ) -> int:
-        """Assign fitness to unevaluated individuals, block-at-once.
-
-        Same contract as ``EvolutionStrategy._evaluate``: returns the
-        number of genomes submitted and degrades NaN to rejection.
-        """
-        todo = [ind for ind in individuals if not ind.evaluated]
-        if not todo:
-            return 0
-        nan_count = 0
-        if hasattr(fitness, "evaluate"):
-            evaluate_batch = getattr(fitness, "evaluate_batch", None)
-            if evaluate_batch is not None:
-                values = evaluate_batch(
-                    np.stack([ind.genome for ind in todo]),
-                    abort_above=abort_above,
-                )
-            else:
-                values = fitness.evaluate(
-                    [ind.genome for ind in todo],
-                    abort_above=abort_above,
-                )
-            if len(values) != len(todo):
-                raise ConfigurationError(
-                    f"batch evaluator returned {len(values)} values "
-                    f"for {len(todo)} genomes"
-                )
-        else:
-            values = [float(fitness(ind.genome)) for ind in todo]
-        for ind, value in zip(todo, values):
-            value = float(value)
-            if math.isnan(value):
-                nan_count += 1
-                value = float("inf")
-            ind.fitness = value
-        if nan_count:
-            _log.warning(
-                "fitness backend returned NaN for %d of %d genomes; "
-                "treating them as rejected (+inf)",
-                nan_count,
-                len(todo),
-            )
-        return len(todo)
-
-    # ------------------------------------------------------------------
     def evolve(
         self,
         initial: list[Individual],
@@ -251,7 +197,7 @@ class IslandStrategy:
                 )
                 for ind in initial
             ]
-            evals = self._evaluate(population, fitness)
+            evals = evaluate_individuals(population, fitness)
             # the initial global selection doubles as the island
             # assignment: the i-th survivor becomes island i's parent
             # (cycled when there are fewer starters than islands)
@@ -307,7 +253,9 @@ class IslandStrategy:
                 shard_offspring = [
                     ind for island in per_island[lo:hi] for ind in island
                 ]
-                evals += self._evaluate(shard_offspring, fitness, bound)
+                evals += evaluate_individuals(
+                    shard_offspring, fitness, bound
+                )
             migrating = (
                 self.mu > 1
                 and generation % self.migration_interval == 0

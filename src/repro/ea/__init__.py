@@ -1,21 +1,15 @@
 """Generic evolution-strategy engine (paper Section III).
 
 Built from scratch (the offline environment has no DEAP): individuals,
-plus/comma survivor selection, a mutation/crossover operator algebra,
-per-generation statistics and composable termination criteria.
+plus/comma survivor selection, mutation operators, per-generation
+statistics and composable termination criteria.
 
 Public API: :class:`EvolutionStrategy`, :class:`EvolutionResult`,
 :class:`Individual`, the operators and the termination criteria.
 """
 
 from .individual import Individual
-from .operators import (
-    CrossoverOperator,
-    MutationOperator,
-    OnePointCrossover,
-    UniformIntegerMutation,
-    UniformPointCrossover,
-)
+from .operators import MutationOperator, UniformIntegerMutation
 from .selection import best_of, comma_selection, plus_selection
 from .statistics import EvolutionLog, GenerationStats, population_diversity
 from .strategy import BatchFitness, EvolutionResult, EvolutionStrategy
@@ -33,10 +27,7 @@ from .termination import (
 __all__ = [
     "Individual",
     "MutationOperator",
-    "CrossoverOperator",
     "UniformIntegerMutation",
-    "UniformPointCrossover",
-    "OnePointCrossover",
     "plus_selection",
     "comma_selection",
     "best_of",

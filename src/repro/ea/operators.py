@@ -2,16 +2,13 @@
 
 EMTS is mutation-only (paper Section III-C: crossover on allocation
 vectors of *dependent* tasks rarely helps, and mutation-only strategies
-are known to suffice for several combinatorial problems).  The engine
-nevertheless defines a small operator algebra so ablation studies can
-swap in alternatives:
+are known to suffice for several combinatorial problems), so the engine
+has one kind of variation operator:
 
 * :class:`MutationOperator` — the protocol (genome in, genome out, or a
   whole generation's offspring from a block of parents);
 * :class:`UniformIntegerMutation` — resample positions uniformly in the
-  domain (the naive operator Section III-D argues against);
-* :class:`UniformPointCrossover` / :class:`OnePointCrossover` — optional
-  recombination for the ablation benchmarks.
+  domain (the naive operator Section III-D argues against).
 
 EMTS's actual operator (Eq. 1 with the annealed mutation count) lives in
 :mod:`repro.core.mutation` because it is paper-specific.
@@ -28,10 +25,7 @@ from ..exceptions import ConfigurationError
 __all__ = [
     "per_child_offspring",
     "MutationOperator",
-    "CrossoverOperator",
     "UniformIntegerMutation",
-    "UniformPointCrossover",
-    "OnePointCrossover",
 ]
 
 
@@ -101,19 +95,6 @@ class MutationOperator(abc.ABC):
         )
 
 
-class CrossoverOperator(abc.ABC):
-    """Produces a child genome from two parent genomes."""
-
-    @abc.abstractmethod
-    def crossover(
-        self,
-        genome_a: np.ndarray,
-        genome_b: np.ndarray,
-        rng: np.random.Generator,
-    ) -> np.ndarray:
-        """Return a new genome combining both parents."""
-
-
 class UniformIntegerMutation(MutationOperator):
     """Resample a fraction of positions uniformly in ``[low, high]``.
 
@@ -151,38 +132,3 @@ class UniformIntegerMutation(MutationOperator):
             self.low, self.high + 1, size=pos.shape[0]
         )
         return child
-
-
-class UniformPointCrossover(CrossoverOperator):
-    """Each position is taken from parent A or B with probability 1/2."""
-
-    def crossover(
-        self,
-        genome_a: np.ndarray,
-        genome_b: np.ndarray,
-        rng: np.random.Generator,
-    ) -> np.ndarray:
-        if genome_a.shape != genome_b.shape:
-            raise ConfigurationError(
-                "crossover requires genomes of equal length"
-            )
-        mask = rng.random(genome_a.shape[0]) < 0.5
-        return np.where(mask, genome_a, genome_b)
-
-
-class OnePointCrossover(CrossoverOperator):
-    """Classic single cut point."""
-
-    def crossover(
-        self,
-        genome_a: np.ndarray,
-        genome_b: np.ndarray,
-        rng: np.random.Generator,
-    ) -> np.ndarray:
-        if genome_a.shape != genome_b.shape:
-            raise ConfigurationError(
-                "crossover requires genomes of equal length"
-            )
-        n = genome_a.shape[0]
-        cut = int(rng.integers(1, n)) if n > 1 else 0
-        return np.concatenate([genome_a[:cut], genome_b[cut:]])

@@ -30,7 +30,7 @@ from ..exceptions import ConfigurationError
 from ..obs.log import get_logger
 from ..obs.profiler import NULL_PROFILER
 from .individual import Individual
-from .operators import CrossoverOperator, MutationOperator
+from .operators import MutationOperator
 from .selection import best_of, comma_selection, plus_selection
 from .statistics import EvolutionLog, GenerationStats
 from .termination import (
@@ -39,45 +39,83 @@ from .termination import (
     annealing_horizon,
 )
 
-__all__ = ["EvolutionStrategy", "EvolutionResult", "BatchFitness"]
+__all__ = [
+    "EvolutionStrategy",
+    "EvolutionResult",
+    "BatchFitness",
+    "evaluate_individuals",
+]
 
 _log = get_logger("ea")
 
 FitnessFunction = Callable[[np.ndarray], float]
 
 
-def _sanitize_fitness(value: float, nan_count: list[int]) -> float:
-    """NaN fitness is never comparable: degrade it to a rejection.
-
-    A fitness backend (or an injected fault) returning NaN would poison
-    every subsequent selection comparison; treating it as ``+inf``
-    simply discards the individual, which is the graceful behaviour —
-    the run continues on the remaining finite candidates.
-    """
-    if math.isnan(value):
-        nan_count[0] += 1
-        return float("inf")
-    return value
-
-
 class BatchFitness(Protocol):
     """Batch fitness backend (see :mod:`repro.core.evaluator`).
 
-    Anything with an ``evaluate(genomes, abort_above=None) -> list[float]``
-    method qualifies; the engine hands it whole offspring batches so the
-    backend may parallelize across individuals.
+    Anything with an ``evaluate_batch(genome_block, abort_above=None)
+    -> list[float]`` method qualifies; the engine hands it each
+    generation's offspring as one stacked ``(B, V)`` block.
     """
 
-    def evaluate(
+    def evaluate_batch(
         self,
-        genomes: Sequence[np.ndarray],
+        genome_block: np.ndarray,
         abort_above: float | None = None,
     ) -> list[float]:
-        """Fitness of every genome, in input order; ``inf`` rejects."""
+        """Fitness of every row, in order; ``inf`` rejects."""
         ...
 
 
 Fitness = Union[FitnessFunction, BatchFitness]
+
+
+def evaluate_individuals(
+    individuals: Sequence[Individual],
+    fitness: Fitness,
+    abort_above: float | None = None,
+) -> int:
+    """Assign fitness to the unevaluated ``individuals``.
+
+    ``fitness`` is either a :class:`BatchFitness`, which receives the
+    genomes as one stacked block together with ``abort_above``, or a
+    plain per-genome callable.  NaN is never comparable, so it degrades
+    to a rejection (``+inf``): the individual is discarded and the run
+    continues on the remaining finite candidates.  Returns the number
+    of genomes submitted.
+    """
+    todo = [ind for ind in individuals if not ind.evaluated]
+    if not todo:
+        return 0
+    evaluate_batch = getattr(fitness, "evaluate_batch", None)
+    if evaluate_batch is not None:
+        values = evaluate_batch(
+            np.stack([ind.genome for ind in todo]),
+            abort_above=abort_above,
+        )
+        if len(values) != len(todo):
+            raise ConfigurationError(
+                f"batch evaluator returned {len(values)} values "
+                f"for {len(todo)} genomes"
+            )
+    else:
+        values = [fitness(ind.genome) for ind in todo]
+    nan_count = 0
+    for ind, value in zip(todo, values):
+        value = float(value)
+        if math.isnan(value):
+            nan_count += 1
+            value = math.inf
+        ind.fitness = value
+    if nan_count:
+        _log.warning(
+            "fitness backend returned NaN for %d of %d genomes; "
+            "treating them as rejected (+inf)",
+            nan_count,
+            len(todo),
+        )
+    return len(todo)
 
 
 @dataclass
@@ -114,11 +152,8 @@ class EvolutionStrategy:
     lam:
         Number of offspring generated per generation.
     mutation:
-        The variation operator applied to every offspring.
-    crossover:
-        Optional recombination applied (to two uniformly drawn parents)
-        *before* mutation, with probability ``crossover_rate``.  EMTS
-        leaves this ``None`` (mutation-only, Section III-C).
+        The variation operator applied to every offspring (EMTS is
+        mutation-only, Section III-C).
     selection:
         ``"plus"`` (elitist, the paper's choice) or ``"comma"``.
     """
@@ -128,8 +163,6 @@ class EvolutionStrategy:
         mu: int,
         lam: int,
         mutation: MutationOperator,
-        crossover: CrossoverOperator | None = None,
-        crossover_rate: float = 0.5,
         selection: str = "plus",
     ) -> None:
         if mu < 1:
@@ -144,67 +177,10 @@ class EvolutionStrategy:
             raise ConfigurationError(
                 f"comma selection needs lambda >= mu ({lam} < {mu})"
             )
-        if not (0.0 <= crossover_rate <= 1.0):
-            raise ConfigurationError(
-                f"crossover_rate must lie in [0, 1], got {crossover_rate}"
-            )
         self.mu = int(mu)
         self.lam = int(lam)
         self.mutation = mutation
-        self.crossover = crossover
-        self.crossover_rate = float(crossover_rate)
         self.selection = selection
-
-    # ------------------------------------------------------------------
-    def _evaluate(
-        self,
-        individuals: list[Individual],
-        fitness: Fitness,
-        abort_above: float | None = None,
-    ) -> int:
-        """Assign fitness to unevaluated individuals.
-
-        Returns the number of genomes submitted.
-        """
-        todo = [ind for ind in individuals if not ind.evaluated]
-        if not todo:
-            return 0
-        nan_count = [0]
-        if hasattr(fitness, "evaluate"):
-            evaluate_batch = getattr(fitness, "evaluate_batch", None)
-            if evaluate_batch is not None:
-                # population-at-once: stack the genomes into one block
-                # so the backend validates and scores them in single
-                # vectorized (or native) passes
-                values = evaluate_batch(
-                    np.stack([ind.genome for ind in todo]),
-                    abort_above=abort_above,
-                )
-            else:
-                values = fitness.evaluate(
-                    [ind.genome for ind in todo],
-                    abort_above=abort_above,
-                )
-            if len(values) != len(todo):
-                raise ConfigurationError(
-                    f"batch evaluator returned {len(values)} values "
-                    f"for {len(todo)} genomes"
-                )
-            for ind, value in zip(todo, values):
-                ind.fitness = _sanitize_fitness(float(value), nan_count)
-        else:
-            for ind in todo:
-                ind.fitness = _sanitize_fitness(
-                    float(fitness(ind.genome)), nan_count
-                )
-        if nan_count[0]:
-            _log.warning(
-                "fitness backend returned NaN for %d of %d genomes; "
-                "treating them as rejected (+inf)",
-                nan_count[0],
-                len(todo),
-            )
-        return len(todo)
 
     def evolve(
         self,
@@ -213,7 +189,6 @@ class EvolutionStrategy:
         rng: np.random.Generator,
         termination: TerminationCriterion | None = None,
         total_generations: int | None = None,
-        on_generation_start=None,
         abort_bound=None,
         on_generation_end=None,
         resume_log: EvolutionLog | None = None,
@@ -231,9 +206,8 @@ class EvolutionStrategy:
             survivor population, already evaluated.
         fitness:
             Objective to minimize — either a plain per-genome callable
-            or a batch evaluator implementing :class:`BatchFitness`
-            (which may parallelize).  Either form may
-            produce ``inf`` to reject an individual.
+            or a batch evaluator implementing :class:`BatchFitness`.
+            Either form may produce ``inf`` to reject an individual.
         rng:
             Random source for parent choice and operators.
         termination:
@@ -242,16 +216,12 @@ class EvolutionStrategy:
             The annealing horizon ``U`` handed to the mutation operator;
             defaults to the smallest generation limit in
             ``termination`` (:func:`~repro.ea.termination.annealing_horizon`).
-        on_generation_start:
-            Optional hook called with ``(parents, generation)`` before
-            each generation's offspring are created.
         abort_bound:
             Optional callable ``parents -> float | None`` queried once
             per generation; a finite return value is forwarded to the
             batch evaluator as ``abort_above`` (the rejection strategy's
-            cutoff, re-derived from the current survivor set and shipped
-            to worker processes at dispatch time).  Ignored for plain
-            callables, which handle rejection internally.
+            cutoff, re-derived from the current survivor set).  Ignored
+            for plain callables, which handle rejection internally.
         on_generation_end:
             Optional hook called with ``(population, generation, log)``
             after each generation's survivors are selected and logged
@@ -314,7 +284,7 @@ class EvolutionStrategy:
                 )
                 for ind in initial
             ]
-            evals = self._evaluate(population, fitness)
+            evals = evaluate_individuals(population, fitness)
             population = plus_selection(
                 population, [], min(self.mu, len(population))
             )
@@ -332,62 +302,30 @@ class EvolutionStrategy:
 
         while not termination.should_stop(log):
             generation += 1
-            if on_generation_start is not None:
-                on_generation_start(population, generation)
             bound = (
                 abort_bound(population)
                 if abort_bound is not None
                 else None
             )
             t0 = time.perf_counter()
-            offspring: list[Individual] = []
             with profiler.phase("mutation"):
-                if self.crossover is None:
-                    # the whole generation in one operator call, with
-                    # the draws of picking a parent and mutating it,
-                    # child by child
-                    index, children = self.mutation.offspring(
-                        np.stack([ind.genome for ind in population]),
-                        self.lam,
-                        rng,
-                        generation,
-                        total_generations,
+                # the whole generation in one operator call, with the
+                # draws of picking a parent and mutating it, child by
+                # child
+                index, children = self.mutation.offspring(
+                    np.stack([ind.genome for ind in population]),
+                    self.lam,
+                    rng,
+                    generation,
+                    total_generations,
+                )
+                offspring = [
+                    population[i].with_genome(
+                        child, "mutation", generation
                     )
-                    offspring = [
-                        population[i].with_genome(
-                            child, "mutation", generation
-                        )
-                        for i, child in zip(index.tolist(), children)
-                    ]
-                else:
-                    # crossover interleaves its draws with the parent
-                    # picks, so it keeps the per-child loop
-                    for _ in range(self.lam):
-                        parent = population[
-                            int(rng.integers(len(population)))
-                        ]
-                        genome = parent.genome
-                        origin = "mutation"
-                        if (
-                            len(population) > 1
-                            and rng.random() < self.crossover_rate
-                        ):
-                            mate = population[
-                                int(rng.integers(len(population)))
-                            ]
-                            genome = self.crossover.crossover(
-                                genome, mate.genome, rng
-                            )
-                            origin = "crossover+mutation"
-                        child_genome = self.mutation.mutate(
-                            genome, rng, generation, total_generations
-                        )
-                        offspring.append(
-                            parent.with_genome(
-                                child_genome, origin, generation
-                            )
-                        )
-            evals = self._evaluate(offspring, fitness, bound)
+                    for i, child in zip(index.tolist(), children)
+                ]
+            evals = evaluate_individuals(offspring, fitness, bound)
             if self.selection == "plus":
                 population = plus_selection(
                     population, offspring, self.mu

@@ -21,7 +21,6 @@ __all__ = [
     "ModelError",
     "TimeModelError",
     "ConfigurationError",
-    "EvaluationError",
     "CheckpointError",
     "CampaignError",
     "TraceError",
@@ -142,26 +141,6 @@ class TimeModelError(ModelError):
 
 class ConfigurationError(ReproError):
     """An algorithm configuration is invalid (e.g. mu <= 0)."""
-
-
-class EvaluationError(ReproError):
-    """A fitness evaluation failed permanently.
-
-    Raised by the evaluation engine once every recovery avenue (pool
-    rebuilds, bounded retries, the serial in-process fallback) has been
-    exhausted for a batch.  ``genome_indices`` identifies the positions,
-    within the submitted batch, of the genomes whose evaluation failed —
-    so callers can log, drop or re-enqueue exactly the affected
-    individuals.
-    """
-
-    def __init__(
-        self, message: str, genome_indices: tuple[int, ...] | list[int] = ()
-    ) -> None:
-        super().__init__(message)
-        self.genome_indices: tuple[int, ...] = tuple(
-            int(i) for i in genome_indices
-        )
 
 
 class CheckpointError(ReproError):

@@ -153,7 +153,6 @@ def run_comparison(
     emts: EMTS,
     baselines: list[AllocationHeuristic],
     seed: int | None = None,
-    workers: int | None = None,
     max_wall_time: float | None = None,
 ) -> ComparisonResult:
     """Schedule every PTG on every platform with EMTS and all baselines.
@@ -174,18 +173,12 @@ def run_comparison(
         Root seed; each (class, platform, instance) triple gets its own
         derived stream, so adding a class never perturbs another's
         results.
-    workers:
-        Optional fitness-evaluation worker count applied on top of
-        ``emts``'s own configuration (``None`` keeps it).  An exact
-        optimization: the recorded makespans do not change.
     max_wall_time:
         Optional per-run wall-clock budget (seconds) for each EMTS
         invocation; runs that hit it stop at a generation boundary and
         are recorded with ``interrupted=True`` (best-so-far makespan).
         Long sweeps then degrade gracefully instead of overrunning.
     """
-    if workers is not None:
-        emts = EMTS(emts.config.with_updates(workers=workers))
     result = ComparisonResult()
     for cluster in platforms:
         for cls, graphs in ptgs.items():

@@ -146,17 +146,13 @@ def _measure(
 def measure_runtimes(
     seed: int | None = None,
     repetitions: int = 5,
-    workers: int = 0,
     verify: str = "off",
 ) -> RuntimeReport:
     """Measure the paper's six runtime cells on this host.
 
-    ``workers`` configures the fitness-evaluation engine (see
-    :mod:`repro.core.evaluator`); it leaves the computed schedules
-    unchanged and only affects wall-clock time.  ``verify``
-    enables online differential verification of the fitness values
-    (``"sample"`` or ``"full"``); it too is results-transparent but its
-    cost shows up in the measured times — which is exactly how the
+    ``verify`` enables online differential verification of the fitness
+    values (``"sample"`` or ``"full"``); it is results-transparent but
+    its cost shows up in the measured times — which is exactly how the
     ``--verify sample`` overhead budget is audited.
     """
     rng = ensure_generator(seed, "runtime", "workloads")
@@ -189,7 +185,7 @@ def measure_runtimes(
     ]
     cells = []
     for factory, cluster, workload, ptgs, p_mean, p_std in plan:
-        emts = factory(workers=workers, verify=verify)
+        emts = factory(verify=verify)
         mean, std, evals, calls, hit_rate = _measure(
             emts, cluster, ptgs, seed
         )

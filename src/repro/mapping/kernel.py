@@ -45,15 +45,14 @@ native loop against the Python one directly.
 
 Build one kernel per (PTG, time table) and reuse it for every fitness
 call — :func:`kernel_for` caches the kernel on the ``TimeTable`` so all
-consumers (the serial and process-pool evaluators, ``makespan_of``,
+consumers (the fitness evaluator, ``makespan_of``,
 ``map_allocations``) share a single compiled representation.  Kernels
 are cheap to pickle and deliberately drop their PTG/table back
-references when serialized: worker processes receive only the index
-arrays and the dense time matrix, not the object graph.
+references when serialized: the receiver gets only the index arrays
+and the dense time matrix, not the object graph.
 
 A kernel instance is **not re-entrant**: its buffers are reused by
-every call, so share one kernel per thread/process (the process-pool
-evaluator builds one per worker).
+every call, so share one kernel per thread/process.
 """
 
 from __future__ import annotations
@@ -84,14 +83,40 @@ __all__ = [
 _EPS = 1e-12
 
 
+#: True in a process forked after its parent ran a multi-thread batch.
+#: libgomp's thread team does not survive ``fork``: a child that opens
+#: a parallel region on the inherited team waits for threads that no
+#: longer exist, so such a child schedules its batches on one thread.
+_forked_after_threads = False
+_at_fork_registered = False
+
+
+def _single_thread_in_child() -> None:
+    global _forked_after_threads
+    _forked_after_threads = True
+
+
+def _mark_threads_used() -> None:
+    """Make every later fork child of this process run single-threaded."""
+    global _at_fork_registered
+    if not _at_fork_registered:
+        _at_fork_registered = True
+        if hasattr(os, "register_at_fork"):  # no fork, no child to fix
+            os.register_at_fork(after_in_child=_single_thread_in_child)
+
+
 def batch_threads() -> int:
     """Thread count for the native batch scheduler.
 
     ``REPRO_CKERNEL_THREADS`` (default 1) fans batch rows across OpenMP
     threads when the library was built with ``-fopenmp``; results are
     bit-identical for any value because each row is scheduled
-    independently.  Invalid or non-positive values fall back to 1.
+    independently.  Invalid or non-positive values fall back to 1, and
+    so does a process forked after its parent ran a batch on more than
+    one thread.
     """
+    if _forked_after_threads:
+        return 1
     raw = os.environ.get("REPRO_CKERNEL_THREADS", "1")
     try:
         n = int(raw)
@@ -310,8 +335,8 @@ class ScheduleKernel:
     # ------------------------------------------------------------------
     def __getstate__(self) -> dict:
         state = dict(self.__dict__)
-        # worker processes only need the compiled arrays; the PTG and
-        # TimeTable object graphs stay in the parent process.  The
+        # a receiving process only needs the compiled arrays; the PTG
+        # and TimeTable object graphs stay with the sender.  The
         # generated sweep function is not picklable — regenerated on
         # arrival from the (picklable) sweep description.  The native
         # library handle and its workspace pointers are re-bound on
@@ -588,9 +613,20 @@ class ScheduleKernel:
 
         Returns a C-contiguous int64 array — the batch analogue of
         :meth:`_load_alloc`, with the same checks and messages applied
-        once across the whole block instead of per genome.
+        once across the whole block instead of per genome.  A list of
+        genome vectors is stacked here, so rows of unequal length raise
+        :class:`~repro.exceptions.AllocationError` like every other
+        malformed block; an empty list is an empty block.
         """
-        block = np.asarray(genome_block)
+        try:
+            block = np.asarray(genome_block)
+        except ValueError as exc:  # numpy refuses ragged nesting
+            raise AllocationError(
+                f"genome block rows differ in length, expected "
+                f"(batch, {self.num_tasks})"
+            ) from exc
+        if block.shape == (0,):
+            block = block.reshape(0, self.num_tasks)
         if block.ndim != 2 or block.shape[1] != self.num_tasks:
             raise AllocationError(
                 f"genome block has shape {block.shape}, expected "
@@ -636,11 +672,14 @@ class ScheduleKernel:
         if self._c is not None:
             ffi, lib, const_ptrs, _ws_ptrs = self._c
             out = np.empty(block.shape[0], dtype=np.float64)
+            threads = batch_threads()
+            if threads > 1:
+                _mark_threads_used()
             lib.schedule_makespan_batch(
                 block.shape[0],
                 self.num_tasks,
                 self.num_processors,
-                batch_threads(),
+                threads,
                 const_ptrs[0],
                 ffi.cast("const int64_t *", block.ctypes.data),
                 *const_ptrs[2:],

@@ -118,18 +118,15 @@ class ObservedEvaluator:
         genomes: Sequence,
         abort_above: float | None = None,
     ) -> list[float]:
-        genomes = list(genomes)
-        t0 = time.perf_counter()
-        values = self.inner.evaluate(genomes, abort_above=abort_above)
-        self._record(values, abort_above, time.perf_counter() - t0)
-        return values
+        """List form of :meth:`evaluate_batch`."""
+        return self.evaluate_batch(list(genomes), abort_above=abort_above)
 
     def evaluate_batch(
         self,
         genome_block,
         abort_above: float | None = None,
     ) -> list[float]:
-        """Block-path analogue of :meth:`evaluate`, same telemetry."""
+        """Evaluate one batch, recording its trace event and metrics."""
         t0 = time.perf_counter()
         values = self.inner.evaluate_batch(
             genome_block, abort_above=abort_above
@@ -166,7 +163,7 @@ def run_metrics(
         reg.counter("emts.cache_misses").inc(stats.cache_misses)
         reg.counter("emts.cache_evictions").inc(stats.evictions)
         reg.counter(
-            "emts.retries", help="chunks re-dispatched after failure"
+            "emts.retries", help="always 0: there is no worker pool"
         ).inc(stats.retries)
         reg.counter("emts.pool_rebuilds").inc(stats.pool_rebuilds)
         reg.counter("emts.eval_batches").inc(stats.batches)

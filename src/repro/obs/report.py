@@ -129,7 +129,6 @@ def _digest(run: dict[str, Any]) -> dict[str, Any]:
         "algorithm": attrs.get("algorithm", "?"),
         "problem": attrs.get("problem", {}),
         "engine": attrs.get("engine", end_attrs.get("engine", "?")),
-        "workers": attrs.get("workers", 0),
         "resumed": attrs.get("resumed", False),
         "incomplete": bool(run.get("incomplete", False)),
         "interrupted": bool(end_attrs.get("interrupted", False)),
@@ -191,10 +190,7 @@ def _render_run(summary: dict[str, Any], index: int, total: int) -> str:
         flags.append("trace incomplete (no run_end)")
     suffix = f"  [{', '.join(flags)}]" if flags else ""
     lines.append(f"run       : {summary['algorithm']} — {where}{suffix}")
-    lines.append(
-        f"engine    : {summary['engine']} kernel, "
-        f"workers={summary['workers']}"
-    )
+    lines.append(f"engine    : {summary['engine']} kernel")
     lines.append(
         f"result    : makespan "
         f"{_fmt_opt(summary['makespan'])} s after "

@@ -1,12 +1,11 @@
 """Fault-injection utilities for exercising the resilient EMTS stack.
 
-The production claim of the fault-tolerant evaluation engine — worker
-crashes, hangs and bad fitness values never change the optimization
-outcome — is only as good as the harness that attacks it.  This
-subpackage provides that harness: :mod:`repro.testing.chaos` wraps any
-fitness evaluator with a deterministic fault schedule (worker kills,
-raised exceptions, NaN fitness, delays) and ships picklable fault hooks
-that detonate *inside* pool worker processes.
+The production claim of the fault-tolerant EMTS stack — interrupts,
+slow batches and bad fitness values never change the optimization
+outcome silently — is only as good as the harness that attacks it.
+:mod:`repro.testing.chaos` wraps any fitness evaluator with a
+deterministic fault schedule (raised exceptions, NaN or corrupted
+fitness, delays, stragglers, stop events).
 
 :mod:`repro.testing.chaos_service` raises the attack one layer: a
 fault-injecting TCP proxy between client and daemon (drops, resets
@@ -19,18 +18,7 @@ planned batch index or connection ordinal, so a chaos test is exactly
 reproducible.
 """
 
-from .chaos import (
-    AlwaysFailFault,
-    ChaosError,
-    ChaosEvaluator,
-    ChaosPlan,
-    FlakyChunkFault,
-    ProcessorCrashFault,
-    SleepFault,
-    WorkerKillFault,
-    kill_one_worker,
-    sample_indices,
-)
+from .chaos import ChaosError, ChaosEvaluator, ChaosPlan, sample_indices
 from .chaos_service import (
     CORRUPTION_MODES,
     ChaosProxy,
@@ -46,12 +34,6 @@ __all__ = [
     "ChaosError",
     "ChaosPlan",
     "ChaosEvaluator",
-    "FlakyChunkFault",
-    "WorkerKillFault",
-    "ProcessorCrashFault",
-    "AlwaysFailFault",
-    "SleepFault",
-    "kill_one_worker",
     "sample_indices",
     "ProxyPlan",
     "ChaosProxy",

@@ -1,12 +1,11 @@
 """One backoff implementation for every retry loop in the repo.
 
-Three call sites grew their own ``base * factor ** (attempt - 1)``
-arithmetic over PRs 3, 4 and 8 (the pool evaluator's chunk retries, the
-campaign runner's trial retries, and the online runtime's task-failure
-backoff).  They all route through :func:`exponential_delay` now, which
-keeps the exact floating-point expression they used — bit-identical
-delays matter: the online runtime's backoff feeds *simulated time*, and
-a reordered multiply would silently change every fault-injected trace.
+The campaign runner's trial retries and the online runtime's
+task-failure backoff both route through :func:`exponential_delay`,
+which keeps the exact ``base * factor ** (attempt - 1)`` floating-point
+expression — bit-identical delays matter: the online runtime's backoff
+feeds *simulated time*, and a reordered multiply would silently change
+every fault-injected trace.
 
 The service retry layer (:class:`repro.service.RetryPolicy`) adds
 *decorrelated jitter* on top (:func:`decorrelated_jitter`, after Marc

@@ -1,7 +1,7 @@
 """Online verification of fitness evaluations.
 
-:class:`VerifyingEvaluator` wraps any fitness evaluator (serial, pool,
-or a chaos wrapper) and differentially verifies the makespans
+:class:`VerifyingEvaluator` wraps any fitness evaluator (the batch
+backend or a chaos wrapper) and differentially verifies the makespans
 it returns, behind the same ``verify={off,sample,full}`` knob the CLI
 and :class:`~repro.core.config.EMTSConfig` expose:
 
@@ -171,28 +171,24 @@ class VerifyingEvaluator:
         genomes: Sequence[np.ndarray],
         abort_above: float | None = None,
     ) -> list[float]:
-        """Evaluate through the wrapped backend, then verify.
-
-        Raises :class:`~repro.exceptions.VerificationError` when a
-        returned value is NaN, or when a (sampled or full) differential
-        replay disagrees with the backend.
-        """
-        genomes = list(genomes)
-        values = self.inner.evaluate(genomes, abort_above=abort_above)
-        self._post_check(genomes, values)
-        return values
+        """List form of :meth:`evaluate_batch`."""
+        return self.evaluate_batch(list(genomes), abort_above=abort_above)
 
     def evaluate_batch(
         self,
         genome_block: np.ndarray,
         abort_above: float | None = None,
     ) -> list[float]:
-        """Block-path analogue of :meth:`evaluate`, same checks."""
-        block = np.asarray(genome_block)
+        """Evaluate through the wrapped backend, then verify.
+
+        Raises :class:`~repro.exceptions.VerificationError` when a
+        returned value is NaN, or when a (sampled or full) differential
+        replay disagrees with the backend.
+        """
         values = self.inner.evaluate_batch(
-            block, abort_above=abort_above
+            genome_block, abort_above=abort_above
         )
-        self._post_check(block, values)
+        self._post_check(genome_block, values)
         return values
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

@@ -4,7 +4,7 @@ import numpy as np
 
 from repro.allocation import CpaAllocator, CprAllocator
 from repro.mapping import makespan_of
-from repro.platform import Cluster, chti
+from repro.platform import Cluster
 from repro.timemodels import AmdahlModel, SyntheticModel, TimeTable
 from repro.workloads import generate_fft
 

@@ -14,7 +14,7 @@ from repro.allocation import (
 )
 from repro.graph import level_members, precedence_levels
 from repro.mapping import makespan_of
-from repro.platform import Cluster, chti, grelon
+from repro.platform import Cluster
 from repro.timemodels import AmdahlModel, SyntheticModel, TimeTable
 
 

@@ -123,7 +123,7 @@ class TestSchedule:
         assert "evaluator" in out  # evaluation-engine statistics line
 
     def test_evaluator_flags(self, capsys):
-        """--workers configures the fitness engine without changing
+        """--verify configures the fitness engine without changing
         the computed schedule."""
 
         def run(extra):
@@ -148,14 +148,23 @@ class TestSchedule:
 
         base_ms, base_out = run([])
         assert "mapper calls" in base_out
-        pool_ms, _ = run(["--workers", "2"])
-        assert base_ms == pool_ms
+        verified_ms, _ = run(["--verify", "full"])
+        assert base_ms == verified_ms
 
     def test_evaluator_flag_defaults(self):
         args = build_parser().parse_args(
             ["schedule", "--kind", "strassen"]
         )
-        assert args.workers == 0
+        assert args.verify == "off"
+        assert args.islands == 0
+
+    def test_workers_flag_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(
+                ["schedule", "--kind", "strassen", "--workers", "2"]
+            )
+        assert exc.value.code == 2
+        assert "--workers" in capsys.readouterr().err
 
     def test_gantt_flag(self, capsys):
         main(

@@ -212,7 +212,7 @@ def test_engine_knobs_are_not_fingerprinted(tmp_path):
         checkpoint_path=path, stop_event=stop,
     )
     baseline = run_baseline()
-    resumed = emts5(workers=2).schedule(
+    resumed = emts5(verify="full").schedule(
         PTG, CLUSTER, MODEL, rng=7, resume_from=path
     )
     assert resumed.makespan == baseline.makespan

@@ -1,26 +1,23 @@
 """Tests for the pluggable fitness-evaluation engine.
 
-Covers the acceptance invariants of the evaluator subsystem: every
-backend returns bit-identical makespans (serial vs. process pool),
-every submitted genome is scored, the rejection bound keeps working
-when shipped to worker processes, and worker-count edge cases (0, 1,
-> cpu_count) behave sensibly.
+Covers the acceptance invariants of the evaluator subsystem: the batch
+backend returns the reference mapper's makespans, bit-identical for any
+kernel thread count, every submitted genome is scored, the rejection
+bound keeps working, and malformed input raises typed errors.
 """
-
-import os
 
 import numpy as np
 import pytest
 
 from repro.core import (
     EMTSConfig,
-    ProcessPoolEvaluator,
     SerialEvaluator,
     create_evaluator,
     emts5,
+    emts10,
 )
 from repro.ea import EvolutionStrategy, Individual, UniformIntegerMutation
-from repro.exceptions import ConfigurationError
+from repro.exceptions import AllocationError, ConfigurationError
 from repro.mapping import makespan_of
 from repro.platform import grelon
 from repro.timemodels import AmdahlModel, SyntheticModel, TimeTable
@@ -90,95 +87,66 @@ class TestSerialEvaluator:
         assert ev.evaluate([]) == []
         assert ev.stats.evaluations == 0
 
+    def test_table_of_another_ptg_rejected(self):
+        """A table built for a different graph would mix one graph's
+        edges with the other's task times."""
+        ptg = generate_fft(4, rng=2)
+        other = generate_fft(4, rng=1)
+        table = TimeTable.build(AmdahlModel(), other, grelon())
+        with pytest.raises(ConfigurationError, match="graphs differ"):
+            SerialEvaluator(ptg, table)
 
-class TestProcessPoolEvaluator:
-    def test_workers_zero_rejected(self, problem):
+    def test_ragged_batch_raises_allocation_error(self, problem, genomes):
         ptg, _, table = problem
-        with pytest.raises(ConfigurationError):
-            ProcessPoolEvaluator(ptg, table, workers=0)
-
-    def test_matches_serial_in_order(self, problem, genomes):
-        ptg, _, table = problem
-        expected = [makespan_of(ptg, table, g) for g in genomes]
-        with ProcessPoolEvaluator(ptg, table, workers=2) as ev:
-            values = ev.evaluate(genomes)
-        assert values == expected
-
-    def test_more_workers_than_cores(self, problem, genomes):
-        workers = (os.cpu_count() or 1) + 2
-        ptg, _, table = problem
-        with ProcessPoolEvaluator(
-            ptg, table, workers=workers
-        ) as ev:
-            values = ev.evaluate(genomes[:4])
-        assert values == [
-            makespan_of(ptg, table, g) for g in genomes[:4]
-        ]
-
-    def test_abort_bound_applied_per_chunk(self, problem, genomes):
-        """The rejection bound must reach the workers with every
-        dispatched chunk — parallelism must not disable the paper's
-        rejection strategy."""
-        ptg, _, table = problem
-        exact = [makespan_of(ptg, table, g) for g in genomes]
-        bound = sorted(exact)[len(exact) // 2]
-        with ProcessPoolEvaluator(
-            ptg, table, workers=2, chunk_size=3
-        ) as ev:
-            gated = ev.evaluate(genomes, abort_above=bound)
-        serial_gated = [
-            makespan_of(ptg, table, g, abort_above=bound)
-            for g in genomes
-        ]
-        assert gated == serial_gated
-        assert float("inf") in gated  # the bound actually rejected
-
-    def test_pool_is_reusable_across_batches(self, problem, genomes):
-        ptg, _, table = problem
-        with ProcessPoolEvaluator(ptg, table, workers=2) as ev:
-            a = ev.evaluate(genomes[:3])
-            b = ev.evaluate(genomes[:3])
-        assert a == b
-        assert ev.stats.batches == 2
+        ragged = [genomes[0], genomes[1][:-1]]
+        ev = SerialEvaluator(ptg, table)
+        with pytest.raises(AllocationError):
+            ev.evaluate(ragged)
+        with pytest.raises(AllocationError):
+            ev.evaluate_batch(ragged)
+        with pytest.raises(AllocationError):
+            create_evaluator(ptg, table, verify="full").evaluate(ragged)
 
 
 class TestCreateEvaluator:
-    def test_workers_zero_and_one_are_serial(self, problem):
+    def test_serial_backend(self, problem):
         ptg, _, table = problem
-        for workers in (0, 1):
-            ev = create_evaluator(ptg, table, workers=workers)
-            assert isinstance(ev, SerialEvaluator)
+        assert isinstance(create_evaluator(ptg, table), SerialEvaluator)
 
-    def test_pool_backend_selected(self, problem):
-        ptg, _, table = problem
-        ev = create_evaluator(ptg, table, workers=2)
-        assert isinstance(ev, ProcessPoolEvaluator)
-        ev.close()
 
-    def test_negative_workers_rejected(self, problem):
-        ptg, _, table = problem
-        with pytest.raises(ConfigurationError):
-            create_evaluator(ptg, table, workers=-1)
+def _run_digest(result):
+    """Makespan bits, allocation and per-generation (best, evaluations)."""
+    return (
+        float.hex(result.makespan),
+        result.allocation.tolist(),
+        [(e.best, e.evaluations) for e in result.log.entries],
+    )
 
 
 class TestDeterminismAcrossBackends:
-    """Acceptance: serial and pool(4) runs are bit-identical."""
+    """The batch kernel on one thread and on two OpenMP threads gives
+    bit-identical EMTS10 runs (``REPRO_CKERNEL_THREADS``)."""
 
-    def test_strassen_model1_identical(self, problem):
+    @staticmethod
+    def _identical(problem, monkeypatch, **overrides):
         ptg, cluster, table = problem
-        serial = emts5().schedule(ptg, cluster, table, rng=7)
-        pooled = emts5(workers=4).schedule(ptg, cluster, table, rng=7)
-        assert serial.makespan == pooled.makespan
-        assert np.array_equal(serial.allocation, pooled.allocation)
+        digests = []
+        for threads in ("1", "2"):
+            monkeypatch.setenv("REPRO_CKERNEL_THREADS", threads)
+            result = emts10(**overrides).schedule(
+                ptg, cluster, table, rng=7
+            )
+            digests.append(_run_digest(result))
+        assert digests[0] == digests[1]
 
-    def test_rejection_plus_pool_identical(self, problem):
-        ptg, cluster, table = problem
-        plain = emts5().schedule(ptg, cluster, table, rng=13)
-        fast = emts5(workers=2, use_rejection=True).schedule(
-            ptg, cluster, table, rng=13
-        )
-        assert fast.makespan == plain.makespan
-        assert np.array_equal(fast.allocation, plain.allocation)
+    def test_strassen_model1_identical(self, problem, monkeypatch):
+        self._identical(problem, monkeypatch)
+
+    def test_rejection_identical(self, problem, monkeypatch):
+        self._identical(problem, monkeypatch, use_rejection=True)
+
+    def test_islands_identical(self, problem, monkeypatch):
+        self._identical(problem, monkeypatch, islands=2)
 
 
 class TestEMTSIntegration:
@@ -199,7 +167,7 @@ class TestEMTSIntegration:
 
     def test_config_validation(self):
         with pytest.raises(ConfigurationError):
-            EMTSConfig(workers=-2)
+            EMTSConfig(verify="sometimes")
 
 
 class TestStrategyBatchPath:
@@ -212,8 +180,8 @@ class TestStrategyBatchPath:
             return float(np.abs(genome - target).sum())
 
         class BatchWrapper:
-            def evaluate(self, genomes, abort_above=None):
-                return [fitness(g) for g in genomes]
+            def evaluate_batch(self, genome_block, abort_above=None):
+                return [fitness(g) for g in genome_block]
 
         init = [
             Individual(
@@ -246,7 +214,7 @@ class TestStrategyBatchPath:
 
     def test_batch_size_mismatch_rejected(self):
         class Broken:
-            def evaluate(self, genomes, abort_above=None):
+            def evaluate_batch(self, genome_block, abort_above=None):
                 return [1.0]  # wrong length
 
         init = [
@@ -294,29 +262,6 @@ class TestEvaluateBatch:
             assert ev.evaluate_batch(
                 np.empty((0, ptg.num_tasks), dtype=np.int64)
             ) == []
-
-    @pytest.mark.parametrize("mp_context", ["fork", "spawn"])
-    def test_pool_block_ships_shared_memory_slices(
-        self, problem, genomes, mp_context
-    ):
-        """The pool publishes the block once (shared memory) and ships
-        index slices; results equal serial, with zero retries."""
-        ptg, _, table = problem
-        block = np.stack(genomes)
-        with SerialEvaluator(ptg, table) as serial:
-            expected = serial.evaluate_batch(block)
-        with ProcessPoolEvaluator(
-            ptg, table, workers=2, chunk_size=4, mp_context=mp_context
-        ) as pool:
-            values = pool.evaluate_batch(block)
-            assert values == expected
-            assert pool.stats.retries == 0
-            bound = sorted(expected)[len(expected) // 2]
-            gated = pool.evaluate_batch(block, abort_above=bound)
-        with SerialEvaluator(ptg, table) as serial:
-            assert gated == serial.evaluate_batch(
-                block, abort_above=bound
-            )
 
     def test_cache_hit_rate_gauge_in_run_metrics(self, problem):
         from repro.obs import run_metrics

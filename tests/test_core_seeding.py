@@ -1,6 +1,5 @@
 """Unit tests for EMTS population seeding (paper Section III-B)."""
 
-import numpy as np
 import pytest
 
 from repro.core import (

@@ -3,11 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.ea import (
-    OnePointCrossover,
-    UniformIntegerMutation,
-    UniformPointCrossover,
-)
+from repro.ea import UniformIntegerMutation
 from repro.exceptions import ConfigurationError
 
 
@@ -42,36 +38,3 @@ class TestUniformIntegerMutation:
             UniformIntegerMutation(low=5, high=1)
         with pytest.raises(ConfigurationError):
             UniformIntegerMutation(low=1, high=5, rate=0.0)
-
-
-class TestCrossover:
-    def test_uniform_mixes_parents(self, rng):
-        a = np.zeros(100, dtype=np.int64)
-        b = np.ones(100, dtype=np.int64)
-        child = UniformPointCrossover().crossover(a, b, rng)
-        assert 0 < child.sum() < 100  # some of each
-
-    def test_uniform_requires_equal_length(self, rng):
-        with pytest.raises(ConfigurationError):
-            UniformPointCrossover().crossover(
-                np.zeros(3, dtype=np.int64),
-                np.zeros(4, dtype=np.int64),
-                rng,
-            )
-
-    def test_one_point_structure(self, rng):
-        a = np.zeros(50, dtype=np.int64)
-        b = np.ones(50, dtype=np.int64)
-        child = OnePointCrossover().crossover(a, b, rng)
-        # prefix of zeros followed by suffix of ones
-        ones = np.flatnonzero(child)
-        assert ones.size > 0
-        assert np.array_equal(
-            ones, np.arange(ones[0], 50)
-        )
-
-    def test_one_point_single_gene(self, rng):
-        a = np.array([7])
-        b = np.array([9])
-        child = OnePointCrossover().crossover(a, b, rng)
-        assert child[0] == 9  # cut at 0: everything from parent b

@@ -16,7 +16,6 @@ from repro.ea import (
     StagnationLimit,
     TimeBudget,
     UniformIntegerMutation,
-    UniformPointCrossover,
 )
 from repro.exceptions import ConfigurationError
 
@@ -55,7 +54,6 @@ class TestConfigValidation:
             dict(lam=0),
             dict(selection="tournament"),
             dict(selection="comma", mu=5, lam=3),
-            dict(crossover_rate=1.5),
         ],
     )
     def test_invalid(self, kwargs):
@@ -97,17 +95,6 @@ class TestEvolve:
             mu=3, lam=12, selection="comma"
         ).evolve(initial_pop(), fitness, rng, total_generations=5)
         assert len(result.population) == 3
-
-    def test_crossover_enabled(self, rng):
-        strat = make_strategy(
-            crossover=UniformPointCrossover(), crossover_rate=1.0
-        )
-        result = strat.evolve(
-            initial_pop(), fitness, rng, total_generations=5
-        )
-        origins = {i.origin for i in result.population}
-        # at least some survivors should be crossover products
-        assert result.best_fitness <= 20
 
     def test_requires_initial_population(self, rng):
         with pytest.raises(ConfigurationError):
@@ -183,57 +170,36 @@ class TestEvolve:
         for ind, before in zip(init, genomes_before):
             assert np.array_equal(ind.genome, before)
 
-    def test_on_generation_start_hook(self, rng):
-        calls = []
-
-        def hook(parents, generation):
-            calls.append(
-                (generation, [p.evaluated_fitness() for p in parents])
-            )
-
-        make_strategy(mu=2).evolve(
-            initial_pop(2),
-            fitness,
-            rng,
-            total_generations=4,
-            on_generation_start=hook,
-        )
-        assert [c[0] for c in calls] == [1, 2, 3, 4]
-        # parents handed to the hook are always evaluated
-        assert all(
-            all(np.isfinite(f) for f in fits) for _, fits in calls
-        )
-
     def test_hook_bound_rejection_equivalence(self, rng):
         """Rejecting offspring at the worst-parent cutoff must not
         change the trajectory (the EMTS rejection-strategy invariant,
         checked at the engine level)."""
 
-        def run(with_rejection: bool):
-            bound = [float("inf")]
+        class GatedFitness:
+            rejected = 0
 
-            def hook(parents, generation):
-                if with_rejection:
-                    bound[0] = max(
-                        p.evaluated_fitness() for p in parents
-                    )
+            def evaluate_batch(self, genome_block, abort_above=None):
+                bound = float("inf") if abort_above is None else abort_above
+                values = [fitness(g) for g in genome_block]
+                self.rejected += sum(f >= bound for f in values)
+                return [f if f < bound else float("inf") for f in values]
 
-            def gated_fitness(genome):
-                f = fitness(genome)
-                if f >= bound[0]:
-                    return float("inf")
-                return f
+        def worst_parent(parents):
+            return max(p.evaluated_fitness() for p in parents)
 
+        def run(gate: GatedFitness, with_rejection: bool):
             return make_strategy().evolve(
                 initial_pop(),
-                gated_fitness,
+                gate,
                 np.random.default_rng(77),
                 total_generations=8,
-                on_generation_start=hook,
+                abort_bound=worst_parent if with_rejection else None,
             )
 
-        plain = run(False)
-        gated = run(True)
+        gate = GatedFitness()
+        plain = run(GatedFitness(), False)
+        gated = run(gate, True)
+        assert gate.rejected > 0
         assert plain.best_fitness == gated.best_fitness
         assert np.array_equal(plain.best.genome, gated.best.genome)
 

@@ -1,6 +1,5 @@
 """Unit tests for the comparison harness and report rendering."""
 
-import numpy as np
 import pytest
 
 from repro.allocation import HcpaAllocator, McpaAllocator
@@ -104,13 +103,17 @@ class TestRunComparison:
         ]
         kwargs = dict(
             model=SyntheticModel(),
-            emts=emts5(generations=2),
             baselines=[McpaAllocator()],
             seed=3,
         )
-        plain = run_comparison(ptgs, platforms, **kwargs)
+        plain = run_comparison(
+            ptgs, platforms, emts=emts5(generations=2), **kwargs
+        )
         tuned = run_comparison(
-            ptgs, platforms, workers=2, **kwargs
+            ptgs,
+            platforms,
+            emts=emts5(generations=2, verify="full"),
+            **kwargs,
         )
         assert (
             plain.records[0].emts_makespan

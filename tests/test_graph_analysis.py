@@ -11,7 +11,6 @@ from repro.graph import (
     critical_path,
     critical_path_length,
     delta_critical_sets,
-    fork_join,
     graph_width,
     level_members,
     precedence_levels,

@@ -134,9 +134,42 @@ def test_makespan_batch_matches_scalar(model_cls):
         assert value == kernel.makespan(alloc, abort_above=bound)
 
 
+def _score_into(kernel, block, conn):
+    conn.send(kernel.makespan_batch(block))
+    conn.close()
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
+def test_child_forked_after_threaded_batch_scores(monkeypatch):
+    """libgomp's thread team does not survive fork: a child forked after
+    a two-thread batch must still score its first batch (on one
+    thread) instead of waiting forever for the parent's threads."""
+    import multiprocessing
+
+    case = GRAPH_CASES[5]
+    ptg, table = _problem(case, SyntheticModel)
+    kernel = kernel_for(table)
+    block = _random_allocs(case, SyntheticModel, 16)
+    monkeypatch.setenv("REPRO_CKERNEL_THREADS", "2")
+    expected = kernel.makespan_batch(block)
+    ctx = multiprocessing.get_context("fork")
+    receiver, sender = ctx.Pipe(duplex=False)
+    child = ctx.Process(target=_score_into, args=(kernel, block, sender))
+    child.start()
+    try:
+        assert receiver.poll(30), "forked child hung in its first batch"
+        assert receiver.recv() == expected
+        child.join(30)
+        assert child.exitcode == 0
+    finally:
+        if child.is_alive():
+            child.kill()
+            child.join(30)
+
+
 def test_pickle_roundtrip_bit_identical():
-    """Workers receive the kernel by pickle; the rebuilt kernel (with
-    regenerated compiled sweeps) must agree bitwise."""
+    """A kernel sent to another process by pickle (with regenerated
+    compiled sweeps) must agree bitwise."""
     case = GRAPH_CASES[2]
     ptg, table = _problem(case, SyntheticModel)
     kernel = ScheduleKernel(ptg, table)

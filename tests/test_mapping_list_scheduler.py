@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from repro.exceptions import AllocationError
-from repro.graph import PTG, PTGBuilder, Task, chain, fork_join
+from repro.graph import PTG, PTGBuilder, Task, chain
 from repro.mapping import (
     check_allocation,
     makespan_of,

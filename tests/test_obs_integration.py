@@ -202,21 +202,6 @@ class TestRunMetrics:
         batch = registry.get("evaluation.batch_seconds")
         assert batch.total == registry.value("evaluation.batches")
 
-    def test_worker_metrics_merge_at_chunk_boundaries(
-        self, problem, tmp_path
-    ):
-        registry = MetricsRegistry()
-        ptg, cluster, table = problem
-        result = emts5(workers=2).schedule(
-            ptg, cluster, table, rng=3, metrics=registry
-        )
-        assert registry.value("worker.chunks") > 0
-        # every submitted genome is scored in a worker
-        assert (
-            registry.value("worker.genomes")
-            == result.evaluation_stats.evaluations
-        )
-
     def test_run_snapshot_matches_result(self, problem):
         ptg, cluster, table = problem
         result = emts5().schedule(ptg, cluster, table, rng=3)

@@ -35,11 +35,11 @@ class TestGetLogger:
 
     def test_module_loggers_use_the_hierarchy(self):
         """Every instrumented module hangs off the repro root."""
-        from repro.core import emts, evaluator
+        from repro.core import emts, mutation
         from repro.ea import strategy
         from repro.mapping import _cscheduler
 
-        for module in (emts, evaluator, strategy, _cscheduler):
+        for module in (emts, mutation, strategy, _cscheduler):
             assert module._log.name.startswith("repro.")
 
 

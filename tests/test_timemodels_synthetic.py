@@ -1,6 +1,5 @@
 """Unit tests for Model 2 (synthetic non-monotone) — Algorithm 1."""
 
-import numpy as np
 import pytest
 
 from repro.graph import Task

@@ -1,6 +1,5 @@
 """Unit tests for the tabulated/empirical model."""
 
-import numpy as np
 import pytest
 
 from repro.exceptions import ModelError

@@ -1,6 +1,5 @@
 """Unit tests for the Strassen PTG generator."""
 
-import numpy as np
 import pytest
 
 from repro.exceptions import GraphError

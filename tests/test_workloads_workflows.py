@@ -1,6 +1,5 @@
 """Unit tests for the scientific-workflow generators."""
 
-import numpy as np
 import pytest
 
 from repro.exceptions import GraphError
