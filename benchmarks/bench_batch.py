@@ -6,17 +6,18 @@ the CI perf-smoke job regenerates and gates) with:
 
 ``single_us_per_genome``
     Mean microseconds per genome when each genome crosses the full
-    evaluator stack in its own call — one FFI round-trip (or numpy
-    schedule) per genome, the per-genome-overhead-dominated path the
-    batch entry point eliminates.
+    evaluator stack in its own call — one FFI round-trip (or one
+    reference-mapper run on the fallback) per genome, the
+    per-genome-overhead-dominated path the batch entry point
+    eliminates.
 ``batch_us_per_genome``
     Mean microseconds per genome when one generation-sized block goes
     through :meth:`FitnessEvaluator.evaluate_batch` in a single call.
 ``batch_speedup_x``
     ``single / batch`` measured in the *same run* on the same host, so
     the ratio is robust to hardware differences.  Gated at >= 5x on
-    the compiled engine (the numpy fallback saves only Python
-    dispatch, not the FFI crossing, and is gated at >= 1x).
+    the compiled engine (the fallback runs the reference mapper row
+    by row, saves only the per-call dispatch, and is gated at >= 1x).
 ``engine``
     ``"c"`` when the compiled cffi kernel scored the block, else
     ``"numpy"``.

@@ -366,7 +366,7 @@ class EMTS:
                 )
             # Build the compiled scheduling kernel up front: every fitness
             # call of the run (seeding included) reuses its CSR arrays and
-            # preallocated buffers, and the construction cost stays out of
+            # dense time table, and the construction cost stays out of
             # the first generation's timing.
             with profiler.phase("kernel_build"):
                 kernel = kernel_for(table)

@@ -6,9 +6,11 @@ Public API:
   first-fit processor sets; returns a validated :class:`Schedule`;
 * :func:`makespan_of` — the same engine, makespan-only (the EA fitness
   fast path), with the optional ``abort_above`` rejection strategy;
-* :class:`ScheduleKernel` / :func:`kernel_for` — the compiled
-  array-based engine behind both of the above: CSR graph, dense time
-  tables and preallocated buffers, built once per (PTG, table) pair;
+* :class:`ScheduleKernel` / :func:`kernel_for` — the compiled engine
+  behind both of the above: CSR graph and dense time table, built once
+  per (PTG, table) pair, scored and scheduled by one native loop (the
+  reference mapper when no C compiler is available); safe to share
+  between threads;
 * :class:`Schedule`, :class:`ScheduledTask` — schedule data model with
   invariant checking;
 * :class:`ProcessorState` — processor-availability bookkeeping;

@@ -1,14 +1,28 @@
-"""Optional C implementation of the makespan scheduling loop.
+"""The native library: the compiled scheduling loop and its neighbours.
 
-The Python/numpy fast path in :mod:`repro.mapping.kernel` spends most
-of its time in per-task numpy call overhead (the arrays hold only
-``P`` elements, so dispatch dominates the actual work).  This module
-compiles the same loop to native code at first use — plain C built
-with the system compiler and loaded through :mod:`cffi`'s ABI mode, so
-no Python headers are required — and caches the shared library under
-the system temp directory keyed by a hash of the source.
+Plain C built at first use with the system compiler and loaded through
+:mod:`cffi`'s ABI mode — no Python headers are required — and cached
+as a shared library under the system temp directory, keyed by a hash
+of the source, the flags, the compiler and numpy's version.
 
-Bit-identity with the reference engine is preserved by construction:
+The list scheduler of :mod:`repro.mapping.kernel` is one C loop, the
+slot scheduler ``schedule_slots``: processor free times are kept as a
+sorted linked list of distinct values, one processor bitmask per
+value, so the s-th smallest free time is a prefix-count walk and the
+first-fit processor set is bit arithmetic.  Two entry points share
+its per-call work-space setup:
+
+* ``schedule_makespan_batch`` scores a whole ``(B, V)`` allocation
+  matrix in one call, optionally fanning rows across OpenMP threads
+  (``nthreads``; built with ``-fopenmp`` when that compiles, plain
+  otherwise);
+* ``schedule_build`` runs the same loop on one allocation and also
+  writes each task's start and finish times and its processor indices
+  in ascending order — the final schedule of a run.
+
+Bit-identity with the reference mapper
+(:func:`repro.mapping.list_scheduler._run`) is preserved by
+construction:
 
 * every floating-point operation (the bottom-level ``max`` chains, the
   ``t_start``/``t_finish`` additions, the ``<= t_start + 1e-12``
@@ -18,20 +32,8 @@ Bit-identity with the reference engine is preserved by construction:
 * the ready queue pops tasks in the exact (bottom level descending,
   index ascending) order — a strict total order, so any correct heap
   yields the same sequence as :mod:`heapq`;
-* the quickselect only extracts the *value* of the s-th smallest free
-  time, which is independent of selection order, and processors are
-  committed first-fit by index with the same epsilon window.
-
-Two entry points are exported: ``schedule_makespan`` scores one genome
-per call, and ``schedule_makespan_batch`` scores a whole ``(B, V)``
-allocation matrix in a single call using a slot-multiset scheduler
-(sorted linked list of distinct free times, one processor bitmask per
-slot) that replaces the per-task quickselect with prefix-count walks
-and bit arithmetic — same IEEE-754 operations, same first-fit index
-sets, bit-identical results, several times faster per genome.  The
-batch loop is annotated with OpenMP pragmas; when built with
-``-fopenmp`` (attempted first, plain build as fallback) the caller can
-fan rows across threads via the ``nthreads`` argument.
+* free-time slots are compared exactly, and the chosen processors are
+  the same first-fit-by-index set the reference's epsilon scan commits.
 
 A third entry point, ``cpa_allocate``, runs the whole CPA-family
 allocation loop of :mod:`repro.allocation.cpa` (level sweeps,
@@ -54,19 +56,20 @@ only when it and the header exist; the archive's path and
 link) the library is built without this entry point and the scheduling
 kernel loads as before.
 
-The property suite in ``tests/test_mapping_kernel.py`` pins the native
-scheduling path against the pure-Python reference with exact ``==``
-comparisons; ``tests/test_allocation_cpa.py`` does the same for the
+The property suite in ``tests/test_mapping_kernel.py`` pins both
+scheduling entry points against the pure-Python reference with exact
+``==`` comparisons; ``tests/test_allocation_cpa.py`` does the same for the
 allocation loop and ``tests/test_core_mutation.py`` for the offspring.
 
 If :mod:`cffi` or a C compiler is unavailable, or compilation fails
-for any reason, :func:`load` returns ``(None, None)`` and the kernel
-keeps its numpy fast path (a warning is logged so the degradation is
-visible, never fatal).  A corrupted or truncated cached ``.so`` — e.g.
-from a machine crash mid-publish or a cache shared across incompatible
-toolchains — is detected at ``dlopen``/symbol-check time, deleted, and
-rebuilt once before giving up.  Set ``REPRO_NO_CKERNEL=1`` to force
-the fallback; set ``REPRO_CKERNEL_CACHE`` to relocate the build cache.
+for any reason, :func:`load` returns ``(None, None)`` and every caller
+runs its Python loop — for the kernel, the reference mapper (a warning
+is logged so the degradation is visible, never fatal).  A corrupted or
+truncated cached ``.so`` — e.g. from a machine crash mid-publish or a
+cache shared across incompatible toolchains — is detected at
+``dlopen``/symbol-check time, deleted, and rebuilt once before giving
+up.  Set ``REPRO_NO_CKERNEL=1`` to force the fallback; set
+``REPRO_CKERNEL_CACHE`` to relocate the build cache.
 """
 
 from __future__ import annotations
@@ -86,29 +89,27 @@ __all__ = ["load", "CDEF"]
 _log = get_logger("mapping.ckernel")
 
 CDEF = """
-double schedule_makespan(
-    int V, int P,
-    const double *flat_times,
-    const int64_t *alloc,
-    const int32_t *rev_topo,
-    const int32_t *indptr,
-    const int32_t *indices,
-    const int32_t *indeg,
-    double bound,
-    double *times_ws, double *bl_ws, double *data_ready_ws,
-    int32_t *n_waiting_ws, double *free_ws, double *scratch_ws,
-    int32_t *heap_ws);
-
-void schedule_makespan_batch(
+int schedule_makespan_batch(
     int B, int V, int P, int nthreads,
     const double *flat_times,
-    const int64_t *alloc_rows,
     const int32_t *rev_topo,
     const int32_t *indptr,
     const int32_t *indices,
     const int32_t *indeg,
+    const int64_t *alloc_rows,
     double bound,
     double *out);
+
+double schedule_build(
+    int V, int P,
+    const double *flat_times,
+    const int32_t *rev_topo,
+    const int32_t *indptr,
+    const int32_t *indices,
+    const int32_t *indeg,
+    const int64_t *alloc,
+    const int64_t *proc_end,
+    double *start, double *finish, int64_t *procs);
 
 int64_t cpa_allocate(
     int64_t V, int64_t P,
@@ -185,158 +186,23 @@ static int32_t heap_pop(int32_t *heap, int *n, const double *bl) {
     return top;
 }
 
-/* Value of the k-th smallest element (0-based) — Hoare quickselect.
- * Only the value is consumed, which is independent of how ties are
- * arranged, so any correct selection algorithm is bit-identical to
- * numpy's introselect partition. */
-static double kth_smallest(double *a, int n, int k) {
-    int lo = 0, hi = n - 1;
-    while (lo < hi) {
-        double pivot = a[lo + (hi - lo) / 2];
-        int i = lo, j = hi;
-        while (i <= j) {
-            while (a[i] < pivot) i++;
-            while (a[j] > pivot) j--;
-            if (i <= j) {
-                double t = a[i];
-                a[i] = a[j];
-                a[j] = t;
-                i++;
-                j--;
-            }
-        }
-        if (k <= j)
-            hi = j;
-        else if (k >= i)
-            lo = i;
-        else
-            return a[k];
-    }
-    return a[lo];
-}
-
-double schedule_makespan(
-    int V, int P,
-    const double *flat_times,
-    const int64_t *alloc,
-    const int32_t *rev_topo,
-    const int32_t *indptr,
-    const int32_t *indices,
-    const int32_t *indeg,
-    double bound,
-    double *t, double *bl, double *data_ready,
-    int32_t *n_waiting, double *free_v, double *scratch,
-    int32_t *heap)
-{
-    /* per-task times from the dense table: T(v, s(v)) */
-    for (int v = 0; v < V; v++)
-        t[v] = flat_times[(size_t)v * P + (alloc[v] - 1)];
-
-    /* bottom levels: reverse-topological sweep, exact max chains */
-    for (int i = 0; i < V; i++) {
-        int32_t v = rev_topo[i];
-        int32_t s = indptr[v], e = indptr[v + 1];
-        if (s == e) {
-            bl[v] = t[v];
-            continue;
-        }
-        double m = bl[indices[s]];
-        for (int32_t j = s + 1; j < e; j++) {
-            double x = bl[indices[j]];
-            if (x > m)
-                m = x;
-        }
-        bl[v] = t[v] + m;
-    }
-
-    int heap_n = 0;
-    for (int v = 0; v < V; v++) {
-        data_ready[v] = 0.0;
-        n_waiting[v] = indeg[v];
-        if (indeg[v] == 0)
-            heap_push(heap, &heap_n, bl, v);
-    }
-    for (int p = 0; p < P; p++)
-        free_v[p] = 0.0;
-
-    double makespan = 0.0;
-    while (heap_n > 0) {
-        int32_t v = heap_pop(heap, &heap_n, bl);
-        int64_t s = alloc[v];
-        double r = data_ready[v];
-        double t_start, t_finish;
-        if (r >= makespan) {
-            /* every processor is free by r: prefix assignment and the
-             * new finish time is the new peak */
-            t_start = r;
-            t_finish = r + t[v];
-            if (t_start + bl[v] >= bound)
-                return INFINITY;
-            for (int64_t p = 0; p < s; p++)
-                free_v[p] = t_finish;
-            makespan = t_finish;
-        } else if (s == P) {
-            double kth = free_v[0];
-            for (int p = 1; p < P; p++)
-                if (free_v[p] > kth)
-                    kth = free_v[p];
-            t_start = r >= kth ? r : kth;
-            t_finish = t_start + t[v];
-            if (t_start + bl[v] >= bound)
-                return INFINITY;
-            for (int p = 0; p < P; p++)
-                free_v[p] = t_finish;
-            if (t_finish > makespan)
-                makespan = t_finish;
-        } else {
-            for (int p = 0; p < P; p++)
-                scratch[p] = free_v[p];
-            double kth = kth_smallest(scratch, P, (int)(s - 1));
-            t_start = r >= kth ? r : kth;
-            t_finish = t_start + t[v];
-            if (t_start + bl[v] >= bound)
-                return INFINITY;
-            /* first-fit by index among processors free at t_start */
-            double limit = t_start + EPS;
-            int64_t left = s;
-            for (int p = 0; p < P && left > 0; p++) {
-                if (free_v[p] <= limit) {
-                    free_v[p] = t_finish;
-                    left--;
-                }
-            }
-            if (t_finish > makespan)
-                makespan = t_finish;
-        }
-        for (int32_t j = indptr[v]; j < indptr[v + 1]; j++) {
-            int32_t w = indices[j];
-            if (t_finish > data_ready[w])
-                data_ready[w] = t_finish;
-            if (--n_waiting[w] == 0)
-                heap_push(heap, &heap_n, bl, w);
-        }
-    }
-    return makespan;
-}
-
 /* ------------------------------------------------------------------
- * Population-at-once batch path.
+ * The slot scheduler: the one compiled list-scheduling loop.
  *
- * The per-genome loop above pays a quickselect over all P free times
- * for almost every task.  The batch path replaces the free-time array
- * with a *multiset of slots*: a value-sorted doubly-linked list with
- * one node per distinct free time, each node owning a bitmask of the
- * processor indices that become free at that time.  The s-th smallest
- * free time is then a prefix-count walk over a handful of nodes, and
- * the first-fit-by-index commitment is "the lowest s set bits of the
- * union of the qualifying nodes' masks" — pure integer bit tricks.
+ * The free times of the P processors are kept as a *multiset of
+ * slots*: a value-sorted doubly-linked list with one node per distinct
+ * free time, each node owning a bitmask of the processor indices that
+ * become free at that time.  The s-th smallest free time is then a
+ * prefix-count walk over a handful of nodes, and the first-fit-by-index
+ * commitment is "the lowest s set bits of the union of the qualifying
+ * nodes' masks" — pure integer bit tricks, no quickselect.
  *
- * Bit-identity with the loop above (and the numpy/python engines) is
- * preserved by construction: the floating-point operations are the
- * identical IEEE-754 doubles in the identical order, slot values are
- * compared exactly (equal finish times simply coexist as distinct
- * nodes), and the chosen processor-index set is the same first-fit
- * prefix the epsilon-window scan commits.
+ * Bit-identity with the reference mapper is preserved by construction:
+ * the floating-point operations are the identical IEEE-754 doubles in
+ * the identical order, slot values are compared exactly (equal finish
+ * times simply coexist as distinct nodes), and the chosen
+ * processor-index set is the same first-fit prefix the reference's
+ * epsilon-window scan commits.
  */
 
 static inline int popcount64(uint64_t x) {
@@ -371,6 +237,12 @@ static inline int clz64(uint64_t x) {
 #define REPRO_HAVE_BMI2_DISPATCH 1
 #include <immintrin.h>
 static int have_bmi2 = 0;
+/* detected once at load, so concurrent calls only ever read it */
+__attribute__((constructor))
+static void detect_bmi2(void) {
+    __builtin_cpu_init();
+    have_bmi2 = __builtin_cpu_supports("bmi2");
+}
 __attribute__((target("bmi2")))
 static uint64_t lowest_bits_bmi2(uint64_t x, int k) {
     /* deposit a k-bit run into the positions of x's set bits: exactly
@@ -399,27 +271,78 @@ static inline uint64_t lowest_bits(uint64_t x, int k, int pc) {
     return y;
 }
 
-static double schedule_makespan_slots(
-    int V, int P, int W,
+/* Per-call work space of the slot scheduler: one block per element
+ * type, so a kernel shared between threads shares no scratch. */
+typedef struct {
+    double *d;
+    int32_t *i;
+    uint64_t *m;
+} slot_arena;
+
+/* 1 on success; slot_arena_free is safe after a failure */
+static int slot_arena_alloc(slot_arena *a, int V, int P) {
+    size_t W = ((size_t)P + 63) / 64;
+    a->d = (double *)malloc((3 * (size_t)V + (size_t)P + 2) * sizeof(double));
+    a->i = (int32_t *)malloc(
+        (2 * (size_t)V + 3 * ((size_t)P + 2) + 2 * (size_t)P)
+        * sizeof(int32_t));
+    a->m = (uint64_t *)malloc(((size_t)P + 1) * W * sizeof(uint64_t));
+    return a->d != NULL && a->i != NULL && a->m != NULL;
+}
+
+static void slot_arena_free(slot_arena *a) {
+    free(a->d);
+    free(a->i);
+    free(a->m);
+}
+
+/* Build mode: task v's start and finish, and its processors — the set
+ * bits of the W-word mask — in ascending order at out. */
+static void record_task(int32_t v, double t_start, double t_finish,
+                        const uint64_t *mask, int W,
+                        double *start, double *finish, int64_t *out) {
+    start[v] = t_start;
+    finish[v] = t_finish;
+    for (int w = 0; w < W; w++)
+        for (uint64_t x = mask[w]; x; x &= x - 1)
+            *out++ = (int64_t)w * 64 + popcount64((x & (~x + 1)) - 1);
+}
+
+/* The makespan of one allocation row; INFINITY once start(v) + bl(v)
+ * reaches `bound`.  With `start` non-NULL (build mode) it also writes
+ * each task's start and finish times, and task v's processors in
+ * ascending order at procs[proc_end[v] - alloc[v] .. proc_end[v]). */
+static double schedule_slots(
+    int V, int P,
     const double *flat_times,
-    const int64_t *alloc,
     const int32_t *rev_topo,
     const int32_t *indptr,
     const int32_t *indices,
     const int32_t *indeg,
+    const int64_t *alloc,
     double bound,
-    double *t, double *bl, double *data_ready,
-    int32_t *n_waiting, int32_t *rheap,
-    double *sval, int32_t *scnt, int32_t *snext, int32_t *sprev,
-    int32_t *sfree, int32_t *qs,
-    uint64_t *smask, uint64_t *chosen)
+    const slot_arena *a,
+    double *start, double *finish,
+    const int64_t *proc_end, int64_t *procs)
 {
+    const int W = (P + 63) / 64;
     const int32_t SHEAD_ID = P;      /* sentinel before all slots */
     const int32_t STAIL_ID = P + 1;  /* sentinel after all slots */
+    double *t = a->d, *bl = t + V, *data_ready = bl + V;
+    double *sval = data_ready + V;
+    int32_t *n_waiting = a->i, *rheap = n_waiting + V;
+    int32_t *scnt = rheap + V;
+    int32_t *snext = scnt + (P + 2);
+    int32_t *sprev = snext + (P + 2);
+    int32_t *sfree = sprev + (P + 2);
+    int32_t *qs = sfree + P;
+    uint64_t *smask = a->m;
+    uint64_t *chosen = smask + (size_t)P * W;
 
     for (int v = 0; v < V; v++)
         t[v] = flat_times[(size_t)v * P + (alloc[v] - 1)];
 
+    /* bottom levels: reverse-topological sweep, exact max chains */
     for (int i = 0; i < V; i++) {
         int32_t v = rev_topo[i];
         int32_t s = indptr[v], e = indptr[v + 1];
@@ -521,6 +444,10 @@ static double schedule_makespan_slots(
              * subtraction, just a value update and a list re-link. */
             int32_t sl = qs[0];
             if (scnt[sl] == (int32_t)s) {
+                if (start != NULL)
+                    record_task(v, t_start, t_finish,
+                                smask + (size_t)sl * W, W, start, finish,
+                                procs + proc_end[v] - s);
                 int32_t before = sprev[sl], after = snext[sl];
                 snext[before] = after;
                 sprev[after] = before;
@@ -586,6 +513,10 @@ static double schedule_makespan_slots(
                 chosen[z] = 0;
         }
 
+        if (start != NULL)
+            record_task(v, t_start, t_finish, chosen, W, start, finish,
+                        procs + proc_end[v] - s);
+
         /* subtract the chosen processors from their slots */
         for (int i = 0; i < q; i++) {
             int32_t sl = qs[i];
@@ -639,14 +570,20 @@ static double schedule_makespan_slots(
     return makespan;
 }
 
-void schedule_makespan_batch(
+/* Makespans of B allocation rows, row b into out[b].  Rows are
+ * independent, so they fan across `nthreads` OpenMP threads when the
+ * library was built with -fopenmp; each thread owns its work space.
+ * Returns the number of rows left unscored: NaN marks each row whose
+ * work space could not be allocated, so the caller can re-run it on
+ * its fallback loop. */
+int schedule_makespan_batch(
     int B, int V, int P, int nthreads,
     const double *flat_times,
-    const int64_t *alloc_rows,
     const int32_t *rev_topo,
     const int32_t *indptr,
     const int32_t *indices,
     const int32_t *indeg,
+    const int64_t *alloc_rows,
     double bound,
     double *out)
 {
@@ -655,49 +592,48 @@ void schedule_makespan_batch(
 #endif
     if (nthreads < 1)
         nthreads = 1;
-#if defined(REPRO_HAVE_BMI2_DISPATCH)
-    have_bmi2 = __builtin_cpu_supports("bmi2");
-#endif
-#pragma omp parallel num_threads(nthreads) if (nthreads > 1 && B > 1)
+    int unscored = 0;
+#pragma omp parallel num_threads(nthreads) if (nthreads > 1 && B > 1) \
+    reduction(+ : unscored)
     {
-        int W = (P + 63) / 64;
-        size_t n_dbl = 3 * (size_t)V + (size_t)P + 2;
-        size_t n_i32 =
-            2 * (size_t)V + 3 * ((size_t)P + 2) + 2 * (size_t)P;
-        size_t n_u64 = (size_t)(P + 1) * (size_t)W;
-        double *darena = (double *)malloc(n_dbl * sizeof(double));
-        int32_t *iarena = (int32_t *)malloc(n_i32 * sizeof(int32_t));
-        uint64_t *marena = (uint64_t *)malloc(n_u64 * sizeof(uint64_t));
-        int ok = darena != NULL && iarena != NULL && marena != NULL;
+        slot_arena a;
+        int ok = slot_arena_alloc(&a, V, P);
 #pragma omp for schedule(static)
         for (int b = 0; b < B; b++) {
-            if (!ok) {
-                /* arena allocation failed: NaN marks the row so the
-                 * caller can re-run it on a fallback path */
-                out[b] = NAN;
-                continue;
-            }
-            double *t = darena, *bl = t + V, *dr = bl + V;
-            double *sval = dr + V;
-            int32_t *nw = iarena, *rheap = nw + V;
-            int32_t *scnt = rheap + V;
-            int32_t *snext = scnt + (P + 2);
-            int32_t *sprev = snext + (P + 2);
-            int32_t *sfree = sprev + (P + 2);
-            int32_t *qs = sfree + P;
-            uint64_t *smask = marena;
-            uint64_t *chosen = smask + (size_t)P * W;
-            out[b] = schedule_makespan_slots(
-                V, P, W, flat_times, alloc_rows + (size_t)b * V,
-                rev_topo, indptr, indices, indeg, bound,
-                t, bl, dr, nw, rheap,
-                sval, scnt, snext, sprev, sfree, qs,
-                smask, chosen);
+            out[b] = ok ? schedule_slots(
+                              V, P, flat_times, rev_topo, indptr, indices,
+                              indeg, alloc_rows + (size_t)b * V, bound, &a,
+                              NULL, NULL, NULL, NULL)
+                        : NAN;
+            unscored += !ok;
         }
-        free(darena);
-        free(iarena);
-        free(marena);
+        slot_arena_free(&a);
     }
+    return unscored;
+}
+
+/* One allocation's full schedule (see schedule_slots' build mode);
+ * returns its makespan, or NaN when the work space cannot be
+ * allocated. */
+double schedule_build(
+    int V, int P,
+    const double *flat_times,
+    const int32_t *rev_topo,
+    const int32_t *indptr,
+    const int32_t *indices,
+    const int32_t *indeg,
+    const int64_t *alloc,
+    const int64_t *proc_end,
+    double *start, double *finish, int64_t *procs)
+{
+    slot_arena a;
+    double makespan = slot_arena_alloc(&a, V, P)
+        ? schedule_slots(V, P, flat_times, rev_topo, indptr, indices,
+                         indeg, alloc, INFINITY, &a,
+                         start, finish, proc_end, procs)
+        : NAN;
+    slot_arena_free(&a);
+    return makespan;
 }
 
 /* ------------------------------------------------------------------
@@ -996,17 +932,23 @@ def _link_args(npyrandom: bool = True) -> list[str]:
     return [] if found is None else [str(found[1]), "-lm"]
 
 
+def _compiler() -> str:
+    """The C compiler command: ``CC``, else ``cc``."""
+    return os.environ.get("CC", "cc")
+
+
 def _lib_path(openmp: bool, npyrandom: bool = True) -> Path:
     """Cached artifact path for one build variant.
 
-    The digest covers the source, the flags, the archive path and the
-    numpy version, whose samplers the archive holds.
+    The digest covers the source, the compiler, the flags, the archive
+    path and the numpy version, whose samplers the archive holds.
     """
     import numpy
 
     key = "\0".join(
         [
             _C_SOURCE,
+            _compiler(),
             " ".join(_flags(openmp, npyrandom)),
             " ".join(_link_args(npyrandom)),
             numpy.__version__,
@@ -1075,11 +1017,10 @@ def _build(openmp: bool, npyrandom: bool = True) -> Path:
         src_path = lib_path.with_suffix(".c")
         src_path.write_text(_C_SOURCE, encoding="utf-8")
         tmp_path = cache / f"{lib_path.stem}.{os.getpid()}.tmp.so"
-        compiler = os.environ.get("CC", "cc")
         try:
             subprocess.run(
                 [
-                    compiler,
+                    _compiler(),
                     *flags,
                     str(src_path),
                     "-o",
@@ -1116,7 +1057,7 @@ def _dlopen_checked(ffi, lib_path: Path, npyrandom: bool = False):
     where the caller can rebuild — rather than mid-optimization.
     """
     lib = ffi.dlopen(str(lib_path))
-    symbols = ["schedule_makespan", "schedule_makespan_batch", "cpa_allocate"]
+    symbols = ["schedule_makespan_batch", "schedule_build", "cpa_allocate"]
     if npyrandom:
         symbols.append("mutation_offspring")
     for symbol in symbols:
@@ -1155,7 +1096,7 @@ def _load():
         from cffi import FFI
     except ImportError:
         _log.debug(
-            "cffi is not installed; using the numpy scheduling path"
+            "cffi is not installed; using the Python scheduling path"
         )
         return None, None
     ffi = FFI()
@@ -1208,7 +1149,7 @@ def _load():
     if lib is None:
         _log.warning(
             "could not build the native scheduling kernel (%s); "
-            "falling back to the numpy path",
+            "falling back to the reference mapper (tens of times slower)",
             "; ".join(failures) or "no compiler attempt succeeded",
         )
         return None, None

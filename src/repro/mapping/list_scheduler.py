@@ -12,7 +12,7 @@ allocation vector ``s``, the mapper:
    choosing the first-fit processor set by index.
 
 The same routine doubles as the EA's fitness function; :func:`makespan_of`
-is the allocation-free fast path that skips building processor sets.
+is the fast path that skips building processor sets.
 
 Complexity: ``O(E + V log V + V P)`` as cited by the paper for CPA's
 mapping step (heap operations dominate the graph part; the ``V P`` term
@@ -24,15 +24,16 @@ lower bound on the final makespan, so construction stops early once the
 bound exceeds a known incumbent — the schedule cannot beat it.
 
 Two engines implement the identical algorithm.  The *reference* engine
-(:func:`_run` below) works directly on the PTG/TimeTable objects and
-supports every priority rule; the *compiled* engine
-(:class:`~repro.mapping.kernel.ScheduleKernel`) precomputes CSR index
-arrays and dense buffers once per (PTG, table) pair and is several
-times faster per call.  Both are bit-identical on the paper's
-bottom-level rule, which is why :func:`makespan_of` and
+(:func:`_run` below, the only Python list-scheduling loop) works
+directly on the PTG/TimeTable objects and supports every priority
+rule; the *compiled* engine (:class:`~repro.mapping.kernel.ScheduleKernel`)
+flattens the problem once per (PTG, table) pair and runs one native
+loop, many times faster per call.  Both are bit-identical on the
+paper's bottom-level rule, which is why :func:`makespan_of` and
 :func:`map_allocations` route through the kernel automatically; pass
 ``compiled=False`` to force the reference path (the property-based
-suite uses it as the oracle).
+suite uses it as the oracle).  Without the native library the kernel
+itself runs :func:`_run`.
 """
 
 from __future__ import annotations
@@ -136,7 +137,8 @@ def _run(
     abort_above: float | None,
     priority: str = "bottom-level",
 ):
-    """Shared engine behind :func:`map_allocations` / :func:`makespan_of`."""
+    """The reference mapper: the oracle, the non-default priority rules
+    and the kernel's fallback when no native library is bound."""
     P = table.num_processors
     alloc = check_allocation(alloc, ptg, P)
     times = table.times_for(alloc)
@@ -241,15 +243,13 @@ def map_allocations(
 ) -> Schedule:
     """Full mapping: allocation vector → concrete :class:`Schedule`.
 
-    On the default priority rule the schedule is reconstructed from the
-    compiled kernel's committed start times and processor sets — the
-    same engine that evaluated the allocation's fitness.
+    On the default priority rule the compiled kernel builds the
+    schedule — the same loop that evaluated the allocation's fitness,
+    also recording start times and processor sets.
     """
     kernel = _select_kernel(ptg, table, priority, compiled)
     if kernel is not None:
-        makespan, start, finish, proc_sets = kernel.run(
-            alloc, build_schedule=True
-        )
+        makespan, start, finish, proc_sets = kernel.build_schedule(alloc)
     else:
         makespan, start, finish, proc_sets = _run(
             ptg,

@@ -22,8 +22,8 @@ from .trace import TraceEvent, read_trace
 __all__ = ["summarize_runs", "render_trace_report"]
 
 #: Phases counted as kernel time in the "kernel share" figure: the
-#: fitness batches (which run the compiled C loop or its numpy
-#: fallback) plus the seed-baseline evaluations.
+#: fitness batches (which run the compiled C loop or its
+#: reference-mapper fallback) plus the seed-baseline evaluations.
 _KERNEL_PHASES = ("fitness_batch", "seed_fitness")
 
 

@@ -9,8 +9,8 @@ Public API:
   per violation (:data:`VIOLATION_KINDS`).
 * :func:`differential_check` / :class:`DifferentialReport` — replay one
   allocation through every available scheduling engine (native C loop,
-  numpy loop, reference mapper, discrete-event simulator) and fail
-  loudly the moment any two disagree.
+  reference mapper, discrete-event simulator) and fail loudly the
+  moment any two disagree.
 * :class:`VerifyingEvaluator` — wrap a fitness evaluator so its results
   are verified online, in ``"sample"`` or ``"full"`` mode
   (:data:`VERIFY_MODES`).

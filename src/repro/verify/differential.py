@@ -1,16 +1,14 @@
 """Differential schedule verification: N engines, one answer.
 
-The library evaluates the same list-scheduling algorithm through four
+The library evaluates the same list-scheduling algorithm through three
 engines with very different failure modes:
 
 * the **native C loop** (:mod:`repro.mapping._cscheduler`) — fastest,
   but a miscompiled or silently corrupted shared library would produce
   plausible-looking garbage;
-* the kernel's **numpy loop** — the C loop's in-process fallback,
-  sharing its precomputed arrays but none of its machine code;
 * the **reference mapper** (:func:`repro.mapping.list_scheduler._run`)
   — pure Python over the original PTG/TimeTable objects, the oracle of
-  the property suite;
+  the property suite and the kernel's fallback without the library;
 * the **discrete-event simulator** (:func:`repro.simulator.simulate`)
   — replays the built schedule and independently enforces the platform
   semantics.
@@ -24,7 +22,7 @@ bit-identity tests cannot catch corruption that happens *after* the
 build (a bad memory stick, a truncated cache file, a chaos fault);
 differential replay at run time can.
 
-The first three engines are bit-identical by contract, so they are
+The first two engines are bit-identical by contract, so they are
 compared **exactly**; the simulator re-derives start times through its
 own event queue and is compared within its documented tolerance.
 """
@@ -117,7 +115,6 @@ def differential_check(
     kernel = kernel_for(table)
     if kernel.has_native:
         engines["kernel-c"] = float(kernel.makespan(alloc))
-    engines["kernel-numpy"] = float(kernel.makespan_numpy(alloc))
     engines["reference"] = float(
         makespan_of(ptg, table, alloc, compiled=False)
     )

@@ -37,9 +37,9 @@ __all__ = ["VerifyingEvaluator", "VERIFY_MODES", "DEFAULT_SAMPLE_INTERVAL"]
 VERIFY_MODES = ("off", "sample", "full")
 
 #: Default genome budget between sampled differential checks.  One full
-#: differential replay (five engines, including the pure-Python
-#: reference mapper and the discrete-event simulator) costs a few
-#: milliseconds — roughly a hundred compiled fitness calls — so a check
+#: differential replay (the reported value against the native loop, the
+#: pure-Python reference mapper and the discrete-event simulator) costs
+#: a few milliseconds — roughly a hundred compiled fitness calls — so a check
 #: every 4096 submissions keeps the overhead of ``verify="sample"``
 #: under 5 % on the benchmark workload (measured ~3 % on the 100-task
 #: daggen batch of ``benchmarks/test_evaluator_bench.py``).

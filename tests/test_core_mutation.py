@@ -527,7 +527,7 @@ def test_missing_numpy_archive_keeps_kernel_and_falls_back(
     ffi, lib = _cscheduler.load()
     if lib is None:
         pytest.skip("no C compiler available")
-    assert lib.schedule_makespan is not None
+    assert lib.schedule_makespan_batch is not None
     assert lib.cpa_allocate is not None
     with pytest.raises(AttributeError):
         lib.mutation_offspring

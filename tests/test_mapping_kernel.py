@@ -8,13 +8,15 @@ random allocation vectors, comparing makespans, start times, finish
 times and committed processor sets against the ``compiled=False``
 reference engine with exact ``==`` / ``array_equal`` checks.
 
-The seeded sweep covers well over 200 (graph, model, allocation) cases;
+The seeded sweep covers well over 200 (graph, model, allocation) cases,
+two of them past one 64-bit processor-mask word (P = 65 and P = 120);
 ``test_case_count_floor`` pins that floor so a parameter edit cannot
 silently shrink the coverage.
 """
 
 import os
 import pickle
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -22,9 +24,9 @@ import pytest
 
 from repro._rng import spawn
 from repro.exceptions import AllocationError
-from repro.graph import bottom_levels
 from repro.mapping import makespan_of, map_allocations
 from repro.mapping.kernel import ScheduleKernel, kernel_for
+from repro.mapping.list_scheduler import _run
 from repro.platform import Cluster
 from repro.timemodels import AmdahlModel, SyntheticModel, TimeTable
 from repro.workloads import DaggenParams, generate_daggen
@@ -42,6 +44,9 @@ GRAPH_CASES = [
     (18, 15, 0.9, 0.7, 1, 2),
     (19, 45, 0.5, 0.4, 2, 64),
     (20, 28, 0.7, 0.6, 3, 7),
+    # past one processor-mask word of the native loop
+    (21, 60, 0.5, 0.4, 2, 65),
+    (22, 80, 0.6, 0.5, 2, 120),
 ]
 MODELS = [AmdahlModel, SyntheticModel]
 ALLOCS_PER_CASE = 12
@@ -168,16 +173,16 @@ def test_child_forked_after_threaded_batch_scores(monkeypatch):
 
 
 def test_pickle_roundtrip_bit_identical():
-    """A kernel sent to another process by pickle (with regenerated
-    compiled sweeps) must agree bitwise."""
+    """A kernel sent to another process by pickle (with its library
+    re-bound on arrival) must agree bitwise."""
     case = GRAPH_CASES[2]
     ptg, table = _problem(case, SyntheticModel)
     kernel = ScheduleKernel(ptg, table)
     clone = pickle.loads(pickle.dumps(kernel))
     for alloc in _random_allocs(case, SyntheticModel, 6):
         assert clone.makespan(alloc) == kernel.makespan(alloc)
-        ms_c, st_c, fi_c, ps_c = clone.run(alloc, build_schedule=True)
-        ms_k, st_k, fi_k, ps_k = kernel.run(alloc, build_schedule=True)
+        ms_c, st_c, fi_c, ps_c = clone.build_schedule(alloc)
+        ms_k, st_k, fi_k, ps_k = kernel.build_schedule(alloc)
         assert ms_c == ms_k
         assert np.array_equal(st_c, st_k)
         assert np.array_equal(fi_c, fi_k)
@@ -186,28 +191,146 @@ def test_pickle_roundtrip_bit_identical():
 
 
 def test_native_loop_matches_python_loop():
-    """The C scheduling loop agrees bitwise with the numpy loop on the
-    same kernel instance — scalar, batch and bounded entry points."""
+    """The C scheduling loop agrees bitwise with the reference mapper's
+    Python loop — scalar, batch, bounded and schedule-building entry
+    points."""
     case = GRAPH_CASES[4]
     ptg, table = _problem(case, SyntheticModel)
     kernel = ScheduleKernel(ptg, table)
     if kernel._c is None:
         pytest.skip("native scheduler unavailable on this host")
     allocs = _random_allocs(case, SyntheticModel, 8)
-    native = [kernel.makespan(a) for a in allocs]
-    native_batch = kernel.makespan_batch(allocs)
-    bound = sorted(native)[len(native) // 2]
-    native_bounded = [
-        kernel.makespan(a, abort_above=bound) for a in allocs
-    ]
-    kernel._c = None  # same buffers, numpy loop
-    assert [kernel.makespan(a) for a in allocs] == native
-    assert kernel.makespan_batch(allocs) == native_batch
+    python = [_run(ptg, table, a, False, None)[0] for a in allocs]
+    assert [kernel.makespan(a) for a in allocs] == python
+    assert kernel.makespan_batch(allocs) == python
+    bound = sorted(python)[len(python) // 2]
+    bounded = [_run(ptg, table, a, False, bound)[0] for a in allocs]
     assert [
         kernel.makespan(a, abort_above=bound) for a in allocs
-    ] == native_bounded
-    assert any(np.isinf(v) for v in native_bounded)
-    assert any(np.isfinite(v) for v in native_bounded)
+    ] == bounded
+    assert kernel.makespan_batch(allocs, abort_above=bound) == bounded
+    assert any(np.isinf(v) for v in bounded)
+    assert any(np.isfinite(v) for v in bounded)
+    for alloc in allocs:
+        ms, start, finish, proc_sets = kernel.build_schedule(alloc)
+        ms_r, start_r, finish_r, proc_sets_r = _run(
+            ptg, table, alloc, True, None
+        )
+        assert ms == ms_r
+        assert np.array_equal(start, start_r)
+        assert np.array_equal(finish, finish_r)
+        for got, want in zip(proc_sets, proc_sets_r, strict=True):
+            assert np.array_equal(got, want)
+
+
+def test_nan_from_native_loop_replays_on_reference_mapper():
+    """The C driver reports a work space it could not allocate as NaN:
+    a NaN build and a NaN batch row are recomputed by ``_run``, so the
+    answers still equal the reference mapper's exactly."""
+    case = GRAPH_CASES[4]
+    ptg, table = _problem(case, SyntheticModel)
+    kernel = ScheduleKernel(ptg, table)
+    if kernel._c is None:
+        pytest.skip("native scheduler unavailable on this host")
+    ffi, lib, graph = kernel._c
+
+    class NoWorkSpace:
+        """Scores every row natively, then drops row 1 as unscored."""
+
+        def schedule_makespan_batch(self, *args):
+            lib.schedule_makespan_batch(*args)
+            args[-1][1] = float("nan")
+            return 1
+
+        def schedule_build(self, *args):
+            return float("nan")
+
+    kernel._c = (ffi, NoWorkSpace(), graph)
+    allocs = _random_allocs(case, SyntheticModel, 4)
+    python = [_run(ptg, table, a, False, None)[0] for a in allocs]
+    assert kernel.makespan_batch(allocs) == python
+    bound = sorted(python)[1]
+    assert kernel.makespan_batch(allocs, abort_above=bound) == [
+        _run(ptg, table, a, False, bound)[0] for a in allocs
+    ]
+    ms, start, finish, proc_sets = kernel.build_schedule(allocs[0])
+    ms_r, start_r, finish_r, proc_sets_r = _run(
+        ptg, table, allocs[0], True, None
+    )
+    assert ms == ms_r
+    assert np.array_equal(start, start_r)
+    assert np.array_equal(finish, finish_r)
+    for got, want in zip(proc_sets, proc_sets_r, strict=True):
+        assert np.array_equal(got, want)
+
+
+def test_one_kernel_shared_by_threads():
+    """Four threads share one ``kernel_for(table)`` kernel and call
+    makespan, makespan_batch and map_allocations at once: every answer
+    equals the serial one (the kernel holds no work buffers)."""
+    import threading
+
+    ptg = generate_daggen(
+        DaggenParams(
+            num_tasks=100, width=0.5, regularity=0.2, density=0.5, jump=2
+        ),
+        rng=23,
+    )
+    cluster = Cluster("threads120", num_processors=120, speed_gflops=1.0)
+    table = TimeTable.build(SyntheticModel(), ptg, cluster)
+    kernel = kernel_for(table)
+    rng = spawn(23, "kernel-threads")
+    blocks = rng.integers(1, 121, size=(4, 6, ptg.num_tasks), dtype=np.int64)
+
+    def answers(block):
+        schedules = [map_allocations(ptg, table, a) for a in block]
+        return (
+            [kernel.makespan(a) for a in block],
+            kernel.makespan_batch(block),
+            [(s.start, s.finish, s.proc_sets) for s in schedules],
+        )
+
+    def same(got, want):
+        assert got[0] == want[0]
+        assert got[1] == want[1]
+        for (st, fi, ps), (st_w, fi_w, ps_w) in zip(got[2], want[2]):
+            assert np.array_equal(st, st_w)
+            assert np.array_equal(fi, fi_w)
+            for a, b in zip(ps, ps_w, strict=True):
+                assert np.array_equal(a, b)
+
+    serial = [answers(block) for block in blocks]
+    barrier = threading.Barrier(len(blocks))
+    results: list[list] = [[] for _ in blocks]
+    errors: list[BaseException] = []
+
+    def worker(i):
+        try:
+            barrier.wait(timeout=30)
+            for _ in range(8):
+                results[i].append(answers(blocks[i]))
+        except BaseException as exc:  # surfaced below
+            errors.append(exc)
+
+    threads = [
+        threading.Thread(target=worker, args=(i,))
+        for i in range(len(blocks))
+    ]
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # interleave the threads finely
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(switch)
+    assert not any(t.is_alive() for t in threads)
+    assert not errors, errors
+    for i, runs in enumerate(results):
+        assert len(runs) == 8
+        for got in runs:
+            same(got, serial[i])
 
 
 def test_no_ckernel_env_forces_python_loop(monkeypatch):
@@ -226,28 +349,6 @@ def test_no_ckernel_env_forces_python_loop(monkeypatch):
     for alloc in _random_allocs(case, SyntheticModel, 3):
         assert kernel.makespan(alloc) == makespan_of(
             ptg, table, alloc, compiled=False
-        )
-
-
-def test_interpreted_sweep_fallback_bit_identical(monkeypatch):
-    """Above the unroll limit the kernel falls back to the interpreted
-    bottom-level sweep; force that path (native loop off) and re-check
-    bit-identity."""
-    from repro.mapping import kernel as kernel_mod
-
-    monkeypatch.setattr(kernel_mod, "_BL_UNROLL_LIMIT", 0)
-    case = GRAPH_CASES[3]
-    ptg, table = _problem(case, AmdahlModel)
-    kernel = ScheduleKernel(ptg, table)
-    kernel._c = None  # exercise the interpreted Python sweeps
-    assert kernel._bl_compiled is None
-    for alloc in _random_allocs(case, AmdahlModel, 4):
-        assert kernel.makespan(alloc) == makespan_of(
-            ptg, table, alloc, compiled=False
-        )
-        assert np.array_equal(
-            kernel.bottom_levels(alloc),
-            bottom_levels(ptg, table.times_for(alloc)),
         )
 
 
@@ -338,12 +439,12 @@ class TestNativeCacheRecovery:
             path.exists() and path.read_bytes() != garbage
             for path in candidates
         )
-        assert lib.schedule_makespan is not None
+        assert lib.schedule_build is not None
 
     def test_caller_during_a_load_waits_for_it(self, monkeypatch):
         """A thread calling load() while another thread loads gets the
         library, not the ``(None, None)`` of a load still running (its
-        kernel would keep the numpy path for good)."""
+        kernel would keep the reference mapper for good)."""
         import threading
 
         pytest.importorskip("cffi")
@@ -395,9 +496,25 @@ class TestNativeCacheRecovery:
         with caplog.at_level(logging.WARNING, "repro.mapping.ckernel"):
             assert _cscheduler.load() == (None, None)
         assert any(
-            "falling back to the numpy path" in r.message
+            "could not build the native scheduling kernel" in r.message
             for r in caplog.records
         )
+
+
+    def test_compiler_is_part_of_the_cache_key(self, tmp_path, monkeypatch):
+        """A library built by one compiler is never loaded for another:
+        two ``CC`` values give two cached paths (a sanitizing wrapper
+        must not pick up the plain build)."""
+        _cscheduler = self._reset_loader(monkeypatch, tmp_path)
+        monkeypatch.setenv("CC", "cc")
+        plain = [_cscheduler._lib_path(openmp) for openmp in (True, False)]
+        monkeypatch.setenv("CC", str(tmp_path / "sanitizing-cc"))
+        wrapped = [_cscheduler._lib_path(openmp) for openmp in (True, False)]
+        assert set(plain).isdisjoint(wrapped)
+        monkeypatch.setenv("CC", "cc")
+        assert [
+            _cscheduler._lib_path(openmp) for openmp in (True, False)
+        ] == plain
 
 
 class TestCompileCacheLock:
@@ -467,7 +584,7 @@ class TestCompileCacheLock:
         code = (
             "from repro.mapping import _cscheduler\n"
             "ffi, lib = _cscheduler.load()\n"
-            "assert lib is not None and lib.schedule_makespan is not None\n"
+            "assert lib is not None and lib.schedule_build is not None\n"
             "print('loaded')\n"
         )
         env = dict(os.environ)

@@ -3,8 +3,9 @@ single-genome calls.
 
 Randomized sweep over (graph, platform, lambda) triples — 216 cases,
 each comparing ``evaluate_batch`` on a stacked block against one
-``evaluate`` call per genome, on both the compiled kernel and the numpy
-fallback, with and without a rejection bound.  The batch entry point is
+``evaluate`` call per genome, on both the compiled kernel and the
+fallback (the reference mapper, engine ``"numpy"``), with and without a
+rejection bound.  The batch entry point is
 a pure execution optimization; any single-ULP divergence here is a bug.
 """
 
@@ -71,8 +72,8 @@ def test_batch_matches_single_calls(kind, procs, seed, backend):
     )
     table = TimeTable.build(SyntheticModel(), ptg, cluster)
     if backend == "numpy":
-        # strip the native library from this table's kernel: the numpy
-        # batch path must stay bit-identical too
+        # strip the native library from this table's kernel: the
+        # reference-mapper fallback must stay bit-identical too
         kernel_for(table)._c = None
     elif kernel_for(table).engine != "c":
         pytest.skip("compiled kernel unavailable")
