@@ -15,11 +15,13 @@ CI perf-smoke job regenerates and gates) with three numbers:
 ``disabled_overhead_pct``
     The cost of the instrumentation hooks that remain on the hot path
     when observability is *disabled*.  With ``trace``/``metrics`` unset
-    the only added per-generation work is one :data:`NULL_PROFILER`
-    phase context (the :class:`ObservedEvaluator` wrapper is never even
-    constructed), so the benchmark times the real per-generation work
-    (one lambda-sized fitness batch) with and without that hook,
-    interleaved min-of-reps, and reports the relative difference.
+    nothing is left per generation (no :class:`ObservedEvaluator`
+    wrapper, no generation hook); per run, the ``kernel_build``,
+    ``seeding`` and ``final_mapping`` steps still enter
+    :func:`repro.obs.phase` with no tracer.  The benchmark times the
+    phase entries and the real fitness work of EMTS5-sized runs (five
+    lambda-sized batches each), interleaved min-of-reps, and reports
+    the entries' time as a share of the work's.
 
 ``python benchmarks/check_perf.py --obs benchmarks/BENCH_obs.json``
 enforces the <2 % disabled-overhead gate (override with
@@ -46,7 +48,7 @@ from repro._rng import spawn  # noqa: E402
 from repro.core import emts5  # noqa: E402
 from repro.core.evaluator import create_evaluator  # noqa: E402
 from repro.mapping.kernel import kernel_for  # noqa: E402
-from repro.obs import NULL_PROFILER  # noqa: E402
+from repro.obs import phase  # noqa: E402
 from repro.platform import grelon  # noqa: E402
 from repro.timemodels import SyntheticModel, TimeTable  # noqa: E402
 from repro.workloads import DaggenParams, generate_daggen  # noqa: E402
@@ -55,6 +57,10 @@ DEFAULT_OUT = Path(__file__).resolve().parent / "BENCH_obs.json"
 BENCH_SEED = 20110926
 #: one EA generation of EMTS5 offspring
 LAMBDA = 25
+#: generations of one EMTS5 run
+GENERATIONS = 5
+#: the steps EMTS times as trace phases, once per run
+RUN_PHASES = ("kernel_build", "seeding", "final_mapping")
 
 
 def _problem():
@@ -93,15 +99,20 @@ def measure_batch_throughput(ptg, table, reps: int = 7) -> float:
 
 
 def measure_disabled_overhead(
-    ptg, table, generations: int = 200, reps: int = 9
+    ptg, table, runs: int = 40, reps: int = 9
 ) -> float:
     """Relative cost (%) of the disabled-instrumentation hooks.
 
-    Per simulated generation the "hooked" loop runs exactly the code
-    ``evolve`` adds when observability is off — one null profiler phase
-    context — before the generation's fitness batch; the "bare" loop
-    runs the batch alone.  Both are timed interleaved (min of ``reps``)
-    on the same evaluator so cache state and CPU frequency drift cancel.
+    Per EMTS5 run, ``EMTS.schedule`` with observability off adds three
+    :func:`repro.obs.phase` entries with no tracer to the run's work,
+    ``GENERATIONS`` fitness batches.  The hooks and the batches are
+    sequential code, so their costs add: each is timed alone over
+    ``runs`` runs (min of ``reps``, interleaved on the same evaluator so
+    cache state and CPU frequency drift cancel) and the hooks' time is
+    reported as a share of the batches'.  A shared machine's drift
+    between two whole loops is several percent, more than the 2 % gate,
+    so timing the loops with and without the hooks and differencing
+    them cannot resolve it.
     """
     evaluator = create_evaluator(ptg, table)
     rng = spawn(BENCH_SEED, "obs-bench", "overhead")
@@ -114,24 +125,27 @@ def measure_disabled_overhead(
     ]
     evaluator.evaluate(batch)  # warm-up
 
-    def hooked() -> float:
+    def hooks() -> float:
         t0 = time.perf_counter()
-        for _ in range(generations):
-            with NULL_PROFILER.phase("mutation"):
-                pass
-            evaluator.evaluate(batch)
+        for _ in range(runs):
+            for name in RUN_PHASES:
+                with phase(None, name):
+                    pass
         return time.perf_counter() - t0
 
-    def bare() -> float:
+    def batches() -> float:
         t0 = time.perf_counter()
-        for _ in range(generations):
-            evaluator.evaluate(batch)
+        for _ in range(runs):
+            for _ in range(GENERATIONS):
+                evaluator.evaluate(batch)
         return time.perf_counter() - t0
 
-    t_hooked = min(hooked() for _ in range(reps))
-    t_bare = min(bare() for _ in range(reps))
+    t_hooks = t_batches = float("inf")
+    for _ in range(reps):
+        t_hooks = min(t_hooks, hooks())
+        t_batches = min(t_batches, batches())
     evaluator.close()
-    return (t_hooked - t_bare) / t_bare * 100.0
+    return t_hooks / t_batches * 100.0
 
 
 def run(out_path: Path) -> dict:

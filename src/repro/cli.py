@@ -19,7 +19,8 @@ Subcommands:
 ``corpus``
     Summarize (and optionally save) the paper's evaluation corpus.
 ``report-trace``
-    Summarize a structured JSONL trace written by ``--trace``.
+    Summarize a structured JSONL trace written by ``--trace``, or a
+    ``serve --trace-dir`` directory.
 
 Global ``--log-level`` / ``--log-json`` flags configure the package's
 logging (see :mod:`repro.obs.log`); ``schedule`` and ``campaign`` accept
@@ -589,15 +590,10 @@ def _cmd_campaign(args) -> int:
 
 
 def _cmd_report_trace(args) -> int:
+    from .obs import render_trace_report
+
     try:
-        if args.service:
-            from .obs.assemble import render_service_report
-
-            print(render_service_report(args.trace))
-        else:
-            from .obs import render_trace_report
-
-            print(render_trace_report(args.trace))
+        print(render_trace_report(args.trace))
     except TraceError as exc:
         raise SystemExit(f"trace error: {exc}") from exc
     return 0
@@ -1190,22 +1186,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     rt = sub.add_parser(
         "report-trace",
-        help="summarize a --trace JSONL file (runs, phases, campaigns)",
+        help=(
+            "summarize a --trace JSONL file or a serve --trace-dir "
+            "(runs, phases, campaigns, request waterfalls)"
+        ),
     )
     rt.add_argument(
         "trace",
         help=(
             "trace file written by --trace, or a service trace "
-            "directory with --service"
-        ),
-    )
-    rt.add_argument(
-        "--service",
-        action="store_true",
-        help=(
-            "treat TRACE as a daemon --trace-dir: join the per-process "
-            "shards into causal span trees and render one request "
-            "waterfall per job"
+            "directory written by serve --trace-dir"
         ),
     )
     rt.set_defaults(func=_cmd_report_trace)
@@ -1275,7 +1265,7 @@ def build_parser() -> argparse.ArgumentParser:
         help=(
             "distributed-tracing shard directory: the server and each "
             "worker attempt write JSONL span shards here, joined by "
-            "`report-trace --service DIR` (default: tracing disabled)"
+            "`report-trace DIR` (default: tracing disabled)"
         ),
     )
     sv.set_defaults(func=_cmd_serve)

@@ -303,7 +303,6 @@ class Checkpoint:
                         worst=float(row["worst"]),
                         evaluations=int(row["evaluations"]),
                         elapsed_seconds=float(row["elapsed_seconds"]),
-                        cache_hits=int(row.get("cache_hits", 0)),
                     )
                 )
         except (KeyError, TypeError, ValueError) as exc:

@@ -42,8 +42,7 @@ from ..mapping import Schedule, kernel_for, map_allocations
 from ..obs.instrument import ObservedEvaluator, run_metrics
 from ..obs.log import get_logger
 from ..obs.metrics import MetricsRegistry
-from ..obs.profiler import NULL_PROFILER, PhaseProfiler
-from ..obs.trace import Tracer
+from ..obs.trace import Tracer, phase
 from ..platform import Cluster
 from ..timemodels import ExecutionTimeModel, TimeTable
 from .checkpoint import (
@@ -250,14 +249,18 @@ class EMTS:
             ``checkpoint`` / ``verify`` / ``run_end`` events plus one
             ``evaluation`` event per fitness batch.  For a fixed seed
             the trace is bit-identical across runs after
-            :func:`repro.obs.strip_timestamps`.
+            :func:`repro.obs.strip_timestamps`.  The ``kernel_build``,
+            ``seeding`` and ``final_mapping`` steps are timed as
+            ``phase`` events, checkpoint writes as ``checkpoint``
+            events.
         metrics:
             A :class:`repro.obs.MetricsRegistry` to fill with the run's
             canonical ``emts.*`` counters/timers and live
             ``evaluation.*`` batch metrics.
 
         Both default to ``None``; the disabled path builds no wrapper
-        and no profiler, keeping the historical zero-overhead hot path.
+        and times nothing, keeping the historical zero-overhead hot
+        path.
         """
         t_start = time.perf_counter()
         cfg = self.config
@@ -284,7 +287,6 @@ class EMTS:
             tracer = Tracer(trace)
             owns_tracer = True
         observing = tracer is not None or metrics is not None
-        profiler = PhaseProfiler() if observing else NULL_PROFILER
 
         # Install signal handlers before any heavy work — seeding a
         # large problem can take seconds, and an early Ctrl-C should
@@ -358,9 +360,6 @@ class EMTS:
                     attrs={
                         "algorithm": cfg.name,
                         "problem": problem,
-                        # always 0 (there is no worker pool); kept
-                        # for the trace schema
-                        "workers": 0,
                         "resumed": resume_from is not None,
                     },
                 )
@@ -368,7 +367,7 @@ class EMTS:
             # call of the run (seeding included) reuses its CSR arrays and
             # dense time table, and the construction cost stays out of
             # the first generation's timing.
-            with profiler.phase("kernel_build"):
+            with phase(tracer, "kernel_build"):
                 kernel = kernel_for(table)
 
             checkpoint: Checkpoint | None = None
@@ -398,7 +397,7 @@ class EMTS:
                     checkpoint.generation,
                 )
             else:
-                with profiler.phase("seeding"):
+                with phase(tracer, "seeding"):
                     initial, seed_allocs = seed_population(
                         ptg,
                         table,
@@ -424,10 +423,7 @@ class EMTS:
                 # metrics are requested, so the disabled path carries no
                 # wrapper at all.
                 evaluator = ObservedEvaluator(
-                    evaluator,
-                    tracer=tracer,
-                    metrics=metrics,
-                    profiler=profiler,
+                    evaluator, tracer=tracer, metrics=metrics
                 )
 
             # Rejection strategy (paper Section VI, future work): abort a
@@ -474,27 +470,26 @@ class EMTS:
             def journal(population, generation, log, completed=False):
                 if checkpoint_path is None:
                     return
-                with profiler.phase("checkpoint"):
-                    save_checkpoint(
-                        Checkpoint.capture(
-                            cfg,
-                            ptg,
-                            table,
-                            generation,
-                            rng,
-                            population,
-                            log,
-                            seed_makespans,
-                            eval_stats=combined_stats(),
-                            elapsed_seconds=prior_elapsed
-                            + (time.perf_counter() - t_start),
-                            completed=completed,
-                            island_rngs=island_rngs,
-                            semantic=semantic,
-                            problem=problem,
-                        ),
-                        checkpoint_path,
-                    )
+                t0 = time.perf_counter()
+                save_checkpoint(
+                    Checkpoint.capture(
+                        cfg,
+                        ptg,
+                        table,
+                        generation,
+                        rng,
+                        population,
+                        log,
+                        seed_makespans,
+                        eval_stats=combined_stats(),
+                        elapsed_seconds=prior_elapsed + (t0 - t_start),
+                        completed=completed,
+                        island_rngs=island_rngs,
+                        semantic=semantic,
+                        problem=problem,
+                    ),
+                    checkpoint_path,
+                )
                 if tracer is not None:
                     tracer.event(
                         "checkpoint",
@@ -502,6 +497,7 @@ class EMTS:
                             "generation": int(generation),
                             "completed": bool(completed),
                         },
+                        dur=time.perf_counter() - t0,
                     )
 
             def journal_due(generation) -> bool:
@@ -542,17 +538,12 @@ class EMTS:
                 start_generation = checkpoint.generation
             else:
                 # Seed baselines go through the evaluator too, so their
-                # values come from the same engine as every fitness.
+                # values come from the same engine as every fitness (in
+                # a trace, the batch before the ``seed`` event).
                 seed_names = list(seed_allocs)
-                if isinstance(evaluator, ObservedEvaluator):
-                    with evaluator.phase_as("seed_fitness"):
-                        seed_values = evaluator.evaluate(
-                            [seed_allocs[n] for n in seed_names]
-                        )
-                else:
-                    seed_values = evaluator.evaluate(
-                        [seed_allocs[name] for name in seed_names]
-                    )
+                seed_values = evaluator.evaluate(
+                    [seed_allocs[name] for name in seed_names]
+                )
                 seed_makespans = dict(zip(seed_names, seed_values))
                 resume_log = None
                 start_generation = 0
@@ -581,7 +572,6 @@ class EMTS:
                     on_generation_end=generation_hook,
                     resume_log=resume_log,
                     start_generation=start_generation,
-                    profiler=profiler,
                 )
             else:
                 outcome = strategy.evolve(
@@ -594,7 +584,6 @@ class EMTS:
                     on_generation_end=generation_hook,
                     resume_log=resume_log,
                     start_generation=start_generation,
-                    profiler=profiler,
                 )
         except BaseException:
             # an escaping error leaves the trace as a valid prefix of
@@ -629,7 +618,7 @@ class EMTS:
             )
 
         best_alloc = np.asarray(outcome.best.genome, dtype=np.int64)
-        with profiler.phase("final_mapping"):
+        with phase(tracer, "final_mapping"):
             schedule = map_allocations(ptg, table, best_alloc)
         elapsed = prior_elapsed + (time.perf_counter() - t_start)
         result = EMTSResult(
@@ -643,8 +632,6 @@ class EMTS:
             interrupted=interrupted,
         )
         verifier = _find_verifier(evaluator)
-        if verifier is not None and profiler.enabled:
-            profiler.add("verify", verifier.verify_seconds)
         if metrics is not None:
             run_metrics(result, registry=metrics)
         if tracer is not None:
@@ -665,7 +652,6 @@ class EMTS:
                     "generations": outcome.log.generations - 1,
                     "interrupted": interrupted,
                     "eval_stats": asdict(result.evaluation_stats),
-                    "phase_seconds": dict(profiler.summary()),
                 },
             )
             if owns_tracer:

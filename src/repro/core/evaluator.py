@@ -52,11 +52,10 @@ class EvaluationStats:
     mapper_calls:
         List-scheduler runs executed (equal to ``evaluations``: every
         genome is scored).
-    cache_hits, cache_misses, evictions, retries, pool_rebuilds:
-        Always 0: fitness values are not cached and there is no worker
-        pool to retry on or rebuild.  Kept so traces, checkpoints and
-        metrics keep their documented keys; older checkpoints and
-        traces hold nonzero counts here.
+    cache_hits:
+        Always 0 for new runs: fitness values are not cached.  Kept
+        because checkpoints of builds that memoized fitness carry
+        nonzero counts, which a resumed run keeps adding up.
     batches:
         Number of scored batches (one per EA generation, typically).
     wall_seconds:
@@ -66,12 +65,8 @@ class EvaluationStats:
     evaluations: int = 0
     mapper_calls: int = 0
     cache_hits: int = 0
-    cache_misses: int = 0
-    evictions: int = 0
     batches: int = 0
     wall_seconds: float = 0.0
-    retries: int = 0
-    pool_rebuilds: int = 0
 
     def copy(self) -> "EvaluationStats":
         """An independent snapshot of the current counters."""
@@ -79,12 +74,8 @@ class EvaluationStats:
             evaluations=self.evaluations,
             mapper_calls=self.mapper_calls,
             cache_hits=self.cache_hits,
-            cache_misses=self.cache_misses,
-            evictions=self.evictions,
             batches=self.batches,
             wall_seconds=self.wall_seconds,
-            retries=self.retries,
-            pool_rebuilds=self.pool_rebuilds,
         )
 
     def merge(self, other: "EvaluationStats") -> None:
@@ -92,12 +83,8 @@ class EvaluationStats:
         self.evaluations += other.evaluations
         self.mapper_calls += other.mapper_calls
         self.cache_hits += other.cache_hits
-        self.cache_misses += other.cache_misses
-        self.evictions += other.evictions
         self.batches += other.batches
         self.wall_seconds += other.wall_seconds
-        self.retries += other.retries
-        self.pool_rebuilds += other.pool_rebuilds
 
     def summary(self) -> str:
         """One-line human-readable digest."""

@@ -50,7 +50,6 @@ from ..ea.termination import (
     annealing_horizon,
 )
 from ..exceptions import ConfigurationError
-from ..obs.profiler import NULL_PROFILER
 
 __all__ = ["IslandStrategy", "island_offspring_counts"]
 
@@ -141,7 +140,6 @@ class IslandStrategy:
         on_generation_end=None,
         resume_log: EvolutionLog | None = None,
         start_generation: int = 0,
-        profiler=NULL_PROFILER,
     ) -> EvolutionResult:
         """Run the island model from the given starting individuals.
 
@@ -229,25 +227,22 @@ class IslandStrategy:
             )
             t0 = time.perf_counter()
             per_island: list[list[Individual]] = []
-            with profiler.phase("mutation"):
-                for i in range(self.mu):
-                    parent = parents[i]
-                    # one parent: the block call draws no parent index
-                    _, children = self.mutation.offspring(
-                        parent.genome[np.newaxis],
-                        self.offspring_counts[i],
-                        island_rngs[i],
-                        generation,
-                        total_generations,
-                    )
-                    per_island.append(
-                        [
-                            parent.with_genome(
-                                child, "mutation", generation
-                            )
-                            for child in children
-                        ]
-                    )
+            for i in range(self.mu):
+                parent = parents[i]
+                # one parent: the block call draws no parent index
+                _, children = self.mutation.offspring(
+                    parent.genome[np.newaxis],
+                    self.offspring_counts[i],
+                    island_rngs[i],
+                    generation,
+                    total_generations,
+                )
+                per_island.append(
+                    [
+                        parent.with_genome(child, "mutation", generation)
+                        for child in children
+                    ]
+                )
             evals = 0
             for lo, hi in shard_bounds:
                 shard_offspring = [

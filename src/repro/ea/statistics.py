@@ -46,9 +46,6 @@ class GenerationStats:
     worst: float
     evaluations: int
     elapsed_seconds: float
-    #: Reads 0: fitness values are not cached.  Kept because traces and
-    #: checkpoints carry it; older ones hold nonzero counts.
-    cache_hits: int = 0
 
     @classmethod
     def from_population(
@@ -90,7 +87,6 @@ class GenerationStats:
             "std": self.std,
             "worst": self.worst,
             "evaluations": self.evaluations,
-            "cache_hits": self.cache_hits,
             "elapsed_seconds": self.elapsed_seconds,
         }
 
@@ -139,7 +135,6 @@ class EvolutionLog:
                 "std": e.std,
                 "worst": e.worst,
                 "evaluations": e.evaluations,
-                "cache_hits": e.cache_hits,
                 "elapsed_seconds": e.elapsed_seconds,
             }
             for e in self.entries
@@ -147,12 +142,12 @@ class EvolutionLog:
 
     def __str__(self) -> str:
         lines = [
-            "gen       best       mean        std  evals   hits   time[s]"
+            "gen       best       mean        std  evals   time[s]"
         ]
         for e in self.entries:
             lines.append(
                 f"{e.generation:>3} {e.best:>10.4g} {e.mean:>10.4g} "
-                f"{e.std:>10.4g} {e.evaluations:>6} {e.cache_hits:>6} "
+                f"{e.std:>10.4g} {e.evaluations:>6} "
                 f"{e.elapsed_seconds:>8.3f}"
             )
         return "\n".join(lines)

@@ -28,7 +28,6 @@ import numpy as np
 
 from ..exceptions import ConfigurationError
 from ..obs.log import get_logger
-from ..obs.profiler import NULL_PROFILER
 from .individual import Individual
 from .operators import MutationOperator
 from .selection import best_of, comma_selection, plus_selection
@@ -193,7 +192,6 @@ class EvolutionStrategy:
         on_generation_end=None,
         resume_log: EvolutionLog | None = None,
         start_generation: int = 0,
-        profiler=NULL_PROFILER,
     ) -> EvolutionResult:
         """Run the strategy from the given starting individuals.
 
@@ -238,11 +236,6 @@ class EvolutionStrategy:
         start_generation:
             Index of the last completed generation when resuming; the
             loop continues at ``start_generation + 1``.
-        profiler:
-            Phase profiler (:class:`repro.obs.PhaseProfiler`) that
-            accumulates per-phase wall time; the strategy charges
-            offspring creation to the ``"mutation"`` phase.  Defaults
-            to the no-op :data:`repro.obs.NULL_PROFILER`.
         """
         if not initial:
             raise ConfigurationError("need at least one initial individual")
@@ -308,23 +301,19 @@ class EvolutionStrategy:
                 else None
             )
             t0 = time.perf_counter()
-            with profiler.phase("mutation"):
-                # the whole generation in one operator call, with the
-                # draws of picking a parent and mutating it, child by
-                # child
-                index, children = self.mutation.offspring(
-                    np.stack([ind.genome for ind in population]),
-                    self.lam,
-                    rng,
-                    generation,
-                    total_generations,
-                )
-                offspring = [
-                    population[i].with_genome(
-                        child, "mutation", generation
-                    )
-                    for i, child in zip(index.tolist(), children)
-                ]
+            # the whole generation in one operator call, with the draws
+            # of picking a parent and mutating it, child by child
+            index, children = self.mutation.offspring(
+                np.stack([ind.genome for ind in population]),
+                self.lam,
+                rng,
+                generation,
+                total_generations,
+            )
+            offspring = [
+                population[i].with_genome(child, "mutation", generation)
+                for i, child in zip(index.tolist(), children)
+            ]
             evals = evaluate_individuals(offspring, fitness, bound)
             if self.selection == "plus":
                 population = plus_selection(

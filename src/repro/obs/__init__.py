@@ -1,25 +1,25 @@
-"""repro.obs — unified observability: tracing, metrics, profiling, logs.
+"""repro.obs — unified observability: tracing, metrics, logs.
 
 A zero-dependency observability layer threaded through every layer of
 the scheduler:
 
 * :mod:`repro.obs.metrics` — counters, gauges, timers and fixed-bucket
   histograms in a :class:`MetricsRegistry` with text/JSON/Prometheus
-  exporters; process-safe through per-worker registries whose
-  :meth:`~MetricsRegistry.drain` snapshots merge at chunk boundaries.
+  exporters; per-worker registries merge through
+  :meth:`~MetricsRegistry.drain` snapshots.
 * :mod:`repro.obs.trace` — a schema-versioned JSONL event stream
-  (:class:`TraceEvent`) of run/generation/evaluation/checkpoint/verify
-  and campaign-trial spans; same-seed traces are bit-identical after
-  :func:`strip_timestamps`.
-* :mod:`repro.obs.profiler` — per-phase wall-time accumulation for the
-  hot path, off by default via :data:`NULL_PROFILER`.
+  (:class:`TraceEvent`) of run/phase/generation/evaluation/checkpoint/
+  verify and campaign-trial spans; same-seed traces are bit-identical
+  after :func:`strip_timestamps`.  The span is the one timed region:
+  :func:`phase` times a block of an EMTS run as a ``phase`` event.
 * :mod:`repro.obs.log` — the package's single logging configuration
   point (hierarchical ``repro.*`` loggers, optional JSON formatter,
   idempotent handler installation).
-* :mod:`repro.obs.report` — the ``repro-emts report-trace`` renderer.
-* :mod:`repro.obs.assemble` — joins the serving stack's per-process
-  trace shards into causal per-request span trees
-  (``report-trace --service``).
+* :mod:`repro.obs.assemble` — the one trace reader: a trace file or a
+  serving stack's shard directory becomes span trees
+  (:func:`load_trace`), one causal tree per request.
+* :mod:`repro.obs.report` — the ``repro-emts report-trace`` renderer,
+  which walks those trees.
 * :mod:`repro.obs.slo` — declarative SLO specs evaluated continuously
   from the metrics registry with multi-window burn-rate alerting.
 * :mod:`repro.obs.flight` — a bounded crash flight recorder ring,
@@ -37,7 +37,7 @@ from .assemble import (
     TraceTree,
     assemble_traces,
     canonical_tree,
-    render_service_report,
+    load_trace,
 )
 from .flight import (
     FlightRecorder,
@@ -62,8 +62,7 @@ from .metrics import (
     MetricsRegistry,
     Timer,
 )
-from .profiler import NULL_PROFILER, NullProfiler, PhaseProfiler
-from .report import render_trace_report, summarize_runs
+from .report import render_trace_report, run_phases
 from .slo import (
     SLOEngine,
     SLOSpec,
@@ -82,6 +81,7 @@ from .trace import (
     current_context,
     derive_span_id,
     derive_trace_id,
+    phase,
     read_trace,
     read_trace_prefix,
     strip_timestamps,
@@ -108,6 +108,7 @@ __all__ = [
     "current_context",
     "derive_span_id",
     "derive_trace_id",
+    "phase",
     "read_trace",
     "read_trace_prefix",
     "use_context",
@@ -119,7 +120,7 @@ __all__ = [
     "TraceTree",
     "assemble_traces",
     "canonical_tree",
-    "render_service_report",
+    "load_trace",
     # slo
     "SLOSpec",
     "SLOEngine",
@@ -131,10 +132,6 @@ __all__ = [
     "arm_crash_dump",
     "read_flight_dump",
     "reset_flight_recorder",
-    # profiling
-    "PhaseProfiler",
-    "NullProfiler",
-    "NULL_PROFILER",
     # logging
     "get_logger",
     "configure_logging",
@@ -146,5 +143,5 @@ __all__ = [
     "run_metrics",
     "run_snapshot",
     "render_trace_report",
-    "summarize_runs",
+    "run_phases",
 ]

@@ -1,23 +1,28 @@
-"""Cross-process trace assembly: JSONL shards → causal span trees.
+"""Trace loading: a trace file or a service trace directory → span trees.
 
-The serving stack writes one trace shard per process-ish unit of work:
-``server.jsonl`` (append-mode, survives restarts) carries the HTTP
-front-end's ``request``/``drain`` events, and one ``job-<trace>-a<n>``
-shard per worker execution attempt carries that attempt's
-``queue_wait`` + ``service_run_start``..``service_run_end`` span with
-the EMTS run events nested inside.  Every event's ``ctx`` mirror
-(:class:`~repro.obs.trace.TraceContext`-derived hex ids) says where it
-belongs in the *global* tree; this module does the join.
+This is the one reader of span structure.  A ``--trace`` file is one
+shard; a daemon's ``--trace-dir`` holds many: ``server.jsonl``
+(append-mode, survives restarts) carries the HTTP front-end's
+``request``/``drain`` events, and one ``job-<trace>-a<n>`` shard per
+worker execution attempt carries that attempt's ``queue_wait`` +
+``service_run_start``..``service_run_end`` span with the EMTS run
+events nested inside.  An event's id and parent come from its ``ctx``
+mirror (:class:`~repro.obs.trace.TraceContext`-derived hex ids, one
+*request tree* per trace id across shards) when it has one, else from
+its shard's file-local ``span``/``parent`` (one *local tree* per
+shard).  ``*_end`` events fold into the span they close.
 
-Crash tolerance is the point: a worker killed mid-span leaves a
-truncated shard and an unclosed ``service_run_start``.  The assembler
-recovers the valid prefix, marks the span ``complete: false`` and the
-tree ``crashed``, and still renders — an exception would be the
-postmortem eating itself.  Genuinely malformed nesting (an event whose
-parent id is not explainable by any emitted span, the synthesized
-request root, or a truncation wound) still raises
-:class:`~repro.exceptions.TraceError`, which ``report-trace`` turns
-into a non-zero exit.
+Crash tolerance is the point for directories: a worker killed mid-span
+leaves a truncated shard and an unclosed ``service_run_start``.  The
+loader recovers the valid prefix, marks the span ``complete: false``
+and the tree ``crashed``, and still renders — an exception would be
+the postmortem eating itself.  A single trace file is read strictly
+(:func:`~repro.obs.trace.read_trace`): the ``--trace`` writer closes
+it cleanly, so a torn line there is corruption.  Genuinely malformed
+nesting (an event whose parent no shard emitted and no truncation
+explains, a run-internal event outside any span, an end event closing
+nothing) raises :class:`~repro.exceptions.TraceError`, which
+``report-trace`` turns into a non-zero exit.
 
 Determinism: ids are derived, shard names are derived, and child
 ordering uses (shard, file-local span) — all deterministic — so
@@ -29,11 +34,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Iterable, Mapping
+from typing import Any, Iterator, Mapping
 
 from ..exceptions import TraceError
 from .trace import (
     TraceEvent,
+    read_trace,
     read_trace_prefix,
     strip_timestamps,
 )
@@ -43,8 +49,7 @@ __all__ = [
     "TraceTree",
     "assemble_traces",
     "canonical_tree",
-    "load_shards",
-    "render_service_report",
+    "load_trace",
 ]
 
 #: Attr keys that vary per process/run without changing semantics:
@@ -70,10 +75,16 @@ _SPAN_END_TO_START = {
     "campaign_end": "campaign_start",
 }
 
+#: Kinds that only ever occur inside a span: one at the top of a tree
+#: was orphaned by broken nesting.
+_NESTED_KINDS = frozenset(
+    {"seed", "phase", "generation", "evaluation", "checkpoint", "verify"}
+)
+
 
 @dataclass
 class SpanNode:
-    """One node of an assembled trace tree.
+    """One node of a span tree.
 
     ``*_start``/``*_end`` pairs fold into a single node: ``kind`` is
     the start kind, ``end_attrs``/``dur`` come from the matching end
@@ -101,20 +112,29 @@ class SpanNode:
         rank = 0 if self.shard == "server" else 1
         return (rank, self.shard, self.local_span)
 
-    def walk(self) -> Iterable["SpanNode"]:
-        yield self
-        for child in self.children:
-            yield from child.walk()
+    def walk(self) -> Iterator["SpanNode"]:
+        """This node and its descendants, depth first, in order."""
+        stack = [self]
+        while stack:
+            node = stack.pop()
+            yield node
+            stack.extend(reversed(node.children))
 
 
 @dataclass
 class TraceTree:
-    """The assembled causal tree of one trace id."""
+    """The span tree of one trace id, or of one shard's local events.
 
-    trace_id: str
+    ``trace_id`` is ``None`` for a local tree: the events of one shard
+    that carry no ``ctx`` (a ``--trace`` file, the server's ``drain``
+    events).  ``events`` counts the trace lines folded into the tree.
+    """
+
+    trace_id: str | None
     root: SpanNode
     shards: tuple[str, ...]
     truncated_shards: tuple[str, ...]
+    events: int = 0
 
     @property
     def crashed(self) -> bool:
@@ -124,100 +144,108 @@ class TraceTree:
         return any(not node.complete for node in self.root.walk())
 
 
-def load_shards(
-    trace_dir: str | Path,
+def _read_shards(
+    path: Path,
 ) -> tuple[list[tuple[str, TraceEvent]], dict[str, bool]]:
-    """Read every ``*.jsonl`` shard under ``trace_dir``.
-
-    Returns ``(tagged_events, truncated)``: events tagged with their
-    shard stem (in deterministic shard-name order), and a per-shard
-    truncation flag from :func:`read_trace_prefix`.
-    """
-    trace_dir = Path(trace_dir)
-    if not trace_dir.exists():
-        raise TraceError(f"trace directory {trace_dir} does not exist")
-    if trace_dir.is_file():
-        files = [trace_dir]
-    else:
-        files = sorted(trace_dir.glob("*.jsonl"))
+    """Events tagged with their shard stem, plus per-shard tear flags."""
+    if not path.exists():
+        raise TraceError(f"cannot read trace {path}: it does not exist")
+    if path.is_file():
+        return [(path.stem, e) for e in read_trace(path)], {}
+    files = sorted(path.glob("*.jsonl"))
     if not files:
         raise TraceError(
-            f"trace directory {trace_dir} contains no *.jsonl shards"
+            f"trace directory {path} contains no *.jsonl shards"
         )
     tagged: list[tuple[str, TraceEvent]] = []
     truncated: dict[str, bool] = {}
-    for path in files:
-        events, torn = read_trace_prefix(path)
-        truncated[path.stem] = torn
-        tagged.extend((path.stem, event) for event in events)
+    for shard in files:
+        events, torn = read_trace_prefix(shard)
+        truncated[shard.stem] = torn
+        tagged.extend((shard.stem, event) for event in events)
     return tagged, truncated
 
 
-def assemble_traces(
-    trace_dir: str | Path, strict: bool = False
+def load_trace(
+    path: str | Path, strict: bool = False
 ) -> list[TraceTree]:
-    """Join all shards under ``trace_dir`` into one tree per trace id.
+    """Every span tree of a trace file or a service trace directory.
 
+    Request trees (one per ``ctx`` trace id, sorted by id) come first,
+    then one local tree per shard that holds context-free events.
     ``strict=True`` refuses crash damage too (truncated shards, spans
     left open); the default forgives it and flags it, raising only on
-    structural breaks no crash can explain — an event parenting to an
-    id that no shard emitted while its own shard is intact.
+    structural breaks no crash can explain.
     """
-    tagged, truncated = load_shards(trace_dir)
-    by_trace: dict[str, list[tuple[str, TraceEvent]]] = {}
+    tagged, truncated = _read_shards(Path(path))
+    groups: dict[tuple[int, str], list[tuple[str, TraceEvent]]] = {}
     for shard, event in tagged:
         ctx = event.ctx
-        if not ctx or not ctx.get("trace"):
-            continue  # context-free event (e.g. ``drain``): not in a tree
-        by_trace.setdefault(ctx["trace"], []).append((shard, event))
-
-    trees: list[TraceTree] = []
-    for trace_id in sorted(by_trace):
-        trees.append(
-            _assemble_one(
-                trace_id, by_trace[trace_id], truncated, strict
-            )
+        key = (0, ctx["trace"]) if ctx else (1, shard)
+        groups.setdefault(key, []).append((shard, event))
+    return [
+        _assemble_one(
+            name if local == 0 else None, events, truncated, strict
         )
+        for (local, name), events in sorted(groups.items())
+    ]
+
+
+def assemble_traces(
+    path: str | Path, strict: bool = False
+) -> list[TraceTree]:
+    """The request trees of a service trace directory (or shard)."""
+    trees = [t for t in load_trace(path, strict) if t.trace_id]
     if not trees:
         raise TraceError(
-            f"no context-carrying events in {trace_dir}: nothing to "
+            f"no context-carrying events in {path}: nothing to "
             "assemble (was the daemon started with --trace-dir?)"
         )
     return trees
 
 
+def _ids(
+    shard: str, event: TraceEvent
+) -> tuple[str, str | None]:
+    """``(id, parent id)`` of one event: ``ctx`` first, else local."""
+    if event.ctx:
+        return event.ctx["span"], event.ctx.get("parent")
+    parent = None if event.parent is None else f"{shard}#{event.parent}"
+    return f"{shard}#{event.span}", parent
+
+
 def _assemble_one(
-    trace_id: str,
+    trace_id: str | None,
     tagged: list[tuple[str, TraceEvent]],
     truncated: Mapping[str, bool],
     strict: bool,
 ) -> TraceTree:
+    label = f"trace {trace_id}" if trace_id else f"shard {tagged[0][0]}"
     shards = tuple(sorted({shard for shard, _ in tagged}))
     torn = tuple(s for s in shards if truncated.get(s))
     if strict and torn:
         raise TraceError(
-            f"trace {trace_id}: shard(s) {', '.join(torn)} are "
-            "truncated (crash-torn tail); re-run without strict mode "
-            "to assemble the partial tree"
+            f"{label}: shard(s) {', '.join(torn)} are truncated "
+            "(crash-torn tail); re-run without strict mode to "
+            "assemble the partial tree"
         )
 
     nodes: dict[str, SpanNode] = {}
     parent_of: dict[str, str | None] = {}
     pending_end: list[tuple[str, TraceEvent]] = []
     for shard, event in tagged:
-        ctx = event.ctx or {}
-        span_id = ctx.get("span", "")
         if event.kind in _SPAN_END_TO_START:
             pending_end.append((shard, event))
             continue
-        parent_of[span_id] = ctx.get("parent")
+        span_id, parent_id = _ids(shard, event)
         if span_id in nodes:
             raise TraceError(
-                f"trace {trace_id}: duplicate span id {span_id} "
+                f"{label}: duplicate span id {span_id} "
                 f"({nodes[span_id].kind} in shard "
                 f"{nodes[span_id].shard} vs {event.kind} in shard "
                 f"{shard}) — shards overlap or ids collide"
             )
+        parent_of[span_id] = parent_id
         nodes[span_id] = SpanNode(
             span_id=span_id,
             kind=event.kind,
@@ -225,62 +253,79 @@ def _assemble_one(
             local_span=event.span,
             t=event.t,
             attrs=dict(event.attrs),
-            complete=event.kind not in (
-                "run_start",
-                "service_run_start",
-                "campaign_start",
-            ),
+            complete=event.kind not in _SPAN_END_TO_START.values(),
             dur=event.dur,
         )
 
     # fold ``*_end`` events into the span they close
     for shard, event in pending_end:
-        ctx = event.ctx or {}
-        opener = nodes.get(ctx.get("parent", ""))
+        _, closes = _ids(shard, event)
+        opener = nodes.get(closes or "")
         expected = _SPAN_END_TO_START[event.kind]
-        if opener is None or opener.kind != expected:
+        if opener is None or opener.kind != expected or opener.complete:
             raise TraceError(
-                f"trace {trace_id}: {event.kind} in shard {shard} "
-                f"closes span {ctx.get('parent')!r}, but no open "
-                f"{expected} matches — span nesting is structurally "
-                "broken"
+                f"{label}: {event.kind} in shard {shard} closes span "
+                f"{closes!r}, but no open {expected} matches — span "
+                "nesting is structurally broken"
             )
         opener.end_attrs = dict(event.attrs)
         opener.dur = event.dur
         opener.complete = True
 
-    # link children; parents outside the emitted set are "anchors" —
-    # spans that live only as derived ids (the client-minted request
-    # root), or wounds where truncation ate the opener.
-    anchors: dict[str, list[SpanNode]] = {}
+    # link children; parents outside the emitted set are "anchors".  A
+    # local tree has one, the top level (None).  A request tree has one
+    # too: the client-minted request root, which lives only as a
+    # derived id.  More anchors are wounds where truncation ate the
+    # opener, or broken nesting.
+    anchors: dict[str | None, list[SpanNode]] = {}
     for node in nodes.values():
-        parent_id = parent_of.get(node.span_id)
+        parent_id = parent_of[node.span_id]
         if parent_id is not None and parent_id in nodes:
             nodes[parent_id].children.append(node)
         else:
-            anchors.setdefault(parent_id or "", []).append(node)
-
-    if len(anchors) > 1 and not torn:
+            anchors.setdefault(parent_id, []).append(node)
+    unexplained = len(anchors) > 1 or (
+        trace_id is None and set(anchors) - {None}
+    )
+    if unexplained and not torn:
         detail = ", ".join(
             f"{pid or '<none>'} ({len(kids)} events)"
-            for pid, kids in sorted(anchors.items())
+            for pid, kids in sorted(
+                anchors.items(), key=lambda kv: kv[0] or ""
+            )
         )
         raise TraceError(
-            f"trace {trace_id}: events parent under {len(anchors)} "
-            f"distinct unknown spans [{detail}] with no truncated "
-            "shard to explain it — span nesting is structurally broken"
+            f"{label}: events parent under unknown spans [{detail}] "
+            "with no truncated shard to explain it — span nesting is "
+            "structurally broken"
         )
 
-    root_id = min(anchors) if anchors else trace_id
+    root_id = min((a or "" for a in anchors), default="")
     root = SpanNode(
-        span_id=root_id or trace_id,
-        kind="request_root",
+        span_id=root_id or trace_id or "",
+        kind="request_root" if trace_id else "trace_root",
         shard="",
         local_span=0,
         synthetic=True,
     )
-    for _, orphans in sorted(anchors.items()):
+    for _, orphans in sorted(anchors.items(), key=lambda kv: kv[0] or ""):
         root.children.extend(orphans)
+    if not torn:
+        for node in root.children:
+            if node.kind in _NESTED_KINDS:
+                raise TraceError(
+                    f"{label}: {node.kind} event (span "
+                    f"{node.local_span} in shard {node.shard}) is not "
+                    "inside any span — span nesting is structurally "
+                    "broken"
+                )
+    # a parent cycle hangs off no anchor, so the walk never meets it
+    reached = sum(1 for _ in root.walk()) - 1
+    if reached != len(nodes):
+        raise TraceError(
+            f"{label}: {len(nodes) - reached} events parent in a cycle "
+            "— span nesting is structurally broken"
+        )
     for node in nodes.values():
         node.children.sort(key=SpanNode.sort_key)
     root.children.sort(key=SpanNode.sort_key)
@@ -290,15 +335,16 @@ def _assemble_one(
         root=root,
         shards=shards,
         truncated_shards=torn,
+        events=len(tagged),
     )
     if strict and tree.crashed:
         open_spans = [
             n.kind for n in root.walk() if not n.complete
         ]
         raise TraceError(
-            f"trace {trace_id}: span(s) {', '.join(open_spans)} never "
-            "closed (writer died mid-span); re-run without strict "
-            "mode to assemble the partial tree"
+            f"{label}: span(s) {', '.join(open_spans)} never closed "
+            "(writer died mid-span); re-run without strict mode to "
+            "assemble the partial tree"
         )
     return tree
 
@@ -345,126 +391,3 @@ def canonical_tree(tree: TraceTree) -> dict[str, Any]:
             _canonical_node(child) for child in tree.root.children
         ],
     }
-
-
-# ----------------------------------------------------------------------
-def _fmt_dur(dur: float | None) -> str:
-    return "   -    " if dur is None else f"{dur:8.3f}s"
-
-
-_WATERFALL_KINDS = {
-    "request": "request",
-    "queue_wait": "queue wait",
-    "service_run_start": "run attempt",
-    "run_start": "emts run",
-    "online_start": "online run",
-    "verify": "verify",
-    "checkpoint": "checkpoint",
-    "fault": "fault",
-    "reschedule": "reschedule",
-}
-
-
-def _render_node(node: SpanNode, depth: int, lines: list[str]) -> None:
-    label = _WATERFALL_KINDS.get(node.kind)
-    if label is None and node.kind not in (
-        "generation",
-        "evaluation",
-        "seed",
-    ):
-        label = node.kind
-    if label is not None:
-        indent = "  " * depth
-        detail = _node_detail(node)
-        flag = "" if node.complete else "  [UNCLOSED — crash?]"
-        lines.append(
-            f"  {_fmt_dur(node.dur)}  {indent}{label}"
-            f"{':  ' + detail if detail else ''}{flag}"
-        )
-        depth += 1
-    # generations/evaluations are summarized, not listed
-    gens = sum(1 for c in node.children if c.kind == "generation")
-    evals = sum(
-        c.attrs.get("genomes", 0)
-        for c in node.children
-        if c.kind == "evaluation"
-    )
-    if gens or evals:
-        indent = "  " * depth
-        lines.append(
-            f"  {'':>9}  {indent}· {gens} generations, "
-            f"{int(evals)} genomes evaluated"
-        )
-    for child in node.children:
-        if child.kind in ("generation", "evaluation"):
-            continue
-        _render_node(child, depth, lines)
-
-
-def _node_detail(node: SpanNode) -> str:
-    a, z = node.attrs, node.end_attrs
-    if node.kind == "request":
-        return (
-            f"{a.get('outcome', '?')} status={a.get('status', '?')} "
-            f"tenant={a.get('tenant', '?')} "
-            f"priority={a.get('priority', '?')}"
-        )
-    if node.kind == "queue_wait":
-        return (
-            f"priority={a.get('priority', '?')} "
-            f"tenant={a.get('tenant', '?')}"
-        )
-    if node.kind == "service_run_start":
-        parts = [f"attempt={a.get('attempt', '?')}"]
-        if z.get("served_from"):
-            parts.append(f"served_from={z['served_from']}")
-        if z.get("state"):
-            parts.append(f"state={z['state']}")
-        if z.get("warm_hit") is not None:
-            parts.append(f"warm_hit={z['warm_hit']}")
-        return " ".join(parts)
-    if node.kind == "run_start":
-        problem = a.get("problem", {})
-        parts = [a.get("algorithm", "?")]
-        if problem:
-            parts.append(
-                f"{problem.get('ptg_name', '?')}"
-                f"/{problem.get('cluster_name', '?')}"
-            )
-        if z.get("makespan") is not None:
-            parts.append(f"makespan={z['makespan']:.6g}")
-        if a.get("resumed"):
-            parts.append("resumed")
-        if z.get("interrupted"):
-            parts.append("interrupted")
-        return " ".join(parts)
-    if node.kind == "verify":
-        return f"{a.get('verified', 0)} evaluations re-verified"
-    if node.kind == "checkpoint":
-        return f"generation {a.get('generation', '?')}"
-    return ""
-
-
-def render_service_report(trace_dir: str | Path) -> str:
-    """The ``report-trace --service`` text: one waterfall per trace."""
-    trees = assemble_traces(trace_dir, strict=False)
-    blocks: list[str] = [
-        f"service trace: {trace_dir} — {len(trees)} request "
-        f"trace{'s' if len(trees) != 1 else ''}"
-    ]
-    for tree in trees:
-        header = f"trace {tree.trace_id}"
-        notes = []
-        if tree.truncated_shards:
-            notes.append(
-                "torn shard(s): " + ", ".join(tree.truncated_shards)
-            )
-        if tree.crashed:
-            notes.append("CRASHED — partial tree")
-        if notes:
-            header += f"  [{'; '.join(notes)}]"
-        lines = [header, f"  shards: {', '.join(tree.shards)}"]
-        for child in tree.root.children:
-            _render_node(child, 0, lines)
-        blocks.append("\n".join(lines))
-    return "\n\n".join(blocks)

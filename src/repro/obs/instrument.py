@@ -5,9 +5,11 @@ Two pieces live here:
 * :class:`ObservedEvaluator` — the duck-typed evaluator wrapper
   (``evaluate`` / ``stats`` / ``close``, same contract
   as :class:`~repro.verify.VerifyingEvaluator`) that records one
-  ``evaluation`` trace event and one batch-duration histogram sample
-  per fitness batch.  It is only ever constructed when tracing or
-  metrics are enabled, so the disabled path carries no wrapper at all.
+  ``evaluation`` trace event (its ``dur`` is the batch wall time, from
+  which a run's ``seed_fitness`` and ``fitness_batch`` phases are
+  summed) and one batch-duration histogram sample per fitness batch.
+  It is only ever constructed when tracing or metrics are enabled, so
+  the disabled path carries no wrapper at all.
 * :func:`run_metrics` / :func:`run_snapshot` — the canonical
   metrics-registry projection of one finished EMTS run.  This is the
   single source of truth for eval-stat summaries: the experiment
@@ -20,11 +22,9 @@ from __future__ import annotations
 
 import math
 import time
-from contextlib import contextmanager
 from typing import Any, Sequence
 
 from .metrics import MetricsRegistry
-from .profiler import NULL_PROFILER
 from .trace import Tracer
 
 __all__ = ["ObservedEvaluator", "run_metrics", "run_snapshot"]
@@ -43,16 +43,10 @@ class ObservedEvaluator:
         inner,
         tracer: Tracer | None = None,
         metrics: MetricsRegistry | None = None,
-        profiler=NULL_PROFILER,
     ) -> None:
         self.inner = inner
         self.tracer = tracer
         self.metrics = metrics
-        self.profiler = profiler
-        #: Profiler phase batch durations are charged to.  EMTS swaps
-        #: this to ``"seed_fitness"`` around the seed-baseline batch so
-        #: the phase breakdown separates seeding cost from the EA loop.
-        self.phase = "fitness_batch"
 
     # -- evaluator interface -------------------------------------------
     @property
@@ -72,15 +66,6 @@ class ObservedEvaluator:
     def __call__(self, genome) -> float:
         return self.evaluate([genome])[0]
 
-    @contextmanager
-    def phase_as(self, name: str):
-        """Charge batches inside the block to phase ``name``."""
-        previous, self.phase = self.phase, name
-        try:
-            yield self
-        finally:
-            self.phase = previous
-
     # ------------------------------------------------------------------
     def _record(
         self,
@@ -88,7 +73,6 @@ class ObservedEvaluator:
         abort_above: float | None,
         dt: float,
     ) -> None:
-        self.profiler.add(self.phase, dt)
         rejected = sum(1 for v in values if math.isinf(v))
         if self.tracer is not None:
             self.tracer.event(
@@ -160,12 +144,6 @@ def run_metrics(
             "emts.mapper_calls", help="list-scheduler runs executed"
         ).inc(stats.mapper_calls)
         reg.counter("emts.cache_hits").inc(stats.cache_hits)
-        reg.counter("emts.cache_misses").inc(stats.cache_misses)
-        reg.counter("emts.cache_evictions").inc(stats.evictions)
-        reg.counter(
-            "emts.retries", help="always 0: there is no worker pool"
-        ).inc(stats.retries)
-        reg.counter("emts.pool_rebuilds").inc(stats.pool_rebuilds)
         reg.counter("emts.eval_batches").inc(stats.batches)
         reg.timer("emts.eval_seconds").observe(stats.wall_seconds)
         reg.gauge(
@@ -210,13 +188,9 @@ def run_snapshot(result) -> dict[str, Any]:
         "evaluations": evaluations,
         "mapper_calls": int(value("emts.mapper_calls")),
         "cache_hits": cache_hits,
-        "cache_misses": int(value("emts.cache_misses")),
-        "cache_evictions": int(value("emts.cache_evictions")),
         "hit_rate": (
             cache_hits / evaluations if evaluations else 0.0
         ),
-        "retries": int(value("emts.retries")),
-        "pool_rebuilds": int(value("emts.pool_rebuilds")),
         "eval_seconds": timer_total("emts.eval_seconds"),
         "elapsed_seconds": timer_total("emts.run_seconds"),
         "generations": int(value("emts.generations")),

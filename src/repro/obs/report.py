@@ -1,25 +1,30 @@
-"""Human-readable summaries of trace files (``repro-emts report-trace``).
+"""Human-readable summaries of traces (``repro-emts report-trace``).
 
-Renders, per run span found in the trace: the problem and engine
-configuration, throughput (evaluations/sec, generations/sec), cache
-effectiveness, the per-phase wall-time breakdown with the kernel's
-share of wall time, and an ASCII convergence curve.  Campaign spans get
-a per-trial digest.
+One renderer for every trace: :func:`~repro.obs.assemble.load_trace`
+turns a ``--trace`` file or a daemon's ``--trace-dir`` into span trees,
+and :func:`render_trace_report` walks them.  Each request tree gets a
+waterfall; each ``campaign_start`` node a per-trial digest; each
+``online_start`` .. ``online_end`` run a fault/replan digest; and each
+``run_start`` node a run digest: the problem and engine, throughput,
+the per-phase wall-time breakdown with the kernel's share of wall time,
+and an ASCII convergence curve.
 
-All functions raise :class:`~repro.exceptions.TraceError` with file and
-line context for truncated or corrupt traces (the parsing itself lives
-in :func:`repro.obs.trace.read_trace`).
+A run's phases are summed from its children (:func:`run_phases`); a
+version-1/2 run's recorded ``phase_seconds`` is shown as written.
+
+Truncated, corrupt or undecodable traces, broken span nesting and
+attrs the renderer cannot format all raise
+:class:`~repro.exceptions.TraceError` naming the trace.
 """
 
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Any
 
 from ..exceptions import TraceError
-from .trace import TraceEvent, read_trace
+from .assemble import SpanNode, TraceTree, load_trace
 
-__all__ = ["summarize_runs", "render_trace_report"]
+__all__ = ["render_trace_report", "run_phases"]
 
 #: Phases counted as kernel time in the "kernel share" figure: the
 #: fitness batches (which run the compiled C loop or its
@@ -27,140 +32,47 @@ __all__ = ["summarize_runs", "render_trace_report"]
 _KERNEL_PHASES = ("fitness_batch", "seed_fitness")
 
 
-def summarize_runs(events: list[TraceEvent]) -> list[dict[str, Any]]:
-    """One summary dict per ``run_start``..``run_end`` span.
+def run_phases(run: SpanNode) -> dict[str, float]:
+    """Phase name -> seconds of one ``run_start`` node.
 
-    Tolerates a missing ``run_end`` (an interrupted writer): the
-    summary is then flagged ``"incomplete": True`` and derived from the
-    events seen so far.
+    ``phase`` children give ``kernel_build``, ``seeding`` and
+    ``final_mapping``; ``evaluation`` children before the ``seed``
+    event give ``seed_fitness``, those after it ``fitness_batch``;
+    ``checkpoint`` durations give ``checkpoint`` and the ``verify``
+    event's ``overhead_seconds`` gives ``verify`` (which runs inside
+    the fitness batches).  ``evolve`` is the generation time outside
+    fitness batches: the engine's own work around the mapper.
     """
-    runs: list[dict[str, Any]] = []
-    open_runs: dict[int, dict[str, Any]] = {}
-    seen_spans: set[int] = set()
-    for event in events:
-        seen_spans.add(event.span)
-        if event.kind == "run_start":
-            open_runs[event.span] = {
-                "start": event,
-                "generations": [],
-                "evaluations": [],
-                "checkpoints": 0,
-                "verify": None,
-                "seed": None,
-                "end": None,
-            }
-        elif event.kind == "run_end":
-            run = open_runs.pop(event.parent, None)
-            if run is None:
-                raise TraceError(
-                    f"run_end event (span {event.span}) closes span "
-                    f"{event.parent}, but no matching run_start is "
-                    "open — trace out of order or corrupt"
-                )
-            run["end"] = event
-            runs.append(run)
-        elif event.kind in (
-            "generation",
-            "evaluation",
-            "checkpoint",
-            "verify",
-            "seed",
-        ):
-            run = open_runs.get(event.parent)
-            if run is None:
-                # mixed traces are normal — campaigns nest these under
-                # trial events, service shards under service_run spans,
-                # and the worker's acceptance verify lands after
-                # run_end — but a parent *nobody emitted* is not a
-                # mixture, it is broken nesting, and report-trace must
-                # exit non-zero rather than shrug it off
-                if (
-                    event.parent is None
-                    or event.parent not in seen_spans
-                ):
-                    raise TraceError(
-                        f"{event.kind} event (span {event.span}) "
-                        f"parents to span {event.parent!r}, which no "
-                        "event in this trace emitted — span nesting "
-                        "is structurally broken"
-                    )
-                continue
-            if event.kind == "generation":
-                run["generations"].append(event)
-            elif event.kind == "evaluation":
-                run["evaluations"].append(event)
-            elif event.kind == "checkpoint":
-                run["checkpoints"] += 1
-            elif event.kind == "verify":
-                run["verify"] = event
-            elif event.kind == "seed":
-                run["seed"] = event
-    for run in open_runs.values():  # writer died mid-run
-        run["incomplete"] = True
-        runs.append(run)
-    return [_digest(run) for run in runs]
+    recorded = run.end_attrs.get("phase_seconds")
+    if recorded is not None:  # versions 1 and 2 recorded the breakdown
+        return {name: float(s) for name, s in recorded.items()}
+    phases: dict[str, float] = {}
 
+    def add(name: str, seconds) -> None:
+        phases[name] = phases.get(name, 0.0) + float(seconds or 0.0)
 
-def _digest(run: dict[str, Any]) -> dict[str, Any]:
-    start: TraceEvent = run["start"]
-    end: TraceEvent | None = run["end"]
-    attrs = start.attrs
-    end_attrs = end.attrs if end is not None else {}
-    eval_stats = end_attrs.get("eval_stats", {})
-    phases: dict[str, float] = dict(
-        end_attrs.get("phase_seconds", {})
-    )
-    dur = end.dur if end is not None and end.dur is not None else None
-    generations = end_attrs.get(
-        "generations", max(0, len(run["generations"]) - 1)
-    )
-    evaluations = eval_stats.get(
-        "evaluations",
-        sum(e.attrs.get("genomes", 0) for e in run["evaluations"]),
-    )
-    cache_hits = eval_stats.get("cache_hits", 0)
-    kernel_seconds = sum(phases.get(p, 0.0) for p in _KERNEL_PHASES)
-    curve = [
-        (e.attrs.get("generation", i), e.attrs.get("best"))
-        for i, e in enumerate(run["generations"])
-        if e.attrs.get("best") is not None
-    ]
-    return {
-        "algorithm": attrs.get("algorithm", "?"),
-        "problem": attrs.get("problem", {}),
-        "engine": attrs.get("engine", end_attrs.get("engine", "?")),
-        "resumed": attrs.get("resumed", False),
-        "incomplete": bool(run.get("incomplete", False)),
-        "interrupted": bool(end_attrs.get("interrupted", False)),
-        "makespan": end_attrs.get("makespan"),
-        "seed_makespans": (
-            run["seed"].attrs.get("makespans", {})
-            if run["seed"] is not None
-            else {}
-        ),
-        "generations": int(generations),
-        "evaluations": int(evaluations),
-        "cache_hits": int(cache_hits),
-        "hit_rate": (
-            cache_hits / evaluations if evaluations else 0.0
-        ),
-        "batches": len(run["evaluations"]),
-        "checkpoints": run["checkpoints"],
-        "verified": (
-            run["verify"].attrs.get("verified", 0)
-            if run["verify"] is not None
-            else 0
-        ),
-        "run_seconds": dur,
-        "evals_per_sec": (evaluations / dur) if dur else None,
-        "generations_per_sec": (
-            (generations / dur) if dur and generations else None
-        ),
-        "phase_seconds": phases,
-        "kernel_seconds": kernel_seconds,
-        "kernel_share": (kernel_seconds / dur) if dur else None,
-        "convergence": curve,
-    }
+    seeded = False
+    generation_seconds = None
+    for child in run.children:
+        if child.kind == "phase":
+            add(child.attrs["name"], child.dur)
+        elif child.kind == "seed":
+            seeded = True
+        elif child.kind == "evaluation":
+            add("fitness_batch" if seeded else "seed_fitness", child.dur)
+        elif child.kind == "checkpoint":
+            add("checkpoint", child.dur)
+        elif child.kind == "verify":
+            add("verify", child.attrs.get("overhead_seconds"))
+        elif child.kind == "generation":
+            generation_seconds = (generation_seconds or 0.0) + float(
+                child.attrs.get("elapsed_seconds", 0.0)
+            )
+    if generation_seconds is not None:
+        phases["evolve"] = max(
+            0.0, generation_seconds - phases.get("fitness_batch", 0.0)
+        )
+    return phases
 
 
 # ----------------------------------------------------------------------
@@ -168,11 +80,33 @@ def _fmt_opt(value, fmt: str = "{:.6g}", missing: str = "-") -> str:
     return missing if value is None else fmt.format(value)
 
 
-def _render_run(summary: dict[str, Any], index: int, total: int) -> str:
+def _render_run(run: SpanNode, index: int, total: int) -> str:
+    attrs, end_attrs = run.attrs, run.end_attrs
+    kids = run.children
+    generation_events = [c for c in kids if c.kind == "generation"]
+    seeds = [c for c in kids if c.kind == "seed"]
+    verifies = [c for c in kids if c.kind == "verify"]
+    eval_stats = end_attrs.get("eval_stats", {})
+    generations = int(
+        end_attrs.get("generations", max(0, len(generation_events) - 1))
+    )
+    evaluations = int(
+        eval_stats.get(
+            "evaluations",
+            sum(
+                c.attrs.get("genomes", 0)
+                for c in kids
+                if c.kind == "evaluation"
+            ),
+        )
+    )
+    cache_hits = int(eval_stats.get("cache_hits", 0))
+    dur = run.dur if run.complete else None
+
     lines: list[str] = []
     if total > 1:
         lines.append(f"=== run {index + 1} of {total} ===")
-    problem = summary["problem"]
+    problem = attrs.get("problem", {})
     where = (
         f"{problem.get('ptg_name', '?')} "
         f"({problem.get('num_tasks', '?')} tasks) on "
@@ -182,54 +116,62 @@ def _render_run(summary: dict[str, Any], index: int, total: int) -> str:
         else "unknown problem"
     )
     flags = []
-    if summary["resumed"]:
+    if attrs.get("resumed", False):
         flags.append("resumed")
-    if summary["interrupted"]:
+    if end_attrs.get("interrupted", False):
         flags.append("interrupted")
-    if summary["incomplete"]:
+    if not run.complete:
         flags.append("trace incomplete (no run_end)")
     suffix = f"  [{', '.join(flags)}]" if flags else ""
-    lines.append(f"run       : {summary['algorithm']} — {where}{suffix}")
-    lines.append(f"engine    : {summary['engine']} kernel")
+    lines.append(
+        f"run       : {attrs.get('algorithm', '?')} — {where}{suffix}"
+    )
+    engine = attrs.get("engine", end_attrs.get("engine", "?"))
+    lines.append(f"engine    : {engine} kernel")
     lines.append(
         f"result    : makespan "
-        f"{_fmt_opt(summary['makespan'])} s after "
-        f"{summary['generations']} generations"
+        f"{_fmt_opt(end_attrs.get('makespan'))} s after "
+        f"{generations} generations"
     )
-    if summary["seed_makespans"]:
-        best_seed = min(summary["seed_makespans"].values())
+    seed_makespans = seeds[-1].attrs.get("makespans", {}) if seeds else {}
+    if seed_makespans:
         lines.append(
-            f"seeds     : best heuristic {best_seed:.6g} s "
-            f"({', '.join(sorted(summary['seed_makespans']))})"
+            f"seeds     : best heuristic "
+            f"{min(seed_makespans.values()):.6g} s "
+            f"({', '.join(sorted(seed_makespans))})"
         )
+    evals_per_sec = evaluations / dur if dur else None
+    generations_per_sec = (
+        generations / dur if dur and generations else None
+    )
     lines.append(
-        f"throughput: {summary['evaluations']} evaluations in "
-        f"{_fmt_opt(summary['run_seconds'], '{:.3f}')} s — "
-        f"{_fmt_opt(summary['evals_per_sec'], '{:.1f}')} evals/s, "
-        f"{_fmt_opt(summary['generations_per_sec'], '{:.2f}')} "
+        f"throughput: {evaluations} evaluations in "
+        f"{_fmt_opt(dur, '{:.3f}')} s — "
+        f"{_fmt_opt(evals_per_sec, '{:.1f}')} evals/s, "
+        f"{_fmt_opt(generations_per_sec, '{:.2f}')} "
         "generations/s"
     )
-    if summary["cache_hits"]:
+    if cache_hits:
         # only traces of builds that memoized fitness values have hits
+        hit_rate = cache_hits / evaluations if evaluations else 0.0
         lines.append(
-            f"cache     : {summary['cache_hits']}/"
-            f"{summary['evaluations']} hits "
-            f"({summary['hit_rate']:.1%} hit rate)"
+            f"cache     : {cache_hits}/{evaluations} hits "
+            f"({hit_rate:.1%} hit rate)"
         )
     extras = []
-    if summary["checkpoints"]:
-        extras.append(f"{summary['checkpoints']} checkpoints")
-    if summary["verified"]:
+    checkpoints = sum(1 for c in kids if c.kind == "checkpoint")
+    if checkpoints:
+        extras.append(f"{checkpoints} checkpoints")
+    verified = verifies[-1].attrs.get("verified", 0) if verifies else 0
+    if verified:
         extras.append(
-            f"{summary['verified']} evaluations differentially "
-            "verified"
+            f"{verified} evaluations differentially verified"
         )
     if extras:
         lines.append(f"robustness: {', '.join(extras)}")
-    phases = summary["phase_seconds"]
+    phases = run_phases(run)
     if phases:
         lines.append("phases    :")
-        dur = summary["run_seconds"]
         width = max(len(name) for name in phases)
         for name, seconds in sorted(
             phases.items(), key=lambda kv: kv[1], reverse=True
@@ -238,26 +180,31 @@ def _render_run(summary: dict[str, Any], index: int, total: int) -> str:
             lines.append(
                 f"  {name:<{width}}  {seconds:>9.4f} s  {share}"
             )
+        kernel = sum(phases.get(p, 0.0) for p in _KERNEL_PHASES)
+        share = _fmt_opt(kernel / dur if dur else None, "{:.1%}")
         lines.append(
-            f"kernel share of wall time: "
-            f"{_fmt_opt(summary['kernel_share'], '{:.1%}')} "
+            f"kernel share of wall time: {share} "
             f"({' + '.join(_KERNEL_PHASES)})"
         )
-    curve = summary["convergence"]
+    curve = [
+        (e.attrs.get("generation", i), e.attrs["best"])
+        for i, e in enumerate(generation_events)
+        if e.attrs.get("best") is not None
+    ]
     if curve:
         lines.append("convergence (best makespan per generation):")
         worst = max(v for _, v in curve)
         for gen, best in curve:
-            bar = "#" * max(1, round(40 * best / worst)) if worst else ""
+            bar = "#" * (
+                min(40, max(1, round(40 * best / worst))) if worst else 0
+            )
             lines.append(f"  gen {gen:>3}  {best:>12.6g}  {bar}")
     return "\n".join(lines)
 
 
-def _render_campaign(events: list[TraceEvent]) -> str:
-    trials = [e for e in events if e.kind == "campaign_trial"]
-    if not trials:
-        return ""
+def _render_campaign(campaign: SpanNode) -> str:
     by_status: dict[str, int] = {}
+    trials = [c for c in campaign.children if c.kind == "campaign_trial"]
     for t in trials:
         status = t.attrs.get("status", "?")
         by_status[status] = by_status.get(status, 0) + 1
@@ -265,30 +212,24 @@ def _render_campaign(events: list[TraceEvent]) -> str:
         f"{count} {status}" for status, count in sorted(by_status.items())
     )
     lines = [f"campaign  : {len(trials)} trials ({parts})"]
-    end = next(
-        (e for e in events if e.kind == "campaign_end"), None
-    )
-    if end is not None and end.dur is not None:
-        lines.append(f"            total {end.dur:.3f} s")
+    if campaign.complete and campaign.dur is not None:
+        lines.append(f"            total {campaign.dur:.3f} s")
     return "\n".join(lines)
 
 
-def _render_online(events: list[TraceEvent]) -> str:
-    """Digest of ``online_start``..``online_end`` reactive executions.
+def _render_online(siblings: list[SpanNode]) -> list[str]:
+    """Digest of the ``online_start`` .. ``online_end`` runs in order.
 
     Online runtimes (:func:`repro.online.execute_online`) emit flat
-    events rather than spans; runs are paired up in file order, and a
+    events rather than spans; runs are paired up among siblings, and a
     start without a matching end is reported as incomplete.
     """
-    starts = [e for e in events if e.kind == "online_start"]
-    if not starts:
-        return ""
     lines: list[str] = []
     run_no = 0
-    current: TraceEvent | None = None
+    current: SpanNode | None = None
     faults: dict[str, int] = {}
     replans = 0
-    for event in events:
+    for event in siblings:
         if event.kind == "online_start":
             current = event
             faults = {}
@@ -338,26 +279,166 @@ def _render_online(events: list[TraceEvent]) -> str:
         lines.append(
             f"online    : run {run_no} incomplete (no online_end)"
         )
+    return lines
+
+
+# ----------------------------------------------------------------------
+def _fmt_dur(dur: float | None) -> str:
+    return "   -    " if dur is None else f"{dur:8.3f}s"
+
+
+_WATERFALL_KINDS = {
+    "request": "request",
+    "queue_wait": "queue wait",
+    "service_run_start": "run attempt",
+    "run_start": "emts run",
+    "online_start": "online run",
+    "verify": "verify",
+    "checkpoint": "checkpoint",
+    "fault": "fault",
+    "reschedule": "reschedule",
+}
+
+
+def _waterfall_node(node: SpanNode, depth: int, lines: list[str]) -> None:
+    if node.kind == "phase":
+        label = str(node.attrs.get("name", "phase"))
+    else:
+        label = _WATERFALL_KINDS.get(node.kind)
+    if label is None and node.kind not in (
+        "generation",
+        "evaluation",
+        "seed",
+    ):
+        label = node.kind
+    if label is not None:
+        indent = "  " * depth
+        detail = _node_detail(node)
+        flag = "" if node.complete else "  [UNCLOSED — crash?]"
+        lines.append(
+            f"  {_fmt_dur(node.dur)}  {indent}{label}"
+            f"{':  ' + detail if detail else ''}{flag}"
+        )
+        depth += 1
+    # generations/evaluations are summarized, not listed
+    gens = sum(1 for c in node.children if c.kind == "generation")
+    evals = sum(
+        c.attrs.get("genomes", 0)
+        for c in node.children
+        if c.kind == "evaluation"
+    )
+    if gens or evals:
+        indent = "  " * depth
+        lines.append(
+            f"  {'':>9}  {indent}· {gens} generations, "
+            f"{int(evals)} genomes evaluated"
+        )
+    for child in node.children:
+        if child.kind in ("generation", "evaluation"):
+            continue
+        _waterfall_node(child, depth, lines)
+
+
+def _node_detail(node: SpanNode) -> str:
+    a, z = node.attrs, node.end_attrs
+    if node.kind == "request":
+        return (
+            f"{a.get('outcome', '?')} status={a.get('status', '?')} "
+            f"tenant={a.get('tenant', '?')} "
+            f"priority={a.get('priority', '?')}"
+        )
+    if node.kind == "queue_wait":
+        return (
+            f"priority={a.get('priority', '?')} "
+            f"tenant={a.get('tenant', '?')}"
+        )
+    if node.kind == "service_run_start":
+        parts = [f"attempt={a.get('attempt', '?')}"]
+        if z.get("served_from"):
+            parts.append(f"served_from={z['served_from']}")
+        if z.get("state"):
+            parts.append(f"state={z['state']}")
+        if z.get("warm_hit") is not None:
+            parts.append(f"warm_hit={z['warm_hit']}")
+        return " ".join(parts)
+    if node.kind == "run_start":
+        problem = a.get("problem", {})
+        parts = [str(a.get("algorithm", "?"))]
+        if problem:
+            parts.append(
+                f"{problem.get('ptg_name', '?')}"
+                f"/{problem.get('cluster_name', '?')}"
+            )
+        if z.get("makespan") is not None:
+            parts.append(f"makespan={z['makespan']:.6g}")
+        if a.get("resumed"):
+            parts.append("resumed")
+        if z.get("interrupted"):
+            parts.append("interrupted")
+        return " ".join(parts)
+    if node.kind == "verify":
+        return f"{a.get('verified', 0)} evaluations re-verified"
+    if node.kind == "checkpoint":
+        return f"generation {a.get('generation', '?')}"
+    return ""
+
+
+def _render_waterfall(tree: TraceTree) -> str:
+    header = f"trace {tree.trace_id}"
+    notes = []
+    if tree.truncated_shards:
+        notes.append(
+            "torn shard(s): " + ", ".join(tree.truncated_shards)
+        )
+    if tree.crashed:
+        notes.append("CRASHED — partial tree")
+    if notes:
+        header += f"  [{'; '.join(notes)}]"
+    lines = [header, f"  shards: {', '.join(tree.shards)}"]
+    for child in tree.root.children:
+        _waterfall_node(child, 0, lines)
     return "\n".join(lines)
 
 
-def render_trace_report(path: str | Path) -> str:
-    """The full ``report-trace`` text for one trace file."""
-    path = Path(path)
-    events = read_trace(path)
-    summaries = summarize_runs(events)
-    campaign = _render_campaign(events)
-    online = _render_online(events)
-    if not summaries and not campaign and not online:
-        raise TraceError(
-            f"trace file {path} contains no run, campaign or online "
-            f"spans ({len(events)} events of other kinds)"
-        )
-    blocks = [f"trace     : {path} ({len(events)} events)"]
-    if campaign:
-        blocks.append(campaign)
+def _render(trees: list[TraceTree]) -> list[str]:
+    nodes = [node for tree in trees for node in tree.root.walk()]
+    runs = [n for n in nodes if n.kind == "run_start"]
+    blocks = [_render_waterfall(t) for t in trees if t.trace_id]
+    blocks += [
+        _render_campaign(n) for n in nodes if n.kind == "campaign_start"
+    ]
+    online = [
+        line for n in nodes for line in _render_online(n.children)
+    ]
     if online:
-        blocks.append(online)
-    for i, summary in enumerate(summaries):
-        blocks.append(_render_run(summary, i, len(summaries)))
-    return "\n".join(blocks)
+        blocks.append("\n".join(online))
+    blocks += [
+        _render_run(run, i, len(runs)) for i, run in enumerate(runs)
+    ]
+    return blocks
+
+
+def render_trace_report(path: str | Path) -> str:
+    """The full ``report-trace`` text of a trace file or directory."""
+    trees = load_trace(path)
+    events = sum(tree.events for tree in trees)
+    try:
+        blocks = _render(trees)
+    except (
+        AttributeError,
+        KeyError,
+        OverflowError,
+        RecursionError,
+        TypeError,
+        ValueError,
+    ) as exc:
+        raise TraceError(
+            f"trace {path}: an event's attrs cannot be rendered "
+            f"({exc!r})"
+        ) from exc
+    if not blocks:
+        raise TraceError(
+            f"trace {path} contains no request, run, campaign or "
+            f"online spans ({events} events of other kinds)"
+        )
+    return "\n".join([f"trace     : {path} ({events} events)", *blocks])

@@ -1,14 +1,14 @@
 """Structured run tracing: a schema-versioned JSONL event stream.
 
 One trace file holds the chronological event stream of one (or more)
-observed runs: ``run_start`` .. ``run_end`` spans with ``generation``,
-``evaluation``, ``checkpoint`` and ``verify`` events in between, or a
-campaign's ``campaign_start``/``campaign_trial``/``campaign_end``
-sequence.  Every line is one JSON object — the documented
+observed runs: ``run_start`` .. ``run_end`` spans with ``phase``,
+``generation``, ``evaluation``, ``checkpoint`` and ``verify`` events in
+between, or a campaign's ``campaign_start``/``campaign_trial``/
+``campaign_end`` sequence.  Every line is one JSON object — the documented
 :class:`TraceEvent` schema (``docs/TRACE_SCHEMA.md``):
 
 ``v``
-    Schema version (currently 2; version-1 files remain readable).
+    Schema version (currently 3; versions 1 and 2 remain readable).
 ``kind``
     Event kind, one of :data:`EVENT_KINDS`.
 ``span``
@@ -21,10 +21,10 @@ sequence.  Every line is one JSON object — the documented
     (:func:`time.perf_counter` based — comparable within a trace,
     meaningless across traces).
 ``dur``
-    Optional duration in seconds (span-closing and phase events).
+    Optional duration in seconds (span-closing and timed events).
 ``attrs``
     Kind-specific payload (problem fingerprint, generation statistics,
-    phase breakdown, ...).
+    phase name, ...).
 ``ctx``
     Version 2, optional: the distributed-trace mirror of ``span`` /
     ``parent`` — ``{"trace": <hex>, "span": <hex>, "parent": <hex|null>}``
@@ -32,6 +32,9 @@ sequence.  Every line is one JSON object — the documented
     :class:`TraceContext`).  ``span``/``parent`` stay file-local; ``ctx``
     lets :mod:`repro.obs.assemble` join shards written by different
     processes into one causal tree.
+
+A timed region is an event with a ``dur``: :func:`phase` times one
+block of a run as a ``phase`` event and does nothing without a tracer.
 
 Determinism contract: for a fixed seed and configuration the event
 *sequence* — kinds, span ids, parents, and every ``attrs`` entry except
@@ -73,6 +76,7 @@ __all__ = [
     "derive_trace_id",
     "read_trace",
     "read_trace_prefix",
+    "phase",
     "use_context",
     "validate_event",
     "strip_timestamps",
@@ -80,25 +84,29 @@ __all__ = [
 ]
 
 TRACE_FORMAT = "repro-trace"
-TRACE_VERSION = 2
+TRACE_VERSION = 3
 #: Versions :func:`validate_event` accepts.  Version 2 added the
 #: optional ``ctx`` distributed-trace mirror and the ``request`` /
-#: ``queue_wait`` / ``service_run_*`` / ``drain`` kinds; version-1
-#: files are a strict subset and stay readable.
-SUPPORTED_TRACE_VERSIONS = (1, 2)
+#: ``queue_wait`` / ``service_run_*`` / ``drain`` kinds; version 3 the
+#: ``phase`` kind and ``checkpoint.dur`` in place of
+#: ``run_end.attrs.phase_seconds``.  Older files stay readable.
+SUPPORTED_TRACE_VERSIONS = (1, 2, 3)
 
-#: Every kind a version-2 trace may contain.  The ``online_*``, ``fault``
-#: and ``reschedule`` kinds are emitted by the reactive execution runtime
-#: (:mod:`repro.online`): an ``online_start`` .. ``online_end`` span with
-#: one ``fault`` event per injected/observed fault and one ``reschedule``
-#: event per frontier re-optimization.  The ``request``, ``queue_wait``,
-#: ``service_run_start``/``service_run_end`` and ``drain`` kinds are
-#: emitted by the serving stack (:mod:`repro.service`): one ``request``
-#: per HTTP submission outcome, one ``queue_wait`` + ``service_run_*``
-#: span per worker execution attempt, one ``drain`` per shutdown.
+#: Every kind a version-3 trace may contain.  ``phase`` is one timed
+#: region of an EMTS run (``attrs.name``, ``dur``).  The ``online_*``,
+#: ``fault`` and ``reschedule`` kinds are emitted by the reactive
+#: execution runtime (:mod:`repro.online`): an ``online_start`` ..
+#: ``online_end`` span with one ``fault`` event per injected/observed
+#: fault and one ``reschedule`` event per frontier re-optimization.
+#: The ``request``, ``queue_wait``, ``service_run_start``/
+#: ``service_run_end`` and ``drain`` kinds are emitted by the serving
+#: stack (:mod:`repro.service`): one ``request`` per HTTP submission
+#: outcome, one ``queue_wait`` + ``service_run_*`` span per worker
+#: execution attempt, one ``drain`` per shutdown.
 EVENT_KINDS = (
     "run_start",
     "run_end",
+    "phase",
     "seed",
     "generation",
     "evaluation",
@@ -506,6 +514,23 @@ class Tracer:
         return f"Tracer({str(self.path)!r}, {state})"
 
 
+@contextmanager
+def phase(tracer: Tracer | None, name: str) -> Iterator[None]:
+    """Time the block as one ``phase`` event named ``name``.
+
+    Without a tracer the block runs untimed: this is the whole cost of
+    a phase on the disabled path.
+    """
+    if tracer is None:
+        yield
+        return
+    t0 = time.perf_counter()
+    yield
+    tracer.event(
+        "phase", attrs={"name": name}, dur=time.perf_counter() - t0
+    )
+
+
 def _jsonable(value):
     """Coerce numpy scalars (and other oddballs) to plain JSON types."""
     if hasattr(value, "item"):
@@ -526,6 +551,16 @@ def _is_hex_id(value: str) -> bool:
         0 < len(value) <= 64
         and all(c in _HEX_DIGITS for c in value)
     )
+
+
+def _non_negative(value: Any) -> bool:
+    """True for a JSON number that is a float ``>= 0`` (not NaN)."""
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        return False
+    try:
+        return float(value) >= 0
+    except OverflowError:  # an integer too large for a float
+        return False
 
 
 def validate_event(
@@ -579,14 +614,10 @@ def validate_event(
             f"parent must be null or a positive integer, got {parent!r}"
         )
     t = data.get("t")
-    if not isinstance(t, (int, float)) or isinstance(t, bool) or t < 0:
+    if not _non_negative(t):
         raise bad(f"t must be a non-negative number, got {t!r}")
     dur = data.get("dur")
-    if dur is not None and (
-        not isinstance(dur, (int, float))
-        or isinstance(dur, bool)
-        or dur < 0
-    ):
+    if dur is not None and not _non_negative(dur):
         raise bad(
             f"dur must be absent or a non-negative number, got {dur!r}"
         )
@@ -598,7 +629,7 @@ def validate_event(
     ctx = data.get("ctx")
     if ctx is not None:
         if version < 2:
-            raise bad("ctx requires trace version 2")
+            raise bad("ctx requires trace version 2 or later")
         if not isinstance(ctx, dict):
             raise bad(
                 f"ctx must be a JSON object, got {type(ctx).__name__}"
@@ -621,13 +652,10 @@ def validate_event(
             )
 
 
-def read_trace(path: str | Path) -> list[TraceEvent]:
-    """Parse and validate a JSONL trace file.
-
-    Mirrors the checkpoint loader's contract: missing, truncated or
-    corrupt files raise :class:`~repro.exceptions.TraceError` with
-    enough context (file, line number, reason) to act on.
-    """
+def _parse(
+    path: str | Path, tolerate_tear: bool
+) -> tuple[list[TraceEvent], bool]:
+    """Parse and validate every line; see the two readers below."""
     path = Path(path)
     try:
         text = path.read_text(encoding="utf-8")
@@ -635,18 +663,27 @@ def read_trace(path: str | Path) -> list[TraceEvent]:
         raise TraceError(
             f"cannot read trace file {path}: {exc}"
         ) from exc
-    events: list[TraceEvent] = []
+    except UnicodeDecodeError as exc:
+        raise TraceError(
+            f"trace file {path} is not UTF-8 text ({exc.reason} at "
+            f"byte {exc.start})"
+        ) from exc
     lines = text.split("\n")
+    truncated = False
     # a complete trace ends with a newline: the final split element is
     # empty.  Anything else means the last write was torn mid-line.
-    if lines and lines[-1] == "":
+    if lines[-1] == "":
         lines.pop()
-    elif lines:
+    elif tolerate_tear:
+        lines.pop()
+        truncated = True
+    else:
         raise TraceError(
             f"trace file {path} is truncated: line {len(lines)} ends "
             "without a newline (the writing process likely died "
             "mid-event)"
         )
+    events: list[TraceEvent] = []
     for lineno, line in enumerate(lines, start=1):
         if not line.strip():
             raise TraceError(
@@ -655,13 +692,29 @@ def read_trace(path: str | Path) -> list[TraceEvent]:
             )
         try:
             data = json.loads(line)
-        except ValueError as exc:
+        except (ValueError, RecursionError) as exc:
+            if tolerate_tear and lineno == len(lines):
+                # a torn line that happened to end in "\n" content-wise
+                truncated = True
+                break
             raise TraceError(
                 f"trace file {path}, line {lineno}: not valid JSON "
                 f"({exc})"
             ) from exc
         validate_event(data, line=lineno, path=path)
         events.append(TraceEvent.from_dict(data))
+    return events, truncated
+
+
+def read_trace(path: str | Path) -> list[TraceEvent]:
+    """Parse and validate a JSONL trace file.
+
+    Mirrors the checkpoint loader's contract: missing, undecodable,
+    truncated or corrupt files raise
+    :class:`~repro.exceptions.TraceError` with enough context (file,
+    line number, reason) to act on.
+    """
+    events, _ = _parse(path, tolerate_tear=False)
     if not events:
         raise TraceError(f"trace file {path} contains no events")
     return events
@@ -675,48 +728,15 @@ def read_trace_prefix(
     Where :func:`read_trace` refuses a truncated file outright, this
     reader returns ``(events, truncated)``: every complete, valid event
     before the first torn or corrupt line, plus a flag saying whether
-    anything had to be dropped.  This is the assembler's entry point —
-    a worker killed mid-span leaves a readable prefix, and the partial
-    tree (crash flagged) is exactly what the postmortem needs.
+    anything had to be dropped.  This is how the loader reads a service
+    trace directory — a worker killed mid-span leaves a readable prefix,
+    and the partial tree (crash flagged) is exactly what the postmortem
+    needs.
 
     Structural violations *within* a complete line (bad schema, unknown
     kind) still raise: corruption is only forgiven at the torn tail.
     """
-    path = Path(path)
-    try:
-        text = path.read_text(encoding="utf-8")
-    except OSError as exc:
-        raise TraceError(
-            f"cannot read trace file {path}: {exc}"
-        ) from exc
-    lines = text.split("\n")
-    truncated = False
-    if lines and lines[-1] == "":
-        lines.pop()
-    elif lines:
-        # final line torn mid-write: drop it, remember the wound
-        lines.pop()
-        truncated = True
-    events: list[TraceEvent] = []
-    for lineno, line in enumerate(lines, start=1):
-        if not line.strip():
-            raise TraceError(
-                f"trace file {path}, line {lineno}: blank line in "
-                "event stream (file corrupt?)"
-            )
-        try:
-            data = json.loads(line)
-        except ValueError:
-            if lineno == len(lines):
-                # a torn line that happened to end in "\n" content-wise
-                truncated = True
-                break
-            raise TraceError(
-                f"trace file {path}, line {lineno}: not valid JSON"
-            ) from None
-        validate_event(data, line=lineno, path=path)
-        events.append(TraceEvent.from_dict(data))
-    return events, truncated
+    return _parse(path, tolerate_tear=True)
 
 
 # ----------------------------------------------------------------------

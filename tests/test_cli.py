@@ -166,6 +166,13 @@ class TestSchedule:
         assert exc.value.code == 2
         assert "--workers" in capsys.readouterr().err
 
+    def test_report_trace_service_flag_is_gone(self, capsys):
+        # a directory argument is all report-trace needs
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(["report-trace", "d", "--service"])
+        assert exc.value.code == 2
+        assert "--service" in capsys.readouterr().err
+
     def test_gantt_flag(self, capsys):
         main(
             [

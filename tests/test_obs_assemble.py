@@ -1,4 +1,4 @@
-"""Tests for cross-process trace assembly (repro.obs.assemble)."""
+"""Tests for trace loading and cross-process assembly (repro.obs.assemble)."""
 
 from __future__ import annotations
 
@@ -14,7 +14,8 @@ from repro.obs import (
     canonical_tree,
     derive_span_id,
     derive_trace_id,
-    render_service_report,
+    load_trace,
+    render_trace_report,
 )
 
 
@@ -142,6 +143,43 @@ class TestAssembly:
         )
 
 
+class TestLocalTrees:
+    def test_file_loads_as_one_local_tree(self, tmp_path):
+        path = tmp_path / "run.jsonl"
+        with Tracer(path) as tracer:
+            tracer.begin("run_start", attrs={"algorithm": "emts5"})
+            tracer.event("phase", attrs={"name": "seeding"}, dur=0.5)
+            tracer.event("generation", attrs={"generation": 0})
+            tracer.end("run_end", attrs={"makespan": 3.0})
+        (tree,) = load_trace(path)
+        assert tree.trace_id is None and tree.events == 4
+        (run,) = tree.root.children
+        assert run.kind == "run_start" and run.complete
+        assert run.end_attrs == {"makespan": 3.0}
+        assert [c.kind for c in run.children] == ["phase", "generation"]
+
+    def test_directory_keeps_context_free_events_in_local_trees(
+        self, tmp_path
+    ):
+        root = request_root()
+        write_attempt_shard(tmp_path, root)
+        with Tracer(tmp_path / "server.jsonl", append=True) as tracer:
+            tracer.event("drain", attrs={"queued": 0, "running": 0})
+        request_tree, server_tree = load_trace(tmp_path)
+        assert request_tree.trace_id == root.trace_id
+        assert server_tree.trace_id is None
+        assert [n.kind for n in server_tree.root.children] == ["drain"]
+
+    def test_service_report_digests_each_run(self, tmp_path):
+        root = request_root()
+        write_server_shard(tmp_path, root)
+        write_attempt_shard(tmp_path, root)
+        text = render_trace_report(tmp_path)
+        assert f"trace {root.trace_id}" in text
+        assert "run       : emts5" in text
+        assert "result    : makespan 3 s" in text
+
+
 class TestCrashTolerance:
     def test_torn_shard_yields_partial_flagged_tree(self, tmp_path):
         root = request_root()
@@ -198,6 +236,21 @@ class TestStructuralBreaks:
         with pytest.raises(TraceError, match="structurally broken"):
             assemble_traces(tmp_path)
 
+    def test_parent_cycle_raises(self, tmp_path):
+        path = tmp_path / "cycle.jsonl"
+        path.write_text(
+            "".join(
+                json.dumps(
+                    {"v": 3, "kind": "run_start", "span": span,
+                     "parent": parent, "t": 0.0}
+                )
+                + "\n"
+                for span, parent in ((1, 2), (2, 1))
+            )
+        )
+        with pytest.raises(TraceError, match="cycle"):
+            load_trace(path)
+
     def test_empty_directory_raises(self, tmp_path):
         with pytest.raises(TraceError, match="no .*shards"):
             assemble_traces(tmp_path)
@@ -219,7 +272,7 @@ class TestWaterfall:
         root = request_root()
         write_server_shard(tmp_path, root)
         write_attempt_shard(tmp_path, root)
-        text = render_service_report(tmp_path)
+        text = render_trace_report(tmp_path)
         assert f"trace {root.trace_id}" in text
         assert "request:  accepted status=202" in text
         assert "queue wait" in text
@@ -233,6 +286,6 @@ class TestWaterfall:
         path = write_attempt_shard(tmp_path, root, finish=False)
         raw = path.read_bytes()
         path.write_bytes(raw[:-5])
-        text = render_service_report(tmp_path)
+        text = render_trace_report(tmp_path)
         assert "CRASHED — partial tree" in text
         assert "[UNCLOSED — crash?]" in text

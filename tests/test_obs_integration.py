@@ -17,11 +17,12 @@ from repro.exceptions import TraceError
 from repro.obs import (
     MetricsRegistry,
     ObservedEvaluator,
-    PhaseProfiler,
     Tracer,
     canonical_events,
+    load_trace,
     read_trace,
     render_trace_report,
+    run_phases,
     run_snapshot,
     validate_event,
 )
@@ -29,12 +30,12 @@ from repro.platform import grelon
 from repro.timemodels import SyntheticModel, TimeTable
 from repro.workloads import generate_fft
 
-#: Phases the EMTS hot path may charge time to.
+#: Phases report-trace derives for an EMTS run.
 KNOWN_PHASES = {
     "seeding",
     "seed_fitness",
     "kernel_build",
-    "mutation",
+    "evolve",
     "fitness_batch",
     "checkpoint",
     "final_mapping",
@@ -50,9 +51,9 @@ def problem():
     return ptg, cluster, table
 
 
-def traced_run(problem, path, seed=42, **kwargs):
+def traced_run(problem, path, seed=42, islands=0, **kwargs):
     ptg, cluster, table = problem
-    return emts5().schedule(
+    return emts5(islands=islands).schedule(
         ptg, cluster, table, rng=seed, trace=path, **kwargs
     )
 
@@ -96,13 +97,67 @@ class TestTracedRun:
     def test_phase_breakdown_is_sane(self, problem, tmp_path):
         path = tmp_path / "run.jsonl"
         traced_run(problem, path)
-        end = read_trace(path)[-1]
-        phases = end.attrs["phase_seconds"]
+        events = read_trace(path)
+        assert "phase_seconds" not in events[-1].attrs
+        (tree,) = load_trace(path)
+        (run,) = tree.root.children
+        phases = run_phases(run)
         assert set(phases) <= KNOWN_PHASES
-        assert {"seeding", "mutation", "fitness_batch"} <= set(phases)
+        assert {"seeding", "evolve", "fitness_batch"} <= set(phases)
         assert all(v >= 0 for v in phases.values())
         # phase times nest inside the run span
-        assert sum(phases.values()) <= end.dur * 1.01
+        assert sum(phases.values()) <= run.dur * 1.01
+        kinds = [e.kind for e in events]
+        after_seed = events[kinds.index("seed"):]
+        assert phases["fitness_batch"] == pytest.approx(
+            sum(e.dur for e in after_seed if e.kind == "evaluation")
+        )
+
+    @pytest.mark.parametrize("islands", [0, 2])
+    def test_phases_add_up_fresh_and_resumed(
+        self, problem, tmp_path, islands
+    ):
+        ckpt = tmp_path / "run.ckpt"
+        stop = threading.Event()
+        stop.set()  # stop after generation 0, then resume
+        traced_run(
+            problem, tmp_path / "first.jsonl", seed=5, islands=islands,
+            checkpoint_path=ckpt, stop_event=stop,
+        )
+        traced_run(
+            problem, tmp_path / "second.jsonl", seed=5, islands=islands,
+            checkpoint_path=ckpt, resume_from=ckpt,
+        )
+        for name in ("first.jsonl", "second.jsonl"):
+            (tree,) = load_trace(tmp_path / name)
+            (run,) = tree.root.children
+            phases = run_phases(run)
+            assert set(phases) <= KNOWN_PHASES
+            assert {"evolve", "fitness_batch", "checkpoint"} <= set(
+                phases
+            )
+            assert all(v >= 0 for v in phases.values())
+            assert sum(phases.values()) <= run.dur * 1.01
+        # a resumed run neither seeds nor scores the seeds again
+        assert "seeding" not in phases
+        assert "seed_fitness" not in phases
+
+    @pytest.mark.parametrize("islands", [0, 2])
+    def test_observers_change_no_results(self, problem, tmp_path, islands):
+        ptg, cluster, table = problem
+        outcomes = []
+        for i, (trace, metrics) in enumerate(
+            [(False, False), (True, False), (False, True), (True, True)]
+        ):
+            result = emts5(islands=islands).schedule(
+                ptg, cluster, table, rng=9,
+                trace=tmp_path / f"{i}.jsonl" if trace else None,
+                metrics=MetricsRegistry() if metrics else None,
+            )
+            outcomes.append(
+                (result.makespan.hex(), result.allocation.tolist())
+            )
+        assert all(o == outcomes[0] for o in outcomes)
 
     def test_same_seed_traces_bit_identical(self, problem, tmp_path):
         traced_run(problem, tmp_path / "a.jsonl", seed=7)
@@ -243,21 +298,6 @@ class TestObservedEvaluator:
         }
         assert registry.value("evaluation.genomes") == 2
 
-    def test_phase_as_redirects_profiler(self, problem):
-        ptg, _, table = problem
-        profiler = PhaseProfiler()
-        with ObservedEvaluator(
-            SerialEvaluator(ptg, table), profiler=profiler
-        ) as evaluator:
-            genome = make_allocator("mcpa").allocate(ptg, table)
-            with evaluator.phase_as("seed_fitness"):
-                evaluator.evaluate([genome])
-            evaluator.evaluate([genome])
-        assert profiler.counts == {
-            "seed_fitness": 1,
-            "fitness_batch": 1,
-        }
-
     def test_stats_delegate(self, problem):
         ptg, _, table = problem
         inner = SerialEvaluator(ptg, table)
@@ -277,6 +317,7 @@ class TestReportTrace:
         assert f"{result.makespan:.6g}" in report
         assert "phases" in report
         assert "fitness_batch" in report
+        assert "evolve" in report
         assert "convergence" in report
 
     def test_report_of_crashed_run_names_incompleteness(

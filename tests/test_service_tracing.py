@@ -213,7 +213,7 @@ class TestCLI:
     ):
         trace_dir = tmp_path / "traces"
         traced_round_trip(trace_dir, [make_doc(seed=19)])
-        rc = cli_main(["report-trace", str(trace_dir), "--service"])
+        rc = cli_main(["report-trace", str(trace_dir)])
         out = capsys.readouterr().out
         assert rc == 0
         assert "queue wait" in out
@@ -235,7 +235,7 @@ class TestCLI:
             with Tracer(tmp_path / name, context=ctx.child("c")) as t:
                 t.event("queue_wait", attrs={}, dur=0.0)
         with pytest.raises(SystemExit):
-            cli_main(["report-trace", str(tmp_path), "--service"])
+            cli_main(["report-trace", str(tmp_path)])
 
     def test_slo_bench_mode_green(self, capsys):
         bench = sorted(
@@ -300,7 +300,7 @@ class TestCrossProcessCrash:
         }
         assert "run_start" in open_kinds
         # rendering a crashed tree must not raise (postmortem path)
-        rc = cli_main(["report-trace", str(trace_dir), "--service"])
+        rc = cli_main(["report-trace", str(trace_dir)])
         assert rc == 0
 
         # restart on the same spool: the recovered attempt writes a
