@@ -12,7 +12,7 @@ the CI perf-smoke job regenerates and gates) with:
     eliminates.
 ``batch_us_per_genome``
     Mean microseconds per genome when one generation-sized block goes
-    through :meth:`FitnessEvaluator.evaluate_batch` in a single call.
+    through :meth:`SerialEvaluator.evaluate_batch` in a single call.
 ``batch_speedup_x``
     ``single / batch`` measured in the *same run* on the same host, so
     the ratio is robust to hardware differences.  Gated at >= 5x on

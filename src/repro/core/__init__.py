@@ -11,9 +11,8 @@ Public API:
   operator (Figure 3);
 * :func:`seed_population` — heuristic-seeded initial populations;
 * encoding helpers (:func:`clamp_allocations` etc., Figure 2);
-* the fitness-evaluation engine (:class:`FitnessEvaluator`, its
-  batch-kernel backend :class:`SerialEvaluator`, and
-  :func:`create_evaluator`);
+* the fitness-evaluation engine (the batch-kernel backend
+  :class:`SerialEvaluator` and :func:`create_evaluator`);
 * resumable run checkpoints (:class:`Checkpoint`,
   :func:`save_checkpoint`, :func:`load_checkpoint`,
   :func:`verify_resumable`).
@@ -31,7 +30,6 @@ from .config import EMTSConfig, emts5_config, emts10_config
 from .emts import EMTS, EMTSResult, emts5, emts10
 from .evaluator import (
     EvaluationStats,
-    FitnessEvaluator,
     SerialEvaluator,
     create_evaluator,
 )
@@ -69,7 +67,6 @@ __all__ = [
     "make_allocator",
     "SEED_REGISTRY",
     "EvaluationStats",
-    "FitnessEvaluator",
     "SerialEvaluator",
     "create_evaluator",
     "Checkpoint",

@@ -179,7 +179,6 @@ class EMTS:
         evaluator_wrapper=None,
         trace: str | Path | Tracer | None = None,
         metrics: MetricsRegistry | None = None,
-        warm_start: np.ndarray | None = None,
     ) -> EMTSResult:
         """Schedule ``ptg`` on ``cluster`` under ``model``.
 
@@ -230,15 +229,6 @@ class EMTS:
             Callable applied to the freshly built fitness evaluator
             (e.g. :class:`repro.testing.chaos.ChaosEvaluator` for fault
             injection); must return an object with the same interface.
-        warm_start:
-            Optional incumbent allocation vector injected as the first
-            individual of the initial population (origin
-            ``"seed:warm-start"``, reported in ``seed_makespans``).
-            Used by the online rescheduler to seed the search with the
-            currently executing schedule; under plus selection the
-            result can never be worse than the incumbent.  Ignored when
-            resuming from a checkpoint (the checkpointed population
-            already embodies it).
 
         Observability parameters (keyword-only, off by default)
         ------------------------------------------------------
@@ -255,7 +245,7 @@ class EMTS:
             events.
         metrics:
             A :class:`repro.obs.MetricsRegistry` to fill with the run's
-            canonical ``emts.*`` counters/timers and live
+            canonical ``emts.*`` counters/histograms and live
             ``evaluation.*`` batch metrics.
 
         Both default to ``None``; the disabled path builds no wrapper
@@ -406,7 +396,6 @@ class EMTS:
                         mutation=mutation,
                         rng=rng,
                         delta=cfg.delta,
-                        incumbent=warm_start,
                     )
                 if cfg.islands:
                     # one mutation stream per logical island, derived
@@ -417,13 +406,17 @@ class EMTS:
             evaluator = create_evaluator(ptg, table, verify=cfg.verify)
             if evaluator_wrapper is not None:
                 evaluator = evaluator_wrapper(evaluator)
+            verifier = _find_verifier(evaluator)
             if observing:
                 # Outermost wrapper: the recorded batch durations cover
                 # the whole evaluator stack.  Only built when tracing or
                 # metrics are requested, so the disabled path carries no
                 # wrapper at all.
                 evaluator = ObservedEvaluator(
-                    evaluator, tracer=tracer, metrics=metrics
+                    evaluator,
+                    tracer=tracer,
+                    metrics=metrics,
+                    verifier=verifier,
                 )
 
             # Rejection strategy (paper Section VI, future work): abort a
@@ -631,7 +624,6 @@ class EMTS:
             evaluation_stats=combined_stats(),
             interrupted=interrupted,
         )
-        verifier = _find_verifier(evaluator)
         if metrics is not None:
             run_metrics(result, registry=metrics)
         if tracer is not None:

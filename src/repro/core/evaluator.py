@@ -3,10 +3,11 @@
 The paper's complexity analysis (Section III-E) identifies fitness
 evaluation — one list-scheduler run per offspring — as the cost driver of
 the whole algorithm.  This module turns that hot path into a swappable
-component: :class:`FitnessEvaluator` is the interface every wrapper
-(verification, tracing, chaos injection) stacks on, and
-:class:`SerialEvaluator` the one backend.  It scores a whole generation
-in one call to the compiled batch kernel
+component: :class:`SerialEvaluator` is the one backend, and every
+wrapper (verification, tracing, chaos injection) stacks on it through
+the same duck-typed ``evaluate_batch`` / ``stats`` / ``close``
+interface.  It scores a whole generation in one call to the compiled
+batch kernel
 (:meth:`repro.mapping.ScheduleKernel.makespan_batch`), which spreads the
 rows across OpenMP threads when ``REPRO_CKERNEL_THREADS`` asks for more
 than one; the makespans are bit-identical for any thread count.
@@ -19,7 +20,6 @@ the batch kernel maps a genome faster than a cache could look it up
 from __future__ import annotations
 
 import time
-from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
@@ -34,7 +34,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard for hints
 
 __all__ = [
     "EvaluationStats",
-    "FitnessEvaluator",
     "SerialEvaluator",
     "create_evaluator",
 ]
@@ -42,7 +41,7 @@ __all__ = [
 
 @dataclass
 class EvaluationStats:
-    """Counters accumulated by a :class:`FitnessEvaluator`.
+    """Counters accumulated by a :class:`SerialEvaluator`.
 
     Attributes
     ----------
@@ -95,17 +94,27 @@ class EvaluationStats:
         )
 
 
-class FitnessEvaluator(ABC):
-    """Batch fitness evaluation: allocation genomes → makespans.
+class SerialEvaluator:
+    """Batch fitness evaluation on the table's compiled scheduling kernel.
 
-    Subclasses implement :meth:`_evaluate_block`; the public
-    :meth:`evaluate_batch` wrapper adds statistics and timing, and
-    :meth:`evaluate` is its list form.  Evaluators are context
-    managers: leaving the ``with`` block calls :meth:`close`.
+    Maps allocation genomes to makespans.  The
+    :class:`~repro.mapping.ScheduleKernel` is built (or fetched from the
+    table's cache) once in the constructor, and every batch is one
+    :meth:`~repro.mapping.ScheduleKernel.makespan_batch` call on it.
+    The time table must have been built for ``ptg``.  Evaluators are
+    context managers: leaving the ``with`` block calls :meth:`close`.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, ptg: "PTG", table: "TimeTable") -> None:
+        if not (ptg is table.ptg or ptg == table.ptg):
+            raise ConfigurationError(
+                f"time table was built for PTG {table.ptg.name!r}, not "
+                f"for PTG {ptg.name!r}: the two graphs differ"
+            )
+        self.ptg = ptg
+        self.table = table
         self.stats = EvaluationStats()
+        self._kernel = kernel_for(table)
 
     # -- public API ----------------------------------------------------
     def evaluate(
@@ -128,17 +137,18 @@ class FitnessEvaluator(ABC):
         """Makespan of every row of a ``(B, V)`` genome block.
 
         The population-at-once entry point: the whole block flows to
-        the backend as one array — one vectorized validation and one
+        the kernel as one array — one vectorized validation and one
         native batch call.  ``genome_block`` may also be a list of
         genome vectors; a malformed block (wrong shape, ragged rows,
         out-of-range or non-integer allocations) raises
         :class:`~repro.exceptions.AllocationError`.
         """
         t0 = time.perf_counter()
-        values = self._evaluate_block(genome_block, abort_above)
+        values = self._kernel.makespan_batch(genome_block, abort_above)
         if values:
             self.stats.batches += 1
             self.stats.evaluations += len(values)
+            self.stats.mapper_calls += len(values)
             self.stats.wall_seconds += time.perf_counter() - t0
         return values
 
@@ -149,50 +159,11 @@ class FitnessEvaluator(ABC):
     def close(self) -> None:
         """Release any resources held; idempotent."""
 
-    def __enter__(self) -> "FitnessEvaluator":
+    def __enter__(self) -> "SerialEvaluator":
         return self
 
     def __exit__(self, *exc_info) -> None:
         self.close()
-
-    # -- subclass hook -------------------------------------------------
-    @abstractmethod
-    def _evaluate_block(
-        self,
-        genome_block,
-        abort_above: float | None,
-    ) -> list[float]:
-        """Score one genome block; must preserve row order."""
-
-
-class SerialEvaluator(FitnessEvaluator):
-    """In-process evaluation on the table's compiled scheduling kernel.
-
-    The :class:`~repro.mapping.ScheduleKernel` is built (or fetched from
-    the table's cache) once in the constructor, and every batch is one
-    :meth:`~repro.mapping.ScheduleKernel.makespan_batch` call on it.
-    The time table must have been built for ``ptg``.
-    """
-
-    def __init__(self, ptg: "PTG", table: "TimeTable") -> None:
-        super().__init__()
-        if not (ptg is table.ptg or ptg == table.ptg):
-            raise ConfigurationError(
-                f"time table was built for PTG {table.ptg.name!r}, not "
-                f"for PTG {ptg.name!r}: the two graphs differ"
-            )
-        self.ptg = ptg
-        self.table = table
-        self._kernel = kernel_for(table)
-
-    def _evaluate_block(
-        self,
-        genome_block,
-        abort_above: float | None,
-    ) -> list[float]:
-        values = self._kernel.makespan_batch(genome_block, abort_above)
-        self.stats.mapper_calls += len(values)
-        return values
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"SerialEvaluator(ptg={self.ptg.name!r})"
@@ -203,7 +174,7 @@ def create_evaluator(
     table: "TimeTable",
     verify: str = "off",
     verify_interval: int | None = None,
-) -> FitnessEvaluator:
+):
     """Build the evaluator stack for one EMTS run.
 
     The backend is a :class:`SerialEvaluator`.  ``verify`` stacks a
@@ -216,7 +187,7 @@ def create_evaluator(
         raise ConfigurationError(
             f"verify must be 'off', 'sample' or 'full', got {verify!r}"
         )
-    evaluator: FitnessEvaluator = SerialEvaluator(ptg, table)
+    evaluator = SerialEvaluator(ptg, table)
     if verify != "off":
         # imported lazily: repro.verify pulls in the mapping and
         # simulator packages, which in turn import this module

@@ -309,8 +309,8 @@ def run_campaign(
         ``campaign_end`` with the outcome counts.
     metrics:
         A :class:`repro.obs.MetricsRegistry` to fill with
-        ``campaign.trials.*`` outcome counters and the per-trial
-        wall-time timer.
+        ``campaign.trials.*`` outcome counters and the
+        ``campaign.trial_seconds`` wall-time histogram.
 
     Raises
     ------
@@ -519,7 +519,7 @@ def _run_trials(
                     executed.append(trial.key)
                     seconds = time.perf_counter() - t0
                     if metrics is not None:
-                        metrics.timer(
+                        metrics.histogram(
                             "campaign.trial_seconds"
                         ).observe(seconds)
                     _note(

@@ -21,7 +21,6 @@ from ..allocation import AllocationHeuristic
 from ..core import EMTS, EMTSConfig, make_allocator
 from ..graph import PTG
 from ..mapping import makespan_of
-from ..obs.instrument import run_snapshot
 from ..obs.metrics import MetricsRegistry
 from ..obs.trace import Tracer
 from ..platform import Cluster
@@ -203,10 +202,7 @@ def run_comparison(
                     max_wall_time=max_wall_time,
                 )
                 seconds = time.perf_counter() - t0
-                # the canonical metrics-registry projection of the run:
-                # the same numbers a --metrics-out dump or a trace's
-                # eval_stats would report (single source of truth)
-                snap = run_snapshot(emts_result)
+                stats = emts_result.evaluation_stats
                 result.records.append(
                     RunRecord(
                         ptg_name=ptg.name,
@@ -218,10 +214,10 @@ def run_comparison(
                         emts_makespan=emts_result.makespan,
                         emts_seconds=seconds,
                         baseline_makespans=base_ms,
-                        emts_evaluations=snap["evaluations"],
-                        emts_mapper_calls=snap["mapper_calls"],
-                        emts_cache_hits=snap["cache_hits"],
-                        interrupted=snap["interrupted"],
+                        emts_evaluations=stats.evaluations,
+                        emts_mapper_calls=stats.mapper_calls,
+                        emts_cache_hits=stats.cache_hits,
+                        interrupted=emts_result.interrupted,
                     )
                 )
     return result
@@ -290,7 +286,7 @@ def _comparison_trial(
         ptg, cluster, table, rng=rng_seed, max_wall_time=max_wall_time
     )
     seconds = time.perf_counter() - t0
-    snap = run_snapshot(emts_result)
+    stats = emts_result.evaluation_stats
     return record_to_dict(
         RunRecord(
             ptg_name=ptg.name,
@@ -302,10 +298,10 @@ def _comparison_trial(
             emts_makespan=emts_result.makespan,
             emts_seconds=seconds,
             baseline_makespans=base_ms,
-            emts_evaluations=snap["evaluations"],
-            emts_mapper_calls=snap["mapper_calls"],
-            emts_cache_hits=snap["cache_hits"],
-            interrupted=snap["interrupted"],
+            emts_evaluations=stats.evaluations,
+            emts_mapper_calls=stats.mapper_calls,
+            emts_cache_hits=stats.cache_hits,
+            interrupted=emts_result.interrupted,
         )
     )
 

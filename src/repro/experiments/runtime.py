@@ -32,7 +32,6 @@ import numpy as np
 
 from .._rng import ensure_generator, iter_seeds
 from ..core import EMTS, emts5, emts10
-from ..obs.instrument import run_snapshot
 from ..platform import Cluster, chti, grelon
 from ..timemodels import SyntheticModel, TimeTable
 from ..workloads import DaggenParams, generate_daggen, generate_strassen
@@ -125,13 +124,10 @@ def _measure(
         t0 = time.perf_counter()
         result = emts.schedule(ptg, cluster, table, rng=next(stream))
         times.append(time.perf_counter() - t0)
-        # read the counters through the canonical metrics-registry
-        # projection — the same numbers the harness records, so the
-        # runtime table and the comparison records can never disagree
-        snap = run_snapshot(result)
-        evaluations.append(snap["evaluations"])
-        mapper_calls.append(snap["mapper_calls"])
-        hits.append(snap["cache_hits"])
+        stats = result.evaluation_stats
+        evaluations.append(stats.evaluations)
+        mapper_calls.append(stats.mapper_calls)
+        hits.append(stats.cache_hits)
     arr = np.asarray(times)
     total_evals = sum(evaluations)
     return (

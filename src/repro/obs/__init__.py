@@ -3,10 +3,10 @@
 A zero-dependency observability layer threaded through every layer of
 the scheduler:
 
-* :mod:`repro.obs.metrics` — counters, gauges, timers and fixed-bucket
-  histograms in a :class:`MetricsRegistry` with text/JSON/Prometheus
-  exporters; per-worker registries merge through
-  :meth:`~MetricsRegistry.drain` snapshots.
+* :mod:`repro.obs.metrics` — counters, gauges and fixed-bucket
+  histograms in a :class:`MetricsRegistry` with JSON/Prometheus
+  exporters; any thread may record into one registry, which locks its
+  own instruments.
 * :mod:`repro.obs.trace` — a schema-versioned JSONL event stream
   (:class:`TraceEvent`) of run/phase/generation/evaluation/checkpoint/
   verify and campaign-trial spans; same-seed traces are bit-identical
@@ -46,7 +46,7 @@ from .flight import (
     read_flight_dump,
     reset_flight_recorder,
 )
-from .instrument import ObservedEvaluator, run_metrics, run_snapshot
+from .instrument import ObservedEvaluator, run_metrics
 from .log import (
     JsonFormatter,
     LOG_LEVELS,
@@ -60,7 +60,6 @@ from .metrics import (
     Gauge,
     Histogram,
     MetricsRegistry,
-    Timer,
 )
 from .report import render_trace_report, run_phases
 from .slo import (
@@ -93,7 +92,6 @@ __all__ = [
     # metrics
     "Counter",
     "Gauge",
-    "Timer",
     "Histogram",
     "MetricsRegistry",
     "DEFAULT_SECONDS_BUCKETS",
@@ -141,7 +139,6 @@ __all__ = [
     # instrumentation + reporting
     "ObservedEvaluator",
     "run_metrics",
-    "run_snapshot",
     "render_trace_report",
     "run_phases",
 ]

@@ -7,35 +7,36 @@ Two pieces live here:
   as :class:`~repro.verify.VerifyingEvaluator`) that records one
   ``evaluation`` trace event (its ``dur`` is the batch wall time, from
   which a run's ``seed_fitness`` and ``fitness_batch`` phases are
-  summed) and one batch-duration histogram sample per fitness batch.
-  It is only ever constructed when tracing or metrics are enabled, so
-  the disabled path carries no wrapper at all.
-* :func:`run_metrics` / :func:`run_snapshot` — the canonical
-  metrics-registry projection of one finished EMTS run.  This is the
-  single source of truth for eval-stat summaries: the experiment
-  harness (:mod:`repro.experiments.harness`) and the runtime tables
-  (:mod:`repro.experiments.runtime`) both consume it, so their
-  "interrupted"/evaluations/cache columns can never drift apart again.
+  summed; with a verifier in the stack, its ``verify_seconds`` is the
+  share spent in differential replays) and one batch-duration
+  histogram sample per fitness batch.  It is only ever constructed
+  when tracing or metrics are enabled, so the disabled path carries no
+  wrapper at all.
+* :func:`run_metrics` — the canonical metrics-registry projection of
+  one finished EMTS run (``--metrics-out``).
 """
 
 from __future__ import annotations
 
 import math
 import time
-from typing import Any, Sequence
+from typing import Sequence
 
 from .metrics import MetricsRegistry
 from .trace import Tracer
 
-__all__ = ["ObservedEvaluator", "run_metrics", "run_snapshot"]
+__all__ = ["ObservedEvaluator", "run_metrics"]
 
 
 class ObservedEvaluator:
     """Record per-batch trace events and metrics around any evaluator.
 
     Sits outermost in the evaluator stack (outside verification), so
-    the recorded batch durations include the whole stack's cost — which
-    is what the run's phase breakdown attributes to fitness evaluation.
+    the recorded batch durations include the whole stack's cost.  Given
+    the stack's ``verifier`` (a :class:`~repro.verify.VerifyingEvaluator`),
+    each ``evaluation`` event also carries ``verify_seconds``, the part
+    of its ``dur`` spent in differential replays, so the run's phase
+    breakdown can count it as ``verify`` instead of fitness evaluation.
     """
 
     def __init__(
@@ -43,10 +44,12 @@ class ObservedEvaluator:
         inner,
         tracer: Tracer | None = None,
         metrics: MetricsRegistry | None = None,
+        verifier=None,
     ) -> None:
         self.inner = inner
         self.tracer = tracer
         self.metrics = metrics
+        self.verifier = verifier
 
     # -- evaluator interface -------------------------------------------
     @property
@@ -72,18 +75,18 @@ class ObservedEvaluator:
         values: list[float],
         abort_above: float | None,
         dt: float,
+        verify_seconds: float | None,
     ) -> None:
         rejected = sum(1 for v in values if math.isinf(v))
         if self.tracer is not None:
-            self.tracer.event(
-                "evaluation",
-                attrs={
-                    "genomes": len(values),
-                    "bounded": abort_above is not None,
-                    "rejected": rejected,
-                },
-                dur=dt,
-            )
+            attrs = {
+                "genomes": len(values),
+                "bounded": abort_above is not None,
+                "rejected": rejected,
+            }
+            if verify_seconds is not None:
+                attrs["verify_seconds"] = verify_seconds
+            self.tracer.event("evaluation", attrs=attrs, dur=dt)
         if self.metrics is not None:
             self.metrics.counter("evaluation.batches").inc()
             self.metrics.counter("evaluation.genomes").inc(
@@ -111,11 +114,17 @@ class ObservedEvaluator:
         abort_above: float | None = None,
     ) -> list[float]:
         """Evaluate one batch, recording its trace event and metrics."""
+        verifier = self.verifier
+        before = verifier.verify_seconds if verifier is not None else 0.0
         t0 = time.perf_counter()
         values = self.inner.evaluate_batch(
             genome_block, abort_above=abort_above
         )
-        self._record(values, abort_above, time.perf_counter() - t0)
+        dt = time.perf_counter() - t0
+        verify_seconds = (
+            verifier.verify_seconds - before if verifier is not None else None
+        )
+        self._record(values, abort_above, dt, verify_seconds)
         return values
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
@@ -145,7 +154,7 @@ def run_metrics(
         ).inc(stats.mapper_calls)
         reg.counter("emts.cache_hits").inc(stats.cache_hits)
         reg.counter("emts.eval_batches").inc(stats.batches)
-        reg.timer("emts.eval_seconds").observe(stats.wall_seconds)
+        reg.histogram("emts.eval_seconds").observe(stats.wall_seconds)
         reg.gauge(
             "emts.cache_hit_rate",
             help="always 0: every genome is scored",
@@ -157,43 +166,10 @@ def run_metrics(
     reg.counter(
         "emts.generations", help="completed evolutionary steps"
     ).inc(max(0, result.log.generations - 1))
-    reg.timer("emts.run_seconds").observe(result.elapsed_seconds)
+    reg.histogram("emts.run_seconds").observe(result.elapsed_seconds)
     reg.gauge("emts.makespan").set(float(result.makespan))
     reg.gauge("emts.interrupted").set(
         1.0 if result.interrupted else 0.0
     )
     return reg
 
-
-def run_snapshot(result) -> dict[str, Any]:
-    """Flat canonical eval-stat summary of one EMTS run.
-
-    Derived from the :func:`run_metrics` registry snapshot, so every
-    consumer (harness records, runtime tables, CLI summaries) reads the
-    same field names and the same values.
-    """
-    snap = run_metrics(result).snapshot()
-
-    def value(name: str, default=0):
-        data = snap.get(name)
-        return data["value"] if data is not None else default
-
-    def timer_total(name: str) -> float:
-        data = snap.get(name)
-        return float(data["total"]) if data is not None else 0.0
-
-    evaluations = int(value("emts.evaluations"))
-    cache_hits = int(value("emts.cache_hits"))
-    return {
-        "evaluations": evaluations,
-        "mapper_calls": int(value("emts.mapper_calls")),
-        "cache_hits": cache_hits,
-        "hit_rate": (
-            cache_hits / evaluations if evaluations else 0.0
-        ),
-        "eval_seconds": timer_total("emts.eval_seconds"),
-        "elapsed_seconds": timer_total("emts.run_seconds"),
-        "generations": int(value("emts.generations")),
-        "makespan": float(value("emts.makespan", math.nan)),
-        "interrupted": bool(value("emts.interrupted")),
-    }

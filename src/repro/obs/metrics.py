@@ -1,22 +1,21 @@
-"""Zero-dependency metrics registry: counters, gauges, timers, histograms.
+"""Zero-dependency metrics registry: counters, gauges, histograms.
 
 Design constraints, in order:
 
-* **cheap** — instruments are plain attribute updates behind one
-  registry lock; the hot path (fitness batches) touches them once per
-  *batch*, never per genome;
-* **mergeable** — :meth:`MetricsRegistry.snapshot` produces a plain
-  dict that :meth:`MetricsRegistry.merge` folds back into any other
-  registry.  Worker processes keep a local registry and ship
-  :meth:`~MetricsRegistry.drain` output back with each finished chunk,
-  so cross-process aggregation happens at chunk boundaries with no
-  shared state;
-* **exportable** — text, JSON, and Prometheus exposition renderings,
-  all derived from the same snapshot.
+* **cheap** — instruments are plain attribute updates behind the
+  registry's one lock; the hot path (fitness batches) touches them once
+  per *batch*, never per genome;
+* **thread-safe** — every update and every read takes that lock, so
+  any thread may record into one registry (the scheduling daemon's
+  front end, queue and workers all share one) and a snapshot never
+  sees a half-applied observation.  It is a leaf lock: nothing else is
+  acquired while it is held;
+* **exportable** — JSON and Prometheus exposition renderings, both
+  derived from the same snapshot.
 
-Metric names are dotted (``emts.evaluations``, ``phase.fitness_batch``);
-the Prometheus exporter mangles them to ``repro_emts_evaluations``-style
-identifiers.
+Metric names are dotted (``emts.evaluations``,
+``evaluation.batch_seconds``); the Prometheus exporter mangles them to
+``repro_emts_evaluations``-style identifiers.
 """
 
 from __future__ import annotations
@@ -26,12 +25,11 @@ import math
 import os
 import threading
 from pathlib import Path
-from typing import Any, Iterable, Mapping
+from typing import Any, Iterable
 
 __all__ = [
     "Counter",
     "Gauge",
-    "Timer",
     "Histogram",
     "MetricsRegistry",
     "DEFAULT_SECONDS_BUCKETS",
@@ -55,107 +53,48 @@ class Counter:
     """A monotonically increasing count."""
 
     kind = "counter"
-    __slots__ = ("name", "help", "value")
+    __slots__ = ("name", "help", "value", "_lock")
 
-    def __init__(self, name: str, help: str = "") -> None:
+    def __init__(
+        self, name: str, lock: threading.Lock, help: str = ""
+    ) -> None:
         self.name = name
         self.help = help
         self.value = 0
+        self._lock = lock
 
     def inc(self, amount: int | float = 1) -> None:
         if amount < 0:
             raise ValueError(
                 f"counter {self.name!r} cannot decrease (inc {amount})"
             )
-        self.value += amount
+        with self._lock:
+            self.value += amount
 
     def to_dict(self) -> dict[str, Any]:
         return {"kind": self.kind, "value": self.value}
-
-    def merge(self, data: Mapping[str, Any]) -> None:
-        self.value += data["value"]
-
-    def reset(self) -> None:
-        self.value = 0
 
 
 class Gauge:
-    """A value that can move both ways (last write wins on merge)."""
+    """A value that can move both ways (last write wins)."""
 
     kind = "gauge"
-    __slots__ = ("name", "help", "value")
+    __slots__ = ("name", "help", "value", "_lock")
 
-    def __init__(self, name: str, help: str = "") -> None:
+    def __init__(
+        self, name: str, lock: threading.Lock, help: str = ""
+    ) -> None:
         self.name = name
         self.help = help
         self.value = 0.0
+        self._lock = lock
 
     def set(self, value: float) -> None:
-        self.value = value
+        with self._lock:
+            self.value = value
 
     def to_dict(self) -> dict[str, Any]:
         return {"kind": self.kind, "value": self.value}
-
-    def merge(self, data: Mapping[str, Any]) -> None:
-        self.value = data["value"]
-
-    def reset(self) -> None:
-        self.value = 0.0
-
-
-class Timer:
-    """Accumulated durations: count, total, min and max seconds."""
-
-    kind = "timer"
-    __slots__ = ("name", "help", "count", "total", "min", "max")
-
-    def __init__(self, name: str, help: str = "") -> None:
-        self.name = name
-        self.help = help
-        self.count = 0
-        self.total = 0.0
-        self.min = math.inf
-        self.max = 0.0
-
-    def observe(self, seconds: float) -> None:
-        if seconds < 0:
-            raise ValueError(
-                f"timer {self.name!r} got a negative duration {seconds}"
-            )
-        self.count += 1
-        self.total += seconds
-        if seconds < self.min:
-            self.min = seconds
-        if seconds > self.max:
-            self.max = seconds
-
-    @property
-    def mean(self) -> float:
-        return self.total / self.count if self.count else 0.0
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "kind": self.kind,
-            "count": self.count,
-            "total": self.total,
-            "min": self.min if self.count else 0.0,
-            "max": self.max,
-        }
-
-    def merge(self, data: Mapping[str, Any]) -> None:
-        incoming = int(data["count"])
-        if incoming == 0:
-            return
-        self.count += incoming
-        self.total += data["total"]
-        self.min = min(self.min, data["min"])
-        self.max = max(self.max, data["max"])
-
-    def reset(self) -> None:
-        self.count = 0
-        self.total = 0.0
-        self.min = math.inf
-        self.max = 0.0
 
 
 class Histogram:
@@ -163,16 +102,17 @@ class Histogram:
 
     ``buckets`` are the finite upper bounds; an implicit ``+inf`` bucket
     catches everything above the last bound.  Counts are stored
-    per-bucket (non-cumulative) internally, which makes merging a plain
-    element-wise sum.
+    per-bucket (non-cumulative) internally; ``total`` is the number of
+    samples and ``sum`` their sum.
     """
 
     kind = "histogram"
-    __slots__ = ("name", "help", "buckets", "counts", "total", "sum")
+    __slots__ = ("name", "help", "buckets", "counts", "total", "sum", "_lock")
 
     def __init__(
         self,
         name: str,
+        lock: threading.Lock,
         buckets: Iterable[float] = DEFAULT_SECONDS_BUCKETS,
         help: str = "",
     ) -> None:
@@ -190,15 +130,17 @@ class Histogram:
         self.counts = [0] * (len(bounds) + 1)  # last = +inf bucket
         self.total = 0
         self.sum = 0.0
+        self._lock = lock
 
     def observe(self, value: float) -> None:
-        self.total += 1
-        self.sum += value
-        for i, bound in enumerate(self.buckets):
-            if value <= bound:
-                self.counts[i] += 1
-                return
-        self.counts[-1] += 1
+        with self._lock:
+            self.total += 1
+            self.sum += value
+            for i, bound in enumerate(self.buckets):
+                if value <= bound:
+                    self.counts[i] += 1
+                    return
+            self.counts[-1] += 1
 
     def quantile(self, q: float) -> float:
         """Estimate the ``q``-quantile (0 < q <= 1) from the buckets.
@@ -212,20 +154,21 @@ class Histogram:
         """
         if not 0.0 < q <= 1.0:
             raise ValueError(f"quantile must lie in (0, 1], got {q}")
-        if self.total == 0:
-            return 0.0
-        rank = q * self.total
-        cumulative = 0
-        for i, bound in enumerate(self.buckets):
-            prev_cumulative = cumulative
-            cumulative += self.counts[i]
-            if cumulative >= rank:
-                lower = self.buckets[i - 1] if i > 0 else 0.0
-                if self.counts[i] == 0:  # pragma: no cover - defensive
-                    return bound
-                fraction = (rank - prev_cumulative) / self.counts[i]
-                return lower + (bound - lower) * fraction
-        return self.buckets[-1]
+        with self._lock:
+            if self.total == 0:
+                return 0.0
+            rank = q * self.total
+            cumulative = 0
+            for i, bound in enumerate(self.buckets):
+                prev_cumulative = cumulative
+                cumulative += self.counts[i]
+                if cumulative >= rank:
+                    lower = self.buckets[i - 1] if i > 0 else 0.0
+                    if self.counts[i] == 0:  # pragma: no cover - defensive
+                        return bound
+                    fraction = (rank - prev_cumulative) / self.counts[i]
+                    return lower + (bound - lower) * fraction
+            return self.buckets[-1]
 
     def to_dict(self) -> dict[str, Any]:
         return {
@@ -236,40 +179,17 @@ class Histogram:
             "sum": self.sum,
         }
 
-    def merge(self, data: Mapping[str, Any]) -> None:
-        if tuple(data["buckets"]) != self.buckets:
-            raise ValueError(
-                f"histogram {self.name!r}: cannot merge snapshot with "
-                f"buckets {tuple(data['buckets'])} into {self.buckets}"
-            )
-        self.counts = [
-            a + b for a, b in zip(self.counts, data["counts"])
-        ]
-        self.total += data["total"]
-        self.sum += data["sum"]
-
-    def reset(self) -> None:
-        self.counts = [0] * (len(self.buckets) + 1)
-        self.total = 0
-        self.sum = 0.0
-
-
-_INSTRUMENT_KINDS = {
-    "counter": Counter,
-    "gauge": Gauge,
-    "timer": Timer,
-    "histogram": Histogram,
-}
-
 
 class MetricsRegistry:
-    """Named instruments with thread-safe creation and merge.
+    """Named instruments behind one lock; record from any thread.
 
-    One registry lives in the driving process per observed run; worker
-    processes build their own and return :meth:`drain` snapshots with
-    each finished chunk, which the parent :meth:`merge`\\ s — per-worker
-    local registries merged at chunk boundaries, no cross-process
-    locking.
+    Every update (:meth:`Counter.inc`, :meth:`Gauge.set`,
+    :meth:`Histogram.observe`) and every read (:meth:`snapshot`,
+    :meth:`Histogram.quantile`) takes the registry's lock, which the
+    instruments share, so concurrent increments are never lost and a
+    snapshot is one consistent cut across every instrument.  Nothing
+    else is acquired while the lock is held, so a caller may record
+    while holding locks of its own.
     """
 
     def __init__(self) -> None:
@@ -281,7 +201,7 @@ class MetricsRegistry:
         with self._lock:
             inst = self._instruments.get(name)
             if inst is None:
-                inst = cls(name, **kwargs)
+                inst = cls(name, self._lock, **kwargs)
                 self._instruments[name] = inst
             elif not isinstance(inst, cls):
                 raise ValueError(
@@ -295,9 +215,6 @@ class MetricsRegistry:
 
     def gauge(self, name: str, help: str = "") -> Gauge:
         return self._get(name, Gauge, help=help)
-
-    def timer(self, name: str, help: str = "") -> Timer:
-        return self._get(name, Timer, help=help)
 
     def histogram(
         self,
@@ -316,7 +233,8 @@ class MetricsRegistry:
 
     def names(self) -> list[str]:
         """Registered metric names, sorted."""
-        return sorted(self._instruments)
+        with self._lock:
+            return sorted(self._instruments)
 
     def get(self, name: str):
         """The instrument registered under ``name`` (or ``None``)."""
@@ -335,69 +253,7 @@ class MetricsRegistry:
                 for name, inst in sorted(self._instruments.items())
             }
 
-    def drain(self) -> dict[str, dict[str, Any]]:
-        """:meth:`snapshot`, then reset every instrument to zero.
-
-        Worker-side primitive: each chunk ships only the *delta* since
-        the previous chunk, so the parent's :meth:`merge` never double
-        counts.
-        """
-        with self._lock:
-            snap = {
-                name: inst.to_dict()
-                for name, inst in sorted(self._instruments.items())
-            }
-            for inst in self._instruments.values():
-                inst.reset()
-            return snap
-
-    def merge(self, snapshot: Mapping[str, Mapping[str, Any]]) -> None:
-        """Fold a :meth:`snapshot`/:meth:`drain` dict into this registry.
-
-        Unknown metrics are created with the snapshot's kind, so the
-        parent does not need to pre-register everything its workers
-        might measure.
-        """
-        for name, data in snapshot.items():
-            kind = data.get("kind")
-            cls = _INSTRUMENT_KINDS.get(kind)
-            if cls is None:
-                raise ValueError(
-                    f"snapshot metric {name!r} has unknown kind "
-                    f"{kind!r}"
-                )
-            if cls is Histogram:
-                inst = self._get(name, cls, buckets=data["buckets"])
-            else:
-                inst = self._get(name, cls)
-            with self._lock:
-                inst.merge(data)
-
     # -- exporters -----------------------------------------------------
-    def render_text(self) -> str:
-        """Human-readable one-metric-per-line rendering."""
-        lines = []
-        for name, data in self.snapshot().items():
-            kind = data["kind"]
-            if kind in ("counter", "gauge"):
-                value = data["value"]
-                shown = (
-                    f"{value:g}" if isinstance(value, float) else value
-                )
-                lines.append(f"{name:<36} {kind:<9} {shown}")
-            elif kind == "timer":
-                lines.append(
-                    f"{name:<36} {kind:<9} count={data['count']} "
-                    f"total={data['total']:.6f}s "
-                    f"min={data['min']:.6f}s max={data['max']:.6f}s"
-                )
-            else:  # histogram
-                lines.append(
-                    f"{name:<36} {kind:<9} total={data['total']} "
-                    f"sum={data['sum']:.6f}"
-                )
-        return "\n".join(lines)
-
     def render_prometheus(self, prefix: str = "repro") -> str:
         """Prometheus text exposition format (version 0.0.4)."""
         out: list[str] = []
@@ -410,16 +266,6 @@ class MetricsRegistry:
             elif kind == "gauge":
                 out.append(f"# TYPE {metric} gauge")
                 out.append(f"{metric} {_prom_value(data['value'])}")
-            elif kind == "timer":
-                # timers are always in seconds; don't double the unit
-                # suffix when the metric name already carries it
-                if not metric.endswith("_seconds"):
-                    metric += "_seconds"
-                out.append(f"# TYPE {metric} summary")
-                out.append(f"{metric}_count {data['count']}")
-                out.append(
-                    f"{metric}_sum {_prom_value(data['total'])}"
-                )
             else:  # histogram
                 out.append(f"# TYPE {metric} histogram")
                 cumulative = 0

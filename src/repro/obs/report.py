@@ -38,10 +38,14 @@ def run_phases(run: SpanNode) -> dict[str, float]:
     ``phase`` children give ``kernel_build``, ``seeding`` and
     ``final_mapping``; ``evaluation`` children before the ``seed``
     event give ``seed_fitness``, those after it ``fitness_batch``;
-    ``checkpoint`` durations give ``checkpoint`` and the ``verify``
-    event's ``overhead_seconds`` gives ``verify`` (which runs inside
-    the fitness batches).  ``evolve`` is the generation time outside
-    fitness batches: the engine's own work around the mapper.
+    ``checkpoint`` durations give ``checkpoint``.  ``verify`` is the
+    differential replay time, which runs inside the fitness batches:
+    each ``evaluation``'s ``verify_seconds`` moves from its batch to
+    ``verify``, so the phases partition the run.  A trace without
+    per-batch values falls back to the ``verify`` event's
+    ``overhead_seconds``, still counted inside the batches as well.
+    ``evolve`` is the generation time outside fitness batches: the
+    engine's own work around the mapper.
     """
     recorded = run.end_attrs.get("phase_seconds")
     if recorded is not None:  # versions 1 and 2 recorded the breakdown
@@ -53,25 +57,36 @@ def run_phases(run: SpanNode) -> dict[str, float]:
 
     seeded = False
     generation_seconds = None
+    batch_seconds = 0.0  # post-seed evaluation dur, verification included
+    verify_event = None
     for child in run.children:
         if child.kind == "phase":
             add(child.attrs["name"], child.dur)
         elif child.kind == "seed":
             seeded = True
         elif child.kind == "evaluation":
-            add("fitness_batch" if seeded else "seed_fitness", child.dur)
+            dur = float(child.dur or 0.0)
+            verify = child.attrs.get("verify_seconds")
+            if verify is not None:
+                add("verify", verify)
+            add(
+                "fitness_batch" if seeded else "seed_fitness",
+                dur - float(verify or 0.0),
+            )
+            if seeded:
+                batch_seconds += dur
         elif child.kind == "checkpoint":
             add("checkpoint", child.dur)
         elif child.kind == "verify":
-            add("verify", child.attrs.get("overhead_seconds"))
+            verify_event = child
         elif child.kind == "generation":
             generation_seconds = (generation_seconds or 0.0) + float(
                 child.attrs.get("elapsed_seconds", 0.0)
             )
+    if "verify" not in phases and verify_event is not None:
+        add("verify", verify_event.attrs.get("overhead_seconds"))
     if generation_seconds is not None:
-        phases["evolve"] = max(
-            0.0, generation_seconds - phases.get("fitness_batch", 0.0)
-        )
+        phases["evolve"] = max(0.0, generation_seconds - batch_seconds)
     return phases
 
 

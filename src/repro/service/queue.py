@@ -22,8 +22,7 @@ Pressure visibility
     job's residency in a per-priority-lane
     ``service.queue.wait_seconds.p<N>`` histogram — queue pressure
     shows up on ``/metrics`` while it builds, not only once 429s fire.
-    All observations happen *outside* the queue lock (queue lock and
-    metrics lock are never held together).
+    All observations happen *outside* the queue lock.
 """
 
 from __future__ import annotations
@@ -78,7 +77,6 @@ class FairQueue:
         retry_after: float = 1.0,
         *,
         metrics: Any | None = None,
-        metrics_lock: threading.Lock | None = None,
     ) -> None:
         if max_depth < 1:
             raise ValueError(f"max_depth must be >= 1, got {max_depth}")
@@ -90,9 +88,6 @@ class FairQueue:
         self.tenant_quota = int(tenant_quota)
         self.retry_after = float(retry_after)
         self.metrics = metrics
-        self.metrics_lock = (
-            metrics_lock if metrics_lock is not None else threading.Lock()
-        )
         self._lock = threading.Lock()
         self._not_empty = threading.Condition(self._lock)
         # priority -> tenant -> FIFO of (job, enqueued_at) pairs;
@@ -108,21 +103,19 @@ class FairQueue:
         """Update the depth gauge (called with the queue lock RELEASED)."""
         if self.metrics is None:
             return
-        with self.metrics_lock:
-            self.metrics.gauge(
-                "service.queue.depth", help="jobs currently queued"
-            ).set(depth)
+        self.metrics.gauge(
+            "service.queue.depth", help="jobs currently queued"
+        ).set(depth)
 
     def _observe_wait(self, priority: int, wait: float) -> None:
         """Record one dequeued job's lane residency (lock RELEASED)."""
         if self.metrics is None:
             return
-        with self.metrics_lock:
-            self.metrics.histogram(
-                f"service.queue.wait_seconds.p{int(priority)}",
-                buckets=QUEUE_WAIT_BUCKETS,
-                help="queue residency per priority lane",
-            ).observe(max(0.0, wait))
+        self.metrics.histogram(
+            f"service.queue.wait_seconds.p{int(priority)}",
+            buckets=QUEUE_WAIT_BUCKETS,
+            help="queue residency per priority lane",
+        ).observe(max(0.0, wait))
 
     # ------------------------------------------------------------------
     def __len__(self) -> int:

@@ -34,7 +34,6 @@ from __future__ import annotations
 import asyncio
 import json
 import signal
-import threading
 import time
 from pathlib import Path
 from typing import Any
@@ -157,14 +156,12 @@ class SchedulingService:
         self.host = host
         self.port = port
         self.metrics = MetricsRegistry()
-        self.metrics_lock = threading.Lock()
         self.store = JobStore(spool, max_finished=result_cache_size)
         self.queue = FairQueue(
             max_depth=queue_limit,
             tenant_quota=tenant_quota,
             retry_after=retry_after,
             metrics=self.metrics,
-            metrics_lock=self.metrics_lock,
         )
         self.result_cache = ResultCache(result_cache_size)
         self.trace_dir = (
@@ -183,7 +180,6 @@ class SchedulingService:
             self.result_cache,
             workers=workers,
             metrics=self.metrics,
-            metrics_lock=self.metrics_lock,
             warm_max_problems=warm_max_problems,
             trace_dir=trace_dir,
         )
@@ -206,11 +202,10 @@ class SchedulingService:
         recovered = 0
         pending = self.store.recover()
         if self.store.quarantined:
-            with self.metrics_lock:
-                self.metrics.counter(
-                    "service.spool.quarantined",
-                    help="corrupt spool records moved to quarantine",
-                ).inc(len(self.store.quarantined))
+            self.metrics.counter(
+                "service.spool.quarantined",
+                help="corrupt spool records moved to quarantine",
+            ).inc(len(self.store.quarantined))
         for job in pending:
             try:
                 self.queue.put(
@@ -267,8 +262,7 @@ class SchedulingService:
     def submit(self, doc: Any) -> tuple[int, dict[str, Any], Job | None]:
         """Handle one POST body; returns (status, response doc, job)."""
         request = parse_request(doc)
-        with self.metrics_lock:
-            self.metrics.counter("service.jobs.submitted").inc()
+        self.metrics.counter("service.jobs.submitted").inc()
         if self.draining:
             self._trace_request(request, "rejected", 503)
             raise ServiceError(
@@ -292,12 +286,11 @@ class SchedulingService:
                     code="idempotency-mismatch",
                     status=409,
                 )
-            with self.metrics_lock:
-                self.metrics.counter(
-                    "service.jobs.deduplicated",
-                    help="submissions answered by an existing job "
-                    "via idempotency key",
-                ).inc()
+            self.metrics.counter(
+                "service.jobs.deduplicated",
+                help="submissions answered by an existing job "
+                "via idempotency key",
+            ).inc()
             status = 200 if original.done_event.is_set() else 202
             self._trace_request(request, "deduplicated", status)
             doc_out = self._job_doc(original)
@@ -315,14 +308,11 @@ class SchedulingService:
             job.result = cached
             self.store.persist(job)
             total = job.finished_at - job.submitted_at
-            with self.metrics_lock:
-                self.metrics.counter("service.jobs.completed").inc()
-                self.metrics.counter(
-                    "service.jobs.served_from_cache"
-                ).inc()
-                self.metrics.histogram(
-                    "service.request_seconds", buckets=LATENCY_BUCKETS
-                ).observe(total)
+            self.metrics.counter("service.jobs.completed").inc()
+            self.metrics.counter("service.jobs.served_from_cache").inc()
+            self.metrics.histogram(
+                "service.request_seconds", buckets=LATENCY_BUCKETS
+            ).observe(total)
             self.store.finish(job)
             self._trace_request(request, "result-cache", 200)
             return 200, self._job_doc(job), job
@@ -335,8 +325,7 @@ class SchedulingService:
             job.state = "failed"
             job.error = {"code": "queue-full", "message": "backpressure"}
             self.store.persist(job)
-            with self.metrics_lock:
-                self.metrics.counter("service.jobs.rejected").inc()
+            self.metrics.counter("service.jobs.rejected").inc()
             self.store.finish(job)
             self._trace_request(request, "rejected", 429)
             flight_record(
@@ -366,19 +355,16 @@ class SchedulingService:
         / ``metrics`` on demand, so a fresh daemon answers with current
         numbers before the first tick.
         """
-        with self.metrics_lock:
-            snapshot = self.metrics.snapshot()
-        self.slo.observe(snapshot)
+        self.slo.observe(self.metrics.snapshot())
         return self.slo.report()
 
     def stats(self) -> dict[str, Any]:
         slo_report = self.sample_slo()
-        with self.metrics_lock:
-            p50 = p99 = 0.0
-            if "service.request_seconds" in self.metrics:
-                hist = self.metrics.get("service.request_seconds")
-                p50 = hist.quantile(0.5)
-                p99 = hist.quantile(0.99)
+        p50 = p99 = 0.0
+        hist = self.metrics.get("service.request_seconds")
+        if hist is not None:
+            p50 = hist.quantile(0.5)
+            p99 = hist.quantile(0.99)
         return {
             "uptime_seconds": time.time() - self.started_at,
             "draining": self.draining,
@@ -396,36 +382,35 @@ class SchedulingService:
 
     def render_metrics(self) -> str:
         slo_report = self.sample_slo()
-        with self.metrics_lock:
+        self.metrics.gauge(
+            "service.queue.depth",
+            help="jobs currently queued",
+        ).set(self.queue.depth)
+        self.metrics.gauge(
+            "service.jobs.running",
+            help="jobs currently executing",
+        ).set(len(self.pool.running_jobs()))
+        for row in slo_report:
+            prefix = f"slo.{row['name']}"
             self.metrics.gauge(
-                "service.queue.depth",
-                help="jobs currently queued",
-            ).set(self.queue.depth)
+                f"{prefix}.compliance",
+                help=row["description"],
+            ).set(row["compliance"])
             self.metrics.gauge(
-                "service.jobs.running",
-                help="jobs currently executing",
-            ).set(len(self.pool.running_jobs()))
-            for row in slo_report:
-                prefix = f"slo.{row['name']}"
+                f"{prefix}.budget_remaining",
+                help="fraction of the error budget left",
+            ).set(row["budget_remaining"])
+            self.metrics.gauge(
+                f"{prefix}.alerting",
+                help="1 while every burn window exceeds the "
+                "alert threshold",
+            ).set(1.0 if row["alerting"] else 0.0)
+            for window, burn in row["burn_rates"].items():
                 self.metrics.gauge(
-                    f"{prefix}.compliance",
-                    help=row["description"],
-                ).set(row["compliance"])
-                self.metrics.gauge(
-                    f"{prefix}.budget_remaining",
-                    help="fraction of the error budget left",
-                ).set(row["budget_remaining"])
-                self.metrics.gauge(
-                    f"{prefix}.alerting",
-                    help="1 while every burn window exceeds the "
-                    "alert threshold",
-                ).set(1.0 if row["alerting"] else 0.0)
-                for window, burn in row["burn_rates"].items():
-                    self.metrics.gauge(
-                        f"{prefix}.burn.{window}",
-                        help="error-budget burn rate over the window",
-                    ).set(burn)
-            return self.metrics.render_prometheus()
+                    f"{prefix}.burn.{window}",
+                    help="error-budget burn rate over the window",
+                ).set(burn)
+        return self.metrics.render_prometheus()
 
     # -- HTTP ----------------------------------------------------------
     async def _read_request(self, reader: asyncio.StreamReader):

@@ -13,10 +13,10 @@ cheaper and bit-identical).  A drain (SIGTERM) stops runs at the next
 generation boundary and journals the stop point, so a restarted daemon
 resumes them bit-identically; a completed run writes no journal.
 
-Metrics discipline: worker threads record into a thread-local
-:class:`~repro.obs.MetricsRegistry` and merge deltas into the shared
-registry under the pool's metrics lock — shared instruments are never
-mutated concurrently.
+Metrics: worker threads record straight into the daemon's one
+:class:`~repro.obs.MetricsRegistry`, which locks its own instruments.
+A job's counters and latencies are recorded before its waiters wake,
+so a client's scrape right after its reply counts its own job.
 
 Worker-death robustness: job-level errors are caught inside
 :meth:`WorkerPool._run_one`, but a fault that escapes it —
@@ -175,7 +175,6 @@ class WorkerPool:
         *,
         workers: int = 2,
         metrics: MetricsRegistry | None = None,
-        metrics_lock: threading.Lock | None = None,
         warm_max_problems: int = 32,
         poll_interval: float = 0.1,
         max_job_attempts: int = 3,
@@ -191,7 +190,6 @@ class WorkerPool:
         self.store = store
         self.result_cache = result_cache
         self.metrics = metrics if metrics is not None else MetricsRegistry()
-        self.metrics_lock = metrics_lock or threading.Lock()
         self.warm_max_problems = warm_max_problems
         self.poll_interval = poll_interval
         self.max_job_attempts = int(max_job_attempts)
@@ -258,8 +256,7 @@ class WorkerPool:
         except BaseException as exc:  # noqa: BLE001 — the whole point
             with self._running_lock:
                 job = self._inflight.pop(index, None)
-            with self.metrics_lock:
-                self.metrics.counter("service.workers.died").inc()
+            self.metrics.counter("service.workers.died").inc()
             if job is not None:
                 self._recover_inflight(job, exc)
             if not self._stop.is_set():
@@ -278,8 +275,7 @@ class WorkerPool:
                     tenant=job.request.tenant,
                     priority=job.request.priority,
                 )
-                with self.metrics_lock:
-                    self.metrics.counter("service.jobs.requeued").inc()
+                self.metrics.counter("service.jobs.requeued").inc()
                 return
             except Exception:
                 # queue closed (drain) or full: fall through to fail
@@ -294,8 +290,7 @@ class WorkerPool:
         job.state = "failed"
         job.finished_at = time.time()
         self.store.persist(job)
-        with self.metrics_lock:
-            self.metrics.counter("service.jobs.failed").inc()
+        self.metrics.counter("service.jobs.failed").inc()
         self.store.finish(job)
 
     def _worker_loop(self, index: int) -> None:
@@ -306,11 +301,7 @@ class WorkerPool:
                 continue
             with self._running_lock:
                 self._inflight[index] = job
-            local = MetricsRegistry()
-            try:
-                self._run_one(job, warm, local)
-            finally:
-                self._merge_metrics(local)
+            self._run_one(job, warm)
             with self._running_lock:
                 self._inflight.pop(index, None)
             if job.state in FINISHED_STATES:
@@ -373,9 +364,7 @@ class WorkerPool:
             attrs={k: v for k, v in attrs.items() if v is not None},
         )
 
-    def _run_one(
-        self, job: Job, warm: WarmCache, local: MetricsRegistry
-    ) -> None:
+    def _run_one(self, job: Job, warm: WarmCache) -> None:
         job.attempts += 1
         job.state = "running"
         job.started_at = time.time()
@@ -388,7 +377,7 @@ class WorkerPool:
         tracer, ctx = self._open_attempt_trace(job)
         try:
             with use_context(ctx):
-                self._execute(job, warm, local, tracer)
+                self._execute(job, warm, tracer)
         finally:
             if tracer is not None:
                 tracer.close()
@@ -397,7 +386,6 @@ class WorkerPool:
         self,
         job: Job,
         warm: WarmCache,
-        local: MetricsRegistry,
         tracer: Tracer | None,
     ) -> None:
         store = self.store
@@ -413,11 +401,11 @@ class WorkerPool:
             if cached is not None:
                 job.result = cached
                 job.served_from = "result-cache"
-                local.counter("service.jobs.served_from_cache").inc()
+                self.metrics.counter("service.jobs.served_from_cache").inc()
                 self._end_run_span(
                     tracer, state="done", served_from="result-cache"
                 )
-                self._finish(job, "done", local)
+                self._finish(job, "done")
                 return
 
             ckpt = store.checkpoint_path(job)
@@ -443,9 +431,9 @@ class WorkerPool:
             )
             warm_hit = warm.stats.hits > warm_hits_before
             if warm_hit:
-                local.counter("service.cache.warm.hits").inc()
+                self.metrics.counter("service.cache.warm.hits").inc()
             else:
-                local.counter("service.cache.warm.misses").inc()
+                self.metrics.counter("service.cache.warm.misses").inc()
             # the run is complete and verified but the done record is
             # not yet durable: dying here forces a full re-execution on
             # restart, which determinism makes observationally idempotent
@@ -456,8 +444,8 @@ class WorkerPool:
                 # wall-time-truncated answers are valid but depend on
                 # machine speed; only deterministic runs are cacheable
                 self.result_cache.put(job.key, result_doc)
-            local.counter("service.jobs.completed").inc()
-            local.histogram(
+            self.metrics.counter("service.jobs.completed").inc()
+            self.metrics.histogram(
                 "service.run_seconds", buckets=LATENCY_BUCKETS
             ).observe(time.perf_counter() - t0)
             self._end_run_span(
@@ -467,10 +455,10 @@ class WorkerPool:
                 warm_hit=warm_hit,
                 interrupted=bool(result_doc["interrupted"]),
             )
-            self._finish(job, "done", local)
+            self._finish(job, "done")
         except _Interrupted:
             job.state = "interrupted"
-            local.counter("service.jobs.interrupted").inc()
+            self.metrics.counter("service.jobs.interrupted").inc()
             with self._running_lock:
                 self._running.pop(job.id, None)
             store.persist(job)
@@ -483,7 +471,7 @@ class WorkerPool:
                 "code": getattr(exc, "code", type(exc).__name__),
                 "message": str(exc),
             }
-            local.counter("service.jobs.failed").inc()
+            self.metrics.counter("service.jobs.failed").inc()
             flight_record(
                 "worker",
                 "job failed",
@@ -493,15 +481,13 @@ class WorkerPool:
             self._end_run_span(
                 tracer, state="failed", error=job.error["code"]
             )
-            self._finish(job, "failed", local)
+            self._finish(job, "failed")
 
-    def _finish(
-        self, job: Job, state: str, local: MetricsRegistry
-    ) -> None:
+    def _finish(self, job: Job, state: str) -> None:
         """Make the job's end durable and record its latency.
 
-        Its waiters wake later, in :meth:`_worker_loop`, once ``local``
-        has merged into the shared registry.
+        Its waiters wake later, in :meth:`_worker_loop`, so its
+        metrics are on ``/metrics`` before its reply goes out.
         """
         job.state = state
         job.finished_at = time.time()
@@ -511,14 +497,9 @@ class WorkerPool:
         self.store.forget_checkpoint(job)
         wait = job.wait_seconds()
         if wait is not None:
-            local.histogram(
+            self.metrics.histogram(
                 "service.wait_seconds", buckets=LATENCY_BUCKETS
             ).observe(wait)
-        local.histogram(
+        self.metrics.histogram(
             "service.request_seconds", buckets=LATENCY_BUCKETS
         ).observe(job.total_seconds())
-
-    def _merge_metrics(self, local: MetricsRegistry) -> None:
-        snapshot = local.drain()
-        with self.metrics_lock:
-            self.metrics.merge(snapshot)

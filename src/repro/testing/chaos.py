@@ -21,7 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ..core.evaluator import FitnessEvaluator
+from ..core.evaluator import SerialEvaluator
 
 __all__ = [
     "ChaosError",
@@ -154,12 +154,12 @@ class ChaosEvaluator:
     Implements the same interface as the wrapped evaluator (``evaluate``,
     ``stats``, ``close``) so it drops into
     :meth:`repro.core.emts.EMTS.schedule` via ``evaluator_wrapper`` or
-    anywhere a :class:`~repro.core.evaluator.FitnessEvaluator` goes.
+    anywhere a :class:`~repro.core.evaluator.SerialEvaluator` goes.
     Counts batches in ``batches_seen`` and faults actually fired in
     ``faults_injected``.
     """
 
-    inner: FitnessEvaluator
+    inner: SerialEvaluator  # or any wrapper with the same interface
     plan: ChaosPlan = field(default_factory=ChaosPlan)
     stop_event: object | None = None
     batches_seen: int = 0

@@ -23,7 +23,6 @@ from repro.obs import (
     read_trace,
     render_trace_report,
     run_phases,
-    run_snapshot,
     validate_event,
 )
 from repro.platform import grelon
@@ -142,6 +141,37 @@ class TestTracedRun:
         assert "seeding" not in phases
         assert "seed_fitness" not in phases
 
+    @pytest.mark.parametrize("verify", ["off", "sample", "full"])
+    def test_verify_phase_partitions_the_run(
+        self, problem, tmp_path, verify
+    ):
+        ptg, cluster, table = problem
+        path = tmp_path / "run.jsonl"
+        emts5(verify=verify).schedule(
+            ptg, cluster, table, rng=42, trace=path
+        )
+        events = read_trace(path)
+        (tree,) = load_trace(path)
+        (run,) = tree.root.children
+        phases = run_phases(run)
+        assert set(phases) <= KNOWN_PHASES
+        assert all(v >= 0 for v in phases.values())
+        assert sum(phases.values()) <= run.dur * 1.01
+        batches = [e for e in events if e.kind == "evaluation"]
+        if verify == "off":
+            # no verifier in the stack: the events keep their v3 shape
+            assert not any("verify_seconds" in e.attrs for e in batches)
+            assert "verify" not in phases
+            return
+        (verify_event,) = [e for e in events if e.kind == "verify"]
+        assert phases["verify"] > 0
+        assert phases["verify"] == pytest.approx(
+            verify_event.attrs["overhead_seconds"]
+        )
+        assert phases["verify"] == pytest.approx(
+            sum(e.attrs["verify_seconds"] for e in batches)
+        )
+
     @pytest.mark.parametrize("islands", [0, 2])
     def test_observers_change_no_results(self, problem, tmp_path, islands):
         ptg, cluster, table = problem
@@ -256,19 +286,9 @@ class TestRunMetrics:
         assert registry.value("evaluation.genomes") > 0
         batch = registry.get("evaluation.batch_seconds")
         assert batch.total == registry.value("evaluation.batches")
-
-    def test_run_snapshot_matches_result(self, problem):
-        ptg, cluster, table = problem
-        result = emts5().schedule(ptg, cluster, table, rng=3)
-        snap = run_snapshot(result)
-        stats = result.evaluation_stats
-        assert snap["evaluations"] == stats.evaluations
-        assert snap["mapper_calls"] == stats.mapper_calls
-        assert snap["cache_hits"] == stats.cache_hits == 0
-        assert snap["hit_rate"] == 0.0
-        assert snap["interrupted"] is False
-        assert snap["makespan"] == pytest.approx(result.makespan)
-
+        run_seconds = registry.get("emts.run_seconds")
+        assert run_seconds.kind == "histogram" and run_seconds.total == 1
+        assert run_seconds.sum == pytest.approx(result.elapsed_seconds)
 
 class TestObservedEvaluator:
     def test_records_events_and_metrics(self, problem, tmp_path):

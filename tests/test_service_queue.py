@@ -131,11 +131,7 @@ class TestQueueMetrics:
 
         registry = MetricsRegistry()
         return (
-            FairQueue(
-                metrics=registry,
-                metrics_lock=threading.Lock(),
-                **kwargs,
-            ),
+            FairQueue(metrics=registry, **kwargs),
             registry,
         )
 
