@@ -22,9 +22,9 @@ the CI perf-smoke job regenerates and gates) with:
     ``"c"`` when the compiled cffi kernel scored the block, else
     ``"numpy"``.
 ``island_makespans`` / ``island_identical``
-    Same-seed EMTS5 island-mode makespans for ``islands`` in
-    {1, 2, 4} — the shard count is a pure execution knob, so the gate
-    requires them bit-identical.
+    Same-seed EMTS5 island-mode makespans at ``REPRO_CKERNEL_THREADS``
+    1 and 2 — the kernel thread count is a pure execution knob, so the
+    gate requires them bit-identical.
 ``pinned``
     Frozen pre-optimization means that never track a fresh run (same
     idiom as ``perf_baseline.json``): ``pre_batch_us_per_genome`` is
@@ -70,7 +70,8 @@ DEFAULT_OUT = Path(__file__).resolve().parent / "BENCH_batch.json"
 BENCH_SEED = 20110926
 #: genomes per block — one EMTS10 generation of offspring
 BLOCK = 100
-ISLAND_SHARDS = (1, 2, 4)
+#: kernel thread counts the island-mode identity check runs at
+ISLAND_THREADS = (1, 2)
 #: pre-optimization batch path (whole generation through the evaluator
 #: stack, heap-based C scheduler, one FFI call) on the machine that
 #: produced the committed baseline — never refreshed from a run
@@ -131,13 +132,21 @@ def measure_paths(ptg, table, reps: int = 9) -> tuple[float, float]:
 
 
 def measure_island_identity(ptg, cluster, table) -> dict:
-    """Same-seed EMTS5 makespans across island execution shard counts."""
+    """Same-seed EMTS5 island-mode makespans across kernel thread counts."""
     makespans = {}
-    for shards in ISLAND_SHARDS:
-        result = emts5(islands=shards).schedule(
-            ptg, cluster, table, rng=BENCH_SEED
-        )
-        makespans[str(shards)] = result.makespan
+    saved = os.environ.get("REPRO_CKERNEL_THREADS")
+    try:
+        for threads in ISLAND_THREADS:
+            os.environ["REPRO_CKERNEL_THREADS"] = str(threads)
+            result = emts5(islands=True).schedule(
+                ptg, cluster, table, rng=BENCH_SEED
+            )
+            makespans[str(threads)] = result.makespan
+    finally:
+        if saved is None:
+            os.environ.pop("REPRO_CKERNEL_THREADS", None)
+        else:
+            os.environ["REPRO_CKERNEL_THREADS"] = saved
     values = set(makespans.values())
     return {
         "island_makespans": makespans,
@@ -156,10 +165,10 @@ def run(out_path: Path) -> dict:
         f"  single {single_us:.2f} us/genome, batch "
         f"{batch_us:.2f} us/genome -> {speedup:.2f}x"
     )
-    print("checking island shard-count bit-identity ...")
+    print("checking island-mode bit-identity across kernel threads ...")
     islands = measure_island_identity(ptg, cluster, table)
     verdict = "identical" if islands["island_identical"] else "DIVERGED"
-    print(f"  islands {ISLAND_SHARDS}: {verdict}")
+    print(f"  kernel threads {ISLAND_THREADS}: {verdict}")
     # pinned values survive refreshes (see perf_baseline.json idiom)
     pinned = dict(PINNED_DEFAULTS)
     if out_path.exists():
@@ -171,7 +180,7 @@ def run(out_path: Path) -> dict:
             "python benchmarks/bench_batch.py  — gated by "
             "check_perf.py --batch (>= 5x single/batch on the "
             "compiled engine, >= 3x over the pinned pre-batch path, "
-            "island shard counts bit-identical)"
+            "island runs bit-identical across kernel thread counts)"
         ),
         "engine": engine,
         "single_us_per_genome": single_us,

@@ -288,7 +288,7 @@ def check_batch(batch_path: Path, min_speedup: float | None) -> int:
       come from the baseline host, so a slow CI runner cannot flake
       it — and a baseline refresh cannot quietly absorb a regression).
     * ``island_identical`` must be true: same-seed EMTS island runs
-      are bit-identical across execution shard counts.
+      are bit-identical across kernel thread counts.
     """
     data = json.loads(batch_path.read_text(encoding="utf-8"))
     failures: list[str] = []
@@ -331,7 +331,7 @@ def check_batch(batch_path: Path, min_speedup: float | None) -> int:
     makespans = data.get("island_makespans", {})
     print(
         f"batch gate island_identical: {identical} "
-        f"(shards {sorted(makespans)}) "
+        f"(kernel threads {sorted(makespans)}) "
         f"{'ok' if identical else '<< DIVERGED'}"
     )
     if not identical:
@@ -719,7 +719,7 @@ def main(argv: list[str] | None = None) -> int:
         help=(
             "BENCH_batch.json from benchmarks/bench_batch.py; "
             "enforces the >= 5x population-at-once speedup and the "
-            "island shard-count bit-identity gates"
+            "island kernel-thread bit-identity gates"
         ),
     )
     parser.add_argument(

@@ -106,7 +106,7 @@ def _make_model(name: str) -> ExecutionTimeModel:
 def _make_algorithm(
     name: str,
     verify: str = "off",
-    islands: int = 0,
+    islands: bool = False,
     migration_interval: int = 1,
 ):
     name = name.lower()
@@ -174,7 +174,7 @@ def _cmd_schedule(args) -> int:
     algorithm = _make_algorithm(
         args.algorithm,
         verify=verify,
-        islands=getattr(args, "islands", 0),
+        islands=getattr(args, "islands", False),
         migration_interval=getattr(args, "migration_interval", 1),
     )
 
@@ -492,7 +492,7 @@ def _cmd_convergence(args) -> int:
     ]
     overrides = dict(
         verify=getattr(args, "verify", "off"),
-        islands=getattr(args, "islands", 0),
+        islands=getattr(args, "islands", False),
         migration_interval=getattr(args, "migration_interval", 1),
     )
     study = run_convergence_study(
@@ -884,13 +884,10 @@ def build_parser() -> argparse.ArgumentParser:
         )
         p.add_argument(
             "--islands",
-            type=int,
-            default=0,
+            action="store_true",
             help=(
-                "0 = classic panmictic EMTS (default); >= 1 runs the "
-                "island model (mu single-parent islands with ring "
-                "migration) in that many execution shards — the shard "
-                "count never changes the result"
+                "run the island model (mu single-parent islands with "
+                "ring migration) instead of classic panmictic EMTS"
             ),
         )
         p.add_argument(

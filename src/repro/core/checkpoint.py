@@ -68,7 +68,7 @@ CHECKPOINT_FORMAT = "repro-emts-checkpoint"
 CHECKPOINT_VERSION = 1
 
 #: Configuration fields that change the optimization outcome.  Engine
-#: knobs (shard count, verification, kernel threads) are deliberately
+#: knobs (verification, kernel threads, kernel backend) are deliberately
 #: excluded: they never change a result, so a run may be resumed under
 #: a different execution configuration.
 SEMANTIC_CONFIG_FIELDS = (
@@ -90,9 +90,9 @@ SEMANTIC_CONFIG_FIELDS = (
 
 #: Values assumed for semantic fields absent from older checkpoints, so
 #: documents written before a field existed stay resumable as long as
-#: the run uses the historical behavior.  ``island_mode`` is derived
-#: (``bool(islands)``) rather than the shard count itself: the shard
-#: count is a pure execution knob and must not pin the checkpoint.
+#: the run uses the historical behavior.  ``island_mode`` holds the
+#: ``islands`` flag; it has always been stored as a bool, including by
+#: builds whose ``islands`` was a shard count that never changed a result.
 SEMANTIC_CONFIG_DEFAULTS = {
     "island_mode": False,
     "migration_interval": 1,
@@ -148,7 +148,7 @@ def semantic_config(config: "EMTSConfig") -> dict[str, Any]:
     doc: dict[str, Any] = {}
     for key in SEMANTIC_CONFIG_FIELDS:
         if key == "island_mode":
-            doc[key] = bool(config.islands)
+            doc[key] = config.islands
         elif key == "migration_interval" and not config.islands:
             # migration only exists in island mode; normalize so classic
             # runs with different (unused) intervals stay interchangeable

@@ -63,17 +63,14 @@ class EMTSConfig:
         .DEFAULT_SAMPLE_INTERVAL` genomes) or ``"full"`` (every finite
         value replayed through every scheduling engine).
     islands:
-        0 (default) runs the classic panmictic (mu + lambda) engine.
-        Any value >= 1 switches to the island model
-        (:mod:`repro.core.islands`): ``mu`` logical single-parent
-        islands with ring migration, evaluated in ``islands``
-        contiguous execution shards (one batch-kernel call each per
-        generation).  The shard count is a pure execution knob —
-        same-seed results are bit-identical for any value in
-        ``{1, ..., mu}``.  Requires plus selection and ``lam >= mu``.
+        False (default) runs the classic panmictic (mu + lambda)
+        engine; True runs the island model (:mod:`repro.core.islands`):
+        ``mu`` single-parent islands with ring migration inside the
+        same generation loop, one batch-kernel call per generation.
+        Requires plus selection and ``lam >= mu``.
     migration_interval:
         Generations between ring migrations in island mode (>= 1;
-        ignored when ``islands == 0``).
+        ignored when ``islands`` is False).
     """
 
     mu: int = 5
@@ -93,7 +90,7 @@ class EMTSConfig:
     use_rejection: bool = False
     time_budget_seconds: float | None = None
     verify: str = "off"
-    islands: int = 0
+    islands: bool = False
     migration_interval: int = 1
     name: str = "emts"
 
@@ -140,16 +137,16 @@ class EMTSConfig:
                 f"verify must be 'off', 'sample' or 'full', got "
                 f"{self.verify!r}"
             )
-        if self.islands < 0:
+        if not isinstance(self.islands, bool):
             raise ConfigurationError(
-                f"islands must be >= 0, got {self.islands}"
+                f"islands must be True or False, got {self.islands!r}"
             )
         if self.migration_interval < 1:
             raise ConfigurationError(
                 f"migration_interval must be >= 1, got "
                 f"{self.migration_interval}"
             )
-        if self.islands > 0:
+        if self.islands:
             if self.selection != "plus":
                 raise ConfigurationError(
                     "the island model is elitist per island and "

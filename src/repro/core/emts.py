@@ -398,7 +398,7 @@ class EMTS:
                         delta=cfg.delta,
                     )
                 if cfg.islands:
-                    # one mutation stream per logical island, derived
+                    # one mutation stream per island, derived
                     # from the master generator at a fixed point (right
                     # after seeding) so the decomposition is a pure
                     # function of the seed
@@ -516,8 +516,8 @@ class EMTS:
                     lam=cfg.lam,
                     mutation=mutation,
                     migration_interval=cfg.migration_interval,
-                    shards=cfg.islands,
                 )
+                stream = island_rngs
             else:
                 strategy = EvolutionStrategy(
                     mu=cfg.mu,
@@ -525,6 +525,7 @@ class EMTS:
                     mutation=mutation,
                     selection=cfg.selection,
                 )
+                stream = rng
             if checkpoint is not None:
                 seed_makespans = dict(checkpoint.seed_makespans)
                 resume_log = checkpoint.restore_log()
@@ -554,30 +555,17 @@ class EMTS:
                 if (checkpoint_path is not None or tracer is not None)
                 else None
             )
-            if cfg.islands:
-                outcome = strategy.evolve(
-                    initial,
-                    evaluator,
-                    island_rngs=island_rngs,
-                    termination=termination,
-                    total_generations=cfg.generations,
-                    abort_bound=abort_bound,
-                    on_generation_end=generation_hook,
-                    resume_log=resume_log,
-                    start_generation=start_generation,
-                )
-            else:
-                outcome = strategy.evolve(
-                    initial,
-                    evaluator,
-                    rng=rng,
-                    termination=termination,
-                    total_generations=cfg.generations,
-                    abort_bound=abort_bound,
-                    on_generation_end=generation_hook,
-                    resume_log=resume_log,
-                    start_generation=start_generation,
-                )
+            outcome = strategy.evolve(
+                initial,
+                evaluator,
+                stream,
+                termination=termination,
+                total_generations=cfg.generations,
+                abort_bound=abort_bound,
+                on_generation_end=generation_hook,
+                resume_log=resume_log,
+                start_generation=start_generation,
+            )
         except BaseException:
             # an escaping error leaves the trace as a valid prefix of
             # complete lines (no run_end — report-trace flags the run

@@ -10,17 +10,30 @@ trades the monotonicity guarantee for better escape from local optima.
 
 from __future__ import annotations
 
+import numpy as np
+
 from ..exceptions import ConfigurationError
 from .individual import Individual
 
-__all__ = ["plus_selection", "comma_selection", "best_of"]
+__all__ = ["ranked", "plus_selection", "comma_selection", "best_of"]
 
 
-def _sorted_by_fitness(pool: list[Individual]) -> list[Individual]:
-    # stable sort: among equal fitness, earlier individuals (parents
-    # before offspring, older before younger) win — keeps runs
-    # deterministic and mildly favours proven solutions
-    return sorted(pool, key=lambda ind: ind.evaluated_fitness())
+def ranked(fitness, mu: int) -> np.ndarray:
+    """Indices of the ``mu`` smallest ``fitness`` values, best first.
+
+    A stable sort: among equal values the lower index wins, so a pool
+    laid out parents-then-offspring (older before younger) keeps runs
+    deterministic and mildly favours proven solutions.
+    """
+    if mu < 1:
+        raise ConfigurationError(f"mu must be >= 1, got {mu}")
+    fitness = np.asarray(fitness, dtype=np.float64)
+    if fitness.shape[0] < mu:
+        raise ConfigurationError(
+            f"cannot select {mu} survivors from a pool of "
+            f"{fitness.shape[0]}"
+        )
+    return np.argsort(fitness, kind="stable")[:mu]
 
 
 def plus_selection(
@@ -29,14 +42,9 @@ def plus_selection(
     mu: int,
 ) -> list[Individual]:
     """The mu best of parents ∪ offspring (elitist; never regresses)."""
-    if mu < 1:
-        raise ConfigurationError(f"mu must be >= 1, got {mu}")
     pool = list(parents) + list(offspring)
-    if len(pool) < mu:
-        raise ConfigurationError(
-            f"cannot select {mu} survivors from a pool of {len(pool)}"
-        )
-    return _sorted_by_fitness(pool)[:mu]
+    order = ranked([ind.evaluated_fitness() for ind in pool], mu)
+    return [pool[i] for i in order.tolist()]
 
 
 def comma_selection(
@@ -45,14 +53,12 @@ def comma_selection(
     mu: int,
 ) -> list[Individual]:
     """The mu best of the offspring only (requires lambda >= mu)."""
-    if mu < 1:
-        raise ConfigurationError(f"mu must be >= 1, got {mu}")
     if len(offspring) < mu:
         raise ConfigurationError(
             f"comma selection needs at least mu={mu} offspring, got "
             f"{len(offspring)}"
         )
-    return _sorted_by_fitness(list(offspring))[:mu]
+    return plus_selection([], offspring, mu)
 
 
 def best_of(pool: list[Individual]) -> Individual:

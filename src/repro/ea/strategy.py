@@ -5,16 +5,23 @@ allocation-vector genomes, the Eq. 1 mutation operator and the
 list-scheduling makespan as fitness.  Per generation (paper Section
 III-E):
 
-1. draw ``lambda`` offspring, each by mutating a uniformly chosen parent;
-2. evaluate the offspring (``lambda`` fitness calls — the ``U * mu *
+1. draw ``lambda`` offspring as one ``(lambda, V)`` block, each row by
+   mutating a uniformly chosen parent;
+2. evaluate the block (``lambda`` fitness calls — the ``U * mu *
    lambda * C_map`` term of the paper's complexity analysis is an upper
    bound; the engine evaluates each individual exactly once);
 3. select the ``mu`` survivors (plus: from parents ∪ offspring, comma:
-   from offspring only).
+   from offspring only) by a stable ranking of their fitness; only the
+   selected rows become :class:`~repro.ea.Individual` objects.
 
-The engine reports per-generation statistics and enforces arbitrary
-termination criteria.  Fitness functions may return ``inf`` to reject an
-individual (the mapper's ``abort_above`` rejection strategy does this).
+:meth:`EvolutionStrategy._run` is the only generation loop: the island
+model (:mod:`repro.core.islands`) runs inside it and replaces only the
+three population steps (:meth:`~EvolutionStrategy._first_parents`,
+:meth:`~EvolutionStrategy._offspring`,
+:meth:`~EvolutionStrategy._survivors`).  The engine reports
+per-generation statistics and enforces arbitrary termination criteria.
+Fitness functions may return ``inf`` to reject an individual (the
+mapper's ``abort_above`` rejection strategy does this).
 """
 
 from __future__ import annotations
@@ -30,7 +37,7 @@ from ..exceptions import ConfigurationError
 from ..obs.log import get_logger
 from .individual import Individual
 from .operators import MutationOperator
-from .selection import best_of, comma_selection, plus_selection
+from .selection import best_of, plus_selection, ranked
 from .statistics import EvolutionLog, GenerationStats
 from .termination import (
     GenerationLimit,
@@ -42,7 +49,7 @@ __all__ = [
     "EvolutionStrategy",
     "EvolutionResult",
     "BatchFitness",
-    "evaluate_individuals",
+    "evaluate_block",
 ]
 
 _log = get_logger("ea")
@@ -70,51 +77,40 @@ class BatchFitness(Protocol):
 Fitness = Union[FitnessFunction, BatchFitness]
 
 
-def evaluate_individuals(
-    individuals: Sequence[Individual],
+def evaluate_block(
+    genome_block: np.ndarray,
     fitness: Fitness,
     abort_above: float | None = None,
-) -> int:
-    """Assign fitness to the unevaluated ``individuals``.
+) -> np.ndarray:
+    """Fitness of every row of a ``(B, V)`` genome block, as a vector.
 
     ``fitness`` is either a :class:`BatchFitness`, which receives the
-    genomes as one stacked block together with ``abort_above``, or a
-    plain per-genome callable.  NaN is never comparable, so it degrades
-    to a rejection (``+inf``): the individual is discarded and the run
-    continues on the remaining finite candidates.  Returns the number
-    of genomes submitted.
+    block unchanged together with ``abort_above``, or a plain
+    per-genome callable.  NaN is never comparable, so it degrades to a
+    rejection (``+inf``): the genome is discarded and the run continues
+    on the remaining finite candidates.
     """
-    todo = [ind for ind in individuals if not ind.evaluated]
-    if not todo:
-        return 0
     evaluate_batch = getattr(fitness, "evaluate_batch", None)
     if evaluate_batch is not None:
-        values = evaluate_batch(
-            np.stack([ind.genome for ind in todo]),
-            abort_above=abort_above,
-        )
-        if len(values) != len(todo):
+        values = evaluate_batch(genome_block, abort_above=abort_above)
+        if len(values) != len(genome_block):
             raise ConfigurationError(
                 f"batch evaluator returned {len(values)} values "
-                f"for {len(todo)} genomes"
+                f"for {len(genome_block)} genomes"
             )
     else:
-        values = [fitness(ind.genome) for ind in todo]
-    nan_count = 0
-    for ind, value in zip(todo, values):
-        value = float(value)
-        if math.isnan(value):
-            nan_count += 1
-            value = math.inf
-        ind.fitness = value
-    if nan_count:
+        values = [fitness(genome) for genome in genome_block]
+    fits = np.array(values, dtype=np.float64)
+    nan = np.isnan(fits)
+    if nan.any():
+        fits[nan] = math.inf
         _log.warning(
             "fitness backend returned NaN for %d of %d genomes; "
             "treating them as rejected (+inf)",
-            nan_count,
-            len(todo),
+            int(nan.sum()),
+            len(fits),
         )
-    return len(todo)
+    return fits
 
 
 @dataclass
@@ -237,6 +233,36 @@ class EvolutionStrategy:
             Index of the last completed generation when resuming; the
             loop continues at ``start_generation + 1``.
         """
+        return self._run(
+            initial,
+            fitness,
+            rng,
+            termination=termination,
+            total_generations=total_generations,
+            abort_bound=abort_bound,
+            on_generation_end=on_generation_end,
+            resume_log=resume_log,
+            start_generation=start_generation,
+        )
+
+    def _run(
+        self,
+        initial: Sequence[Individual],
+        fitness: Fitness,
+        rng,
+        termination: TerminationCriterion | None = None,
+        total_generations: int | None = None,
+        abort_bound=None,
+        on_generation_end=None,
+        resume_log: EvolutionLog | None = None,
+        start_generation: int = 0,
+    ) -> EvolutionResult:
+        """The generation loop shared by every population model.
+
+        ``rng`` is whatever :meth:`_offspring` draws from.  A subclass
+        changes the model through :meth:`_first_parents`,
+        :meth:`_offspring` and :meth:`_survivors` only.
+        """
         if not initial:
             raise ConfigurationError("need at least one initial individual")
         if termination is None:
@@ -255,13 +281,11 @@ class EvolutionStrategy:
             # evaluated and the restored log already holds their
             # generation-0..start_generation history
             log = resume_log
-            population = list(initial)
-            unevaluated = [
-                ind for ind in population if not ind.evaluated
-            ]
+            parents = list(initial)
+            unevaluated = sum(not ind.evaluated for ind in parents)
             if unevaluated:
                 raise ConfigurationError(
-                    f"resumed population contains {len(unevaluated)} "
+                    f"resumed population contains {unevaluated} "
                     f"unevaluated individuals"
                 )
             generation = int(start_generation)
@@ -277,63 +301,111 @@ class EvolutionStrategy:
                 )
                 for ind in initial
             ]
-            evals = evaluate_individuals(population, fitness)
-            population = plus_selection(
-                population, [], min(self.mu, len(population))
+            todo = [ind for ind in population if not ind.evaluated]
+            if todo:
+                fits = evaluate_block(
+                    np.stack([ind.genome for ind in todo]), fitness
+                )
+                for ind, value in zip(todo, fits.tolist()):
+                    ind.fitness = value
+            parents = self._first_parents(
+                plus_selection(
+                    population, [], min(self.mu, len(population))
+                )
             )
             log.append(
                 GenerationStats.from_population(
                     0,
-                    population,
-                    evals,
+                    parents,
+                    len(todo),
                     time.perf_counter() - t0,
                 )
             )
             if on_generation_end is not None:
-                on_generation_end(population, 0, log)
+                on_generation_end(parents, 0, log)
             generation = 0
 
         while not termination.should_stop(log):
             generation += 1
             bound = (
-                abort_bound(population)
+                abort_bound(parents)
                 if abort_bound is not None
                 else None
             )
             t0 = time.perf_counter()
-            # the whole generation in one operator call, with the draws
-            # of picking a parent and mutating it, child by child
-            index, children = self.mutation.offspring(
-                np.stack([ind.genome for ind in population]),
-                self.lam,
-                rng,
-                generation,
-                total_generations,
+            block = self._offspring(
+                parents, rng, generation, total_generations
             )
-            offspring = [
-                population[i].with_genome(child, "mutation", generation)
-                for i, child in zip(index.tolist(), children)
-            ]
-            evals = evaluate_individuals(offspring, fitness, bound)
-            if self.selection == "plus":
-                population = plus_selection(
-                    population, offspring, self.mu
-                )
-            else:
-                population = comma_selection(
-                    population, offspring, self.mu
-                )
+            fits = evaluate_block(block, fitness, bound)
+            parents = self._survivors(parents, block, fits, generation)
             log.append(
                 GenerationStats.from_population(
                     generation,
-                    population,
-                    evals,
+                    parents,
+                    len(block),
                     time.perf_counter() - t0,
                 )
             )
             if on_generation_end is not None:
-                on_generation_end(population, generation, log)
+                on_generation_end(parents, generation, log)
 
         return EvolutionResult(
-            best=best_of(population), population=population, log=log
+            best=best_of(parents), population=parents, log=log
         )
+
+    @staticmethod
+    def _child(
+        block: np.ndarray, fits: np.ndarray, row: int, generation: int
+    ) -> Individual:
+        """Row ``row`` of a generation's offspring block, selected."""
+        return Individual(
+            genome=block[row],
+            fitness=fits[row],
+            origin="mutation",
+            generation=generation,
+        )
+
+    # -- the panmictic (mu + lambda) / (mu, lambda) population ---------
+    def _first_parents(self, starters: list[Individual]) -> list[Individual]:
+        """The generation-0 parents, given the best starters in order."""
+        return starters
+
+    def _offspring(
+        self,
+        parents: list[Individual],
+        rng: np.random.Generator,
+        generation: int,
+        total_generations: int,
+    ) -> np.ndarray:
+        """The generation's ``(lam, V)`` offspring block.
+
+        One operator call, with the draws of picking a parent and
+        mutating it, child by child.
+        """
+        _, block = self.mutation.offspring(
+            np.stack([ind.genome for ind in parents]),
+            self.lam,
+            rng,
+            generation,
+            total_generations,
+        )
+        return block
+
+    def _survivors(
+        self,
+        parents: list[Individual],
+        block: np.ndarray,
+        fits: np.ndarray,
+        generation: int,
+    ) -> list[Individual]:
+        """The ``mu`` best of parents-then-offspring (plus) or of the
+        offspring (comma); only the selected rows become individuals."""
+        if self.selection == "plus":
+            pool = np.concatenate(([ind.fitness for ind in parents], fits))
+            n = len(parents)
+        else:
+            pool, n = fits, 0
+        return [
+            parents[k] if k < n else self._child(block, fits, k - n, generation)
+            for k in ranked(pool, self.mu).tolist()
+        ]

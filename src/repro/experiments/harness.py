@@ -145,6 +145,45 @@ class ComparisonResult:
         return len(self.records)
 
 
+def _compare(
+    ptg: PTG,
+    ptg_class: str,
+    cluster: Cluster,
+    model: ExecutionTimeModel,
+    emts: EMTS,
+    baselines: list[AllocationHeuristic],
+    rng_seed: int,
+    max_wall_time: float | None,
+) -> RunRecord:
+    """One (PTG, platform) comparison: baselines and EMTS on one table."""
+    table = TimeTable.build(model, ptg, cluster)
+    base_ms = {
+        b.name: makespan_of(ptg, table, b.allocate(ptg, table))
+        for b in baselines
+    }
+    t0 = time.perf_counter()
+    emts_result = emts.schedule(
+        ptg, cluster, table, rng=rng_seed, max_wall_time=max_wall_time
+    )
+    seconds = time.perf_counter() - t0
+    stats = emts_result.evaluation_stats
+    return RunRecord(
+        ptg_name=ptg.name,
+        ptg_class=ptg_class,
+        num_tasks=ptg.num_tasks,
+        platform=cluster.name,
+        model=model.name,
+        emts_name=emts.name,
+        emts_makespan=emts_result.makespan,
+        emts_seconds=seconds,
+        baseline_makespans=base_ms,
+        emts_evaluations=stats.evaluations,
+        emts_mapper_calls=stats.mapper_calls,
+        emts_cache_hits=stats.cache_hits,
+        interrupted=emts_result.interrupted,
+    )
+
+
 def run_comparison(
     ptgs: dict[str, list[PTG]],
     platforms: list[Cluster],
@@ -186,38 +225,16 @@ def run_comparison(
             )
             seeds = iter_seeds(stream)
             for ptg in graphs:
-                table = TimeTable.build(model, ptg, cluster)
-                base_ms = {
-                    b.name: makespan_of(
-                        ptg, table, b.allocate(ptg, table)
-                    )
-                    for b in baselines
-                }
-                t0 = time.perf_counter()
-                emts_result = emts.schedule(
-                    ptg,
-                    cluster,
-                    table,
-                    rng=next(seeds),
-                    max_wall_time=max_wall_time,
-                )
-                seconds = time.perf_counter() - t0
-                stats = emts_result.evaluation_stats
                 result.records.append(
-                    RunRecord(
-                        ptg_name=ptg.name,
-                        ptg_class=cls,
-                        num_tasks=ptg.num_tasks,
-                        platform=cluster.name,
-                        model=model.name,
-                        emts_name=emts.name,
-                        emts_makespan=emts_result.makespan,
-                        emts_seconds=seconds,
-                        baseline_makespans=base_ms,
-                        emts_evaluations=stats.evaluations,
-                        emts_mapper_calls=stats.mapper_calls,
-                        emts_cache_hits=stats.cache_hits,
-                        interrupted=emts_result.interrupted,
+                    _compare(
+                        ptg,
+                        cls,
+                        cluster,
+                        model,
+                        emts,
+                        baselines,
+                        next(seeds),
+                        max_wall_time,
                     )
                 )
     return result
@@ -272,36 +289,16 @@ def _comparison_trial(
     wall-clock and varies between runs; every other field is
     deterministic for a given seed.
     """
-    cfg = EMTSConfig(**emts_config)
-    emts = EMTS(cfg)
-    table = TimeTable.build(model, ptg, cluster)
-    base_ms = {
-        name: makespan_of(
-            ptg, table, make_allocator(name).allocate(ptg, table)
-        )
-        for name in baselines
-    }
-    t0 = time.perf_counter()
-    emts_result = emts.schedule(
-        ptg, cluster, table, rng=rng_seed, max_wall_time=max_wall_time
-    )
-    seconds = time.perf_counter() - t0
-    stats = emts_result.evaluation_stats
     return record_to_dict(
-        RunRecord(
-            ptg_name=ptg.name,
-            ptg_class=ptg_class,
-            num_tasks=ptg.num_tasks,
-            platform=cluster.name,
-            model=model.name,
-            emts_name=emts.name,
-            emts_makespan=emts_result.makespan,
-            emts_seconds=seconds,
-            baseline_makespans=base_ms,
-            emts_evaluations=stats.evaluations,
-            emts_mapper_calls=stats.mapper_calls,
-            emts_cache_hits=stats.cache_hits,
-            interrupted=emts_result.interrupted,
+        _compare(
+            ptg,
+            ptg_class,
+            cluster,
+            model,
+            EMTS(EMTSConfig(**emts_config)),
+            [make_allocator(name) for name in baselines],
+            rng_seed,
+            max_wall_time,
         )
     )
 

@@ -5,11 +5,7 @@ client (and the chaos harness that attacks it) can reuse the exact
 retry arithmetic the heavyweight components run on.
 """
 
-from .backoff import (
-    Backoff,
-    decorrelated_jitter,
-    exponential_delay,
-)
+from .backoff import decorrelated_jitter, exponential_delay
 from .crash import (
     CRASH_ENV_VAR,
     CRASH_EXIT_CODE,
@@ -21,7 +17,6 @@ from .crash import (
 )
 
 __all__ = [
-    "Backoff",
     "decorrelated_jitter",
     "exponential_delay",
     "CRASH_ENV_VAR",

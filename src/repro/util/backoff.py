@@ -21,9 +21,8 @@ without numpy.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 
-__all__ = ["exponential_delay", "decorrelated_jitter", "Backoff"]
+__all__ = ["exponential_delay", "decorrelated_jitter"]
 
 
 def exponential_delay(
@@ -69,63 +68,3 @@ def decorrelated_jitter(
     low = base
     high = max(low, previous * 3.0)
     return min(float(cap), rng.uniform(low, high))
-
-
-@dataclass
-class Backoff:
-    """A stateful backoff schedule: call :meth:`next_delay` per failure.
-
-    ``jitter="none"`` reproduces the classic deterministic exponential
-    ladder; ``jitter="decorrelated"`` draws each sleep from the seeded
-    ``random.Random`` stream, so a retry schedule is reproducible from
-    its seed but uncorrelated with every other client's.
-
-    >>> b = Backoff(base=0.1, cap=5.0, seed=7)
-    >>> delays = [b.next_delay() for _ in range(3)]
-    >>> all(0.1 <= d <= 5.0 for d in delays)
-    True
-    """
-
-    base: float = 0.05
-    cap: float = 30.0
-    factor: float = 2.0
-    jitter: str = "decorrelated"
-    seed: int | None = None
-
-    def __post_init__(self) -> None:
-        if self.base < 0:
-            raise ValueError(f"base must be >= 0, got {self.base}")
-        if self.cap < self.base:
-            raise ValueError(
-                f"cap must be >= base, got cap={self.cap} base={self.base}"
-            )
-        if self.factor < 1.0:
-            raise ValueError(f"factor must be >= 1, got {self.factor}")
-        if self.jitter not in ("none", "decorrelated"):
-            raise ValueError(
-                f"jitter must be 'none' or 'decorrelated', "
-                f"got {self.jitter!r}"
-            )
-        self._rng = random.Random(self.seed)
-        self._attempt = 0
-        self._previous = self.base
-
-    def next_delay(self) -> float:
-        """The sleep to take after the next failure."""
-        self._attempt += 1
-        if self.jitter == "none":
-            delay = exponential_delay(
-                self.base, self._attempt, factor=self.factor, cap=self.cap
-            )
-        else:
-            delay = decorrelated_jitter(
-                self._rng, self._previous, self.base, self.cap
-            )
-        self._previous = delay
-        return delay
-
-    def reset(self) -> None:
-        """Rewind to the pre-first-failure state (success observed)."""
-        self._attempt = 0
-        self._previous = self.base
-        self._rng = random.Random(self.seed)

@@ -6,9 +6,22 @@ import numpy as np
 import pytest
 
 from repro.graph import PTG, PTGBuilder, Task, chain, fork_join
+from repro.obs import reset_logging
 from repro.platform import Cluster, chti, grelon
 from repro.timemodels import AmdahlModel, SyntheticModel, TimeTable
 from repro.workloads import DaggenParams, generate_daggen, generate_fft
+
+
+@pytest.fixture(autouse=True)
+def _reset_repro_logging():
+    """Undo ``configure_logging`` after every test.
+
+    ``cli.main`` configures the ``repro`` logger with
+    ``propagate = False``; left in place, later tests' ``caplog`` would
+    see none of the package's records.
+    """
+    yield
+    reset_logging()
 
 
 @pytest.fixture

@@ -156,7 +156,7 @@ class TestSchedule:
             ["schedule", "--kind", "strassen"]
         )
         assert args.verify == "off"
-        assert args.islands == 0
+        assert args.islands is False
 
     def test_workers_flag_is_gone(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -165,6 +165,14 @@ class TestSchedule:
             )
         assert exc.value.code == 2
         assert "--workers" in capsys.readouterr().err
+
+    def test_island_shard_count_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(
+                ["schedule", "--kind", "strassen", "--islands", "2"]
+            )
+        assert exc.value.code == 2
+        assert "unrecognized arguments: 2" in capsys.readouterr().err
 
     def test_report_trace_service_flag_is_gone(self, capsys):
         # a directory argument is all report-trace needs
@@ -273,8 +281,8 @@ class TestSchedule:
     @pytest.mark.parametrize(
         "flags",
         [
-            ["--islands", "-2"],
-            ["--islands", "1", "--migration-interval", "0"],
+            ["--islands", "--migration-interval", "-2"],
+            ["--islands", "--migration-interval", "0"],
         ],
     )
     def test_bad_island_flags_exit_cleanly(self, flags):
@@ -602,13 +610,6 @@ class TestCorpus:
 
 
 class TestObservability:
-    @pytest.fixture(autouse=True)
-    def clean_logging(self):
-        from repro.obs import reset_logging
-
-        yield
-        reset_logging()
-
     def run_traced(self, tmp_path, *extra):
         trace = tmp_path / "run.jsonl"
         rc = main(

@@ -146,7 +146,7 @@ class TestDeterminismAcrossBackends:
         self._identical(problem, monkeypatch, use_rejection=True)
 
     def test_islands_identical(self, problem, monkeypatch):
-        self._identical(problem, monkeypatch, islands=2)
+        self._identical(problem, monkeypatch, islands=True)
 
 
 class TestEMTSIntegration:

@@ -1,21 +1,24 @@
-"""Island-model EMTS: sharding invariance, migration, checkpointing.
+"""Island-model EMTS: execution invariance, migration, checkpointing.
 
-The island model's central contract: the logical decomposition is fixed
-at ``mu`` single-parent islands, so the ``islands`` execution parameter
-(and the kernel thread count, and the kernel backend) never changes
-the result — same-seed runs are bit-identical for any shard count.
-Ring migration and per-island RNG streams are deterministic, and
-checkpoints capture the island RNG states.
+The island model's central contract: the decomposition is fixed at
+``mu`` single-parent islands, so neither the kernel thread count nor
+the kernel backend changes the result — same-seed runs are
+bit-identical.  Ring migration and per-island RNG streams are
+deterministic, checkpoints capture the island RNG states, and a
+checkpoint written by the build that still had a shard count resumes
+to that build's answer.
 """
 
 from __future__ import annotations
 
+import hashlib
+import os
 import threading
 
 import numpy as np
 import pytest
 
-from repro import emts5, grelon, SyntheticModel
+from repro import emts5, emts10, grelon, SyntheticModel
 from repro.core import EMTSConfig
 from repro.core.checkpoint import (
     Checkpoint,
@@ -42,7 +45,7 @@ def classic_result():
 
 @pytest.fixture(scope="module")
 def island_result():
-    return emts5(islands=1).schedule(PTG, CLUSTER, MODEL, rng=SEED)
+    return emts5(islands=True).schedule(PTG, CLUSTER, MODEL, rng=SEED)
 
 
 def _assert_identical(a, b):
@@ -77,73 +80,77 @@ def test_strategy_validation():
         IslandStrategy(5, 4, op)  # lam < mu
     with pytest.raises(ConfigurationError):
         IslandStrategy(5, 25, op, migration_interval=0)
-    with pytest.raises(ConfigurationError):
-        IslandStrategy(5, 25, op, shards=0)
 
 
 def test_config_validation():
     with pytest.raises(ConfigurationError):
         EMTSConfig(islands=-1)
     with pytest.raises(ConfigurationError):
-        EMTSConfig(islands=1, migration_interval=0)
+        EMTSConfig(islands=True, migration_interval=0)
     with pytest.raises(ConfigurationError):
-        EMTSConfig(islands=2, selection="comma")
+        EMTSConfig(islands=True, selection="comma")
     with pytest.raises(ConfigurationError):
-        EMTSConfig(islands=2, mu=10, lam=5)
+        EMTSConfig(islands=True, mu=10, lam=5)
+
+
+@pytest.mark.parametrize("islands", [2, 1, 0])
+def test_config_islands_is_a_flag(islands):
+    """``islands`` was a shard count; only ``True``/``False`` remain."""
+    with pytest.raises(ConfigurationError, match="True or False"):
+        EMTSConfig(islands=islands)
 
 
 # ----------------------------------------------------------------------
-# shard-count / thread-count / backend invariance
-
-
-@pytest.mark.parametrize("shards", [2, 4, 5])
-def test_shard_count_is_pure_execution_knob(island_result, shards):
-    other = emts5(islands=shards).schedule(PTG, CLUSTER, MODEL, rng=SEED)
-    _assert_identical(island_result, other)
+# thread-count / backend invariance
 
 
 def test_worker_count_invariance(island_result, monkeypatch):
     """Two OpenMP threads in the batch kernel give the same run."""
     monkeypatch.setenv("REPRO_CKERNEL_THREADS", "2")
-    threaded = emts5(islands=2).schedule(PTG, CLUSTER, MODEL, rng=SEED)
+    threaded = emts5(islands=True).schedule(PTG, CLUSTER, MODEL, rng=SEED)
     _assert_identical(island_result, threaded)
 
 
-def test_numpy_backend_invariance(island_result, monkeypatch):
-    """REPRO_NO_CKERNEL=1 (numpy scheduling path) is bit-identical."""
+def _use_fallback_engine(monkeypatch):
+    """Run the rest of the test on the reference (``numpy``) engine."""
     from repro.mapping import _cscheduler
 
     monkeypatch.setenv("REPRO_NO_CKERNEL", "1")
     monkeypatch.setattr(_cscheduler, "_tried", True)
     monkeypatch.setattr(_cscheduler, "_ffi", None)
     monkeypatch.setattr(_cscheduler, "_lib", None)
-    fallback = emts5(islands=3).schedule(PTG, CLUSTER, MODEL, rng=SEED)
+
+
+def test_numpy_backend_invariance(island_result, monkeypatch):
+    """REPRO_NO_CKERNEL=1 (numpy scheduling path) is bit-identical."""
+    _use_fallback_engine(monkeypatch)
+    fallback = emts5(islands=True).schedule(PTG, CLUSTER, MODEL, rng=SEED)
     _assert_identical(island_result, fallback)
 
 
 def test_island_mode_is_a_different_trajectory(
     classic_result, island_result
 ):
-    """islands=0 (panmictic) and island mode are both deterministic but
+    """islands=False (panmictic) and island mode are both deterministic but
     follow different search trajectories; the island best can never be
     worse than its heuristic seeds (plus selection is elitist)."""
     assert island_result.makespan <= min(
         island_result.seed_makespans.values()
     )
     # determinism of each mode separately
-    again = emts5(islands=1).schedule(PTG, CLUSTER, MODEL, rng=SEED)
+    again = emts5(islands=True).schedule(PTG, CLUSTER, MODEL, rng=SEED)
     _assert_identical(island_result, again)
 
 
 def test_migration_interval_changes_trajectory():
-    every = emts5(islands=1).schedule(PTG, CLUSTER, MODEL, rng=SEED)
-    never = emts5(islands=1, migration_interval=100).schedule(
+    every = emts5(islands=True).schedule(PTG, CLUSTER, MODEL, rng=SEED)
+    never = emts5(islands=True, migration_interval=100).schedule(
         PTG, CLUSTER, MODEL, rng=SEED
     )
     # both deterministic; isolation without migration may only do worse
     # or equal on this seeded, elitist setup
     assert never.makespan >= every.makespan
-    again = emts5(islands=1, migration_interval=100).schedule(
+    again = emts5(islands=True, migration_interval=100).schedule(
         PTG, CLUSTER, MODEL, rng=SEED
     )
     _assert_identical(never, again)
@@ -166,7 +173,7 @@ def test_island_checkpoint_resume_bit_identical(
         segment.inner = ev
         return segment
 
-    partial = emts5(islands=2).schedule(
+    partial = emts5(islands=True).schedule(
         PTG,
         CLUSTER,
         MODEL,
@@ -176,11 +183,70 @@ def test_island_checkpoint_resume_bit_identical(
         evaluator_wrapper=wrap,
     )
     assert partial.interrupted
-    resumed = emts5(islands=4).schedule(
+    resumed = emts5(islands=True).schedule(
         PTG, CLUSTER, MODEL, rng=SEED, resume_from=path
     )
     assert not resumed.interrupted
     _assert_identical(island_result, resumed)
+
+
+#: A mid-run island-mode EMTS10 checkpoint (FFT-39 on Grelon, synthetic
+#: model, seed 5, stopped after generation 3) written by the build whose
+#: ``islands`` was a shard count (here 1) and whose island model had its
+#: own generation loop.
+SHARD_ERA_CHECKPOINT = os.path.join(
+    os.path.dirname(__file__), "data", "island_run_checkpoint.json"
+)
+#: That build's uninterrupted answer for the same run: makespan,
+#: SHA-256 of the allocation, and every generation's (best, evaluations).
+SHARD_ERA_MAKESPAN = "0x1.f1e833a15d1e4p+6"
+SHARD_ERA_ALLOCATION_SHA256 = (
+    "175f707544635e4a7b294f35eb3216eb23f6cad93eba0cb693eaebcef51055c1"
+)
+SHARD_ERA_GENERATIONS = [
+    ("0x1.82a1f94c5185bp+7", 10),
+    ("0x1.0c887eb20fbc0p+7", 100),
+    ("0x1.07e7ed5800847p+7", 100),
+    ("0x1.0480bb3f3bb3bp+7", 100),
+    ("0x1.01ec8000bcf1dp+7", 100),
+    ("0x1.fefd0beb56262p+6", 100),
+    ("0x1.f95597705a143p+6", 100),
+    ("0x1.f656f36a6732fp+6", 100),
+    ("0x1.f5726a5e665a2p+6", 100),
+    ("0x1.f5726a5e665a2p+6", 100),
+    ("0x1.f1e833a15d1e4p+6", 100),
+]
+
+
+@pytest.mark.parametrize("engine", ["default", "fallback"])
+def test_shard_era_island_checkpoint_resumes_to_same_answer(
+    engine, monkeypatch
+):
+    if engine == "fallback":
+        _use_fallback_engine(monkeypatch)
+    ckpt = load_checkpoint(SHARD_ERA_CHECKPOINT)
+    assert ckpt.generation == 3
+    assert ckpt.config["island_mode"] is True
+    ptg = generate_fft(8, rng=5)
+
+    def run(**kwargs):
+        return emts10(islands=True).schedule(
+            ptg, CLUSTER, MODEL, rng=5, **kwargs
+        )
+
+    uninterrupted = run()
+    resumed = run(resume_from=SHARD_ERA_CHECKPOINT)
+    for result in (uninterrupted, resumed):
+        alloc = np.ascontiguousarray(result.allocation, dtype=np.int64)
+        assert result.makespan.hex() == SHARD_ERA_MAKESPAN
+        assert (
+            hashlib.sha256(alloc.tobytes()).hexdigest()
+            == SHARD_ERA_ALLOCATION_SHA256
+        )
+        assert [
+            (e.best.hex(), e.evaluations) for e in result.log.entries
+        ] == SHARD_ERA_GENERATIONS
+    assert not resumed.interrupted
 
 
 def test_island_checkpoint_records_rng_streams(tmp_path):
@@ -194,7 +260,7 @@ def test_island_checkpoint_records_rng_streams(tmp_path):
         segment.inner = ev
         return segment
 
-    emts5(islands=1).schedule(
+    emts5(islands=True).schedule(
         PTG,
         CLUSTER,
         MODEL,
@@ -239,7 +305,7 @@ def test_classic_checkpoint_refuses_island_resume(tmp_path):
     assert ckpt.restore_island_rngs() is None
     assert ckpt.config["island_mode"] is False
     with pytest.raises(CheckpointError):
-        emts5(islands=2).schedule(
+        emts5(islands=True).schedule(
             PTG, CLUSTER, MODEL, rng=SEED, resume_from=path
         )
 
@@ -281,7 +347,7 @@ def test_semantic_config_defaults_accept_pre_island_checkpoints(
     # ... but an island-mode run still refuses the stripped checkpoint
     with pytest.raises(CheckpointError):
         verify_resumable(
-            old, emts5_config().with_updates(islands=2), PTG, table
+            old, emts5_config().with_updates(islands=True), PTG, table
         )
 
 

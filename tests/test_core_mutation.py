@@ -344,7 +344,7 @@ def _assert_same_run(a, b):
 
 @pytest.mark.parametrize(
     "make, kwargs",
-    [(emts5, {}), (emts10, {}), (emts5, {"islands": 5})],
+    [(emts5, {}), (emts10, {}), (emts5, {"islands": True})],
     ids=["emts5", "emts10", "islands"],
 )
 def test_whole_run_matches_python_loop(make, kwargs, monkeypatch):

@@ -50,7 +50,7 @@ def problem():
     return ptg, cluster, table
 
 
-def traced_run(problem, path, seed=42, islands=0, **kwargs):
+def traced_run(problem, path, seed=42, islands=False, **kwargs):
     ptg, cluster, table = problem
     return emts5(islands=islands).schedule(
         ptg, cluster, table, rng=seed, trace=path, **kwargs
@@ -112,7 +112,7 @@ class TestTracedRun:
             sum(e.dur for e in after_seed if e.kind == "evaluation")
         )
 
-    @pytest.mark.parametrize("islands", [0, 2])
+    @pytest.mark.parametrize("islands", [False, True])
     def test_phases_add_up_fresh_and_resumed(
         self, problem, tmp_path, islands
     ):
@@ -172,7 +172,7 @@ class TestTracedRun:
             sum(e.attrs["verify_seconds"] for e in batches)
         )
 
-    @pytest.mark.parametrize("islands", [0, 2])
+    @pytest.mark.parametrize("islands", [False, True])
     def test_observers_change_no_results(self, problem, tmp_path, islands):
         ptg, cluster, table = problem
         outcomes = []

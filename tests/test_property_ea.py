@@ -18,6 +18,7 @@ from repro.ea import (
     UniformIntegerMutation,
     plus_selection,
 )
+from repro.ea.selection import ranked
 
 
 def hash_fitness(genome: np.ndarray) -> float:
@@ -140,3 +141,21 @@ def test_plus_selection_properties(parent_fits, child_fits, mu):
     # survivors are exactly the mu smallest of the pool
     all_fits = sorted(parent_fits + child_fits)
     assert fits == all_fits[:mu]
+
+
+@given(
+    st.lists(
+        st.sampled_from([0.0, 1.5, 2.0, 7.25, float("inf")]),
+        min_size=1,
+        max_size=30,
+    ),
+    st.integers(min_value=1, max_value=30),
+)
+@settings(max_examples=200, deadline=None)
+def test_ranked_keeps_stable_sort_tie_order(fits, mu):
+    """The engine's survivor ranking is the stable ``sorted`` order,
+    ties (``inf`` rejections included) going to the lower index."""
+    if mu > len(fits):
+        return
+    reference = sorted(range(len(fits)), key=fits.__getitem__)[:mu]
+    assert ranked(fits, mu).tolist() == reference

@@ -12,7 +12,6 @@ from repro.util import (
     CRASH_ENV_VAR,
     CRASH_EXIT_CODE,
     KNOWN_CRASH_POINTS,
-    Backoff,
     crash_point,
     decorrelated_jitter,
     exponential_delay,
@@ -82,49 +81,6 @@ class TestDecorrelatedJitter:
         import random
 
         assert decorrelated_jitter(random.Random(0), 1.0, 0.0, 5.0) == 0.0
-
-
-class TestBackoff:
-    def test_deterministic_ladder_without_jitter(self):
-        b = Backoff(base=0.1, cap=10.0, jitter="none")
-        assert [b.next_delay() for _ in range(4)] == [
-            pytest.approx(0.1),
-            pytest.approx(0.2),
-            pytest.approx(0.4),
-            pytest.approx(0.8),
-        ]
-
-    def test_jittered_schedule_reproducible_from_seed(self):
-        a = Backoff(base=0.05, cap=2.0, seed=42)
-        b = Backoff(base=0.05, cap=2.0, seed=42)
-        assert [a.next_delay() for _ in range(5)] == [
-            b.next_delay() for _ in range(5)
-        ]
-
-    def test_reset_rewinds_the_schedule(self):
-        b = Backoff(base=0.05, cap=2.0, seed=9)
-        first = [b.next_delay() for _ in range(4)]
-        b.reset()
-        assert [b.next_delay() for _ in range(4)] == first
-
-    def test_cap_respected(self):
-        b = Backoff(base=1.0, cap=1.5, jitter="none")
-        delays = [b.next_delay() for _ in range(5)]
-        assert delays[-1] == 1.5
-        assert max(delays) <= 1.5
-
-    @pytest.mark.parametrize(
-        "kwargs",
-        [
-            {"base": -0.1},
-            {"base": 2.0, "cap": 1.0},
-            {"factor": 0.5},
-            {"jitter": "full"},
-        ],
-    )
-    def test_validation(self, kwargs):
-        with pytest.raises(ValueError):
-            Backoff(**kwargs)
 
 
 class TestCrashPoint:
