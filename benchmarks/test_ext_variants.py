@@ -7,8 +7,11 @@ Runs the default variant panel on irregular 100-task PTGs (Grelon,
 Model 2) and records the quality/speed table.  Structural assertions:
 
 * EMTS10 produces the best (or tied-best) mean makespan of the panel;
-* the rejection-strategy variant matches plain EMTS5's quality exactly;
 * EMTS10 costs more wall time than EMTS5 (quality is bought with time).
+
+The rejection strategy is no variant: every plus-selection run uses it
+(``test_ablations.py::test_ablation_rejection`` checks it changes no
+answer).
 """
 
 import pytest
@@ -46,15 +49,9 @@ def test_variant_panel(benchmark, result):
 
     emts5 = result.outcome("emts5")
     emts10 = result.outcome("emts10")
-    reject = result.outcome("emts5-reject")
 
     # more budget -> better (or equal) quality, at higher cost
     assert emts10.mean_makespan <= emts5.mean_makespan + 1e-9
     assert emts10.mean_seconds > emts5.mean_seconds
-
-    # the rejection mapper changes speed, never quality
-    assert reject.mean_makespan == pytest.approx(
-        emts5.mean_makespan
-    )
 
     write_result("ext_variants.txt", result.render())

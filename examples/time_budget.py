@@ -35,7 +35,6 @@ def main() -> None:
             lam=100,
             generations=1000,  # effectively unbounded; the clock stops us
             time_budget_seconds=budget,
-            use_rejection=True,  # the paper's future-work speed-up
             name=f"emts-{budget:g}s",
         )
         result = EMTS(config).schedule(ptg, cluster, table, rng=5)

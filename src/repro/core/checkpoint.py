@@ -70,7 +70,9 @@ CHECKPOINT_VERSION = 1
 #: Configuration fields that change the optimization outcome.  Engine
 #: knobs (verification, kernel threads, kernel backend) are deliberately
 #: excluded: they never change a result, so a run may be resumed under
-#: a different execution configuration.
+#: a different execution configuration.  Checkpoints written while the
+#: rejection strategy was a switch carry a ``use_rejection`` key; it
+#: never changed a result either, and is ignored.
 SEMANTIC_CONFIG_FIELDS = (
     "name",
     "mu",
@@ -83,7 +85,6 @@ SEMANTIC_CONFIG_FIELDS = (
     "delta",
     "seed_heuristics",
     "selection",
-    "use_rejection",
     "island_mode",
     "migration_interval",
 )

@@ -50,10 +50,6 @@ class EMTSConfig:
         {"mcpa", "hcpa", "delta-critical", "serial", "cpa", "mcpa2"}.
     selection:
         "plus" (paper) or "comma" (ablation).
-    use_rejection:
-        Enable the mapper's early-abort rejection strategy (the paper's
-        future-work optimization): candidate mappings that provably
-        cannot beat the incumbent are cut short.
     time_budget_seconds:
         Optional wall-clock cap on the evolutionary search.
     verify:
@@ -87,7 +83,6 @@ class EMTSConfig:
         "delta-critical",
     )
     selection: str = "plus"
-    use_rejection: bool = False
     time_budget_seconds: float | None = None
     verify: str = "off"
     islands: bool = False

@@ -419,24 +419,6 @@ class EMTS:
                     verifier=verifier,
                 )
 
-            # Rejection strategy (paper Section VI, future work): abort a
-            # candidate's mapping once it provably cannot enter the survivor
-            # set.  Under plus selection the cutoff is the *worst current
-            # parent*: every parent survives unless displaced by a strictly
-            # better offspring, so an offspring whose makespan lower bound
-            # already reaches the worst parent's fitness can never be
-            # selected (ties go to parents).  Using this bound — rather than
-            # the best incumbent — keeps the optimization outcome bit-for-bit
-            # identical to the unrejected run.  The bound is re-derived each
-            # generation and handed to the evaluator with every batch, so
-            # the kernel always rejects against the current survivor set.
-            def abort_bound(parents) -> float | None:
-                if cfg.use_rejection and cfg.selection == "plus":
-                    return max(
-                        ind.evaluated_fitness() for ind in parents
-                    )
-                return None
-
             criteria: list = [GenerationLimit(cfg.generations)]
             if cfg.time_budget_seconds is not None:
                 criteria.append(TimeBudget(cfg.time_budget_seconds))
@@ -561,7 +543,6 @@ class EMTS:
                 stream,
                 termination=termination,
                 total_generations=cfg.generations,
-                abort_bound=abort_bound,
                 on_generation_end=generation_hook,
                 resume_log=resume_log,
                 start_generation=start_generation,

@@ -21,6 +21,8 @@ with the ``lambda_i`` split, and per island the best of parent, ring
 migrant and its own children.  A generation's offspring of all islands
 are one block and one ``evaluate_batch`` call, so the result is
 bit-identical for any kernel thread count and either kernel backend.
+That call's rejection bound is the worst parent over all islands: an
+offspring must beat its own island's parent to survive.
 ``EMTSConfig(islands=False)`` selects the classic panmictic engine (a
 different — also deterministic — trajectory).
 

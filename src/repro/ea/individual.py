@@ -58,17 +58,6 @@ class Individual:
             raise ValueError("individual has not been evaluated")
         return self.fitness
 
-    def with_genome(
-        self, genome: np.ndarray, origin: str, generation: int
-    ) -> "Individual":
-        """A new, unevaluated individual derived from this one."""
-        return Individual(
-            genome=genome,
-            fitness=None,
-            origin=origin,
-            generation=generation,
-        )
-
     def dominates(self, other: "Individual") -> bool:
         """Strictly better fitness than ``other`` (both evaluated)."""
         return self.evaluated_fitness() < other.evaluated_fitness()

@@ -20,8 +20,14 @@ three population steps (:meth:`~EvolutionStrategy._first_parents`,
 :meth:`~EvolutionStrategy._offspring`,
 :meth:`~EvolutionStrategy._survivors`).  The engine reports
 per-generation statistics and enforces arbitrary termination criteria.
-Fitness functions may return ``inf`` to reject an individual (the
-mapper's ``abort_above`` rejection strategy does this).
+Fitness functions may return ``inf`` to reject an individual.
+
+Under plus selection every generation's batch carries the worst current
+parent's fitness as ``abort_above`` (the paper's Section VI rejection
+strategy): an offspring survives only by beating a parent outright, ties
+going to parents, so one whose makespan provably reaches that bound is
+never selected and a batch fitness may stop mapping it and return
+``inf``.  Answers are those of scoring every offspring to the end.
 """
 
 from __future__ import annotations
@@ -86,9 +92,9 @@ def evaluate_block(
 
     ``fitness`` is either a :class:`BatchFitness`, which receives the
     block unchanged together with ``abort_above``, or a plain
-    per-genome callable.  NaN is never comparable, so it degrades to a
-    rejection (``+inf``): the genome is discarded and the run continues
-    on the remaining finite candidates.
+    per-genome callable, which gets no bound.  NaN is never comparable,
+    so it degrades to a rejection (``+inf``): the genome is discarded
+    and the run continues on the remaining finite candidates.
     """
     evaluate_batch = getattr(fitness, "evaluate_batch", None)
     if evaluate_batch is not None:
@@ -184,7 +190,6 @@ class EvolutionStrategy:
         rng: np.random.Generator,
         termination: TerminationCriterion | None = None,
         total_generations: int | None = None,
-        abort_bound=None,
         on_generation_end=None,
         resume_log: EvolutionLog | None = None,
         start_generation: int = 0,
@@ -201,7 +206,9 @@ class EvolutionStrategy:
         fitness:
             Objective to minimize — either a plain per-genome callable
             or a batch evaluator implementing :class:`BatchFitness`.
-            Either form may produce ``inf`` to reject an individual.
+            Either form may produce ``inf`` to reject an individual;
+            under plus selection a batch evaluator also receives each
+            generation's rejection bound, the worst parent's fitness.
         rng:
             Random source for parent choice and operators.
         termination:
@@ -210,12 +217,6 @@ class EvolutionStrategy:
             The annealing horizon ``U`` handed to the mutation operator;
             defaults to the smallest generation limit in
             ``termination`` (:func:`~repro.ea.termination.annealing_horizon`).
-        abort_bound:
-            Optional callable ``parents -> float | None`` queried once
-            per generation; a finite return value is forwarded to the
-            batch evaluator as ``abort_above`` (the rejection strategy's
-            cutoff, re-derived from the current survivor set).  Ignored
-            for plain callables, which handle rejection internally.
         on_generation_end:
             Optional hook called with ``(population, generation, log)``
             after each generation's survivors are selected and logged
@@ -239,7 +240,6 @@ class EvolutionStrategy:
             rng,
             termination=termination,
             total_generations=total_generations,
-            abort_bound=abort_bound,
             on_generation_end=on_generation_end,
             resume_log=resume_log,
             start_generation=start_generation,
@@ -252,7 +252,6 @@ class EvolutionStrategy:
         rng,
         termination: TerminationCriterion | None = None,
         total_generations: int | None = None,
-        abort_bound=None,
         on_generation_end=None,
         resume_log: EvolutionLog | None = None,
         start_generation: int = 0,
@@ -325,16 +324,19 @@ class EvolutionStrategy:
                 on_generation_end(parents, 0, log)
             generation = 0
 
+        plus = self.selection == "plus"
         while not termination.should_stop(log):
             generation += 1
-            bound = (
-                abort_bound(parents)
-                if abort_bound is not None
-                else None
-            )
             t0 = time.perf_counter()
             block = self._offspring(
                 parents, rng, generation, total_generations
+            )
+            # with mu parents, an offspring that ties the worst of them
+            # ranks behind all mu and is never selected
+            bound = (
+                max(ind.fitness for ind in parents)
+                if plus and len(parents) == self.mu
+                else None
             )
             fits = evaluate_block(block, fitness, bound)
             parents = self._survivors(parents, block, fits, generation)

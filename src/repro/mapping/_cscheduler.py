@@ -97,7 +97,7 @@ int schedule_makespan_batch(
     const int32_t *indices,
     const int32_t *indeg,
     const int64_t *alloc_rows,
-    double bound,
+    double bound, double inner_bound,
     double *out);
 
 double schedule_build(
@@ -309,9 +309,11 @@ static void record_task(int32_t v, double t_start, double t_finish,
 }
 
 /* The makespan of one allocation row; INFINITY once start(v) + bl(v)
- * reaches `bound`.  With `start` non-NULL (build mode) it also writes
- * each task's start and finish times, and task v's processors in
- * ascending order at procs[proc_end[v] - alloc[v] .. proc_end[v]). */
+ * reaches `bound` for a task without successors (its finish time) or
+ * `inner_bound` for any other (see kernel.abort_limits).  With `start`
+ * non-NULL (build mode) it also writes each task's start and finish
+ * times, and task v's processors in ascending order at
+ * procs[proc_end[v] - alloc[v] .. proc_end[v]). */
 static double schedule_slots(
     int V, int P,
     const double *flat_times,
@@ -320,7 +322,7 @@ static double schedule_slots(
     const int32_t *indices,
     const int32_t *indeg,
     const int64_t *alloc,
-    double bound,
+    double bound, double inner_bound,
     const slot_arena *a,
     double *start, double *finish,
     const int64_t *proc_end, int64_t *procs)
@@ -416,7 +418,8 @@ static double schedule_slots(
                 qs[q++] = sl;
         }
         double t_finish = t_start + t[v];
-        if (t_start + bl[v] >= bound)
+        if (t_start + bl[v]
+            >= (indptr[v] == indptr[v + 1] ? bound : inner_bound))
             return INFINITY;
 
         /* first-fit by index among processors free at t_start: the
@@ -584,7 +587,7 @@ int schedule_makespan_batch(
     const int32_t *indices,
     const int32_t *indeg,
     const int64_t *alloc_rows,
-    double bound,
+    double bound, double inner_bound,
     double *out)
 {
 #if !defined(_OPENMP)
@@ -602,8 +605,8 @@ int schedule_makespan_batch(
         for (int b = 0; b < B; b++) {
             out[b] = ok ? schedule_slots(
                               V, P, flat_times, rev_topo, indptr, indices,
-                              indeg, alloc_rows + (size_t)b * V, bound, &a,
-                              NULL, NULL, NULL, NULL)
+                              indeg, alloc_rows + (size_t)b * V, bound,
+                              inner_bound, &a, NULL, NULL, NULL, NULL)
                         : NAN;
             unscored += !ok;
         }
@@ -629,7 +632,7 @@ double schedule_build(
     slot_arena a;
     double makespan = slot_arena_alloc(&a, V, P)
         ? schedule_slots(V, P, flat_times, rev_topo, indptr, indices,
-                         indeg, alloc, INFINITY, &a,
+                         indeg, alloc, INFINITY, INFINITY, &a,
                          start, finish, proc_end, procs)
         : NAN;
     slot_arena_free(&a);

@@ -60,7 +60,28 @@ __all__ = [
     "kernel_for",
     "check_allocation",
     "batch_threads",
+    "abort_limits",
 ]
+
+
+def abort_limits(
+    abort_above: float | None, num_tasks: int
+) -> tuple[float, float]:
+    """The ``(sink, inner)`` thresholds of the rejection strategy.
+
+    A mapper abandons a schedule once a task's start plus its bottom
+    level reaches the task's threshold.  For a task without successors
+    that sum is its finish time, so ``abort_above`` itself is exact.
+    For any other task it adds a path's times in the reverse order of
+    the schedule's own sums, and the two can round apart by up to
+    ``num_tasks + 1`` ulps each; the inner threshold sits past that
+    margin.  Either way an abandoned schedule's makespan provably
+    reaches ``abort_above``, and every schedule that reaches it is
+    abandoned by its last task at the latest.
+    """
+    if abort_above is None:
+        return inf, inf
+    return abort_above, abort_above * (1.0 + 4.0 * (num_tasks + 2) * 2.0**-52)
 
 
 #: True in a process forked after its parent ran a multi-thread batch.
@@ -319,7 +340,7 @@ class ScheduleKernel:
             threads,
             *graph,
             ffi.from_buffer("int64_t[]", block),
-            inf if abort_above is None else abort_above,
+            *abort_limits(abort_above, self.num_tasks),
             ffi.from_buffer("double[]", out),
         ):
             # NaN rows mark work-space allocation failures inside the

@@ -21,7 +21,9 @@ comes from the free-time scans).
 The optional *rejection strategy* sketched in the paper's conclusions is
 implemented via ``abort_above``: while mapping, ``start(v) + bl(v)`` is a
 lower bound on the final makespan, so construction stops early once the
-bound exceeds a known incumbent — the schedule cannot beat it.
+bound reaches a known incumbent — the schedule cannot beat it
+(:func:`~repro.mapping.kernel.abort_limits` keeps the test sound under
+rounding).
 
 Two engines implement the identical algorithm.  The *reference* engine
 (:func:`_run` below, the only Python list-scheduling loop) works
@@ -45,7 +47,7 @@ import numpy as np
 from ..exceptions import AllocationError
 from ..graph import PTG, bottom_levels
 from ..timemodels import TimeTable
-from .kernel import ScheduleKernel, check_allocation, kernel_for
+from .kernel import ScheduleKernel, abort_limits, check_allocation, kernel_for
 from .processor_state import ProcessorState
 from .schedule import Schedule
 
@@ -154,6 +156,7 @@ def _run(
     )
 
     V = ptg.num_tasks
+    sink_limit, inner_limit = abort_limits(abort_above, V)
     n_waiting = np.array(
         [len(ptg.predecessors(v)) for v in range(V)], dtype=np.int64
     )
@@ -178,8 +181,11 @@ def _run(
         s = int(alloc[v])
         t_start = state.earliest_start(s, float(data_ready[v]))
         t_finish = t_start + float(times[v])
-        if abort_above is not None and t_start + bl[v] >= abort_above:
-            # lower bound on the final makespan already exceeds the
+        successors = ptg.successors(v)
+        if abort_above is not None and t_start + bl[v] >= (
+            inner_limit if successors else sink_limit
+        ):
+            # lower bound on the final makespan already reaches the
             # incumbent: reject this individual without finishing the map
             return np.inf, None, None, None
         if build_schedule:
@@ -192,7 +198,7 @@ def _run(
         if t_finish > makespan:
             makespan = t_finish
         scheduled += 1
-        for w in ptg.successors(v):
+        for w in successors:
             if t_finish > data_ready[w]:
                 data_ready[w] = t_finish
             n_waiting[w] -= 1

@@ -39,6 +39,7 @@ from ..core.seeding import make_allocator, seed_population
 from ..ea import EvolutionStrategy
 from ..exceptions import ConfigurationError
 from ..graph import PTG
+from ..mapping.kernel import abort_limits
 from ..mapping.processor_state import ProcessorState
 from ..platform import Cluster
 from ..timemodels import TimeTable
@@ -108,7 +109,10 @@ class _FrontierProblem:
 
     # -- the availability-aware frontier mapper ------------------------
     def evaluate(
-        self, sub_alloc: np.ndarray, build: bool = False
+        self,
+        sub_alloc: np.ndarray,
+        build: bool = False,
+        abort_above: float | None = None,
     ) -> tuple[float, np.ndarray, np.ndarray, list | None]:
         """List-schedule the frontier under release/availability bounds.
 
@@ -117,8 +121,12 @@ class _FrontierProblem:
         no earlier than their availability.  Returns ``(completion,
         start, finish, local_proc_sets)``; processor indices are local
         (``alive``-relative) and only materialised when ``build``.
+        With ``abort_above``, mapping stops as soon as a task's start
+        plus its bottom level (a lower bound on the completion) provably
+        reaches the bound, and the result is ``(inf, None, None, None)``.
         """
         n, P = self.n, self.P_alive
+        sink_limit, inner_limit = abort_limits(abort_above, n)
         a = np.clip(np.asarray(sub_alloc, dtype=np.int64), 1, P)
         t = self.times[np.arange(n), a - 1]
         bl = np.zeros(n, dtype=np.float64)
@@ -141,6 +149,10 @@ class _FrontierProblem:
             _, i = heapq.heappop(heap)
             s = int(a[i])
             t_start = state.earliest_start(s, float(data_ready[i]))
+            if t_start + bl[i] >= (
+                inner_limit if self.succs[i] else sink_limit
+            ):
+                return np.inf, None, None, None
             t_finish = t_start + float(t[i])
             chosen = state.assign(s, t_start, t_finish)
             if build:
@@ -158,8 +170,17 @@ class _FrontierProblem:
         return completion, start, finish, proc_sets
 
     def completion_of(self, sub_alloc: np.ndarray) -> float:
-        """Fitness view of :meth:`evaluate` for the evolution rung."""
-        return self.evaluate(sub_alloc, build=False)[0]
+        """Completion time of one frontier allocation, mapped to the end."""
+        return self.evaluate(sub_alloc)[0]
+
+    def evaluate_batch(
+        self, block: np.ndarray, abort_above: float | None = None
+    ) -> list[float]:
+        """The evolution rung's batch fitness: every row's completion,
+        or ``inf`` once the row provably reaches ``abort_above``."""
+        return [
+            self.evaluate(row, abort_above=abort_above)[0] for row in block
+        ]
 
     # -- sub-instance objects for the offline allocators ---------------
     def sub_instance(self) -> tuple[PTG, TimeTable]:
@@ -298,7 +319,8 @@ class Rescheduler:
 
         The incumbent plan seeds the population first, so under plus
         selection the evolved winner can never be worse than the plan
-        being replaced.
+        being replaced.  The strategy hands the problem's batch fitness
+        the worst parent as its rejection bound each generation.
         """
         policy = self.policy
         sub_ptg, sub_table = problem.sub_instance()
@@ -319,7 +341,7 @@ class Rescheduler:
         )
         result = strategy.evolve(
             individuals,
-            problem.completion_of,
+            problem,
             self.rng,
             total_generations=policy.emts_generations,
         )

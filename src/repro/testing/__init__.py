@@ -13,6 +13,9 @@ after the request landed, truncated responses, delays), deterministic
 spool-record corruptors, and a subprocess harness for kill-restart
 recovery tests with named crash points.
 
+:class:`repro.testing.unbounded.Unbounded` drops the rejection bound
+from an evaluator: the reference run that a bounded one must match.
+
 Deliberately dependency-free and deterministic: every fault fires at a
 planned batch index or connection ordinal, so a chaos test is exactly
 reproducible.
@@ -29,6 +32,7 @@ from .chaos_service import (
     quarantined_files,
     spool_job_ids,
 )
+from .unbounded import Unbounded
 
 __all__ = [
     "ChaosError",
@@ -43,4 +47,5 @@ __all__ = [
     "DaemonStartupError",
     "spool_job_ids",
     "quarantined_files",
+    "Unbounded",
 ]

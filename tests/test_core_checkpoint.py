@@ -392,24 +392,31 @@ def test_checkpointed_run_fingerprints_problem_once(
     assert ckpt.config == semantic_config(emts5().config)
 
 
-def test_checkpoint_with_cache_counters_resumes_to_same_answer():
+def test_checkpoint_with_cache_counters_resumes_to_same_answer(tmp_path):
+    """The checkpoint resumes to its build's answer, also with its
+    ignored ``use_rejection`` key flipped to what runs of
+    ``emts10(use_rejection=True)`` wrote."""
     from repro import chti, emts10
 
     with open(MEMOIZED_CHECKPOINT, encoding="utf-8") as fh:
         doc = json.load(fh)
     assert doc["eval_stats"]["cache_hits"] > 0
     assert any(row["cache_hits"] > 0 for row in doc["log_rows"])
+    assert doc["config"]["use_rejection"] is False
+    doc["config"]["use_rejection"] = True
+    flipped = tmp_path / "rejection_on.json"
+    flipped.write_text(json.dumps(doc), encoding="utf-8")
 
     ptg = generate_fft(2, rng=5)
     uninterrupted = emts10().schedule(ptg, chti(), SyntheticModel(), rng=5)
-    resumed = emts10().schedule(
-        ptg, chti(), SyntheticModel(), rng=5,
-        resume_from=MEMOIZED_CHECKPOINT,
-    )
-    assert resumed.makespan.hex() == MEMOIZED_RUN_MAKESPAN
-    assert resumed.makespan == uninterrupted.makespan
-    assert np.array_equal(resumed.allocation, uninterrupted.allocation)
-    assert resumed.log.best_trajectory().tolist() == (
-        uninterrupted.log.best_trajectory().tolist()
-    )
-    assert resumed.evaluations == uninterrupted.evaluations
+    for path in (MEMOIZED_CHECKPOINT, flipped):
+        resumed = emts10().schedule(
+            ptg, chti(), SyntheticModel(), rng=5, resume_from=path,
+        )
+        assert resumed.makespan.hex() == MEMOIZED_RUN_MAKESPAN
+        assert resumed.makespan == uninterrupted.makespan
+        assert np.array_equal(resumed.allocation, uninterrupted.allocation)
+        assert resumed.log.best_trajectory().tolist() == (
+            uninterrupted.log.best_trajectory().tolist()
+        )
+        assert resumed.evaluations == uninterrupted.evaluations

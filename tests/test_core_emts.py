@@ -1,5 +1,7 @@
 """Integration-grade unit tests for the EMTS algorithm itself."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from repro.core import EMTS, EMTSConfig, emts5, emts10
 from repro.mapping import makespan_of
 from repro.platform import Cluster, chti, grelon
 from repro.simulator import simulate
+from repro.testing import Unbounded
 from repro.timemodels import AmdahlModel, SyntheticModel, TimeTable
 from repro.workloads import generate_fft
 
@@ -125,14 +128,18 @@ class TestEMTSVariants:
         """The mapper rejection is an optimization only: with the abort
         bound at the worst current parent, the run is bit-for-bit
         identical to the unrejected run (same makespan, same winning
-        allocation)."""
+        allocation, same per-generation statistics)."""
         ptg, cluster, table = problem
-        plain = emts5().schedule(ptg, cluster, table, rng=seed)
-        fast = emts5(use_rejection=True).schedule(
-            ptg, cluster, table, rng=seed
+        plain = emts5().schedule(
+            ptg, cluster, table, rng=seed, evaluator_wrapper=Unbounded
         )
-        assert fast.makespan == pytest.approx(plain.makespan)
+        fast = emts5().schedule(ptg, cluster, table, rng=seed)
+        assert fast.makespan == plain.makespan
         assert np.array_equal(fast.allocation, plain.allocation)
+        assert fast.log.entries == [
+            replace(e, elapsed_seconds=f.elapsed_seconds)
+            for e, f in zip(plain.log.entries, fast.log.entries)
+        ]
 
     def test_comma_selection_variant_runs(self, problem):
         ptg, cluster, table = problem

@@ -20,6 +20,7 @@ from repro.ea import EvolutionStrategy, Individual, UniformIntegerMutation
 from repro.exceptions import AllocationError, ConfigurationError
 from repro.mapping import makespan_of
 from repro.platform import grelon
+from repro.testing import Unbounded
 from repro.timemodels import AmdahlModel, SyntheticModel, TimeTable
 from repro.workloads import generate_fft, generate_strassen
 
@@ -128,22 +129,28 @@ class TestDeterminismAcrossBackends:
     bit-identical EMTS10 runs (``REPRO_CKERNEL_THREADS``)."""
 
     @staticmethod
-    def _identical(problem, monkeypatch, **overrides):
+    def _identical(problem, monkeypatch, wrapper=None, **overrides):
         ptg, cluster, table = problem
         digests = []
         for threads in ("1", "2"):
             monkeypatch.setenv("REPRO_CKERNEL_THREADS", threads)
             result = emts10(**overrides).schedule(
-                ptg, cluster, table, rng=7
+                ptg, cluster, table, rng=7, evaluator_wrapper=wrapper
             )
             digests.append(_run_digest(result))
         assert digests[0] == digests[1]
+        return digests[0]
 
     def test_strassen_model1_identical(self, problem, monkeypatch):
         self._identical(problem, monkeypatch)
 
     def test_rejection_identical(self, problem, monkeypatch):
-        self._identical(problem, monkeypatch, use_rejection=True)
+        """Plus selection bounds every batch; the run equals the one
+        that maps every offspring to the end, on either thread count."""
+        bounded = self._identical(problem, monkeypatch)
+        assert bounded == self._identical(
+            problem, monkeypatch, wrapper=Unbounded
+        )
 
     def test_islands_identical(self, problem, monkeypatch):
         self._identical(problem, monkeypatch, islands=True)

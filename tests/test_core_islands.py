@@ -12,6 +12,7 @@ to that build's answer.
 from __future__ import annotations
 
 import hashlib
+import json
 import os
 import threading
 
@@ -218,13 +219,35 @@ SHARD_ERA_GENERATIONS = [
 ]
 
 
-@pytest.mark.parametrize("engine", ["default", "fallback"])
+def with_rejection_key(path, value, tmp_path):
+    """A copy of a committed checkpoint whose ``use_rejection`` key (a
+    switch when the checkpoint was written, ignored now) reads ``value``."""
+    with open(path, encoding="utf-8") as fh:
+        doc = json.load(fh)
+    assert doc["config"]["use_rejection"] is False
+    doc["config"]["use_rejection"] = value
+    copy = tmp_path / os.path.basename(path)
+    copy.write_text(json.dumps(doc), encoding="utf-8")
+    return copy
+
+
+@pytest.mark.parametrize(
+    "engine,rejection",
+    [
+        pytest.param("default", False, id="default"),
+        pytest.param("fallback", False, id="fallback"),
+        pytest.param("default", True, id="default-rejection-on"),
+        pytest.param("fallback", True, id="fallback-rejection-on"),
+    ],
+)
 def test_shard_era_island_checkpoint_resumes_to_same_answer(
-    engine, monkeypatch
+    engine, rejection, monkeypatch, tmp_path
 ):
+    """Either recorded ``use_rejection`` value resumes to the answer."""
     if engine == "fallback":
         _use_fallback_engine(monkeypatch)
-    ckpt = load_checkpoint(SHARD_ERA_CHECKPOINT)
+    path = with_rejection_key(SHARD_ERA_CHECKPOINT, rejection, tmp_path)
+    ckpt = load_checkpoint(path)
     assert ckpt.generation == 3
     assert ckpt.config["island_mode"] is True
     ptg = generate_fft(8, rng=5)
@@ -235,7 +258,7 @@ def test_shard_era_island_checkpoint_resumes_to_same_answer(
         )
 
     uninterrupted = run()
-    resumed = run(resume_from=SHARD_ERA_CHECKPOINT)
+    resumed = run(resume_from=path)
     for result in (uninterrupted, resumed):
         alloc = np.ascontiguousarray(result.allocation, dtype=np.int64)
         assert result.makespan.hex() == SHARD_ERA_MAKESPAN

@@ -26,18 +26,6 @@ class TestIndividual:
         assert isinstance(ind.fitness, float)
         assert ind.evaluated
 
-    def test_with_genome_derivation(self):
-        parent = Individual(
-            genome=np.array([1, 2]), fitness=5.0, origin="seed:mcpa"
-        )
-        child = parent.with_genome(
-            np.array([2, 2]), origin="mutation", generation=3
-        )
-        assert not child.evaluated
-        assert child.origin == "mutation"
-        assert child.generation == 3
-        assert parent.fitness == 5.0  # untouched
-
     def test_dominates(self):
         a = Individual(genome=np.array([1]), fitness=1.0)
         b = Individual(genome=np.array([1]), fitness=2.0)

@@ -170,38 +170,85 @@ class TestEvolve:
         for ind, before in zip(init, genomes_before):
             assert np.array_equal(ind.genome, before)
 
-    def test_hook_bound_rejection_equivalence(self, rng):
-        """Rejecting offspring at the worst-parent cutoff must not
-        change the trajectory (the EMTS rejection-strategy invariant,
-        checked at the engine level)."""
+    def test_hook_bound_rejection_equivalence(self):
+        """Plus selection bounds every batch at the worst parent, and
+        rejecting there does not change the trajectory (the EMTS
+        rejection-strategy invariant, checked at the engine level).  A
+        plain callable gets no bound: it is the reference."""
 
-        class GatedFitness:
-            rejected = 0
-
-            def evaluate_batch(self, genome_block, abort_above=None):
-                bound = float("inf") if abort_above is None else abort_above
-                values = [fitness(g) for g in genome_block]
-                self.rejected += sum(f >= bound for f in values)
-                return [f if f < bound else float("inf") for f in values]
-
-        def worst_parent(parents):
-            return max(p.evaluated_fitness() for p in parents)
-
-        def run(gate: GatedFitness, with_rejection: bool):
+        def run(fit):
             return make_strategy().evolve(
                 initial_pop(),
-                gate,
+                fit,
                 np.random.default_rng(77),
                 total_generations=8,
-                abort_bound=worst_parent if with_rejection else None,
             )
 
         gate = GatedFitness()
-        plain = run(GatedFitness(), False)
-        gated = run(gate, True)
+        gated = run(gate)
+        plain = run(fitness)
         assert gate.rejected > 0
-        assert plain.best_fitness == gated.best_fitness
-        assert np.array_equal(plain.best.genome, gated.best.genome)
+        assert _trajectory(gated) == _trajectory(plain)
+
+    @pytest.mark.parametrize("mu,starters", [(3, 3), (3, 1), (4, 2)])
+    def test_bound_is_worst_parent_once_mu_parents(self, mu, starters):
+        """The initial batch is unbounded; a generation is bounded at
+        the previous worst survivor once there are ``mu`` parents.  With
+        fewer starters than ``mu`` the first generation's offspring can
+        fill free slots at any fitness, so it runs unbounded."""
+
+        def run(fit):
+            return make_strategy(mu=mu, lam=6).evolve(
+                initial_pop(starters),
+                fit,
+                np.random.default_rng(5),
+                total_generations=6,
+            )
+
+        gate = GatedFitness()
+        gated = run(gate)
+        assert _trajectory(gated) == _trajectory(run(fitness))
+        worst = [e.worst for e in gated.log.entries]
+        sizes = [starters] + [mu] * (len(worst) - 1)
+        expected = [None] + [
+            w if n == mu else None for w, n in zip(worst[:-1], sizes)
+        ]
+        assert gate.bounds == expected
+
+    def test_comma_selection_is_never_bounded(self):
+        gate = GatedFitness()
+        make_strategy(mu=3, lam=6, selection="comma").evolve(
+            initial_pop(), gate, np.random.default_rng(5),
+            total_generations=4,
+        )
+        assert gate.bounds == [None] * 5
+
+
+class GatedFitness:
+    """Batch fitness that honours ``abort_above`` and records it."""
+
+    def __init__(self) -> None:
+        self.bounds = []
+        self.rejected = 0
+
+    def evaluate_batch(self, genome_block, abort_above=None):
+        self.bounds.append(abort_above)
+        bound = float("inf") if abort_above is None else abort_above
+        values = [fitness(g) for g in genome_block]
+        self.rejected += sum(f >= bound for f in values)
+        return [f if f < bound else float("inf") for f in values]
+
+
+def _trajectory(result):
+    """Best genome, survivors and every generation's statistics."""
+    return (
+        result.best.genome.tolist(),
+        [ind.genome.tolist() for ind in result.population],
+        [
+            (e.best, e.mean, e.worst, e.evaluations)
+            for e in result.log.entries
+        ],
+    )
 
 
 class TestAnnealingHorizon:

@@ -5,8 +5,17 @@ import pytest
 from repro.core import EMTS, emts5_config
 from repro.experiments import compare_variants, default_variant_panel
 from repro.platform import Cluster
+from repro.testing import Unbounded
 from repro.timemodels import SyntheticModel
 from repro.workloads import generate_fft
+
+
+class UnboundedEMTS(EMTS):
+    """EMTS mapping every offspring to the end: the no-rejection
+    reference."""
+
+    def schedule(self, *args, **kwargs):
+        return super().schedule(*args, evaluator_wrapper=Unbounded, **kwargs)
 
 
 @pytest.fixture(scope="module")
@@ -20,11 +29,7 @@ def result():
                 generations=2, name="emts-short"
             )
         ),
-        EMTS(
-            emts5_config().with_updates(
-                use_rejection=True, name="emts5-reject"
-            )
-        ),
+        UnboundedEMTS(emts5_config().with_updates(name="emts5-unbounded")),
     ]
     return compare_variants(
         ptgs, cluster, SyntheticModel(), variants=panel, seed=9
@@ -34,7 +39,7 @@ def result():
 class TestCompareVariants:
     def test_outcome_per_variant(self, result):
         names = {o.name for o in result.outcomes}
-        assert names == {"emts5", "emts-short", "emts5-reject"}
+        assert names == {"emts5", "emts-short", "emts5-unbounded"}
 
     def test_lookup(self, result):
         assert result.outcome("emts5").mean_makespan > 0
@@ -43,11 +48,10 @@ class TestCompareVariants:
 
     def test_rejection_variant_quality_identical(self, result):
         """Rejection changes speed, never quality."""
-        assert result.outcome(
-            "emts5-reject"
-        ).mean_makespan == pytest.approx(
-            result.outcome("emts5").mean_makespan
-        )
+        reference = result.outcome("emts5-unbounded")
+        bounded = result.outcome("emts5")
+        assert bounded.mean_makespan == reference.mean_makespan
+        assert bounded.mean_evaluations == reference.mean_evaluations
 
     def test_shorter_run_cheaper(self, result):
         assert (

@@ -135,3 +135,74 @@ def test_rejection_bound_soundness(problem):
         assert honest >= bound - 1e-9
     else:
         assert result == pytest.approx(honest)
+
+
+@st.composite
+def frontier_problems(draw):
+    """A random frontier sub-problem: a task subset with release times,
+    an alive processor subset with availability times, an allocation
+    and a rejection bound around the allocation's completion."""
+    from repro.online.rescheduler import _FrontierProblem
+
+    ptg, table, _ = draw(scheduling_problems())
+    V, P = ptg.num_tasks, table.num_processors
+    frontier = np.array(
+        draw(
+            st.lists(
+                st.integers(0, V - 1), min_size=1, max_size=V, unique=True
+            ).map(sorted)
+        ),
+        dtype=np.int64,
+    )
+    alive = np.array(
+        draw(
+            st.lists(
+                st.integers(0, P - 1), min_size=1, max_size=P, unique=True
+            ).map(sorted)
+        ),
+        dtype=np.int64,
+    )
+    times = st.floats(min_value=0.0, max_value=50.0)
+    release = np.array([draw(times) for _ in frontier])
+    avail = np.array([draw(times) for _ in alive])
+    problem = _FrontierProblem(
+        ptg,
+        table,
+        np.asarray(ptg.topological_order),
+        frontier,
+        release,
+        alive,
+        avail,
+    )
+    alloc = np.array(
+        [draw(st.integers(1, alive.size)) for _ in frontier], dtype=np.int64
+    )
+    honest = problem.completion_of(alloc)
+    bound = draw(
+        st.one_of(
+            st.floats(min_value=0.0, max_value=1.5).map(lambda f: f * honest),
+            st.sampled_from(
+                [
+                    honest,
+                    np.nextafter(honest, -np.inf),
+                    np.nextafter(honest, np.inf),
+                ]
+            ),
+        )
+    )
+    return problem, alloc, honest, float(bound)
+
+
+@given(frontier_problems())
+@settings(max_examples=200, deadline=None)
+def test_frontier_rejection_bound_soundness(case):
+    """The online frontier mapper's bound is sound: a bounded
+    evaluation is ``inf`` only when the unbounded completion reaches
+    the bound, and otherwise the unbounded completion, bit for bit."""
+    problem, alloc, honest, bound = case
+    (result,) = problem.evaluate_batch(alloc[np.newaxis], abort_above=bound)
+    if np.isinf(result):
+        assert honest >= bound
+    else:
+        assert result == honest
+    assert problem.evaluate_batch(alloc[np.newaxis]) == [honest]

@@ -292,6 +292,33 @@ class TestServiceJournals:
         )
         assert not (spool / "checkpoints" / record.name).exists()
 
+    @pytest.mark.parametrize("rejection", [False, True])
+    def test_per_generation_journal_checkpoint_resumes_in_process(
+        self, rejection, tmp_path
+    ):
+        """The daemon's journal resumes in process to the offline
+        answer, with its ignored ``use_rejection`` key as written or
+        flipped to what runs of ``emts5(use_rejection=True)`` wrote."""
+        (record,) = (JOURNALED_SPOOL / "jobs").glob("*.json")
+        request = json.loads(record.read_text())["request"]
+        doc = json.loads(
+            (JOURNALED_SPOOL / "checkpoints" / record.name).read_text()
+        )
+        assert doc["config"]["use_rejection"] is False
+        doc["config"]["use_rejection"] = rejection
+        path = tmp_path / record.name
+        path.write_text(json.dumps(doc))
+        ptg = generate_fft(4, rng=7)
+        cluster = by_name("chti")
+        table = TimeTable.build(_make_model("amdahl"), ptg, cluster)
+        resumed = emts5(generations=request["generations"]).schedule(
+            ptg, cluster, table, rng=request["seed"], resume_from=path
+        )
+        offline = in_process(4, request["seed"], request["generations"])
+        assert resumed.makespan == offline.makespan
+        assert resumed.allocation.tolist() == offline.allocation.tolist()
+        assert resumed.evaluations == offline.evaluations
+
 
 # ----------------------------------------------------------------------
 class TestReplyOnCompletion:
