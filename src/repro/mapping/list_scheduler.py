@@ -36,6 +36,12 @@ paper's bottom-level rule, which is why :func:`makespan_of` and
 ``compiled=False`` to force the reference path (the property-based
 suite uses it as the oracle).  Without the native library the kernel
 itself runs :func:`_run`.
+
+:func:`_run` also maps every online frontier
+(:mod:`repro.online.rescheduler`): two optional inputs, per-task
+*release* times and per-processor *availability*, both zero when
+absent, bound each task's data-ready time and each processor's first
+free instant.  Offline mapping is the case where both are zero.
 """
 
 from __future__ import annotations
@@ -45,7 +51,7 @@ import heapq
 import numpy as np
 
 from ..exceptions import AllocationError
-from ..graph import PTG, bottom_levels
+from ..graph import PTG, bottom_levels, csr_adjacency
 from ..timemodels import TimeTable
 from .kernel import ScheduleKernel, abort_limits, check_allocation, kernel_for
 from .processor_state import ProcessorState
@@ -138,39 +144,59 @@ def _run(
     build_schedule: bool,
     abort_above: float | None,
     priority: str = "bottom-level",
+    release: np.ndarray | None = None,
+    avail: np.ndarray | None = None,
 ):
-    """The reference mapper: the oracle, the non-default priority rules
-    and the kernel's fallback when no native library is bound."""
+    """The reference mapper: the oracle, the non-default priority rules,
+    the kernel's fallback when no native library is bound, and the
+    mapper of every online frontier.
+
+    ``release`` (per task) and ``avail`` (per processor) are the
+    earliest data-ready and free times, zero when absent: a task starts
+    no earlier than its release, a processor serves no task before its
+    availability.  Returns ``(makespan, start, finish, proc_sets)``;
+    ``proc_sets`` only when ``build_schedule``, and ``(inf, None, None,
+    None)`` once ``abort_above`` rejects the allocation.
+    """
     P = table.num_processors
     alloc = check_allocation(alloc, ptg, P)
     times = table.times_for(alloc)
-    bl = (
-        bottom_levels(ptg, times)
+    # per-task scalars as Python lists: the loop reads them one at a
+    # time, and a list index is cheaper than a numpy scalar read
+    bl_of = (
+        bottom_levels(ptg, times).tolist()
         if priority == "bottom-level" or abort_above is not None
         else None
     )
-    prio = (
-        bl
+    prio_of = (
+        bl_of
         if priority == "bottom-level"
-        else _priority_values(ptg, times, priority)
+        else _priority_values(ptg, times, priority).tolist()
     )
+    s_of = alloc.tolist()
+    t_of = times.tolist()
 
     V = ptg.num_tasks
     sink_limit, inner_limit = abort_limits(abort_above, V)
-    n_waiting = np.array(
-        [len(ptg.predecessors(v)) for v in range(V)], dtype=np.int64
+    n_waiting = csr_adjacency(ptg).in_degree.tolist()
+    data_ready = (
+        [0.0] * V
+        if release is None
+        else np.asarray(release, dtype=np.float64).tolist()
     )
-    data_ready = np.zeros(V, dtype=np.float64)
-    start = np.zeros(V, dtype=np.float64)
-    finish = np.zeros(V, dtype=np.float64)
+    start = [0.0] * V
+    finish = [0.0] * V
     proc_sets: list[np.ndarray] | None = (
         [np.empty(0, dtype=np.int64)] * V if build_schedule else None
     )
 
     state = ProcessorState(P)
+    if avail is not None:
+        state.free[:] = avail
+    successors_of = ptg.successors
     # heap of (-priority, index): max first, index breaks ties
     heap: list[tuple[float, int]] = [
-        (-prio[v], v) for v in range(V) if n_waiting[v] == 0
+        (-prio_of[v], v) for v in range(V) if n_waiting[v] == 0
     ]
     heapq.heapify(heap)
 
@@ -178,11 +204,11 @@ def _run(
     scheduled = 0
     while heap:
         _, v = heapq.heappop(heap)
-        s = int(alloc[v])
-        t_start = state.earliest_start(s, float(data_ready[v]))
-        t_finish = t_start + float(times[v])
-        successors = ptg.successors(v)
-        if abort_above is not None and t_start + bl[v] >= (
+        s = s_of[v]
+        t_start = state.earliest_start(s, data_ready[v])
+        t_finish = t_start + t_of[v]
+        successors = successors_of(v)
+        if abort_above is not None and t_start + bl_of[v] >= (
             inner_limit if successors else sink_limit
         ):
             # lower bound on the final makespan already reaches the
@@ -203,10 +229,15 @@ def _run(
                 data_ready[w] = t_finish
             n_waiting[w] -= 1
             if n_waiting[w] == 0:
-                heapq.heappush(heap, (-prio[w], w))
+                heapq.heappush(heap, (-prio_of[w], w))
 
     assert scheduled == V, "DAG invariants guarantee full coverage"
-    return makespan, start, finish, proc_sets
+    return (
+        makespan,
+        np.array(start, dtype=np.float64),
+        np.array(finish, dtype=np.float64),
+        proc_sets,
+    )
 
 
 def makespan_of(

@@ -83,7 +83,7 @@ class ProcessorState:
         Returns the chosen processor indices (first-fit by index among
         processors free at ``start``).
         """
-        candidates = np.flatnonzero(self.free <= start + _EPS)
+        candidates = (self.free <= start + _EPS).nonzero()[0]
         if candidates.size < s:
             raise ScheduleError(
                 f"only {candidates.size} processors free at t={start}, "

@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.exceptions import ConfigurationError
+from repro.exceptions import AllocationError, ConfigurationError
 from repro.online import REACTION_RUNGS, ReactionPolicy, Rescheduler
 from repro.platform import grelon
 from repro.timemodels import SyntheticModel, TimeTable
@@ -214,3 +214,37 @@ def test_partial_frontier_subproblem(table):
     assert np.array_equal(result.frontier, frontier)
     assert result.start.size == frontier.size
     assert np.all(result.start >= 2.0 - 1e-9)
+
+
+def test_frontier_allocation_is_validated_not_clipped(table):
+    """The frontier mapper rejects an allocation wider than the alive
+    set; only the incoming incumbent (the old plan, which may use more
+    processors than survive a crash) is clipped, by ``reschedule``."""
+    from repro.online.rescheduler import _FrontierProblem
+
+    V = PTG.num_tasks
+    alive = np.arange(4, dtype=np.int64)
+    problem = _FrontierProblem(
+        PTG,
+        table,
+        np.arange(V, dtype=np.int64),
+        np.zeros(V),
+        alive,
+        np.zeros(alive.size),
+    )
+    alloc = np.ones(V, dtype=np.int64)
+    alloc[0] = alive.size + 1
+    with pytest.raises(AllocationError):
+        problem.evaluate(alloc)
+    with pytest.raises(AllocationError):
+        problem.evaluate_batch(alloc[np.newaxis])
+    result = Rescheduler(PTG, table, rng=6).reschedule(
+        now=0.0,
+        frontier=np.arange(V, dtype=np.int64),
+        release=np.zeros(V),
+        allocation=np.full(V, CLUSTER.num_processors, dtype=np.int64),
+        alive=alive,
+        avail=np.zeros(alive.size),
+        remaining_budget=0,
+    )
+    assert np.array_equal(result.allocation, np.full(V, alive.size))

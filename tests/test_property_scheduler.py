@@ -165,15 +165,7 @@ def frontier_problems(draw):
     times = st.floats(min_value=0.0, max_value=50.0)
     release = np.array([draw(times) for _ in frontier])
     avail = np.array([draw(times) for _ in alive])
-    problem = _FrontierProblem(
-        ptg,
-        table,
-        np.asarray(ptg.topological_order),
-        frontier,
-        release,
-        alive,
-        avail,
-    )
+    problem = _FrontierProblem(ptg, table, frontier, release, alive, avail)
     alloc = np.array(
         [draw(st.integers(1, alive.size)) for _ in frontier], dtype=np.int64
     )
@@ -206,3 +198,58 @@ def test_frontier_rejection_bound_soundness(case):
     else:
         assert result == honest
     assert problem.evaluate_batch(alloc[np.newaxis]) == [honest]
+
+
+@given(frontier_problems())
+@settings(max_examples=150, deadline=None)
+def test_frontier_plan_respects_release_availability_and_exclusivity(case):
+    """The build-mode frontier plan: every start at or after its task's
+    release and its processors' availability, precedence inside the
+    frontier, no two tasks on one processor at once (within the
+    mapper's 1e-12), and a completion equal to the last finish and to
+    the non-build completion."""
+    problem, alloc, honest, _ = case
+    completion, start, finish, proc_sets = problem.evaluate(alloc, build=True)
+    assert np.all(start >= problem.release)
+    for i, procs in enumerate(proc_sets):
+        assert procs.size == alloc[i]
+        assert np.all(problem.avail[procs] <= start[i] + 1e-12)
+    for u, v in problem.ptg.edges:
+        assert start[v] >= finish[u]
+    busy: dict[int, list[tuple[float, float]]] = {}
+    for i, procs in enumerate(proc_sets):
+        for p in procs.tolist():
+            busy.setdefault(p, []).append((start[i], finish[i]))
+    for intervals in busy.values():
+        intervals.sort()
+        for (_, end), (begin, _) in zip(intervals, intervals[1:]):
+            assert begin >= end - 1e-12
+    assert completion == finish.max()
+    assert completion == honest
+
+
+@given(scheduling_problems())
+@settings(max_examples=80, deadline=None)
+def test_whole_graph_frontier_is_the_offline_schedule(problem):
+    """With every task pending, every processor alive and nothing
+    released or busy yet, the frontier plan is the offline schedule,
+    bit for bit."""
+    from repro.online.rescheduler import _FrontierProblem
+
+    ptg, table, alloc = problem
+    V, P = ptg.num_tasks, table.num_processors
+    frontier = _FrontierProblem(
+        ptg,
+        table,
+        np.arange(V, dtype=np.int64),
+        np.zeros(V),
+        np.arange(P, dtype=np.int64),
+        np.zeros(P),
+    )
+    completion, start, finish, proc_sets = frontier.evaluate(alloc, build=True)
+    schedule = map_allocations(ptg, table, alloc)
+    assert completion == schedule.makespan
+    assert np.array_equal(start, schedule.start)
+    assert np.array_equal(finish, schedule.finish)
+    for v in range(V):
+        assert np.array_equal(proc_sets[v], schedule.proc_sets[v])
