@@ -10,8 +10,9 @@ Warm tier (per worker, no locking)
 
 Result tier (shared, locked)
     :class:`ResultCache` maps :func:`~repro.service.protocol.result_key`
-    to the finished deterministic ``result`` document.  An exact repeat
-    request is answered without touching the queue or a worker at all.
+    to the finished deterministic ``result`` document and its JSON text,
+    encoded once when the run finished.  An exact repeat request is
+    answered with that text, without touching the queue or a worker.
 
 Both tiers are bounded LRUs with hit/miss/eviction accounting.
 """
@@ -129,11 +130,13 @@ class WarmCache:
 
 
 class ResultCache:
-    """Shared LRU mapping result keys to deterministic result documents.
+    """Shared LRU mapping result keys to finished results.
 
-    Thread-safe: the event loop reads it on every submission and worker
-    threads write finished results into it.  Stored documents are
-    treated as immutable — callers must not mutate what ``get`` returns.
+    The service stores ``(result document, its JSON text)`` pairs; the
+    cache itself does not look inside an entry.  Thread-safe: the event
+    loop reads it on every submission and worker threads write finished
+    results into it.  Entries are treated as immutable — callers must
+    not mutate what ``get`` returns.
     """
 
     def __init__(self, max_entries: int = DEFAULT_RESULT_ENTRIES) -> None:
@@ -144,13 +147,13 @@ class ResultCache:
         self.max_entries = int(max_entries)
         self.stats = CacheStats()
         self._lock = threading.Lock()
-        self._entries: OrderedDict[str, dict[str, Any]] = OrderedDict()
+        self._entries: OrderedDict[str, Any] = OrderedDict()
 
     def __len__(self) -> int:
         with self._lock:
             return len(self._entries)
 
-    def get(self, key: str) -> dict[str, Any] | None:
+    def get(self, key: str) -> Any | None:
         with self._lock:
             entry = self._entries.get(key)
             if entry is None:
@@ -160,9 +163,9 @@ class ResultCache:
             self._entries.move_to_end(key)
             return entry
 
-    def put(self, key: str, result: dict[str, Any]) -> None:
+    def put(self, key: str, entry: Any) -> None:
         with self._lock:
-            self._entries[key] = result
+            self._entries[key] = entry
             self._entries.move_to_end(key)
             while len(self._entries) > self.max_entries:
                 self._entries.popitem(last=False)

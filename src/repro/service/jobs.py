@@ -10,7 +10,9 @@ Persistence is a spool directory of one JSON file per job, written
 atomically (temp file + ``os.replace``), so a crash at any instant
 leaves either the old or the new record — never a torn one.  Passing
 ``spool=None`` runs the store fully in memory (tests, ephemeral
-benches).
+benches).  A record is one JSON document with unspecified key order:
+the request's PTG and the job's result go in as the text they were
+encoded to once (:meth:`Job.to_json`), not encoded again per write.
 
 Two durability mechanisms live here beyond the basic spool:
 
@@ -55,7 +57,7 @@ from typing import Any, Callable
 
 from ..exceptions import ServiceError
 from ..util.crash import crash_point
-from .protocol import ScheduleRequest, parse_request, result_key
+from .protocol import ScheduleRequest, json_with, parse_request, result_key
 
 __all__ = [
     "Job",
@@ -112,10 +114,31 @@ class Job:
     _callbacks: list[Callable[[], None]] = field(
         default_factory=list, repr=False, compare=False
     )
+    #: ``(result, json.dumps(result))`` of the last encoded result
+    _result_memo: tuple[Any, str] | None = field(
+        default=None, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         if not self.key:
             self.key = result_key(self.request)
+
+    @property
+    def result_json(self) -> str:
+        """``json.dumps(self.result)``, encoded once per result.
+
+        The done record, every reply and the result cache share this
+        text.
+        """
+        memo = self._result_memo
+        if memo is None or memo[0] is not self.result:
+            memo = self._result_memo = (self.result, json.dumps(self.result))
+        return memo[1]
+
+    def set_result(self, result: dict[str, Any], text: str) -> None:
+        """Attach a result together with its :attr:`result_json`."""
+        self.result = result
+        self._result_memo = (result, text)
 
     def add_done_callback(self, callback: Callable[[], None]) -> None:
         """Call ``callback()`` once, when the job is done (now if it is).
@@ -169,31 +192,53 @@ class Job:
             "finished_at": self.finished_at,
         }
 
+    def _request_fields(self) -> dict[str, Any]:
+        """The record's request document, all but its PTG."""
+        request = self.request
+        doc = {
+            "platform": request.platform,
+            "model": request.model,
+            "algorithm": request.algorithm,
+            "seed": request.seed,
+            "generations": request.generations,
+            "max_wall_time": request.max_wall_time,
+            "tenant": request.tenant,
+            "priority": request.priority,
+            "idempotency_key": request.idempotency_key,
+        }
+        if request.trace_id and request.trace_span:
+            # the trace context survives the spool: a restarted daemon
+            # re-parents the recovered run under the original request
+            doc["trace"] = {
+                "trace_id": request.trace_id,
+                "span_id": request.trace_span,
+            }
+        return doc
+
     def to_dict(self) -> dict[str, Any]:
         """Full persistent record (spool file content)."""
         doc = self.summary()
-        doc["request"] = {
-            "ptg": self.request.ptg_doc,
-            "platform": self.request.platform,
-            "model": self.request.model,
-            "algorithm": self.request.algorithm,
-            "seed": self.request.seed,
-            "generations": self.request.generations,
-            "max_wall_time": self.request.max_wall_time,
-            "tenant": self.request.tenant,
-            "priority": self.request.priority,
-            "idempotency_key": self.request.idempotency_key,
-        }
-        if self.request.trace_id and self.request.trace_span:
-            # the trace context survives the spool: a restarted daemon
-            # re-parents the recovered run under the original request
-            doc["request"]["trace"] = {
-                "trace_id": self.request.trace_id,
-                "span_id": self.request.trace_span,
-            }
+        doc["request"] = {"ptg": self.request.ptg_doc}
+        doc["request"].update(self._request_fields())
         doc["result"] = self.result
         doc["error"] = self.error
         return doc
+
+    def to_json(self) -> str:
+        """:meth:`to_dict` as one JSON document, in some key order.
+
+        The PTG and the result are spliced in from
+        :attr:`ScheduleRequest.ptg_json` and :attr:`result_json`.
+        """
+        doc = self.summary()
+        doc["error"] = self.error
+        return json_with(
+            doc,
+            request=json_with(
+                self._request_fields(), ptg=self.request.ptg_json
+            ),
+            result=self.result_json,
+        )
 
     @classmethod
     def from_dict(cls, doc: dict[str, Any]) -> "Job":
@@ -273,20 +318,24 @@ class JobStore:
 
     # ------------------------------------------------------------------
     def create(self, request: ScheduleRequest, key: str = "") -> Job:
-        """Register a new job; ``key`` is its result key if known."""
+        """Register a new queued job; ``key`` is its result key if known."""
         job = Job(
             id=new_job_id(),
             request=request,
             submitted_at=time.time(),
             key=key,
         )
+        self.add(job)
+        return job
+
+    def add(self, job: Job) -> None:
+        """Register a new job and write its first record."""
         with self._lock:
             self._jobs[job.id] = job
             self._register_idempotency_locked(
                 job.request.idempotency_key, job.id
             )
         self.persist(job)
-        return job
 
     def adopt(self, job: Job) -> None:
         """Register a job recovered from the spool."""
@@ -378,9 +427,7 @@ class JobStore:
         crash_point("pre-spool-write")
         path = self._record_path(job.id)
         tmp = path.with_suffix(".json.tmp")
-        tmp.write_text(
-            json.dumps(job.to_dict(), sort_keys=True), encoding="utf-8"
-        )
+        tmp.write_text(job.to_json(), encoding="utf-8")
         crash_point("mid-spool-write")
         os.replace(tmp, path)
         crash_point("post-spool-write")

@@ -22,6 +22,11 @@ Responses split into a deterministic ``result`` section (bit-identical
 for equal result keys, whether computed cold, warm or served from
 cache) and a ``stats`` envelope (timings, cache provenance) that is
 allowed to differ between runs.
+
+A request's PTG document is JSON-encoded once, at parse time
+(:attr:`ScheduleRequest.ptg_json`).  Both identities hash canonical text
+built around that string, and the spool records splice it in with
+:func:`json_with` instead of encoding the document again.
 """
 
 from __future__ import annotations
@@ -48,6 +53,7 @@ __all__ = [
     "request_trace_context",
     "result_key",
     "canonical_json",
+    "json_with",
 ]
 
 PROTOCOL_VERSION = 1
@@ -92,6 +98,12 @@ class ScheduleRequest:
     #: change which cache entry answers it.
     trace_id: str | None = None
     trace_span: str | None = None
+    #: ``canonical_json(ptg_doc)``, encoded once when the request is
+    #: made; the document is never mutated after parsing
+    ptg_json: str = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "ptg_json", canonical_json(self.ptg_doc))
 
     def semantic_doc(self) -> dict[str, Any]:
         """Everything that determines the answer, canonically ordered."""
@@ -124,6 +136,34 @@ SEMANTIC_KEYS = (
 def canonical_json(doc: Any) -> str:
     """Stable, whitespace-free JSON used for hashing."""
     return json.dumps(doc, sort_keys=True, separators=(",", ":"))
+
+
+def json_with(doc: dict[str, Any], **encoded: str) -> str:
+    """``json.dumps`` of ``doc`` followed by the members ``encoded``.
+
+    The values of ``encoded`` are JSON text already and go in as they
+    are, so the result is byte-identical to ``json.dumps`` of the merged
+    dict (default separators, members in order) without encoding them
+    again.
+    """
+    text = json.dumps(doc)
+    if not encoded:
+        return text
+    tail = ", ".join(f"{json.dumps(k)}: {v}" for k, v in encoded.items())
+    return f"{text[:-1]}, {tail}}}" if doc else f"{{{tail}}}"
+
+
+def _hash_with_ptg(request: ScheduleRequest, doc: dict[str, Any]) -> str:
+    """sha256 of ``canonical_json({**doc, "ptg": request.ptg_doc})``.
+
+    The text is assembled around :attr:`ScheduleRequest.ptg_json`
+    instead of encoding the PTG again: sorted keys, no whitespace, so
+    the bytes are the ones ``canonical_json`` writes.
+    """
+    members = {k: canonical_json(v) for k, v in doc.items()}
+    members["ptg"] = request.ptg_json
+    text = ",".join(f"{json.dumps(k)}:{members[k]}" for k in sorted(members))
+    return hashlib.sha256(f"{{{text}}}".encode("utf-8")).hexdigest()
 
 
 def _bad(message: str) -> ServiceError:
@@ -268,19 +308,16 @@ def problem_digest(request: ScheduleRequest) -> str:
     built time table and one compiled kernel binding, whatever their
     algorithm, seed or budget.
     """
-    doc = {
-        "ptg": request.ptg_doc,
-        "platform": request.platform,
-        "model": request.model,
-    }
-    return hashlib.sha256(canonical_json(doc).encode("utf-8")).hexdigest()
+    return _hash_with_ptg(
+        request, {"platform": request.platform, "model": request.model}
+    )
 
 
 def result_key(request: ScheduleRequest) -> str:
     """Identity of the full deterministic answer (result-cache key)."""
-    return hashlib.sha256(
-        canonical_json(request.semantic_doc()).encode("utf-8")
-    ).hexdigest()
+    doc = request.semantic_doc()
+    del doc["ptg"]
+    return _hash_with_ptg(request, doc)
 
 
 #: Cost model of one EMTS generation and one checkpoint journal, in µs,

@@ -11,6 +11,9 @@ Backpressure
     tenant's quota is reached, raising :class:`QueueFull` — the server
     turns that into ``429 Too Many Requests`` with a ``Retry-After``
     hint so well-behaved clients back off instead of hammering.
+    ``reserve`` takes the same decision before the job exists: the
+    server refuses a submission before it registers or writes a job,
+    and hands the job to the held slot with ``fill``.
 
 The queue is a plain thread-safe structure (condition variable, no
 asyncio): the event loop ``put``\\ s from coroutines (non-blocking) and
@@ -94,8 +97,11 @@ class FairQueue:
         # tenants kept in insertion order and rotated on each take for
         # round-robin fairness
         self._lanes: dict[int, OrderedDict[str, deque]] = {}
+        # both count queued jobs plus reserved slots; ``_ready`` only
+        # the queued jobs a ``get`` can take
         self._tenant_depth: dict[str, int] = {}
         self._depth = 0
+        self._ready = 0
         self._closed = False
 
     # ------------------------------------------------------------------
@@ -133,6 +139,16 @@ class FairQueue:
     # ------------------------------------------------------------------
     def put(self, job: Any, *, tenant: str, priority: int = 0) -> None:
         """Enqueue ``job``; raises :class:`QueueFull` on backpressure."""
+        self.reserve(tenant)
+        self.fill(job, tenant=tenant, priority=priority)
+
+    def reserve(self, tenant: str) -> None:
+        """Hold one slot for a job of ``tenant`` that is not made yet.
+
+        Raises as :meth:`put` would.  The slot counts against the depth
+        limit and the tenant's quota until :meth:`fill` puts a job in
+        it or :meth:`release` gives it back.
+        """
         with self._lock:
             if self._closed:
                 raise ServiceError(
@@ -153,22 +169,40 @@ class FairQueue:
                     f"({held}/{self.tenant_quota} queued jobs)",
                     retry_after=self.retry_after,
                 )
+            self._tenant_depth[tenant] = held + 1
+            self._depth += 1
+
+    def fill(self, job: Any, *, tenant: str, priority: int = 0) -> None:
+        """Enqueue ``job`` in a slot :meth:`reserve` held for ``tenant``."""
+        with self._lock:
             lanes = self._lanes.setdefault(int(priority), OrderedDict())
             lanes.setdefault(tenant, deque()).append(
                 (job, time.monotonic())
             )
-            self._tenant_depth[tenant] = held + 1
-            self._depth += 1
+            self._ready += 1
             depth = self._depth
             self._not_empty.notify()
         self._sample_depth(depth)
+
+    def release(self, tenant: str) -> None:
+        """Give back a slot :meth:`reserve` held that stays unfilled."""
+        with self._lock:
+            self._leave_locked(tenant)
+
+    def _leave_locked(self, tenant: str) -> None:
+        held = self._tenant_depth[tenant] - 1
+        if held:
+            self._tenant_depth[tenant] = held
+        else:
+            del self._tenant_depth[tenant]
+        self._depth -= 1
 
     # ------------------------------------------------------------------
     def get(self, timeout: float | None = None) -> Any | None:
         """Dequeue the next job, or ``None`` after ``timeout`` seconds."""
         with self._not_empty:
-            if self._depth == 0 and not self._not_empty.wait_for(
-                lambda: self._depth > 0, timeout=timeout
+            if self._ready == 0 and not self._not_empty.wait_for(
+                lambda: self._ready > 0, timeout=timeout
             ):
                 return None
             job, enqueued_at, priority = self._take_locked()
@@ -189,12 +223,8 @@ class FairQueue:
             del lanes[tenant]
         if not lanes:
             del self._lanes[priority]
-        held = self._tenant_depth[tenant] - 1
-        if held:
-            self._tenant_depth[tenant] = held
-        else:
-            del self._tenant_depth[tenant]
-        self._depth -= 1
+        self._ready -= 1
+        self._leave_locked(tenant)
         return job, enqueued_at, priority
 
     # ------------------------------------------------------------------
@@ -207,6 +237,6 @@ class FairQueue:
         """Remove and return every queued job (used at shutdown)."""
         out = []
         with self._lock:
-            while self._depth:
+            while self._ready:
                 out.append(self._take_locked()[0])
         return out

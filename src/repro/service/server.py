@@ -45,8 +45,13 @@ from ..obs.slo import SLOEngine, default_service_slos
 from ..obs.trace import TraceContext, Tracer, derive_span_id
 from ..util.crash import crash_point
 from .cache import ResultCache
-from .jobs import Job, JobStore
-from .protocol import parse_request, request_trace_context, result_key
+from .jobs import Job, JobStore, new_job_id
+from .protocol import (
+    json_with,
+    parse_request,
+    request_trace_context,
+    result_key,
+)
 from .queue import FairQueue
 from .worker import LATENCY_BUCKETS, WorkerPool
 
@@ -95,6 +100,24 @@ def _json_response(
         (json.dumps(doc) + "\n").encode("utf-8"),
         extra_headers=extra_headers,
     )
+
+
+def _job_response(status: int, job: Job, deduplicated: bool = False) -> bytes:
+    """``_json_response`` of ``{"job", "result", "error", "deduplicated"}``.
+
+    The result goes in as the job's :attr:`~Job.result_json`, the text
+    its done record holds, so the same bytes come out without encoding
+    the result again.
+    """
+    encoded = {}
+    if job.result is not None:
+        encoded["result"] = job.result_json
+    if job.error is not None:
+        encoded["error"] = json.dumps(job.error)
+    if deduplicated:
+        encoded["deduplicated"] = "true"
+    body = json_with({"job": job.summary()}, **encoded) + "\n"
+    return _http_response(status, body.encode("utf-8"))
 
 
 async def _wait_done(job: Job, timeout: float) -> None:
@@ -259,8 +282,13 @@ class SchedulingService:
             pass
 
     # -- submission ----------------------------------------------------
-    def submit(self, doc: Any) -> tuple[int, dict[str, Any], Job | None]:
-        """Handle one POST body; returns (status, response doc, job)."""
+    def submit(self, doc: Any) -> tuple[int, bool, Job]:
+        """Handle one POST body; returns (status, deduplicated, job).
+
+        A refusal (429 backpressure, 503 drain) comes before any job is
+        registered or written, so a retry under the same idempotency
+        key is a new submission, not a dedupe into a refused one.
+        """
         request = parse_request(doc)
         self.metrics.counter("service.jobs.submitted").inc()
         if self.draining:
@@ -293,20 +321,24 @@ class SchedulingService:
             ).inc()
             status = 200 if original.done_event.is_set() else 202
             self._trace_request(request, "deduplicated", status)
-            doc_out = self._job_doc(original)
-            doc_out["deduplicated"] = True
-            return status, doc_out, original
+            return status, True, original
         key = result_key(request)
         cached = self.result_cache.get(key)
         if cached is not None:
-            # answered on the event loop: no queue, no worker, no run
-            job = self.store.create(request, key)
-            job.state = "done"
+            # answered on the event loop: no queue, no worker, no run;
+            # the job's one record, already done, precedes the reply
+            job = Job(
+                id=new_job_id(),
+                request=request,
+                state="done",
+                submitted_at=time.time(),
+                served_from="result-cache",
+                key=key,
+            )
             job.started_at = job.submitted_at
+            job.set_result(*cached)
             job.finished_at = time.time()
-            job.served_from = "result-cache"
-            job.result = cached
-            self.store.persist(job)
+            self.store.add(job)
             total = job.finished_at - job.submitted_at
             self.metrics.counter("service.jobs.completed").inc()
             self.metrics.counter("service.jobs.served_from_cache").inc()
@@ -315,37 +347,30 @@ class SchedulingService:
             ).observe(total)
             self.store.finish(job)
             self._trace_request(request, "result-cache", 200)
-            return 200, self._job_doc(job), job
-        job = self.store.create(request, key)
+            return 200, False, job
         try:
-            self.queue.put(
-                job, tenant=request.tenant, priority=request.priority
-            )
-        except ServiceError:
-            job.state = "failed"
-            job.error = {"code": "queue-full", "message": "backpressure"}
-            self.store.persist(job)
+            self.queue.reserve(request.tenant)
+        except ServiceError as exc:
             self.metrics.counter("service.jobs.rejected").inc()
-            self.store.finish(job)
-            self._trace_request(request, "rejected", 429)
+            self._trace_request(request, "rejected", exc.status)
             flight_record(
-                "server", "submission rejected", job_id=job.id
+                "server", "submission rejected", tenant=request.tenant
             )
             raise
+        try:
+            job = self.store.create(request, key)
+        except BaseException:
+            self.queue.release(request.tenant)
+            raise
+        self.queue.fill(
+            job, tenant=request.tenant, priority=request.priority
+        )
         self._trace_request(request, "accepted", 202)
         # the job is durable and queued but the 202 has not been sent:
         # dying here is the "ack lost" half of exactly-once, which the
         # idempotency index turns into a dedupe on the client's retry
         crash_point("post-enqueue")
-        return 202, self._job_doc(job), job
-
-    def _job_doc(self, job: Job) -> dict[str, Any]:
-        doc = {"job": job.summary()}
-        if job.result is not None:
-            doc["result"] = job.result
-        if job.error is not None:
-            doc["error"] = job.error
-        return doc
+        return 202, False, job
 
     # -- introspection -------------------------------------------------
     def sample_slo(self) -> list[dict[str, Any]]:
@@ -526,9 +551,9 @@ class SchedulingService:
                 code="bad-request",
                 status=400,
             ) from None
-        status, response, job = self.submit(doc)
+        status, deduplicated, job = self.submit(doc)
         wait = params.get("wait")
-        if status == 202 and wait is not None and job is not None:
+        if status == 202 and wait is not None:
             try:
                 budget = min(float(wait), 600.0)
             except ValueError:
@@ -537,8 +562,8 @@ class SchedulingService:
                 await _wait_done(job, budget)
             if job.done_event.is_set():
                 status = 200
-            response = self._job_doc(job)
-        return _json_response(status, response)
+            deduplicated = False  # a waited reply is the plain job
+        return _job_response(status, job, deduplicated)
 
     def _get_job(self, job_id: str) -> bytes:
         job = self.store.get(job_id)
@@ -552,7 +577,7 @@ class SchedulingService:
                     }
                 },
             )
-        return _json_response(200, self._job_doc(job))
+        return _job_response(200, job)
 
     # -- lifecycle -----------------------------------------------------
     async def _slo_sampler(self) -> None:

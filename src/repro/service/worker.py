@@ -399,7 +399,7 @@ class WorkerPool:
             # an identical request may have completed while we queued
             cached = self.result_cache.get(job.key)
             if cached is not None:
-                job.result = cached
+                job.set_result(*cached)
                 job.served_from = "result-cache"
                 self.metrics.counter("service.jobs.served_from_cache").inc()
                 self._end_run_span(
@@ -442,8 +442,12 @@ class WorkerPool:
             job.served_from = "resume" if resume is not None else "run"
             if not result_doc["interrupted"]:
                 # wall-time-truncated answers are valid but depend on
-                # machine speed; only deterministic runs are cacheable
-                self.result_cache.put(job.key, result_doc)
+                # machine speed; only deterministic runs are cacheable.
+                # result_json encodes the result, once for the job: its
+                # done record, its replies and later cache hits reuse it
+                self.result_cache.put(
+                    job.key, (result_doc, job.result_json)
+                )
             self.metrics.counter("service.jobs.completed").inc()
             self.metrics.histogram(
                 "service.run_seconds", buckets=LATENCY_BUCKETS

@@ -6,7 +6,9 @@ Public API:
   structural invariant of a built :class:`~repro.mapping.Schedule`
   (precedence with exact durations, processor exclusivity, allocation
   sanity, finite times, makespan consistency) with a stable ``kind`` tag
-  per violation (:data:`VIOLATION_KINDS`).
+  per violation (:data:`VIOLATION_KINDS`).  The invariants are checked
+  over numpy arrays, one pass per invariant group, with no code shared
+  with the scheduling engines they check.
 * :func:`differential_check` / :class:`DifferentialReport` — replay one
   allocation through every available scheduling engine (native C loop,
   reference mapper, discrete-event simulator) and fail loudly the

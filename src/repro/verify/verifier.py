@@ -8,6 +8,12 @@ It is deliberately redundant with :meth:`Schedule.validate`: the point
 of a verifier is that it shares *no code path* with the engines it
 checks, so a bug in the scheduler's bookkeeping cannot hide itself.
 
+Each invariant group is one numpy pass over whole arrays — times, the
+processor sets concatenated in task order, the edge list, and the
+intervals sorted once per processor — that then reports the first
+violation in task (edge, processor) order, so a schedule fails with the
+same error whichever way the checks are computed.
+
 Checked invariants, each with a stable ``kind`` tag on the raised
 :class:`~repro.exceptions.VerificationError`:
 
@@ -121,6 +127,10 @@ class ScheduleVerifier:
         self.ptg = ptg
         self.table = table
         self.cluster = cluster
+        #: ``(sources, targets)`` of the PTG's edges, in edge-list order
+        self._edges = np.array(
+            ptg.edges, dtype=np.int64
+        ).reshape(-1, 2).T.copy()
 
     # ------------------------------------------------------------------
     def verify(
@@ -135,6 +145,34 @@ class ScheduleVerifier:
         serialized file's ``makespan`` field) against the placements.
         Returns a :class:`VerificationReport` when everything holds.
         """
+        return self._verify(schedule, expected_makespan, executed=False)
+
+    def verify_execution(
+        self,
+        schedule: Schedule,
+        expected_makespan: float | None = None,
+    ) -> VerificationReport:
+        """Verify an *as-executed* schedule from the online runtime.
+
+        Executed placements keep every structural invariant (precedence,
+        exclusivity, allocation sanity, makespan consistency) but their
+        durations may legitimately exceed the table's prediction —
+        stragglers inflate execution times.  What can never happen is a
+        task finishing *faster* than the model predicts for its
+        processor count; that would mean the runtime dropped work.  So
+        this mode replaces the exact ``wrong-duration`` equality with a
+        one-sided ``duration-short`` bound, checked after every other
+        invariant, when a table is available.
+        """
+        return self._verify(schedule, expected_makespan, executed=True)
+
+    def _verify(
+        self,
+        schedule: Schedule,
+        expected_makespan: float | None,
+        executed: bool,
+    ) -> VerificationReport:
+        """The checks of both modes; ``executed`` picks the duration rule."""
         ptg = self.ptg
         schedule_ptg = schedule.ptg
         if schedule_ptg is not ptg and schedule_ptg != ptg:
@@ -156,12 +194,14 @@ class ScheduleVerifier:
         start = schedule.start
         finish = schedule.finish
 
-        self._check_times(ptg, start, finish, V)
-        self._check_allocations(ptg, schedule, P, V)
-        if self.table is not None:
-            self._check_durations(ptg, schedule, start, finish, V)
+        self._check_times(ptg, start, finish)
+        sizes, procs, owner = self._check_allocations(
+            ptg, schedule.proc_sets, P, V
+        )
+        if self.table is not None and not executed:
+            self._check_durations(ptg, sizes, start, finish, exact=True)
         edges = self._check_precedence(ptg, start, finish)
-        intervals = self._check_exclusivity(ptg, schedule, start, finish, V)
+        self._check_exclusivity(ptg, procs, owner, start, finish)
 
         makespan = float(finish.max()) if V else 0.0
         if expected_makespan is not None and (
@@ -174,64 +214,21 @@ class ScheduleVerifier:
                 f"with the placements' completion time {makespan!r}",
                 kind="makespan-mismatch",
             )
+        if self.table is not None and executed:
+            self._check_durations(ptg, sizes, start, finish, exact=False)
         return VerificationReport(
             tasks=V,
             processors=P,
             edges_checked=edges,
-            intervals_checked=intervals,
+            intervals_checked=int(procs.size),
             makespan=makespan,
             durations_checked=self.table is not None,
         )
 
-    def verify_execution(
-        self,
-        schedule: Schedule,
-        expected_makespan: float | None = None,
-    ) -> VerificationReport:
-        """Verify an *as-executed* schedule from the online runtime.
-
-        Executed placements keep every structural invariant (precedence,
-        exclusivity, allocation sanity, makespan consistency) but their
-        durations may legitimately exceed the table's prediction —
-        stragglers inflate execution times.  What can never happen is a
-        task finishing *faster* than the model predicts for its
-        processor count; that would mean the runtime dropped work.  So
-        this mode replaces the exact ``wrong-duration`` equality with a
-        one-sided ``duration-short`` bound when a table is available.
-        """
-        table, self.table = self.table, None
-        try:
-            report = self.verify(
-                schedule, expected_makespan=expected_makespan
-            )
-        finally:
-            self.table = table
-        if table is None:
-            return report
-        start, finish = schedule.start, schedule.finish
-        for v in range(self.ptg.num_tasks):
-            predicted = table.time(v, int(schedule.proc_sets[v].size))
-            got = float(finish[v] - start[v])
-            if got < predicted - _EPS * max(1.0, abs(predicted)):
-                raise VerificationError(
-                    f"task {self.ptg.task(v).name!r} executed in "
-                    f"{got!r} on {schedule.proc_sets[v].size} "
-                    f"processors, faster than the {table.model_name!r} "
-                    f"table's prediction {predicted!r}",
-                    kind="duration-short",
-                    task=v,
-                )
-        return VerificationReport(
-            tasks=report.tasks,
-            processors=report.processors,
-            edges_checked=report.edges_checked,
-            intervals_checked=report.intervals_checked,
-            makespan=report.makespan,
-            durations_checked=True,
-        )
-
     # -- individual invariant groups -----------------------------------
-    def _check_times(self, ptg, start, finish, V) -> None:
+    # Each group checks every task (edge, interval) at once and then
+    # raises for the first violation in task (edge, processor) order.
+    def _check_times(self, ptg, start, finish) -> None:
         finite = np.isfinite(start) & np.isfinite(finish)
         if not finite.all():
             bad = int(np.flatnonzero(~finite)[0])
@@ -261,84 +258,133 @@ class ScheduleVerifier:
                 task=bad,
             )
 
-    def _check_allocations(self, ptg, schedule, P, V) -> None:
-        for v in range(V):
-            ps = schedule.proc_sets[v]
-            if ps.size == 0:
-                raise VerificationError(
-                    f"task {ptg.task(v).name!r} occupies no "
-                    "processors",
-                    kind="allocation-empty",
-                    task=v,
-                )
-            if np.unique(ps).size != ps.size:
-                raise VerificationError(
-                    f"task {ptg.task(v).name!r} lists a processor "
-                    "twice",
-                    kind="allocation-duplicate",
-                    task=v,
-                )
-            lo, hi = int(ps.min()), int(ps.max())
-            if lo < 0 or hi >= P:
-                raise VerificationError(
-                    f"task {ptg.task(v).name!r} uses processor "
-                    f"{lo if lo < 0 else hi}, outside [0, {P})",
-                    kind="allocation-range",
-                    task=v,
-                    processor=lo if lo < 0 else hi,
-                )
+    def _check_allocations(self, ptg, proc_sets, P, V):
+        """Check every processor set; return them concatenated.
 
-    def _check_durations(self, ptg, schedule, start, finish, V) -> None:
+        Returns ``(sizes, procs, owner)``: each task's set size, all
+        sets end to end in task order, and the task of each entry.
+        """
+        sizes = np.fromiter(
+            (ps.size for ps in proc_sets), dtype=np.int64, count=V
+        )
+        procs = (
+            np.concatenate(proc_sets) if V else np.empty(0, np.int64)
+        )
+        owner = np.repeat(np.arange(V), sizes)
+        empty = sizes == 0
+        order = np.lexsort((procs, owner))
+        by_task, by_proc = owner[order], procs[order]
+        twin = (by_task[1:] == by_task[:-1]) & (by_proc[1:] == by_proc[:-1])
+        duplicate = np.zeros(V, dtype=bool)
+        duplicate[by_task[1:][twin]] = True
+        outside = np.zeros(V, dtype=bool)
+        outside[owner[(procs < 0) | (procs >= P)]] = True
+        bad = empty | duplicate | outside
+        if not bad.any():
+            return sizes, procs, owner
+        v = int(np.flatnonzero(bad)[0])
+        if empty[v]:
+            raise VerificationError(
+                f"task {ptg.task(v).name!r} occupies no processors",
+                kind="allocation-empty",
+                task=v,
+            )
+        if duplicate[v]:
+            raise VerificationError(
+                f"task {ptg.task(v).name!r} lists a processor twice",
+                kind="allocation-duplicate",
+                task=v,
+            )
+        ps = proc_sets[v]
+        lo, hi = int(ps.min()), int(ps.max())
+        raise VerificationError(
+            f"task {ptg.task(v).name!r} uses processor "
+            f"{lo if lo < 0 else hi}, outside [0, {P})",
+            kind="allocation-range",
+            task=v,
+            processor=lo if lo < 0 else hi,
+        )
+
+    def _check_durations(self, ptg, sizes, start, finish, exact) -> None:
+        """``wrong-duration`` if ``exact``, else ``duration-short``."""
         table = self.table
-        for v in range(V):
-            expected = table.time(v, int(schedule.proc_sets[v].size))
-            got = float(finish[v] - start[v])
-            if abs(got - expected) > _EPS * max(1.0, abs(expected)):
-                raise VerificationError(
-                    f"task {ptg.task(v).name!r} runs for {got!r} on "
-                    f"{schedule.proc_sets[v].size} processors; the "
-                    f"{table.model_name!r} table predicts "
-                    f"{expected!r}",
-                    kind="wrong-duration",
-                    task=v,
-                )
+        got = finish - start
+        columns = table.num_processors
+        expected = table.array[
+            np.arange(sizes.size), np.minimum(sizes, columns) - 1
+        ]
+        slack = _EPS * np.maximum(1.0, np.abs(expected))
+        if exact:
+            bad = np.abs(got - expected) > slack
+        else:
+            bad = got < expected - slack
+        # a set wider than the table: table.time raises for it below
+        bad |= sizes > columns
+        if not bad.any():
+            return
+        v = int(np.flatnonzero(bad)[0])
+        predicted = table.time(v, int(sizes[v]))
+        taken = float(got[v])
+        if exact:
+            raise VerificationError(
+                f"task {ptg.task(v).name!r} runs for {taken!r} on "
+                f"{sizes[v]} processors; the {table.model_name!r} table "
+                f"predicts {predicted!r}",
+                kind="wrong-duration",
+                task=v,
+            )
+        raise VerificationError(
+            f"task {ptg.task(v).name!r} executed in {taken!r} on "
+            f"{sizes[v]} processors, faster than the "
+            f"{table.model_name!r} table's prediction {predicted!r}",
+            kind="duration-short",
+            task=v,
+        )
 
     def _check_precedence(self, ptg, start, finish) -> int:
-        edges = 0
-        for u, v in ptg.edges:
-            edges += 1
-            if start[v] < finish[u] - _EPS:
-                raise VerificationError(
-                    f"precedence violated: task {ptg.task(v).name!r} "
-                    f"starts at {start[v]!r}, before its predecessor "
-                    f"{ptg.task(u).name!r} finishes at {finish[u]!r}",
-                    kind="precedence",
-                    task=v,
-                )
-        return edges
+        src, dst = self._edges
+        late = start[dst] < finish[src] - _EPS
+        if late.any():
+            e = int(np.flatnonzero(late)[0])
+            u, v = int(src[e]), int(dst[e])
+            raise VerificationError(
+                f"precedence violated: task {ptg.task(v).name!r} "
+                f"starts at {start[v]!r}, before its predecessor "
+                f"{ptg.task(u).name!r} finishes at {finish[u]!r}",
+                kind="precedence",
+                task=v,
+            )
+        return int(src.size)
 
-    def _check_exclusivity(self, ptg, schedule, start, finish, V) -> int:
-        per_proc: dict[int, list[tuple[float, float, int]]] = {}
-        intervals = 0
-        for v in range(V):
-            s, f = float(start[v]), float(finish[v])
-            for p in schedule.proc_sets[v]:
-                per_proc.setdefault(int(p), []).append((s, f, v))
-                intervals += 1
-        for p, spans in per_proc.items():
-            spans.sort()
-            for (s1, f1, v1), (s2, f2, v2) in zip(spans, spans[1:]):
-                if s2 < f1 - _EPS:
-                    raise VerificationError(
-                        f"overlap on processor {p}: it runs "
-                        f"{ptg.task(v1).name!r} until {f1!r} but "
-                        f"{ptg.task(v2).name!r} starts on it at "
-                        f"{s2!r}",
-                        kind="overlap",
-                        task=v2,
-                        processor=p,
-                    )
-        return intervals
+    def _check_exclusivity(self, ptg, procs, owner, start, finish) -> None:
+        """No two consecutive intervals on a processor may overlap.
+
+        Intervals are ordered by (processor, start, finish, task); a
+        clash on the processor used first, in task order, is reported
+        first.
+        """
+        s, f = start[owner], finish[owner]
+        # stable: equal (processor, start, finish) keep task order
+        order = np.lexsort((f, s, procs))
+        p, s, f, owner = procs[order], s[order], f[order], owner[order]
+        clash = (p[1:] == p[:-1]) & (s[1:] < f[:-1] - _EPS)
+        if not clash.any():
+            return
+        first_use = {
+            int(q): int(np.argmax(procs == q))
+            for q in np.unique(p[:-1][clash])
+        }
+        q = min(first_use, key=first_use.__getitem__)
+        i = int(np.flatnonzero(clash & (p[:-1] == q))[0])
+        v1, v2 = int(owner[i]), int(owner[i + 1])
+        raise VerificationError(
+            f"overlap on processor {q}: it runs "
+            f"{ptg.task(v1).name!r} until {float(f[i])!r} but "
+            f"{ptg.task(v2).name!r} starts on it at {float(s[i + 1])!r}",
+            kind="overlap",
+            task=v2,
+            processor=q,
+        )
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import sys
 import threading
 
 import pytest
@@ -97,6 +98,101 @@ class TestBackpressure:
         assert q.tenant_depth("a") == 1
         q.get(timeout=0)
         assert q.depth == 1
+
+
+class TestReservation:
+    def test_reserved_slot_counts_against_depth_and_quota(self):
+        q = FairQueue(max_depth=2, tenant_quota=1)
+        q.reserve("a")
+        assert q.depth == 1 and q.tenant_depth("a") == 1
+        with pytest.raises(QueueFull):
+            q.put(1, tenant="a")  # a's quota is held
+        q.reserve("b")
+        with pytest.raises(QueueFull):
+            q.reserve("c")  # the depth limit is held
+        assert q.get(timeout=0) is None  # nothing to take yet
+
+    def test_fill_takes_the_reserved_slot(self):
+        q = FairQueue(max_depth=1, tenant_quota=1)
+        q.reserve("a")
+        q.fill("job", tenant="a")
+        assert q.depth == 1
+        assert q.get(timeout=0) == "job"
+        assert q.depth == 0 and q.tenant_depth("a") == 0
+
+    def test_release_gives_the_slot_back(self):
+        q = FairQueue(max_depth=1, tenant_quota=1)
+        q.reserve("a")
+        q.release("a")
+        assert q.depth == 0 and q.tenant_depth("a") == 0
+        q.put(1, tenant="a")
+        assert q.drain_remaining() == [1]
+
+    def test_closed_queue_refuses_a_reservation(self):
+        q = FairQueue()
+        q.close()
+        with pytest.raises(ServiceError) as err:
+            q.reserve("t")
+        assert err.value.status == 503
+        assert q.depth == 0
+
+    def test_concurrent_reservations_keep_the_bounds(self):
+        """Reserving, filling, releasing and taking from many threads
+        never lets the queue hold more than its limits, and every
+        filled slot is taken exactly once."""
+        q = FairQueue(max_depth=5, tenant_quota=3)
+        producers, per_producer = 6, 300
+        taken, peak = [], []
+        done = threading.Event()
+
+        def produce(n):
+            tenant = f"t{n % 2}"
+            for i in range(per_producer):
+                while True:
+                    try:
+                        q.reserve(tenant)
+                        break
+                    except QueueFull:
+                        pass
+                peak.append(q.depth)
+                if i % 3 == 0:
+                    q.release(tenant)
+                else:
+                    q.fill((n, i), tenant=tenant)
+
+        def consume():
+            while not done.is_set() or q.depth:
+                item = q.get(timeout=0.01)
+                if item is not None:
+                    taken.append(item)
+
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [
+                threading.Thread(target=produce, args=(n,))
+                for n in range(producers)
+            ]
+            consumers = [threading.Thread(target=consume) for _ in range(2)]
+            for t in threads + consumers:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+            done.set()
+            for t in consumers:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(old)
+        assert not any(t.is_alive() for t in threads + consumers)
+        filled = {
+            (n, i)
+            for n in range(producers)
+            for i in range(per_producer)
+            if i % 3
+        }
+        assert sorted(taken) == sorted(filled)
+        assert max(peak) <= q.max_depth
+        assert q.depth == 0 and q.tenant_depth("t0") == 0
 
 
 class TestBlockingGet:
