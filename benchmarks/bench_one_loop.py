@@ -109,13 +109,14 @@ def measure_tree() -> dict:
     return out
 
 
-def _run_tree(tree: Path) -> dict:
+def _run_tree(tree: Path, script: str = __file__) -> dict:
+    """``script --measure`` in a fresh interpreter on ``tree``'s source."""
     env = dict(os.environ)
     env["PYTHONPATH"] = str(tree / "src")
     env["REPRO_CKERNEL_THREADS"] = "1"
     env.pop("REPRO_NO_CKERNEL", None)
     proc = subprocess.run(
-        [sys.executable, __file__, "--measure"],
+        [sys.executable, script, "--measure"],
         capture_output=True,
         text=True,
         env=env,

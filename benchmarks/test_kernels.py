@@ -5,8 +5,9 @@ cost driver of the whole algorithm (``O(U * mu * lambda * C_map)``); the
 conclusions single it out as the main optimization target.  These
 benchmarks track the kernels so performance regressions are visible:
 
-* ``bottom_levels`` — computed once per fitness evaluation and once per
-  CPA iteration (the measured hot spot, vectorized layer-wise);
+* ``bottom_levels`` — the checked public sweep; the reference mapper
+  and the Python CPA loop run its list form once per genome and once
+  per growth step;
 * ``makespan_of`` — one full fitness evaluation;
 * CPA/MCPA allocation — the seed cost;
 * ``TimeTable.build`` — the per-(PTG, platform) setup cost.

@@ -38,8 +38,9 @@ costs 0.3–1.4 µs on the paper's graphs, against 17–79 µs for the Python
 loop (``results/seeding_speedup.txt``).
 The Python loop below is the bit-identity oracle and the fallback when
 there is no compiler or ``REPRO_NO_CKERNEL=1`` is set: it performs the
-same floating-point operations in the same order, over plain list
-sweeps, and ``tests/test_allocation_cpa.py`` pins the two together.
+same floating-point operations in the same order, over the list sweeps
+of :mod:`repro.graph.analysis` (the library's one Python copy of each),
+and ``tests/test_allocation_cpa.py`` pins the two engines together.
 
 Complexity: ``O(V (V + E) P)`` — each of at most ``V P`` growth steps
 recomputes bottom levels in ``O(V + E)`` — matching the bound the paper
@@ -52,8 +53,15 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ..exceptions import AllocationError, ValidationError
-from ..graph import PTG, csr_adjacency, precedence_levels
+from ..exceptions import AllocationError
+from ..graph import (
+    PTG,
+    bottom_levels,
+    csr_adjacency,
+    precedence_levels,
+    top_levels,
+)
+from ..graph.analysis import bottom_level_list, top_level_list
 from ..mapping import _cscheduler
 from ..timemodels import TimeTable
 from .base import AllocationHeuristic
@@ -61,48 +69,6 @@ from .base import AllocationHeuristic
 __all__ = ["CpaAllocator", "critical_path_mask"]
 
 _EPS = 1e-12
-
-
-def _sweep_lists(ptg: PTG) -> tuple[list, list, list]:
-    """Topological order, successors and predecessors as plain lists."""
-    V = ptg.num_tasks
-    return (
-        ptg.topological_order.tolist(),
-        [ptg.successors(v) for v in range(V)],
-        [ptg.predecessors(v) for v in range(V)],
-    )
-
-
-def _bottom_levels(topo: list, succ: list, t: list) -> list:
-    """``bl(v) = t(v) + max over successors`` (0 for sinks), as a list.
-
-    The one addition per task sees the operands of
-    :func:`repro.graph.bottom_levels` and IEEE max is exact, so the
-    values are bit-identical to the layered numpy sweep.
-    """
-    bl = [0.0] * len(t)
-    for v in reversed(topo):
-        m = 0.0
-        for w in succ[v]:
-            x = bl[w]
-            if x > m:
-                m = x
-        bl[v] = t[v] + m
-    return bl
-
-
-def _top_levels(topo: list, pred: list, t: list) -> list:
-    """``tl(v) = max over predecessors of tl(u) + t(u)`` (0 for sources),
-    bit-identical to :func:`repro.graph.top_levels`."""
-    tl = [0.0] * len(t)
-    for v in topo:
-        m = 0.0
-        for u in pred[v]:
-            x = tl[u] + t[u]
-            if x > m:
-                m = x
-        tl[v] = m
-    return tl
 
 
 def critical_path_mask(
@@ -116,20 +82,9 @@ def critical_path_mask(
     lets the allocator consider every critical task — important when
     several parallel branches are equally critical.
     """
-    t = np.asarray(times, dtype=np.float64)
-    if t.shape != (ptg.num_tasks,):
-        raise ValidationError(
-            f"times has shape {t.shape}, expected ({ptg.num_tasks},)"
-        )
-    if not np.all(np.isfinite(t)) or np.any(t < 0):
-        raise ValidationError("times must be finite and non-negative")
-    topo, succ, pred = _sweep_lists(ptg)
-    t = t.tolist()
-    bl = _bottom_levels(topo, succ, t)
-    tl = _top_levels(topo, pred, t)
-    t_cp = max(bl)
-    threshold = t_cp * (1.0 - 1e-12) - _EPS
-    on_cp = np.array([a + b >= threshold for a, b in zip(tl, bl)])
+    bl = bottom_levels(ptg, times)
+    t_cp = float(bl.max())
+    on_cp = top_levels(ptg, times) + bl >= t_cp * (1.0 - 1e-12) - _EPS
     return on_cp, t_cp
 
 
@@ -149,7 +104,7 @@ class _Loop(NamedTuple):
 def _grow_python(loop: _Loop) -> tuple[np.ndarray, int]:
     """The growth loop in Python: the oracle and the fallback engine."""
     V, P = loop.table.shape
-    topo, succ, pred = _sweep_lists(loop.ptg)
+    ptg = loop.ptg
     rows = loop.table.tolist()
     caps = loop.caps.tolist()
     alloc = [1] * V
@@ -161,11 +116,11 @@ def _grow_python(loop: _Loop) -> tuple[np.ndarray, int]:
         level_sum = np.bincount(loop.levels).tolist()  # all alloc == 1
     steps = 0
     while steps < loop.limit:
-        bl = _bottom_levels(topo, succ, t)
+        bl = bottom_level_list(ptg, t)
         t_cp = max(bl)
         if t_cp <= area / loop.divisor:
             break
-        tl = _top_levels(topo, pred, t)
+        tl = top_level_list(ptg, t)
         # first maximum gain among critical tasks that may still grow
         threshold = t_cp * (1.0 - 1e-12) - _EPS
         best = -1

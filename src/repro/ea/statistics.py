@@ -59,15 +59,25 @@ class GenerationStats:
             [ind.evaluated_fitness() for ind in population],
             dtype=np.float64,
         )
+        # the reductions of ndarray.min, max, mean and std, in the same
+        # order on the same operands (so the same bits), without their
+        # Python-level dispatch, which costs more than a small
+        # population's arithmetic; min raises on an empty population
+        best = float(np.minimum.reduce(fits))
+        worst = float(np.maximum.reduce(fits))
         finite = fits[np.isfinite(fits)]
         if finite.size == 0:
             finite = fits  # everything rejected: report the infs honestly
+        n = finite.size
+        mean = np.add.reduce(finite) / n
+        dev = finite - mean
+        np.square(dev, out=dev)
         return cls(
             generation=generation,
-            best=float(fits.min()),
-            mean=float(finite.mean()),
-            std=float(finite.std()),
-            worst=float(fits.max()),
+            best=best,
+            mean=float(mean),
+            std=float(np.sqrt(np.add.reduce(dev) / n)),
+            worst=worst,
             evaluations=evaluations,
             elapsed_seconds=elapsed_seconds,
         )

@@ -9,7 +9,7 @@ Public API:
   schedulers rely on;
 * :func:`csr_adjacency` / :class:`CSRAdjacency` — the DAG flattened to
   CSR index arrays (built once per PTG, shared by the compiled
-  scheduling kernel and the level sweeps);
+  scheduling kernel and the native CPA-family loop);
 * :func:`validate_ptg` — soft structural checks;
 * :func:`save_ptg` / :func:`load_ptg` and corpus variants — JSON I/O.
 """

@@ -20,6 +20,15 @@ All functions accept a vector of per-task execution times so the caller
 decides the allocation (e.g. ``times`` for one-processor allocations for
 the seeding heuristic, or the current individual's allocations inside the
 EA's fitness function).
+
+Bottom and top levels are one Python sweep each, over plain lists in
+(reverse) topological order (:func:`bottom_level_list`,
+:func:`top_level_list`).  The reference mapper runs the bottom-level
+sweep once per genome of the online EMTS rung, on frontiers of a few
+tasks, and the Python CPA growth loop once per growth step; at those
+sizes numpy's per-call dispatch would cost more than the sweep.  The
+compiled paths (the C slot loop and ``cpa_allocate``) sweep in C over
+:class:`CSRAdjacency`.
 """
 
 from __future__ import annotations
@@ -36,6 +45,8 @@ __all__ = [
     "csr_adjacency",
     "bottom_levels",
     "top_levels",
+    "bottom_level_list",
+    "top_level_list",
     "precedence_levels",
     "level_members",
     "critical_path",
@@ -50,9 +61,9 @@ class CSRAdjacency:
     """The PTG's adjacency flattened to CSR index arrays.
 
     One shared, immutable analysis per PTG (cached on the graph): the
-    compiled scheduling kernel, the layered bottom/top-level sweeps and
-    the CPA-family heuristics all walk the DAG through these arrays
-    instead of per-node Python tuples.
+    compiled scheduling kernel and the native CPA-family growth loop
+    walk the DAG through these arrays; the Python sweeps of this module
+    use the PTG's own tuples.
 
     ``succ_indices[succ_indptr[v]:succ_indptr[v+1]]`` are the successors
     of task ``v`` (sorted by index); the ``pred_*`` pair is the reverse
@@ -148,91 +159,64 @@ def _check_times(ptg: PTG, times: np.ndarray) -> np.ndarray:
     return times
 
 
-class _LayerStructure:
-    """Cached per-PTG layering used to vectorize level computations.
+def bottom_level_list(ptg: PTG, t: list[float]) -> list[float]:
+    """Bottom levels from per-task times, both as plain lists.
 
-    Bottom/top levels are longest-path recursions; instead of iterating
-    node by node in topological order (a Python-level loop executed once
-    per CPA iteration and once per EA fitness evaluation — the measured
-    hot spot of the whole library), we process whole *depth layers* at a
-    time: for any edge ``u -> v``, ``depth(u) < depth(v)``, so when layers
-    are visited in (reverse) depth order every dependency of the layer is
-    already final and the layer updates become NumPy scatter-max calls.
-    The number of Python-level iterations drops from ``V + E`` to the DAG
-    depth.
+    ``bl(v) = t[v] + max(bl(w) for w in successors(v))``, with the
+    convention ``max() == 0`` for sinks, swept once in reverse
+    topological order over the PTG's successor tuples.  Each value is
+    one addition and IEEE max is exact, so the result does not depend
+    on the order in which successors are visited.  ``t`` is not
+    checked: the mapper and the CPA growth loop read it from a
+    validated :class:`~repro.timemodels.TimeTable`.
     """
-
-    __slots__ = (
-        "depth",
-        "num_layers",
-        "nodes_by_layer",
-        "edges_by_dst_layer",
-        "edges_by_src_layer",
-    )
-
-    def __init__(self, ptg: PTG) -> None:
-        self.depth = precedence_levels(ptg)
-        self.num_layers = int(self.depth.max()) + 1
-        self.nodes_by_layer = [
-            np.flatnonzero(self.depth == k)
-            for k in range(self.num_layers)
-        ]
-        # edge arrays come from the shared CSR analysis: the compiled
-        # scheduling kernel and the CPA-family heuristics walk the exact
-        # same index arrays (order differences are irrelevant here — the
-        # layer updates below are scatter-*maxima*)
-        csr = csr_adjacency(ptg)
-        src, dst = csr.edge_src, csr.edge_dst
-        d_dst = self.depth[dst] if dst.size else dst
-        d_src = self.depth[src] if src.size else src
-        self.edges_by_dst_layer = [
-            (src[d_dst == k], dst[d_dst == k])
-            for k in range(self.num_layers)
-        ]
-        self.edges_by_src_layer = [
-            (src[d_src == k], dst[d_src == k])
-            for k in range(self.num_layers)
-        ]
-
-
-def _layers(ptg: PTG) -> _LayerStructure:
-    cached = ptg._layer_cache
-    if cached is None:
-        cached = _LayerStructure(ptg)
-        ptg._layer_cache = cached
-    return cached
-
-
-def bottom_levels(ptg: PTG, times: np.ndarray) -> np.ndarray:
-    """Bottom level of every task.
-
-    ``bl(v) = times[v] + max(bl(w) for w in successors(v))`` with the
-    convention ``max() == 0`` for sinks.  Computed layer by layer from the
-    deepest precedence level upwards (see :class:`_LayerStructure`).
-    """
-    times = _check_times(ptg, times)
-    ls = _layers(ptg)
-    best = np.zeros(ptg.num_tasks, dtype=np.float64)
-    bl = times.copy()
-    for k in range(ls.num_layers - 1, -1, -1):
-        nodes = ls.nodes_by_layer[k]
-        bl[nodes] += best[nodes]
-        src, dst = ls.edges_by_dst_layer[k]
-        if src.size:
-            np.maximum.at(best, src, bl[dst])
+    succ = ptg._succs
+    bl = [0.0] * len(t)
+    for v in reversed(ptg._order):
+        m = 0.0
+        for w in succ[v]:
+            x = bl[w]
+            if x > m:
+                m = x
+        bl[v] = t[v] + m
     return bl
 
 
-def top_levels(ptg: PTG, times: np.ndarray) -> np.ndarray:
-    """Top level of every task (longest path from a source, excluding v)."""
-    times = _check_times(ptg, times)
-    ls = _layers(ptg)
-    tl = np.zeros(ptg.num_tasks, dtype=np.float64)
-    for k in range(ls.num_layers):
-        src, dst = ls.edges_by_src_layer[k]
-        if src.size:
-            np.maximum.at(tl, dst, tl[src] + times[src])
+def top_level_list(ptg: PTG, t: list[float]) -> list[float]:
+    """Top levels from per-task times, both as plain lists.
+
+    ``tl(v) = max(tl(u) + t[u] for u in predecessors(v))`` (0 for
+    sources), swept once in topological order; unchecked like
+    :func:`bottom_level_list`.
+    """
+    pred = ptg._preds
+    tl = [0.0] * len(t)
+    for v in ptg._order:
+        m = 0.0
+        for u in pred[v]:
+            x = tl[u] + t[u]
+            if x > m:
+                m = x
+        tl[v] = m
     return tl
+
+
+def bottom_levels(ptg: PTG, times: np.ndarray) -> np.ndarray:
+    """Bottom level of every task (longest path to a sink, including v).
+
+    ``times`` must hold one finite, non-negative time per task
+    (:class:`~repro.exceptions.ValidationError` otherwise); the sweep
+    is :func:`bottom_level_list`.
+    """
+    t = _check_times(ptg, times).tolist()
+    return np.array(bottom_level_list(ptg, t), dtype=np.float64)
+
+
+def top_levels(ptg: PTG, times: np.ndarray) -> np.ndarray:
+    """Top level of every task (longest path from a source, excluding v);
+    checked like :func:`bottom_levels`, swept by :func:`top_level_list`."""
+    t = _check_times(ptg, times).tolist()
+    return np.array(top_level_list(ptg, t), dtype=np.float64)
 
 
 def precedence_levels(ptg: PTG) -> np.ndarray:

@@ -15,8 +15,10 @@ A PTG is a directed acyclic graph whose nodes are *moldable* parallel tasks
 The class is designed for the hot loop of the evolutionary optimizer: node
 attributes are mirrored into NumPy arrays, predecessor/successor lists are
 stored as tuples of integer indices, and a topological order is computed
-once at construction and cached.  Instances are immutable after
-construction (builders live in :mod:`repro.graph.builder`).
+once at construction, kept as a tuple (for the list sweeps of
+:mod:`repro.graph.analysis`) and as an int64 array.  Instances are
+immutable after construction (builders live in
+:mod:`repro.graph.builder`).
 """
 
 from __future__ import annotations
@@ -115,12 +117,12 @@ class PTG:
         "_preds",
         "_succs",
         "_edges",
+        "_order",
         "_topo",
         "_work",
         "_alpha",
         "_data_size",
         "_levels",
-        "_layer_cache",
         "_csr_cache",
     )
 
@@ -168,7 +170,8 @@ class PTG:
         self._succs: tuple[tuple[int, ...], ...] = tuple(
             tuple(sorted(s)) for s in succs
         )
-        self._topo: np.ndarray = self._toposort()
+        self._order: tuple[int, ...] = self._toposort()
+        self._topo: np.ndarray = np.asarray(self._order, dtype=np.int64)
         self._work = np.array([t.work for t in self._tasks], dtype=np.float64)
         self._alpha = np.array(
             [t.alpha for t in self._tasks], dtype=np.float64
@@ -177,18 +180,15 @@ class PTG:
             [t.data_size for t in self._tasks], dtype=np.float64
         )
         self._levels: np.ndarray | None = None  # filled lazily by analysis
-        self._layer_cache = None  # filled lazily by analysis._layers
         self._csr_cache = None  # filled lazily by analysis.csr_adjacency
 
     # ------------------------------------------------------------------
     # construction helpers
     # ------------------------------------------------------------------
-    def _toposort(self) -> np.ndarray:
+    def _toposort(self) -> tuple[int, ...]:
         """Kahn's algorithm; raises :class:`CycleError` on cycles."""
         n = len(self._tasks)
-        indeg = np.array(
-            [len(p) for p in self._preds], dtype=np.int64
-        )
+        indeg = [len(p) for p in self._preds]
         stack = [i for i in range(n) if indeg[i] == 0]
         order: list[int] = []
         while stack:
@@ -206,7 +206,7 @@ class PTG:
                 f"task graph {self.name!r} contains a cycle involving "
                 f"{remaining[:5]}"
             )
-        return np.asarray(order, dtype=np.int64)
+        return tuple(order)
 
     # ------------------------------------------------------------------
     # basic accessors

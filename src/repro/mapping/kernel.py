@@ -8,8 +8,7 @@ module flattens it once:
 
 * the DAG as int32 CSR index arrays (successors, reverse topological
   order, in-degree vector) via :func:`repro.graph.csr_adjacency` — the
-  same analysis the layered bottom-level sweep and the CPA-family
-  heuristics use;
+  same analysis the native CPA-family growth loop walks;
 * the execution-time model as the dense ``(V, P)`` float64 matrix of
   the :class:`~repro.timemodels.TimeTable`, flattened row-major.
 
@@ -130,7 +129,7 @@ def check_allocation(alloc: np.ndarray, ptg: PTG, P: int) -> np.ndarray:
     """Validate and canonicalize an allocation vector.
 
     Raises :class:`AllocationError` unless ``alloc`` has shape ``(V,)``
-    with integral entries in ``[1, P]``.
+    with integral entries in ``[1, P]``; returns a fresh int64 copy.
     """
     alloc = np.asarray(alloc)
     if alloc.shape != (ptg.num_tasks,):
@@ -138,14 +137,16 @@ def check_allocation(alloc: np.ndarray, ptg: PTG, P: int) -> np.ndarray:
             f"allocation has shape {alloc.shape}, expected "
             f"({ptg.num_tasks},)"
         )
-    if not np.issubdtype(alloc.dtype, np.integer):
+    if issubclass(alloc.dtype.type, np.integer):
+        alloc = alloc.astype(np.int64)
+    else:
         rounded = np.rint(alloc)
         if not np.allclose(alloc, rounded):
             raise AllocationError("allocations must be integers")
         alloc = rounded.astype(np.int64)
-    else:
-        alloc = alloc.astype(np.int64)
-    if alloc.min() < 1 or alloc.max() > P:
+    # one reduction, as in ScheduleKernel.load_block: viewed as
+    # unsigned, alloc - 1 is >= P exactly when an entry is < 1 or > P
+    if (alloc - 1).view(np.uint64).max() >= P:
         raise AllocationError(
             f"allocations must lie in [1, {P}]; got range "
             f"[{alloc.min()}, {alloc.max()}]"
@@ -379,7 +380,11 @@ class ScheduleKernel:
         )
         if makespan != makespan:  # NaN: no work space, see _score
             return self._reference(alloc, build_schedule=True)
-        return makespan, start, finish, np.split(procs, proc_end[:-1])
+        proc_sets = [
+            procs[end - s:end]
+            for s, end in zip(alloc.tolist(), proc_end.tolist())
+        ]
+        return makespan, start, finish, proc_sets
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

@@ -52,6 +52,7 @@ import numpy as np
 
 from ..exceptions import AllocationError
 from ..graph import PTG, bottom_levels, csr_adjacency
+from ..graph.analysis import bottom_level_list
 from ..timemodels import TimeTable
 from .kernel import ScheduleKernel, abort_limits, check_allocation, kernel_for
 from .processor_state import ProcessorState
@@ -124,9 +125,8 @@ def _select_kernel(
 def _priority_values(
     ptg: PTG, times: np.ndarray, priority: str
 ) -> np.ndarray:
-    """Per-task priority (larger = scheduled earlier among ready)."""
-    if priority == "bottom-level":
-        return bottom_levels(ptg, times)
+    """Per-task priority (larger = scheduled earlier among ready) under
+    a rule other than the bottom level, which :func:`_run` sweeps."""
     if priority == "topological":
         # index order: effectively FIFO among ready tasks
         return -np.arange(ptg.num_tasks, dtype=np.float64)
@@ -162,9 +162,14 @@ def _run(
     alloc = check_allocation(alloc, ptg, P)
     times = table.times_for(alloc)
     # per-task scalars as Python lists: the loop reads them one at a
-    # time, and a list index is cheaper than a numpy scalar read
+    # time, and a list index is cheaper than a numpy scalar read.  The
+    # times come from the table, which checked them at construction
+    # (finite, > 0) and keeps them read-only, so the bottom levels are
+    # swept straight from the list
+    s_of = alloc.tolist()
+    t_of = times.tolist()
     bl_of = (
-        bottom_levels(ptg, times).tolist()
+        bottom_level_list(ptg, t_of)
         if priority == "bottom-level" or abort_above is not None
         else None
     )
@@ -173,8 +178,6 @@ def _run(
         if priority == "bottom-level"
         else _priority_values(ptg, times, priority).tolist()
     )
-    s_of = alloc.tolist()
-    t_of = times.tolist()
 
     V = ptg.num_tasks
     sink_limit, inner_limit = abort_limits(abort_above, V)

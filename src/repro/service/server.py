@@ -562,7 +562,6 @@ class SchedulingService:
                 await _wait_done(job, budget)
             if job.done_event.is_set():
                 status = 200
-            deduplicated = False  # a waited reply is the plain job
         return _job_response(status, job, deduplicated)
 
     def _get_job(self, job_id: str) -> bytes:

@@ -1,9 +1,12 @@
 """Unit tests for survivor selection, statistics, and termination."""
 
 import time
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.ea import (
     AnyOf,
@@ -91,6 +94,52 @@ class TestStats:
         s = GenerationStats.from_population(0, pop, 2, 0.0)
         assert s.mean == 1.0  # rejected individuals don't skew the mean
         assert s.worst == float("inf")
+
+    @given(
+        st.lists(
+            st.one_of(
+                st.floats(min_value=-1e12, max_value=1e12),
+                st.floats(min_value=1e-9, max_value=1e-3),
+                st.sampled_from([np.inf, -np.inf]),
+            ),
+            min_size=1,
+            max_size=128,
+        )
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_from_population_matches_numpy_bitwise(self, values):
+        """best, mean, std and worst carry the bits of ndarray.min,
+        mean, std and max (the mean and std over the finite values)."""
+        fits = np.array(values, dtype=np.float64)
+        finite = fits[np.isfinite(fits)]
+        if finite.size == 0:
+            finite = fits
+        with np.errstate(invalid="ignore"):
+            s = GenerationStats.from_population(
+                0, [make(v) for v in values], 1, 0.0
+            )
+            expected = (
+                fits.min(), finite.mean(), finite.std(), fits.max()
+            )
+        got = (s.best, s.mean, s.std, s.worst)
+        for g, e in zip(got, expected):
+            assert type(g) is float
+            assert np.float64(g).tobytes() == np.float64(e).tobytes()
+
+    def test_empty_population_raises_before_any_arithmetic(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="zero-size"):
+                GenerationStats.from_population(0, [], 0, 0.0)
+
+    @pytest.mark.parametrize("n", [1, 2, 4, 7, 16, 33, 128])
+    def test_all_rejected_reports_the_infs(self, n):
+        with np.errstate(invalid="ignore"):
+            s = GenerationStats.from_population(
+                0, [make(np.inf) for _ in range(n)], n, 0.0
+            )
+        assert s.best == s.mean == s.worst == np.inf
+        assert np.isnan(s.std)
 
     def test_log_aggregates(self):
         log = EvolutionLog()

@@ -3,9 +3,13 @@ precedence levels, delta-critical sets)."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.exceptions import ValidationError
 from repro.graph import (
+    PTG,
+    Task,
     bottom_levels,
     chain,
     critical_path,
@@ -15,6 +19,12 @@ from repro.graph import (
     level_members,
     precedence_levels,
     top_levels,
+)
+from repro.workloads import (
+    DaggenParams,
+    generate_daggen,
+    generate_fft,
+    generate_strassen,
 )
 
 
@@ -204,3 +214,104 @@ class TestDeltaCritical:
         sets = delta_critical_sets(irregular_ptg, t, delta=0.9)
         for s in sets:
             assert len(s) >= 1
+
+
+def recursive_levels(ptg, times):
+    """Bottom and top levels read straight off their definitions, by a
+    memoized longest-path recursion over the PTG's adjacency."""
+    t = [float(x) for x in times]
+    bl_memo, tl_memo = {}, {}
+
+    def bl(v):
+        if v not in bl_memo:
+            bl_memo[v] = t[v] + max(
+                (bl(w) for w in ptg.successors(v)), default=0.0
+            )
+        return bl_memo[v]
+
+    def tl(v):
+        if v not in tl_memo:
+            tl_memo[v] = max(
+                (tl(u) + t[u] for u in ptg.predecessors(v)), default=0.0
+            )
+        return tl_memo[v]
+
+    V = ptg.num_tasks
+    return (
+        np.array([bl(v) for v in range(V)], dtype=np.float64),
+        np.array([tl(v) for v in range(V)], dtype=np.float64),
+    )
+
+
+def assert_bitwise(got, ref):
+    assert got.dtype == np.float64 and got.shape == ref.shape
+    assert got.tobytes() == ref.tobytes()
+
+
+@st.composite
+def shuffled_dags_with_times(draw, max_nodes=24):
+    """A DAG whose task indices are a random permutation of a
+    topological order (so index order is not one), with positive times
+    spread over several magnitudes."""
+    n = draw(st.integers(min_value=1, max_value=max_nodes))
+    label = draw(st.permutations(range(n)))
+    edges = [
+        (label[u], label[v])
+        for u in range(n)
+        for v in range(u + 1, n)
+        if draw(st.booleans())
+    ]
+    ptg = PTG([Task(f"t{i}", work=1.0) for i in range(n)], edges)
+    times = np.array(
+        draw(
+            st.lists(
+                st.floats(min_value=1e-6, max_value=1e9),
+                min_size=n,
+                max_size=n,
+            )
+        )
+    )
+    return ptg, times
+
+
+class TestLevelsMatchRecursion:
+    """The list sweeps equal the longest-path definitions bit for bit."""
+
+    @given(shuffled_dags_with_times())
+    @settings(max_examples=150, deadline=None)
+    def test_random_dags(self, case):
+        ptg, times = case
+        ref_bl, ref_tl = recursive_levels(ptg, times)
+        assert_bitwise(bottom_levels(ptg, times), ref_bl)
+        assert_bitwise(top_levels(ptg, times), ref_tl)
+
+    @pytest.mark.parametrize(
+        "ptg",
+        [
+            generate_fft(4, rng=1),
+            generate_fft(16, rng=2),
+            generate_strassen(rng=3),
+            generate_daggen(DaggenParams(100, jump=2), rng=4),
+            generate_daggen(
+                DaggenParams(60, width=0.2, regularity=0.9, density=0.9),
+                rng=5,
+            ),
+        ],
+        ids=["fft15", "fft95", "strassen", "daggen100", "daggen60-narrow"],
+    )
+    def test_paper_graphs(self, ptg):
+        rng = np.random.default_rng(ptg.num_tasks)
+        for magnitude in (-3, 0, 3, 8):
+            times = rng.random(ptg.num_tasks) * 10.0**magnitude + 1e-9
+            # and a mix of magnitudes within one vector
+            mixed = times * 10.0 ** rng.integers(-3, 4, size=ptg.num_tasks)
+            for t in (times, mixed):
+                ref_bl, ref_tl = recursive_levels(ptg, t)
+                assert_bitwise(bottom_levels(ptg, t), ref_bl)
+                assert_bitwise(top_levels(ptg, t), ref_tl)
+
+    def test_top_levels_check_times_too(self, diamond_ptg):
+        with pytest.raises(ValidationError, match="shape"):
+            top_levels(diamond_ptg, np.ones(5))
+        with pytest.raises(ValidationError, match="non-negative"):
+            top_levels(diamond_ptg, np.array([1.0, np.inf, 1.0, 1.0]))

@@ -45,6 +45,50 @@ class TestCheckAllocation:
         with pytest.raises(AllocationError, match="shape"):
             check_allocation(np.array([1, 1]), diamond_ptg, 4)
 
+    INT64_MIN = np.iinfo(np.int64).min
+    RANGE = "allocations must lie in [1, 4]; got range [{}, {}]"
+    INTEGERS = "allocations must be integers"
+
+    @pytest.mark.parametrize(
+        "alloc, expected",
+        [
+            (np.array([True, True, True, True]), [1, 1, 1, 1]),
+            (np.array([True, False, True, True]), RANGE.format(0, 1)),
+            (np.array([1, 2, 3, 4], dtype=np.uint8), [1, 2, 3, 4]),
+            (np.array([4, 3, 2, 1], dtype=np.uint64), [4, 3, 2, 1]),
+            (
+                np.array([2**64 - 1, 1, 1, 1], dtype=np.uint64),
+                RANGE.format(-1, 1),
+            ),
+            (np.array([1.0, 2.0, 3.0, 4.0]), [1, 2, 3, 4]),
+            (np.array([1.0 + 1e-12, 2.0, 3.0, 4.0]), [1, 2, 3, 4]),
+            (np.array([1.5, 1.0, 1.0, 1.0]), INTEGERS),
+            (np.array([np.nan, 1.0, 1.0, 1.0]), INTEGERS),
+            (np.array([1.0, 1.0, 1.0, 5.0]), RANGE.format(1, 5)),
+            (np.array([0, 1, 1, 1]), RANGE.format(0, 1)),
+            (np.array([1, 1, 1, 5]), RANGE.format(1, 5)),
+            (np.array([INT64_MIN, 1, 1, 1]), RANGE.format(INT64_MIN, 1)),
+            ([1, 2, 3, 4], [1, 2, 3, 4]),
+            (np.array([1, 1]), "allocation has shape (2,), expected (4,)"),
+            (np.array(3), "allocation has shape (), expected (4,)"),
+            (
+                np.ones((1, 4), dtype=np.int64),
+                "allocation has shape (1, 4), expected (4,)",
+            ),
+        ],
+    )
+    def test_types_and_messages(self, diamond_ptg, alloc, expected):
+        """Every input gives either a fresh int64 answer or exactly
+        this AllocationError message, whatever its dtype or shape."""
+        if isinstance(expected, str):
+            with pytest.raises(AllocationError) as info:
+                check_allocation(alloc, diamond_ptg, 4)
+            assert str(info.value) == expected
+            return
+        out = check_allocation(alloc, diamond_ptg, 4)
+        assert out.dtype == np.int64 and out.tolist() == expected
+        assert not np.shares_memory(out, np.asarray(alloc))
+
 
 class TestHandComputedSchedules:
     def test_single_task(self, single_task_ptg):

@@ -19,6 +19,7 @@ from repro.graph import ptg_to_dict
 from repro.service import (
     DEFAULT_IDEMPOTENCY_ENTRIES,
     JobStore,
+    RetryingServiceClient,
     SchedulingService,
     ServiceClient,
     parse_request,
@@ -267,5 +268,46 @@ class TestDedupeWhileRunning:
             assert dup["job"]["id"] == first["job"]["id"]
             assert dup["deduplicated"] is True
             assert dup["job"]["state"] == "running"
+        finally:
+            stop_service(service, thread)
+
+
+class TestWaitedDedupe:
+    """A ``?wait=`` resubmission deduplicated into a job that is still
+    queued or running keeps ``"deduplicated": true`` once it has
+    waited, as the same resubmission without ``?wait=`` does."""
+
+    GENERATIONS = 300
+
+    def test_waited_resubmission_keeps_the_flag(self, tmp_path):
+        service, thread = start_service(tmp_path / "spool")
+        try:
+            client = ServiceClient(port=service.bound_port, timeout=90)
+            doc = make_doc(generations=self.GENERATIONS, key="idem-wait")
+            first = client.submit(doc)
+            assert first["job"]["state"] in ("queued", "running")
+            dup = client.submit(doc, wait=60)
+            assert dup["job"]["id"] == first["job"]["id"]
+            assert dup["job"]["state"] == "done"
+            assert dup["deduplicated"] is True
+            assert len(service.store) == 1
+        finally:
+            stop_service(service, thread)
+
+    def test_retrying_client_counts_a_waited_dedupe(self, tmp_path):
+        service, thread = start_service(tmp_path / "spool")
+        try:
+            plain = ServiceClient(port=service.bound_port, timeout=90)
+            doc = make_doc(generations=self.GENERATIONS, key="idem-retry")
+            first = plain.submit(doc)
+            assert first["job"]["state"] in ("queued", "running")
+            retrying = RetryingServiceClient(client=plain)
+            done = retrying.schedule(doc, timeout=60)
+            assert done["job"]["id"] == first["job"]["id"]
+            assert done["job"]["state"] == "done"
+            assert done["deduplicated"] is True
+            assert retrying.stats.deduplicated == 1
+            metrics = service.metrics.snapshot()
+            assert metrics["service.jobs.deduplicated"]["value"] == 1
         finally:
             stop_service(service, thread)
