@@ -18,8 +18,6 @@ from __future__ import annotations
 import os
 from pathlib import Path
 
-import pytest
-
 #: Root seed for every benchmark experiment (reproducible).
 BENCH_SEED = 20110926
 
@@ -37,13 +35,6 @@ def bench_scale(default: float) -> float:
             f"REPRO_BENCH_SCALE must lie in (0, 1], got {raw}"
         )
     return scale
-
-
-@pytest.fixture(scope="session")
-def results_dir() -> Path:
-    """Directory collecting the regenerated artifacts."""
-    RESULTS_DIR.mkdir(parents=True, exist_ok=True)
-    return RESULTS_DIR
 
 
 def write_result(name: str, content: str) -> Path:

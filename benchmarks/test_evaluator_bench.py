@@ -4,14 +4,17 @@ Measures one EA-generation-sized batch of offspring evaluations on a
 100-task daggen PTG (the paper's "large" instance class) through the
 batch-kernel evaluator, plain and with sampled verification.
 
-``test_report_speedup`` additionally records the batch on one thread
-and on two OpenMP threads (``REPRO_CKERNEL_THREADS=2``) in
-``results/evaluator_speedup.txt`` together with the machine's core
+``test_report_speedup`` additionally times the batch on one thread
+and on two OpenMP threads (``REPRO_CKERNEL_THREADS=2``); the report
+``results/evaluator_speedup.txt`` gives both with the machine's core
 count — the thread speedup is hardware-bound (a single-core host cannot
-show one).
+show one).  The tests write no file; regenerate the report with
+
+    PYTHONPATH=src python -m benchmarks.test_evaluator_bench --write
 """
 
 import os
+import sys
 import time
 
 import numpy as np
@@ -29,8 +32,7 @@ from .conftest import BENCH_SEED, write_result
 BATCH = 100
 
 
-@pytest.fixture(scope="module")
-def problem():
+def make_problem():
     ptg = generate_daggen(
         DaggenParams(
             num_tasks=100, width=0.5, regularity=0.2, density=0.5, jump=2
@@ -47,6 +49,11 @@ def problem():
         for _ in range(BATCH)
     ]
     return ptg, table, genomes
+
+
+@pytest.fixture(scope="module")
+def problem():
+    return make_problem()
 
 
 def test_evaluator_serial_batch(benchmark, problem):
@@ -88,9 +95,8 @@ def test_verify_sample_overhead(problem):
     )
 
 
-def test_report_speedup(problem, results_dir):
-    """Record one-thread vs. two-thread batch wall-times in results/."""
-    ptg, table, genomes = problem
+def speedup_report(ptg, table, genomes) -> str:
+    """One-thread vs. two-thread batch wall-times, rendered."""
 
     def timed(fn, repeats=3):
         best = float("inf")
@@ -120,4 +126,17 @@ def test_report_speedup(problem, results_dir):
         "note: the thread speedup is bounded by the host's core count; "
         "both rows compute bit-identical makespans.",
     ]
-    write_result("evaluator_speedup.txt", "\n".join(lines) + "\n")
+    return "\n".join(lines) + "\n"
+
+
+def test_report_speedup(problem):
+    """The report renders both rows (and writes nothing)."""
+    report = speedup_report(*problem)
+    assert "serial" in report and "OpenMP (2 threads)" in report
+
+
+if __name__ == "__main__":  # pragma: no cover - report regeneration
+    if sys.argv[1:] != ["--write"]:
+        sys.exit("usage: python -m benchmarks.test_evaluator_bench --write")
+    path = write_result("evaluator_speedup.txt", speedup_report(*make_problem()))
+    print(f"wrote {path}")

@@ -11,7 +11,17 @@ benchmarks track the kernels so performance regressions are visible:
 * ``makespan_of`` — one full fitness evaluation;
 * CPA/MCPA allocation — the seed cost;
 * ``TimeTable.build`` — the per-(PTG, platform) setup cost.
+
+``test_report_kernel_speedup`` checks the compiled kernel's speedup
+over the reference mapper and writes no file; regenerate the report
+``results/kernel_speedup.txt`` with
+
+    PYTHONPATH=src python -m benchmarks.test_kernels --write
 """
+
+import os
+import sys
+import time
 
 import numpy as np
 import pytest
@@ -28,8 +38,7 @@ from repro.workloads import DaggenParams, generate_daggen
 from .conftest import BENCH_SEED, write_result
 
 
-@pytest.fixture(scope="module")
-def problem():
+def make_problem():
     ptg = generate_daggen(
         DaggenParams(
             num_tasks=100, width=0.5, regularity=0.2, density=0.5, jump=2
@@ -43,6 +52,11 @@ def problem():
     # separately by test_kernel_build)
     kernel_for(table)
     return ptg, cluster, table
+
+
+@pytest.fixture(scope="module")
+def problem():
+    return make_problem()
 
 
 def test_kernel_bottom_levels(benchmark, problem):
@@ -150,20 +164,15 @@ def test_kernel_time_table_build(benchmark, problem):
     assert table.shape == (100, 120)
 
 
-def test_report_kernel_speedup(problem, results_dir):
-    """Record the compiled-kernel speedups in results/kernel_speedup.txt.
+def kernel_speedup_report(problem) -> tuple[str, float, float]:
+    """The compiled-kernel speedups: ``(report, t_ref, t_native)``.
 
     Companion of the engine report (``evaluator_speedup.txt``): one
     EA-generation batch of 100 offspring through the reference mapper,
     the kernel's fallback without the native library (the same
     reference loop behind the kernel API), the native (C) loop, and the
-    native loop on two OpenMP threads.  The final assertion is the
-    tentpole promise — at least 3x single-process speedup over the
-    reference engine.
+    native loop on two OpenMP threads.
     """
-    import os
-    import time
-
     from repro.core import SerialEvaluator
 
     ptg, _, table = problem
@@ -225,6 +234,18 @@ def test_report_kernel_speedup(problem, results_dir):
         "by the host's core count, while the single-thread kernel "
         "speedups are hardware-independent.",
     ]
-    write_result("kernel_speedup.txt", "\n".join(lines) + "\n")
-    # the tentpole promise: >= 3x single-process speedup
+    return "\n".join(lines) + "\n", t_ref, t_native
+
+
+def test_report_kernel_speedup(problem):
+    """The tentpole promise: at least 3x single-process speedup over
+    the reference engine."""
+    _, t_ref, t_native = kernel_speedup_report(problem)
     assert t_native < t_ref / 3
+
+
+if __name__ == "__main__":  # pragma: no cover - report regeneration
+    if sys.argv[1:] != ["--write"]:
+        sys.exit("usage: python -m benchmarks.test_kernels --write")
+    report, _, _ = kernel_speedup_report(make_problem())
+    print(f"wrote {write_result('kernel_speedup.txt', report)}")

@@ -28,60 +28,7 @@ See README.md for the architecture overview and EXPERIMENTS.md for the
 paper-versus-measured record of each experiment.
 """
 
-from . import (
-    allocation,
-    core,
-    ea,
-    exceptions,
-    experiments,
-    graph,
-    mapping,
-    obs,
-    online,
-    platform,
-    simulator,
-    timemodels,
-    verify,
-    workloads,
-)
-from .exceptions import (
-    CampaignError,
-    CheckpointError,
-    ReproError,
-    TimeModelError,
-    TraceError,
-    VerificationError,
-)
-from .allocation import (
-    BicpaAllocator,
-    CpaAllocator,
-    CprAllocator,
-    DeltaCriticalAllocator,
-    HcpaAllocator,
-    Mcpa2Allocator,
-    McpaAllocator,
-    SerialAllocator,
-)
-from .core import EMTS, EMTSConfig, EMTSResult, emts5, emts10
-from .graph import PTG, PTGBuilder, Task
-from .mapping import Schedule, makespan_of, map_allocations
-from .platform import Cluster, chti, grelon
-from .online import FaultPlan, ReactionPolicy, execute_online
-from .simulator import simulate
-from .timemodels import (
-    AmdahlModel,
-    DowneyModel,
-    ExecutionTimeModel,
-    PdgemmLikeModel,
-    SyntheticModel,
-    TabulatedModel,
-    TimeTable,
-)
-from .verify import (
-    ScheduleVerifier,
-    VerifyingEvaluator,
-    differential_check,
-)
+from ._lazy import lazy_namespace
 
 __version__ = "1.0.0"
 
@@ -149,3 +96,47 @@ __all__ = [
     "FaultPlan",
     "ReactionPolicy",
 ]
+
+__getattr__, __dir__ = lazy_namespace(
+    globals(),
+    {
+        ".exceptions": (
+            "CampaignError",
+            "CheckpointError",
+            "ReproError",
+            "TimeModelError",
+            "TraceError",
+            "VerificationError",
+        ),
+        ".allocation": (
+            "BicpaAllocator",
+            "CpaAllocator",
+            "CprAllocator",
+            "DeltaCriticalAllocator",
+            "HcpaAllocator",
+            "Mcpa2Allocator",
+            "McpaAllocator",
+            "SerialAllocator",
+        ),
+        ".core": ("EMTS", "EMTSConfig", "EMTSResult", "emts5", "emts10"),
+        ".graph": ("PTG", "PTGBuilder", "Task"),
+        ".mapping": ("Schedule", "makespan_of", "map_allocations"),
+        ".platform": ("Cluster", "chti", "grelon"),
+        ".online": ("FaultPlan", "ReactionPolicy", "execute_online"),
+        ".simulator": ("simulate",),
+        ".timemodels": (
+            "AmdahlModel",
+            "DowneyModel",
+            "ExecutionTimeModel",
+            "PdgemmLikeModel",
+            "SyntheticModel",
+            "TabulatedModel",
+            "TimeTable",
+        ),
+        ".verify": (
+            "ScheduleVerifier",
+            "VerifyingEvaluator",
+            "differential_check",
+        ),
+    },
+)

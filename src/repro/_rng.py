@@ -26,7 +26,13 @@ from typing import Iterable
 
 import numpy as np
 
-__all__ = ["spawn", "key_to_int", "ensure_generator", "DEFAULT_SEED"]
+__all__ = [
+    "spawn",
+    "key_to_int",
+    "ensure_generator",
+    "sample_indices",
+    "DEFAULT_SEED",
+]
 
 #: Seed used across the library whenever the caller does not supply one.
 #: The paper notes "the random generator uses the same (random) seed for all
@@ -75,6 +81,24 @@ def ensure_generator(
     if isinstance(rng, np.random.Generator):
         return rng
     return spawn(rng, *keys)
+
+
+def sample_indices(
+    rng: np.random.Generator, n: int, rate: float
+) -> frozenset:
+    """Independently select each index in ``range(n)`` with ``rate``.
+
+    The shared sampling primitive behind
+    :meth:`repro.testing.ChaosPlan.sampled` and
+    :meth:`repro.online.FaultPlan.sampled`: one uniform draw per index,
+    kept when it falls below ``rate``.  A rate of zero consumes *no*
+    randomness, so adding a new fault type to a plan never perturbs the
+    draws of the existing ones.
+    """
+    if rate <= 0.0:
+        return frozenset()
+    draws = rng.random(n)
+    return frozenset(int(i) for i in np.nonzero(draws < rate)[0])
 
 
 def spawn_children(

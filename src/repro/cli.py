@@ -33,37 +33,9 @@ import argparse
 import sys
 from pathlib import Path
 
-from .allocation import AllocationHeuristic
-from .core import EMTS, SEED_REGISTRY, emts5, emts10, make_allocator
-from .exceptions import CheckpointError, ConfigurationError, TraceError
-from .graph import PTG, load_ptg, ptg_to_dot, save_ptg
-from .mapping import ascii_gantt, map_allocations, save_svg_gantt
-from .obs import LOG_LEVELS, MetricsRegistry, configure_logging
-from .platform import Cluster, by_name
-from .timemodels import (
-    AmdahlModel,
-    DowneyModel,
-    ExecutionTimeModel,
-    SyntheticModel,
-    TimeTable,
-)
-from .workloads import (
-    DaggenParams,
-    generate_daggen,
-    generate_fft,
-    generate_strassen,
-    paper_corpus,
-)
+from .obs import LOG_LEVELS, configure_logging
 
 __all__ = ["main", "build_parser"]
-
-_MODELS = {
-    "model1": AmdahlModel,
-    "amdahl": AmdahlModel,
-    "model2": SyntheticModel,
-    "synthetic": SyntheticModel,
-    "downey": DowneyModel,
-}
 
 
 def _run_profiled(func, args) -> int:
@@ -94,10 +66,19 @@ def _run_profiled(func, args) -> int:
 
 
 def _make_model(name: str) -> ExecutionTimeModel:
+    from .timemodels import AmdahlModel, DowneyModel, SyntheticModel
+
+    models = {
+        "model1": AmdahlModel,
+        "amdahl": AmdahlModel,
+        "model2": SyntheticModel,
+        "synthetic": SyntheticModel,
+        "downey": DowneyModel,
+    }
     try:
-        return _MODELS[name.lower()]()
+        return models[name.lower()]()
     except KeyError:
-        known = ", ".join(sorted(_MODELS))
+        known = ", ".join(sorted(models))
         raise SystemExit(
             f"unknown model {name!r}; known models: {known}"
         ) from None
@@ -109,6 +90,9 @@ def _make_algorithm(
     islands: bool = False,
     migration_interval: int = 1,
 ):
+    from .core import SEED_REGISTRY, emts5, emts10, make_allocator
+    from .exceptions import ConfigurationError
+
     name = name.lower()
     overrides = dict(
         verify=verify,
@@ -129,6 +113,13 @@ def _make_algorithm(
 
 
 def _generate_ptg(args) -> PTG:
+    from .workloads import (
+        DaggenParams,
+        generate_daggen,
+        generate_fft,
+        generate_strassen,
+    )
+
     if args.kind == "fft":
         return generate_fft(args.size, rng=args.seed)
     if args.kind == "strassen":
@@ -149,6 +140,8 @@ def _generate_ptg(args) -> PTG:
 
 # ----------------------------------------------------------------------
 def _cmd_generate(args) -> int:
+    from .graph import ptg_to_dot, save_ptg
+
     ptg = _generate_ptg(args)
     out = Path(args.output)
     if out.suffix == ".dot":
@@ -163,6 +156,15 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_schedule(args) -> int:
+    from .allocation import AllocationHeuristic
+    from .core import EMTS
+    from .exceptions import CheckpointError, TraceError
+    from .graph import load_ptg
+    from .mapping import map_allocations
+    from .obs import MetricsRegistry
+    from .platform import by_name
+    from .timemodels import TimeTable
+
     if args.ptg:
         ptg = load_ptg(args.ptg)
     else:
@@ -265,17 +267,28 @@ def _cmd_schedule(args) -> int:
             print(f"verified  : {report}")
     print(f"utilization: {schedule.utilization:.1%}")
     if args.gantt:
+        from .mapping.gantt import ascii_gantt
+
         print()
         print(ascii_gantt(schedule))
     if args.svg:
+        from .mapping.gantt import save_svg_gantt
+
         save_svg_gantt(schedule, args.svg)
         print(f"wrote Gantt SVG -> {args.svg}")
     return 0
 
 
 def _cmd_online(args) -> int:
-    from .obs import Tracer
+    from .allocation import AllocationHeuristic
+    from .core import EMTS
+    from .exceptions import ConfigurationError
+    from .graph import load_ptg
+    from .mapping import map_allocations
+    from .obs import MetricsRegistry, Tracer
     from .online import FaultPlan, ReactionPolicy, execute_online
+    from .platform import by_name
+    from .timemodels import TimeTable
 
     if args.ptg:
         ptg = load_ptg(args.ptg)
@@ -474,7 +487,9 @@ def _cmd_scalability(args) -> int:
 
 
 def _cmd_convergence(args) -> int:
+    from .core import emts5, emts10
     from .experiments import run_convergence_study
+    from .platform import by_name
     from .workloads import DaggenParams, generate_daggen
 
     ptgs = [
@@ -513,9 +528,10 @@ def _cmd_convergence(args) -> int:
 
 
 def _cmd_campaign(args) -> int:
-    from .exceptions import CampaignError
+    from .exceptions import CampaignError, TraceError
     from .experiments import campaign_status
     from .experiments import figures as F
+    from .obs import MetricsRegistry
 
     if args.status:
         try:
@@ -590,6 +606,7 @@ def _cmd_campaign(args) -> int:
 
 
 def _cmd_report_trace(args) -> int:
+    from .exceptions import TraceError
     from .obs import render_trace_report
 
     try:
@@ -600,6 +617,8 @@ def _cmd_report_trace(args) -> int:
 
 
 def _cmd_corpus(args) -> int:
+    from .workloads import paper_corpus
+
     corpus = paper_corpus(seed=args.seed, scale=args.scale)
     print(corpus.summary())
     sizes = {
@@ -658,7 +677,7 @@ def _cmd_serve(args) -> int:
 def _cmd_submit(args) -> int:
     import json as _json
 
-    from .graph import ptg_to_dict
+    from .graph import load_ptg, ptg_to_dict
     from .service import (
         JobTimeout,
         QueueFullError,

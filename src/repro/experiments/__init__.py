@@ -11,35 +11,7 @@ Public API:
 * :func:`text_table`, :func:`write_csv` — report rendering.
 """
 
-from . import figures
-from .campaign import (
-    CampaignResult,
-    Trial,
-    TrialFailure,
-    campaign_status,
-    run_campaign,
-)
-from .convergence import ConvergenceResult, run_convergence_study
-from .harness import (
-    ComparisonResult,
-    RunRecord,
-    comparison_trials,
-    record_from_dict,
-    record_to_dict,
-    run_comparison,
-    run_comparison_campaign,
-)
-from .metrics import MeanCI, mean_confidence_interval, relative_makespans
-from .report import format_panel, text_table, write_csv
-from .runtime import RuntimeCell, RuntimeReport, measure_runtimes
-from .scalability import ScalabilityResult, run_scalability_sweep
-from .sensitivity import SensitivityResult, run_sensitivity_study
-from .variants import (
-    VariantOutcome,
-    VariantsResult,
-    compare_variants,
-    default_variant_panel,
-)
+from .._lazy import lazy_namespace
 
 __all__ = [
     "figures",
@@ -75,3 +47,41 @@ __all__ = [
     "compare_variants",
     "default_variant_panel",
 ]
+
+__getattr__, __dir__ = lazy_namespace(
+    globals(),
+    {
+        ".campaign": (
+            "CampaignResult",
+            "Trial",
+            "TrialFailure",
+            "campaign_status",
+            "run_campaign",
+        ),
+        ".convergence": ("ConvergenceResult", "run_convergence_study"),
+        ".harness": (
+            "ComparisonResult",
+            "RunRecord",
+            "comparison_trials",
+            "record_from_dict",
+            "record_to_dict",
+            "run_comparison",
+            "run_comparison_campaign",
+        ),
+        ".metrics": (
+            "MeanCI",
+            "mean_confidence_interval",
+            "relative_makespans",
+        ),
+        ".report": ("format_panel", "text_table", "write_csv"),
+        ".runtime": ("RuntimeCell", "RuntimeReport", "measure_runtimes"),
+        ".scalability": ("ScalabilityResult", "run_scalability_sweep"),
+        ".sensitivity": ("SensitivityResult", "run_sensitivity_study"),
+        ".variants": (
+            "VariantOutcome",
+            "VariantsResult",
+            "compare_variants",
+            "default_variant_panel",
+        ),
+    },
+)

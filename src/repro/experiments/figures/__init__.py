@@ -8,18 +8,7 @@
 * :func:`generate_figure6` — MCPA vs EMTS10 Gantt comparison.
 """
 
-from .comparison import (
-    PANEL_ORDER,
-    RelativeMakespanFigure,
-    build_panels,
-    run_relative_makespan_figure,
-)
-from .figure1 import Figure1Data, generate_figure1
-from .figure2 import Figure2Data, generate_figure2
-from .figure3 import Figure3Data, generate_figure3
-from .figure4 import generate_figure4
-from .figure5 import Figure5Data, generate_figure5
-from .figure6 import Figure6Data, generate_figure6
+from ..._lazy import lazy_namespace
 
 __all__ = [
     "PANEL_ORDER",
@@ -38,3 +27,21 @@ __all__ = [
     "Figure6Data",
     "generate_figure6",
 ]
+
+__getattr__, __dir__ = lazy_namespace(
+    globals(),
+    {
+        ".comparison": (
+            "PANEL_ORDER",
+            "RelativeMakespanFigure",
+            "build_panels",
+            "run_relative_makespan_figure",
+        ),
+        ".figure1": ("Figure1Data", "generate_figure1"),
+        ".figure2": ("Figure2Data", "generate_figure2"),
+        ".figure3": ("Figure3Data", "generate_figure3"),
+        ".figure4": ("generate_figure4",),
+        ".figure5": ("Figure5Data", "generate_figure5"),
+        ".figure6": ("Figure6Data", "generate_figure6"),
+    },
+)

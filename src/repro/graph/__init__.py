@@ -14,35 +14,7 @@ Public API:
 * :func:`save_ptg` / :func:`load_ptg` and corpus variants — JSON I/O.
 """
 
-from .analysis import (
-    CSRAdjacency,
-    bottom_levels,
-    critical_path,
-    critical_path_length,
-    csr_adjacency,
-    delta_critical_sets,
-    graph_width,
-    level_members,
-    precedence_levels,
-    top_levels,
-)
-from .builder import PTGBuilder, chain, fork_join
-from .io import (
-    load_corpus,
-    load_ptg,
-    ptg_from_dict,
-    ptg_to_dict,
-    ptg_to_dot,
-    save_corpus,
-    save_ptg,
-)
-from .ptg import PTG, Task
-from .validation import (
-    ValidationReport,
-    is_connected,
-    is_layered,
-    validate_ptg,
-)
+from .._lazy import lazy_namespace
 
 __all__ = [
     "Task",
@@ -72,3 +44,38 @@ __all__ = [
     "load_corpus",
     "ptg_to_dot",
 ]
+
+__getattr__, __dir__ = lazy_namespace(
+    globals(),
+    {
+        ".analysis": (
+            "CSRAdjacency",
+            "bottom_levels",
+            "critical_path",
+            "critical_path_length",
+            "csr_adjacency",
+            "delta_critical_sets",
+            "graph_width",
+            "level_members",
+            "precedence_levels",
+            "top_levels",
+        ),
+        ".builder": ("PTGBuilder", "chain", "fork_join"),
+        ".io": (
+            "load_corpus",
+            "load_ptg",
+            "ptg_from_dict",
+            "ptg_to_dict",
+            "ptg_to_dot",
+            "save_corpus",
+            "save_ptg",
+        ),
+        ".ptg": ("PTG", "Task"),
+        ".validation": (
+            "ValidationReport",
+            "is_connected",
+            "is_layered",
+            "validate_ptg",
+        ),
+    },
+)

@@ -103,11 +103,7 @@ def csr_adjacency(ptg: PTG) -> CSRAdjacency:
         dtype=np.int64,
         count=n,
     )
-    in_degree = np.fromiter(
-        (len(ptg.predecessors(v)) for v in range(n)),
-        dtype=np.int64,
-        count=n,
-    )
+    in_degree = np.array(ptg.in_degrees, dtype=np.int64)
     succ_indptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(out_degree, out=succ_indptr[1:])
     pred_indptr = np.zeros(n + 1, dtype=np.int64)

@@ -117,6 +117,7 @@ class PTG:
         "_preds",
         "_succs",
         "_edges",
+        "_in_degree",
         "_order",
         "_topo",
         "_work",
@@ -170,6 +171,7 @@ class PTG:
         self._succs: tuple[tuple[int, ...], ...] = tuple(
             tuple(sorted(s)) for s in succs
         )
+        self._in_degree: tuple[int, ...] = tuple(len(p) for p in preds)
         self._order: tuple[int, ...] = self._toposort()
         self._topo: np.ndarray = np.asarray(self._order, dtype=np.int64)
         self._work = np.array([t.work for t in self._tasks], dtype=np.float64)
@@ -188,7 +190,7 @@ class PTG:
     def _toposort(self) -> tuple[int, ...]:
         """Kahn's algorithm; raises :class:`CycleError` on cycles."""
         n = len(self._tasks)
-        indeg = [len(p) for p in self._preds]
+        indeg = list(self._in_degree)
         stack = [i for i in range(n) if indeg[i] == 0]
         order: list[int] = []
         while stack:
@@ -271,6 +273,11 @@ class PTG:
     def successors(self, i: int) -> tuple[int, ...]:
         """Indices of tasks that depend on task ``i``."""
         return self._succs[i]
+
+    @property
+    def in_degrees(self) -> tuple[int, ...]:
+        """Number of predecessors of each task, in index order."""
+        return self._in_degree
 
     @property
     def sources(self) -> tuple[int, ...]:

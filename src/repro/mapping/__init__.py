@@ -17,23 +17,7 @@ Public API:
 * :func:`ascii_gantt` / :func:`svg_gantt` — Gantt rendering (Figure 6).
 """
 
-from .gantt import ascii_gantt, save_svg_gantt, svg_gantt
-from .io import (
-    load_schedule,
-    save_schedule,
-    schedule_from_dict,
-    schedule_to_dict,
-)
-from .kernel import ScheduleKernel, kernel_for
-from .list_scheduler import (
-    PRIORITIES,
-    check_allocation,
-    makespan_lower_bound,
-    makespan_of,
-    map_allocations,
-)
-from .processor_state import ProcessorState
-from .schedule import Schedule, ScheduledTask
+from .._lazy import lazy_namespace
 
 __all__ = [
     "map_allocations",
@@ -54,3 +38,26 @@ __all__ = [
     "save_schedule",
     "load_schedule",
 ]
+
+__getattr__, __dir__ = lazy_namespace(
+    globals(),
+    {
+        ".gantt": ("ascii_gantt", "save_svg_gantt", "svg_gantt"),
+        ".io": (
+            "load_schedule",
+            "save_schedule",
+            "schedule_from_dict",
+            "schedule_to_dict",
+        ),
+        ".kernel": ("ScheduleKernel", "kernel_for"),
+        ".list_scheduler": (
+            "PRIORITIES",
+            "check_allocation",
+            "makespan_lower_bound",
+            "makespan_of",
+            "map_allocations",
+        ),
+        ".processor_state": ("ProcessorState",),
+        ".schedule": ("Schedule", "ScheduledTask"),
+    },
+)

@@ -51,7 +51,7 @@ import heapq
 import numpy as np
 
 from ..exceptions import AllocationError
-from ..graph import PTG, bottom_levels, csr_adjacency
+from ..graph import PTG, bottom_levels
 from ..graph.analysis import bottom_level_list
 from ..timemodels import TimeTable
 from .kernel import ScheduleKernel, abort_limits, check_allocation, kernel_for
@@ -181,7 +181,7 @@ def _run(
 
     V = ptg.num_tasks
     sink_limit, inner_limit = abort_limits(abort_above, V)
-    n_waiting = csr_adjacency(ptg).in_degree.tolist()
+    n_waiting = list(ptg.in_degrees)
     data_ready = (
         [0.0] * V
         if release is None

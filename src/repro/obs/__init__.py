@@ -32,61 +32,7 @@ disabled (gated by ``benchmarks/check_perf.py``); enable it per run via
 ``--metrics-out`` CLI flags.
 """
 
-from .assemble import (
-    SpanNode,
-    TraceTree,
-    assemble_traces,
-    canonical_tree,
-    load_trace,
-)
-from .flight import (
-    FlightRecorder,
-    arm_crash_dump,
-    flight_recorder,
-    read_flight_dump,
-    reset_flight_recorder,
-)
-from .instrument import ObservedEvaluator, run_metrics
-from .log import (
-    JsonFormatter,
-    LOG_LEVELS,
-    configure_logging,
-    get_logger,
-    reset_logging,
-)
-from .metrics import (
-    Counter,
-    DEFAULT_SECONDS_BUCKETS,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-)
-from .report import render_trace_report, run_phases
-from .slo import (
-    SLOEngine,
-    SLOSpec,
-    default_service_slos,
-    evaluate_bench,
-)
-from .trace import (
-    EVENT_KINDS,
-    SUPPORTED_TRACE_VERSIONS,
-    TRACE_FORMAT,
-    TRACE_VERSION,
-    TraceContext,
-    TraceEvent,
-    Tracer,
-    canonical_events,
-    current_context,
-    derive_span_id,
-    derive_trace_id,
-    phase,
-    read_trace,
-    read_trace_prefix,
-    strip_timestamps,
-    use_context,
-    validate_event,
-)
+from .._lazy import lazy_namespace
 
 __all__ = [
     # metrics
@@ -142,3 +88,64 @@ __all__ = [
     "render_trace_report",
     "run_phases",
 ]
+
+__getattr__, __dir__ = lazy_namespace(
+    globals(),
+    {
+        ".assemble": (
+            "SpanNode",
+            "TraceTree",
+            "assemble_traces",
+            "canonical_tree",
+            "load_trace",
+        ),
+        ".flight": (
+            "FlightRecorder",
+            "arm_crash_dump",
+            "flight_recorder",
+            "read_flight_dump",
+            "reset_flight_recorder",
+        ),
+        ".instrument": ("ObservedEvaluator", "run_metrics"),
+        ".log": (
+            "JsonFormatter",
+            "LOG_LEVELS",
+            "configure_logging",
+            "get_logger",
+            "reset_logging",
+        ),
+        ".metrics": (
+            "Counter",
+            "DEFAULT_SECONDS_BUCKETS",
+            "Gauge",
+            "Histogram",
+            "MetricsRegistry",
+        ),
+        ".report": ("render_trace_report", "run_phases"),
+        ".slo": (
+            "SLOEngine",
+            "SLOSpec",
+            "default_service_slos",
+            "evaluate_bench",
+        ),
+        ".trace": (
+            "EVENT_KINDS",
+            "SUPPORTED_TRACE_VERSIONS",
+            "TRACE_FORMAT",
+            "TRACE_VERSION",
+            "TraceContext",
+            "TraceEvent",
+            "Tracer",
+            "canonical_events",
+            "current_context",
+            "derive_span_id",
+            "derive_trace_id",
+            "phase",
+            "read_trace",
+            "read_trace_prefix",
+            "strip_timestamps",
+            "use_context",
+            "validate_event",
+        ),
+    },
+)

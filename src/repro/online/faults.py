@@ -7,9 +7,10 @@ reproducible (two runs with the same plan see byte-identical fault
 sequences) and serialisable into experiment manifests.
 
 Plans can be written literally or drawn from a seed with
-:meth:`FaultPlan.sampled`, which reuses the same per-index sampling
-primitive as :meth:`repro.testing.ChaosPlan.sampled` — one chaos
-vocabulary across the evaluation pool and the execution runtime.
+:meth:`FaultPlan.sampled`, which draws with the same per-index
+sampling primitive (:func:`repro._rng.sample_indices`) as
+:meth:`repro.testing.ChaosPlan.sampled` — one chaos vocabulary across
+the evaluation pool and the execution runtime.
 """
 
 from __future__ import annotations
@@ -18,8 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .._rng import sample_indices
 from ..exceptions import ConfigurationError
-from ..testing.chaos import sample_indices
 
 __all__ = ["ProcessorCrash", "TaskFailure", "Straggler", "FaultPlan"]
 

@@ -8,44 +8,7 @@ crash-only job spool (:mod:`.jobs`) and a small client (:mod:`.client`)
 used by ``repro-emts submit`` and the load bench.
 """
 
-from .cache import (
-    CacheStats,
-    PreparedProblem,
-    ResultCache,
-    WarmCache,
-    prepare_problem,
-)
-from .client import (
-    JobTimeout,
-    QueueFullError,
-    ServiceClient,
-    ServiceUnavailable,
-    mint_trace_field,
-)
-from .jobs import DEFAULT_IDEMPOTENCY_ENTRIES, JOB_STATES, Job, JobStore
-from .protocol import (
-    KNOWN_ALGORITHMS,
-    KNOWN_MODELS,
-    KNOWN_PLATFORMS,
-    PROTOCOL_VERSION,
-    SEMANTIC_KEYS,
-    ScheduleRequest,
-    canonical_json,
-    parse_request,
-    problem_digest,
-    request_trace_context,
-    result_key,
-)
-from .queue import QUEUE_WAIT_BUCKETS, FairQueue, QueueFull
-from .retry import (
-    DEFAULT_RETRY_LEDGER,
-    RetryingServiceClient,
-    RetryPolicy,
-    RetryStats,
-    new_idempotency_key,
-)
-from .server import SchedulingService, serve
-from .worker import WorkerPool, run_request
+from .._lazy import lazy_namespace
 
 __all__ = [
     "ScheduleRequest",
@@ -86,3 +49,52 @@ __all__ = [
     "DEFAULT_RETRY_LEDGER",
     "new_idempotency_key",
 ]
+
+__getattr__, __dir__ = lazy_namespace(
+    globals(),
+    {
+        ".cache": (
+            "CacheStats",
+            "PreparedProblem",
+            "ResultCache",
+            "WarmCache",
+            "prepare_problem",
+        ),
+        ".client": (
+            "JobTimeout",
+            "QueueFullError",
+            "ServiceClient",
+            "ServiceUnavailable",
+            "mint_trace_field",
+        ),
+        ".jobs": (
+            "DEFAULT_IDEMPOTENCY_ENTRIES",
+            "JOB_STATES",
+            "Job",
+            "JobStore",
+        ),
+        ".protocol": (
+            "KNOWN_ALGORITHMS",
+            "KNOWN_MODELS",
+            "KNOWN_PLATFORMS",
+            "PROTOCOL_VERSION",
+            "SEMANTIC_KEYS",
+            "ScheduleRequest",
+            "canonical_json",
+            "parse_request",
+            "problem_digest",
+            "request_trace_context",
+            "result_key",
+        ),
+        ".queue": ("QUEUE_WAIT_BUCKETS", "FairQueue", "QueueFull"),
+        ".retry": (
+            "DEFAULT_RETRY_LEDGER",
+            "RetryingServiceClient",
+            "RetryPolicy",
+            "RetryStats",
+            "new_idempotency_key",
+        ),
+        ".server": ("SchedulingService", "serve"),
+        ".worker": ("WorkerPool", "run_request"),
+    },
+)

@@ -452,7 +452,14 @@ class SchedulingService:
         for line in lines[1:]:
             name, _, value = line.partition(":")
             headers[name.strip().lower()] = value.strip()
-        length = int(headers.get("content-length", "0") or "0")
+        raw_length = headers.get("content-length", "0") or "0"
+        if not (raw_length.isascii() and raw_length.isdigit()):
+            raise ServiceError(
+                f"malformed Content-Length {raw_length!r}",
+                code="bad-request",
+                status=400,
+            )
+        length = int(raw_length)
         if length > _MAX_BODY:
             raise ServiceError(
                 f"request body too large ({length} bytes)",

@@ -21,18 +21,7 @@ planned batch index or connection ordinal, so a chaos test is exactly
 reproducible.
 """
 
-from .chaos import ChaosError, ChaosEvaluator, ChaosPlan, sample_indices
-from .chaos_service import (
-    CORRUPTION_MODES,
-    ChaosProxy,
-    DaemonStartupError,
-    ProxyPlan,
-    ServiceDaemon,
-    corrupt_record,
-    quarantined_files,
-    spool_job_ids,
-)
-from .unbounded import Unbounded
+from .._lazy import lazy_namespace
 
 __all__ = [
     "ChaosError",
@@ -49,3 +38,22 @@ __all__ = [
     "quarantined_files",
     "Unbounded",
 ]
+
+__getattr__, __dir__ = lazy_namespace(
+    globals(),
+    {
+        ".._rng": ("sample_indices",),
+        ".chaos": ("ChaosError", "ChaosEvaluator", "ChaosPlan"),
+        ".chaos_service": (
+            "CORRUPTION_MODES",
+            "ChaosProxy",
+            "DaemonStartupError",
+            "ProxyPlan",
+            "ServiceDaemon",
+            "corrupt_record",
+            "quarantined_files",
+            "spool_job_ids",
+        ),
+        ".unbounded": ("Unbounded",),
+    },
+)

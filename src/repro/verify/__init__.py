@@ -20,13 +20,7 @@ Public API:
 
 from __future__ import annotations
 
-from .differential import DifferentialReport, differential_check
-from .evaluator import (
-    DEFAULT_SAMPLE_INTERVAL,
-    VERIFY_MODES,
-    VerifyingEvaluator,
-)
-from .verifier import VIOLATION_KINDS, ScheduleVerifier, VerificationReport
+from .._lazy import lazy_namespace
 
 __all__ = [
     "ScheduleVerifier",
@@ -38,3 +32,20 @@ __all__ = [
     "VERIFY_MODES",
     "DEFAULT_SAMPLE_INTERVAL",
 ]
+
+__getattr__, __dir__ = lazy_namespace(
+    globals(),
+    {
+        ".differential": ("DifferentialReport", "differential_check"),
+        ".evaluator": (
+            "DEFAULT_SAMPLE_INTERVAL",
+            "VERIFY_MODES",
+            "VerifyingEvaluator",
+        ),
+        ".verifier": (
+            "VIOLATION_KINDS",
+            "ScheduleVerifier",
+            "VerificationReport",
+        ),
+    },
+)

@@ -12,30 +12,7 @@ Public API:
   evaluation set.
 """
 
-from .complexities import (
-    ALPHA_MAX,
-    A_MAX,
-    A_MIN,
-    MAX_DATA_SIZE,
-    MIN_DATA_SIZE,
-    ComplexityPattern,
-    TaskSpec,
-    flop_count,
-    sample_task_spec,
-    sample_task_specs,
-)
-from .corpus import (
-    Corpus,
-    fft_corpus,
-    irregular_corpus,
-    layered_corpus,
-    paper_corpus,
-    strassen_corpus,
-)
-from .daggen import DaggenParams, generate_daggen
-from .fft import FFT_LEVELS, fft_task_count, generate_fft
-from .strassen import generate_strassen, strassen_task_count
-from .workflows import generate_montage, generate_pipeline_ensemble
+from .._lazy import lazy_namespace
 
 __all__ = [
     "ComplexityPattern",
@@ -64,3 +41,33 @@ __all__ = [
     "layered_corpus",
     "irregular_corpus",
 ]
+
+__getattr__, __dir__ = lazy_namespace(
+    globals(),
+    {
+        ".complexities": (
+            "ALPHA_MAX",
+            "A_MAX",
+            "A_MIN",
+            "MAX_DATA_SIZE",
+            "MIN_DATA_SIZE",
+            "ComplexityPattern",
+            "TaskSpec",
+            "flop_count",
+            "sample_task_spec",
+            "sample_task_specs",
+        ),
+        ".corpus": (
+            "Corpus",
+            "fft_corpus",
+            "irregular_corpus",
+            "layered_corpus",
+            "paper_corpus",
+            "strassen_corpus",
+        ),
+        ".daggen": ("DaggenParams", "generate_daggen"),
+        ".fft": ("FFT_LEVELS", "fft_task_count", "generate_fft"),
+        ".strassen": ("generate_strassen", "strassen_task_count"),
+        ".workflows": ("generate_montage", "generate_pipeline_ensemble"),
+    },
+)

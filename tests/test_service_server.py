@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import socket
 import threading
 
 import pytest
@@ -153,6 +154,43 @@ class TestEndpoints:
         _, client = live_service
         status, _, _ = client._request("GET", "/nonsuch")
         assert status == 404
+
+
+def raw_exchange(port: int, request: bytes) -> tuple[int, dict]:
+    """Send raw request bytes; return the reply's status and JSON body."""
+    with socket.create_connection(("127.0.0.1", port), timeout=10) as sock:
+        sock.sendall(request)
+        reply = b""
+        while chunk := sock.recv(65536):
+            reply += chunk
+    head, _, body = reply.partition(b"\r\n\r\n")
+    assert head, "the daemon closed the connection without a reply"
+    return int(head.split(b" ", 2)[1]), json.loads(body)
+
+
+class TestRequestFraming:
+    @pytest.mark.parametrize("length", ["abc", "-5", "1_0"])
+    def test_malformed_content_length_is_400(self, live_service, length):
+        service, client = live_service
+        status, doc = raw_exchange(
+            service.bound_port,
+            b"POST /v1/jobs HTTP/1.1\r\nHost: test\r\n"
+            + f"Content-Length: {length}\r\n\r\n".encode("ascii"),
+        )
+        assert status == 400
+        assert doc["error"]["code"] == "bad-request"
+        assert client.healthz() == {"status": "ok"}
+
+    def test_oversized_content_length_is_413(self, live_service):
+        service, client = live_service
+        status, doc = raw_exchange(
+            service.bound_port,
+            b"POST /v1/jobs HTTP/1.1\r\nHost: test\r\n"
+            b"Content-Length: 999999999\r\n\r\n",
+        )
+        assert status == 413
+        assert doc["error"]["code"] == "too-large"
+        assert client.healthz() == {"status": "ok"}
 
 
 class TestBackpressureHTTP:
