@@ -92,7 +92,8 @@ def test_kernel_fitness_reference(benchmark, problem):
 
 def test_kernel_build(benchmark, problem):
     """One-off ScheduleKernel construction per (PTG, platform, model):
-    CSR flattening, dense table, library binding."""
+    dense table and library binding (the PTG's graph arrays are built
+    once, at the first call, and bound without a copy)."""
     ptg, _, table = problem
     kernel = benchmark(ScheduleKernel, ptg, table)
     assert kernel.num_tasks == ptg.num_tasks

@@ -31,8 +31,9 @@ the stop test ``T_CP <= area / k``.
 
 **Native path.**  When the compiled library of
 :mod:`repro.mapping._cscheduler` loads, the whole loop runs in one C
-call (``cpa_allocate``) over the PTG's cached CSR arrays, on per-call
-buffers — safe from concurrent threads, and no
+call (``cpa_allocate``) over the PTG's own int32 arrays
+(:attr:`~repro.graph.PTG.arrays`, the ones the scheduling kernel binds),
+on per-call buffers — safe from concurrent threads, and no
 :class:`~repro.mapping.ScheduleKernel` is built.  A growth step then
 costs 0.3–1.4 µs on the paper's graphs, against 17–79 µs for the Python
 loop (``results/seeding_speedup.txt``).
@@ -54,13 +55,7 @@ from typing import NamedTuple
 import numpy as np
 
 from ..exceptions import AllocationError
-from ..graph import (
-    PTG,
-    bottom_levels,
-    csr_adjacency,
-    precedence_levels,
-    top_levels,
-)
+from ..graph import PTG, bottom_levels, precedence_levels, top_levels
 from ..graph.analysis import bottom_level_list, top_level_list
 from ..mapping import _cscheduler
 from ..timemodels import TimeTable
@@ -94,7 +89,7 @@ class _Loop(NamedTuple):
     ptg: PTG
     table: np.ndarray  # C-contiguous (V, P) execution times
     caps: np.ndarray  # int64 per-task ceilings, each <= P
-    levels: np.ndarray | None  # precedence levels under MCPA's budget
+    levels: np.ndarray | None  # int32 precedence levels, MCPA's budget
     area: float  # sum_v T(v, 1), summed by numpy
     divisor: int  # k of the stop test T_CP <= area / k
     allow_negative_gain: bool
@@ -152,30 +147,30 @@ def _grow_python(loop: _Loop) -> tuple[np.ndarray, int]:
 def _grow_native(loop: _Loop, ffi, lib) -> tuple[np.ndarray, int]:
     """The growth loop as one ``cpa_allocate`` call."""
     V, P = loop.table.shape
-    csr = csr_adjacency(loop.ptg)
+    graph = loop.ptg.arrays
     alloc = np.empty(V, dtype=np.int64)
 
-    def ptr(arr: np.ndarray):
-        return ffi.cast("const int64_t *", arr.ctypes.data)
+    def ptr(arr: np.ndarray, ctype: str = "const int32_t *"):
+        return ffi.cast(ctype, arr.ctypes.data)
 
     levels = loop.levels
     steps = lib.cpa_allocate(
         V,
         P,
-        ffi.cast("const double *", loop.table.ctypes.data),
-        ptr(loop.ptg.topological_order),
-        ptr(csr.succ_indptr),
-        ptr(csr.succ_indices),
-        ptr(csr.pred_indptr),
-        ptr(csr.pred_indices),
-        ptr(loop.caps),
+        ptr(loop.table, "const double *"),
+        ptr(graph.order),
+        ptr(graph.succ_indptr),
+        ptr(graph.succ_indices),
+        ptr(graph.pred_indptr),
+        ptr(graph.pred_indices),
+        ptr(loop.caps, "const int64_t *"),
         ffi.NULL if levels is None else ptr(levels),
         0 if levels is None else int(levels.max()) + 1,
         loop.area,
         loop.divisor,
         loop.allow_negative_gain,
         loop.limit,
-        ffi.cast("int64_t *", alloc.ctypes.data),
+        ptr(alloc, "int64_t *"),
     )
     if steps < 0:
         raise MemoryError("cpa_allocate could not allocate its buffers")

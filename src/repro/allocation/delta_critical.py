@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..graph import PTG, bottom_levels, level_members
+from ..graph import PTG, delta_critical_sets
 from ..timemodels import TimeTable
 from .base import AllocationHeuristic
 
@@ -49,13 +49,9 @@ class DeltaCriticalAllocator(AllocationHeuristic):
 
     def allocate(self, ptg: PTG, table: TimeTable) -> np.ndarray:
         P = table.num_processors
-        ones = np.ones(ptg.num_tasks, dtype=np.int64)
-        # bottom levels under the all-ones allocation, as the paper states
-        bl = bottom_levels(ptg, table.times_for(ones))
         alloc = np.ones(ptg.num_tasks, dtype=np.int64)
-        for members in level_members(ptg):
-            level_max = bl[members].max()
-            critical = members[bl[members] >= self.delta * level_max]
-            share = max(1, P // critical.size)
-            alloc[critical] = share
+        # bottom levels under the all-ones allocation, as the paper states
+        times = table.times_for(alloc)
+        for critical in delta_critical_sets(ptg, times, self.delta):
+            alloc[critical] = max(1, P // critical.size)
         return alloc

@@ -32,8 +32,14 @@ from __future__ import annotations
 import argparse
 import sys
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from .obs import LOG_LEVELS, configure_logging
+
+if TYPE_CHECKING:  # pragma: no cover - hints only
+    from .graph import PTG
+    from .platform import Cluster
+    from .timemodels import ExecutionTimeModel
 
 __all__ = ["main", "build_parser"]
 
@@ -66,22 +72,12 @@ def _run_profiled(func, args) -> int:
 
 
 def _make_model(name: str) -> ExecutionTimeModel:
-    from .timemodels import AmdahlModel, DowneyModel, SyntheticModel
+    from .timemodels import model_by_name
 
-    models = {
-        "model1": AmdahlModel,
-        "amdahl": AmdahlModel,
-        "model2": SyntheticModel,
-        "synthetic": SyntheticModel,
-        "downey": DowneyModel,
-    }
     try:
-        return models[name.lower()]()
-    except KeyError:
-        known = ", ".join(sorted(models))
-        raise SystemExit(
-            f"unknown model {name!r}; known models: {known}"
-        ) from None
+        return model_by_name(name)
+    except KeyError as exc:
+        raise SystemExit(exc.args[0]) from None
 
 
 def _make_algorithm(
@@ -138,6 +134,20 @@ def _generate_ptg(args) -> PTG:
     raise SystemExit(f"unknown PTG kind {args.kind!r}")
 
 
+def _input_ptg(args) -> PTG:
+    """The ``--ptg`` file, or without one the generated graph; a file
+    that does not hold a PTG ends the command with a message naming it."""
+    if not args.ptg:
+        return _generate_ptg(args)
+    from .exceptions import GraphError
+    from .graph import load_ptg
+
+    try:
+        return load_ptg(args.ptg)
+    except GraphError as exc:
+        raise SystemExit(f"ptg error: {exc}") from exc
+
+
 # ----------------------------------------------------------------------
 def _cmd_generate(args) -> int:
     from .graph import ptg_to_dot, save_ptg
@@ -159,16 +169,12 @@ def _cmd_schedule(args) -> int:
     from .allocation import AllocationHeuristic
     from .core import EMTS
     from .exceptions import CheckpointError, TraceError
-    from .graph import load_ptg
     from .mapping import map_allocations
     from .obs import MetricsRegistry
     from .platform import by_name
     from .timemodels import TimeTable
 
-    if args.ptg:
-        ptg = load_ptg(args.ptg)
-    else:
-        ptg = _generate_ptg(args)
+    ptg = _input_ptg(args)
     cluster: Cluster = by_name(args.platform)
     model = _make_model(args.model)
     table = TimeTable.build(model, ptg, cluster)
@@ -283,17 +289,13 @@ def _cmd_online(args) -> int:
     from .allocation import AllocationHeuristic
     from .core import EMTS
     from .exceptions import ConfigurationError
-    from .graph import load_ptg
     from .mapping import map_allocations
     from .obs import MetricsRegistry, Tracer
     from .online import FaultPlan, ReactionPolicy, execute_online
     from .platform import by_name
     from .timemodels import TimeTable
 
-    if args.ptg:
-        ptg = load_ptg(args.ptg)
-    else:
-        ptg = _generate_ptg(args)
+    ptg = _input_ptg(args)
     cluster: Cluster = by_name(args.platform)
     model = _make_model(args.model)
     table = TimeTable.build(model, ptg, cluster)
@@ -677,7 +679,7 @@ def _cmd_serve(args) -> int:
 def _cmd_submit(args) -> int:
     import json as _json
 
-    from .graph import load_ptg, ptg_to_dict
+    from .graph import ptg_to_dict
     from .service import (
         JobTimeout,
         QueueFullError,
@@ -687,10 +689,7 @@ def _cmd_submit(args) -> int:
     )
     from .exceptions import ServiceError
 
-    if args.ptg:
-        ptg = load_ptg(args.ptg)
-    else:
-        ptg = _generate_ptg(args)
+    ptg = _input_ptg(args)
     request = {
         "ptg": ptg_to_dict(ptg),
         "platform": args.platform,

@@ -6,10 +6,9 @@ Public API:
 * :class:`PTGBuilder`, :func:`chain`, :func:`fork_join` — construction;
 * :func:`bottom_levels`, :func:`top_levels`, :func:`precedence_levels`,
   :func:`critical_path`, :func:`delta_critical_sets` — graph analyses the
-  schedulers rely on;
-* :func:`csr_adjacency` / :class:`CSRAdjacency` — the DAG flattened to
-  CSR index arrays (built once per PTG, shared by the compiled
-  scheduling kernel and the native CPA-family loop);
+  schedulers rely on (``PTG.arrays`` is the DAG as int32 index arrays,
+  built once per PTG and read by the compiled scheduling kernel and the
+  native CPA-family loop);
 * :func:`validate_ptg` — soft structural checks;
 * :func:`save_ptg` / :func:`load_ptg` and corpus variants — JSON I/O.
 """
@@ -22,8 +21,6 @@ __all__ = [
     "PTGBuilder",
     "chain",
     "fork_join",
-    "CSRAdjacency",
-    "csr_adjacency",
     "bottom_levels",
     "top_levels",
     "precedence_levels",
@@ -49,11 +46,9 @@ __getattr__, __dir__ = lazy_namespace(
     globals(),
     {
         ".analysis": (
-            "CSRAdjacency",
             "bottom_levels",
             "critical_path",
             "critical_path_length",
-            "csr_adjacency",
             "delta_critical_sets",
             "graph_width",
             "level_members",

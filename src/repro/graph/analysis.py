@@ -28,12 +28,11 @@ sweep once per genome of the online EMTS rung, on frontiers of a few
 tasks, and the Python CPA growth loop once per growth step; at those
 sizes numpy's per-call dispatch would cost more than the sweep.  The
 compiled paths (the C slot loop and ``cpa_allocate``) sweep in C over
-:class:`CSRAdjacency`.
+the PTG's own int32 arrays (:attr:`~repro.graph.PTG.arrays`), which also
+hold the precedence levels.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -41,8 +40,6 @@ from ..exceptions import ValidationError
 from .ptg import PTG
 
 __all__ = [
-    "CSRAdjacency",
-    "csr_adjacency",
     "bottom_levels",
     "top_levels",
     "bottom_level_list",
@@ -54,94 +51,6 @@ __all__ = [
     "delta_critical_sets",
     "graph_width",
 ]
-
-
-@dataclass(frozen=True)
-class CSRAdjacency:
-    """The PTG's adjacency flattened to CSR index arrays.
-
-    One shared, immutable analysis per PTG (cached on the graph): the
-    compiled scheduling kernel and the native CPA-family growth loop
-    walk the DAG through these arrays; the Python sweeps of this module
-    use the PTG's own tuples.
-
-    ``succ_indices[succ_indptr[v]:succ_indptr[v+1]]`` are the successors
-    of task ``v`` (sorted by index); the ``pred_*`` pair is the reverse
-    adjacency.  ``edge_src``/``edge_dst`` list every edge in successor-CSR
-    order (grouped by source, destinations ascending) — a deterministic
-    ordering shared by every consumer.
-    """
-
-    succ_indptr: np.ndarray
-    succ_indices: np.ndarray
-    pred_indptr: np.ndarray
-    pred_indices: np.ndarray
-    in_degree: np.ndarray
-    out_degree: np.ndarray
-    edge_src: np.ndarray
-    edge_dst: np.ndarray
-
-    @property
-    def num_tasks(self) -> int:
-        """Number of nodes ``V``."""
-        return self.in_degree.shape[0]
-
-    @property
-    def num_edges(self) -> int:
-        """Number of edges ``E``."""
-        return self.succ_indices.shape[0]
-
-
-def csr_adjacency(ptg: PTG) -> CSRAdjacency:
-    """The CSR view of ``ptg`` (built once, cached on the graph)."""
-    cached = ptg._csr_cache
-    if cached is not None:
-        return cached
-    n = ptg.num_tasks
-    out_degree = np.fromiter(
-        (len(ptg.successors(v)) for v in range(n)),
-        dtype=np.int64,
-        count=n,
-    )
-    in_degree = np.array(ptg.in_degrees, dtype=np.int64)
-    succ_indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(out_degree, out=succ_indptr[1:])
-    pred_indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(in_degree, out=pred_indptr[1:])
-    e = int(succ_indptr[-1])
-    succ_indices = np.fromiter(
-        (w for v in range(n) for w in ptg.successors(v)),
-        dtype=np.int64,
-        count=e,
-    )
-    pred_indices = np.fromiter(
-        (u for v in range(n) for u in ptg.predecessors(v)),
-        dtype=np.int64,
-        count=e,
-    )
-    edge_src = np.repeat(np.arange(n, dtype=np.int64), out_degree)
-    csr = CSRAdjacency(
-        succ_indptr=succ_indptr,
-        succ_indices=succ_indices,
-        pred_indptr=pred_indptr,
-        pred_indices=pred_indices,
-        in_degree=in_degree,
-        out_degree=out_degree,
-        edge_src=edge_src,
-        edge_dst=succ_indices,
-    )
-    for arr in (
-        succ_indptr,
-        succ_indices,
-        pred_indptr,
-        pred_indices,
-        in_degree,
-        out_degree,
-        edge_src,
-    ):
-        arr.setflags(write=False)
-    ptg._csr_cache = csr
-    return csr
 
 
 def _check_times(ptg: PTG, times: np.ndarray) -> np.ndarray:
@@ -219,25 +128,17 @@ def precedence_levels(ptg: PTG) -> np.ndarray:
     """Depth of each task from the sources, in hops.
 
     Sources are level 0; any other task sits one level below its deepest
-    predecessor.  The result is cached on the PTG (it depends only on
-    structure, never on execution times).
+    predecessor.  The result is the read-only int32 ``level`` array of
+    :attr:`PTG.arrays <repro.graph.PTG.arrays>`, built once per PTG (it
+    depends only on structure, never on execution times).
     """
-    cached = ptg._levels
-    if cached is not None:
-        return cached
-    lv = np.zeros(ptg.num_tasks, dtype=np.int64)
-    for v in ptg.topological_order:
-        preds = ptg.predecessors(int(v))
-        if preds:
-            lv[v] = max(lv[u] for u in preds) + 1
-    ptg._levels = lv
-    return lv
+    return ptg.arrays.level
 
 
 def level_members(ptg: PTG) -> list[np.ndarray]:
     """Indices of the tasks on each precedence level.
 
-    ``level_members(g)[k]`` is an int64 array with the tasks whose
+    ``level_members(g)[k]`` is an index array with the tasks whose
     precedence level is ``k``.
     """
     lv = precedence_levels(ptg)

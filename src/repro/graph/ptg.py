@@ -15,22 +15,29 @@ A PTG is a directed acyclic graph whose nodes are *moldable* parallel tasks
 The class is designed for the hot loop of the evolutionary optimizer: node
 attributes are mirrored into NumPy arrays, predecessor/successor lists are
 stored as tuples of integer indices, and a topological order is computed
-once at construction, kept as a tuple (for the list sweeps of
-:mod:`repro.graph.analysis`) and as an int64 array.  Instances are
-immutable after construction (builders live in
-:mod:`repro.graph.builder`).
+once at construction.  The tuples serve the Python sweeps of
+:mod:`repro.graph.analysis` and the reference mapper.  :attr:`PTG.arrays`
+is the graph's one array form (:class:`GraphArrays`: topological order,
+successor and predecessor CSR, in-degrees and precedence levels, all
+read-only int32), built from the tuples at first use; the compiled
+scheduling kernel, the native CPA-family loop and
+:func:`~repro.graph.analysis.precedence_levels` read it as it is.
+:meth:`PTG.induced` cuts a sub-graph (an online frontier) out of a PTG
+without validating or sorting it again.  Instances are immutable after
+construction (builders live in :mod:`repro.graph.builder`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, Sequence
+from itertools import accumulate, chain
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
 from ..exceptions import CycleError, GraphError
 
-__all__ = ["Task", "PTG"]
+__all__ = ["Task", "PTG", "GraphArrays"]
 
 
 @dataclass(frozen=True)
@@ -89,6 +96,25 @@ class Task:
         return Task(**current)
 
 
+class GraphArrays(NamedTuple):
+    """A PTG's structure as read-only int32 arrays (:attr:`PTG.arrays`).
+
+    ``succ_indices[succ_indptr[v]:succ_indptr[v + 1]]`` are task ``v``'s
+    successors in ascending order and the ``pred_*`` pair its
+    predecessors; ``order`` is the PTG's topological order and ``level``
+    its precedence levels (0 for a source, else one more than the
+    deepest predecessor's).
+    """
+
+    order: np.ndarray
+    succ_indptr: np.ndarray
+    succ_indices: np.ndarray
+    pred_indptr: np.ndarray
+    pred_indices: np.ndarray
+    in_degree: np.ndarray
+    level: np.ndarray
+
+
 class PTG:
     """An immutable parallel task graph.
 
@@ -119,12 +145,10 @@ class PTG:
         "_edges",
         "_in_degree",
         "_order",
-        "_topo",
         "_work",
         "_alpha",
         "_data_size",
-        "_levels",
-        "_csr_cache",
+        "_arrays",
     )
 
     def __init__(
@@ -133,60 +157,55 @@ class PTG:
         edges: Iterable[tuple[int, int]],
         name: str = "ptg",
     ) -> None:
-        self.name = name
-        self._tasks: tuple[Task, ...] = tuple(tasks)
-        if not self._tasks:
+        tasks = tuple(tasks)
+        if not tasks:
             raise GraphError("a PTG must contain at least one task")
 
-        self._index_of: dict[str, int] = {}
-        for i, t in enumerate(self._tasks):
+        index_of: dict[str, int] = {}
+        for i, t in enumerate(tasks):
             if not isinstance(t, Task):
                 raise GraphError(f"node {i} is not a Task: {t!r}")
-            if t.name in self._index_of:
+            if t.name in index_of:
                 raise GraphError(f"duplicate task name {t.name!r}")
-            self._index_of[t.name] = i
+            index_of[t.name] = i
 
-        n = len(self._tasks)
-        edge_list: list[tuple[int, int]] = []
-        seen: set[tuple[int, int]] = set()
-        preds: list[list[int]] = [[] for _ in range(n)]
-        succs: list[list[int]] = [[] for _ in range(n)]
+        n = len(tasks)
+        unique: dict[tuple[int, int], None] = {}
         for e in edges:
             u, v = int(e[0]), int(e[1])
             if not (0 <= u < n and 0 <= v < n):
                 raise GraphError(f"edge ({u}, {v}) references unknown node")
             if u == v:
                 raise GraphError(f"self-loop on node {u}")
-            if (u, v) in seen:
-                continue  # silently de-duplicate parallel edges
-            seen.add((u, v))
-            edge_list.append((u, v))
-            preds[v].append(u)
-            succs[u].append(v)
-
-        self._edges: tuple[tuple[int, int], ...] = tuple(edge_list)
-        self._preds: tuple[tuple[int, ...], ...] = tuple(
-            tuple(sorted(p)) for p in preds
-        )
-        self._succs: tuple[tuple[int, ...], ...] = tuple(
-            tuple(sorted(s)) for s in succs
-        )
-        self._in_degree: tuple[int, ...] = tuple(len(p) for p in preds)
+            unique[u, v] = None  # silently de-duplicate parallel edges
+        self._fill(name, tasks, index_of, list(unique))
         self._order: tuple[int, ...] = self._toposort()
-        self._topo: np.ndarray = np.asarray(self._order, dtype=np.int64)
-        self._work = np.array([t.work for t in self._tasks], dtype=np.float64)
-        self._alpha = np.array(
-            [t.alpha for t in self._tasks], dtype=np.float64
-        )
-        self._data_size = np.array(
-            [t.data_size for t in self._tasks], dtype=np.float64
-        )
-        self._levels: np.ndarray | None = None  # filled lazily by analysis
-        self._csr_cache = None  # filled lazily by analysis.csr_adjacency
 
     # ------------------------------------------------------------------
     # construction helpers
     # ------------------------------------------------------------------
+    def _fill(self, name, tasks, index_of, edges) -> None:
+        """Set every attribute but the topological order from checked
+        tasks, their name index and distinct, in-range edges."""
+        preds: list[list[int]] = [[] for _ in tasks]
+        succs: list[list[int]] = [[] for _ in tasks]
+        for u, v in edges:
+            preds[v].append(u)
+            succs[u].append(v)
+        self.name = name
+        self._tasks: tuple[Task, ...] = tasks
+        self._index_of: dict[str, int] = index_of
+        self._edges: tuple[tuple[int, int], ...] = tuple(edges)
+        self._preds = tuple(tuple(sorted(p)) for p in preds)
+        self._succs = tuple(tuple(sorted(s)) for s in succs)
+        self._in_degree = tuple(map(len, preds))
+        self._work = np.array([t.work for t in tasks], dtype=np.float64)
+        self._alpha = np.array([t.alpha for t in tasks], dtype=np.float64)
+        self._data_size = np.array(
+            [t.data_size for t in tasks], dtype=np.float64
+        )
+        self._arrays: GraphArrays | None = None  # built by .arrays
+
     def _toposort(self) -> tuple[int, ...]:
         """Kahn's algorithm; raises :class:`CycleError` on cycles."""
         n = len(self._tasks)
@@ -250,8 +269,37 @@ class PTG:
 
     @property
     def topological_order(self) -> np.ndarray:
-        """Indices in a valid topological order (int64 array of length V)."""
-        return self._topo
+        """A valid topological order: ``arrays.order``, read-only int32."""
+        return self.arrays.order
+
+    @property
+    def arrays(self) -> GraphArrays:
+        """The graph as read-only int32 arrays, built at first use."""
+        if self._arrays is None:
+            level = [0] * len(self._order)
+            for v in self._order:  # v's level is final: push it down
+                below = level[v] + 1
+                for w in self._succs[v]:
+                    if level[w] < below:
+                        level[w] = below
+            arrays = GraphArrays(
+                *(
+                    np.fromiter(values, dtype=np.int32)
+                    for values in (
+                        self._order,
+                        accumulate(map(len, self._succs), initial=0),
+                        chain.from_iterable(self._succs),
+                        accumulate(self._in_degree, initial=0),
+                        chain.from_iterable(self._preds),
+                        self._in_degree,
+                        level,
+                    )
+                )
+            )
+            for arr in arrays:
+                arr.setflags(write=False)
+            self._arrays = arrays
+        return self._arrays
 
     def index(self, name: str) -> int:
         """Index of the task called ``name``."""
@@ -374,6 +422,44 @@ class PTG:
             )
         edges = [(pos[u], pos[v]) for u, v in g.edges]
         return cls(tasks, edges, name=name or str(g.name or "ptg"))
+
+    def induced(self, nodes: Iterable[int], name: str = "ptg") -> "PTG":
+        """The sub-graph on ``nodes``, whose node ``i`` is ``nodes[i]``.
+
+        It holds this graph's :class:`Task` objects and every edge
+        between two of ``nodes``, and equals ``PTG([self.task(v) for v
+        in nodes], edges, name)`` with the edges listed by source
+        position, each source's by ascending original target.  Nothing
+        is validated or sorted again: the adjacency is this graph's,
+        filtered, and so is the topological order.  Raises
+        :class:`GraphError` on an empty, repeated or unknown node.
+        """
+        n = len(self._tasks)
+        pos: dict[int, int] = {}
+        for v in nodes:
+            v = int(v)
+            if not 0 <= v < n:
+                raise GraphError(f"node {v} is not in PTG {self.name!r}")
+            if v in pos:
+                raise GraphError(f"node {v} is listed twice")
+            pos[v] = len(pos)
+        if not pos:
+            raise GraphError("a PTG must contain at least one task")
+        tasks = tuple(self._tasks[v] for v in pos)
+        sub = PTG.__new__(PTG)
+        sub._fill(
+            name,
+            tasks,
+            {t.name: i for i, t in enumerate(tasks)},
+            [
+                (i, pos[w])
+                for v, i in pos.items()
+                for w in self._succs[v]
+                if w in pos
+            ],
+        )
+        sub._order = tuple(pos[v] for v in self._order if v in pos)
+        return sub
 
     def relabeled(self, name: str) -> "PTG":
         """Return an identical graph carrying a different ``name``."""

@@ -7,8 +7,9 @@ Public API:
 * :func:`makespan_of` — the same engine, makespan-only (the EA fitness
   fast path), with the optional ``abort_above`` rejection strategy;
 * :class:`ScheduleKernel` / :func:`kernel_for` — the compiled engine
-  behind both of the above: CSR graph and dense time table, built once
-  per (PTG, table) pair, scored and scheduled by one native loop (the
+  behind both of the above: the PTG's int32 graph arrays and the dense
+  time table, bound once per (PTG, table) pair, scored and scheduled by
+  one native loop (the
   reference mapper when no C compiler is available); safe to share
   between threads;
 * :class:`Schedule`, :class:`ScheduledTask` — schedule data model with

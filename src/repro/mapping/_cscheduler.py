@@ -38,7 +38,8 @@ construction:
 A third entry point, ``cpa_allocate``, runs the whole CPA-family
 allocation loop of :mod:`repro.allocation.cpa` (level sweeps,
 critical-path mask, best-gain growth) in one call on per-call buffers;
-it needs no kernel, only the PTG's CSR arrays and the time table.
+it needs no kernel, only the PTG's int32 arrays (``PTG.arrays``) and
+the time table.
 
 A fourth, ``mutation_offspring``, makes one generation of Eq. 1
 offspring for :mod:`repro.core.mutation`: parent picks, positions,
@@ -92,7 +93,7 @@ CDEF = """
 int schedule_makespan_batch(
     int B, int V, int P, int nthreads,
     const double *flat_times,
-    const int32_t *rev_topo,
+    const int32_t *topo,
     const int32_t *indptr,
     const int32_t *indices,
     const int32_t *indeg,
@@ -103,7 +104,7 @@ int schedule_makespan_batch(
 double schedule_build(
     int V, int P,
     const double *flat_times,
-    const int32_t *rev_topo,
+    const int32_t *topo,
     const int32_t *indptr,
     const int32_t *indices,
     const int32_t *indeg,
@@ -114,11 +115,11 @@ double schedule_build(
 int64_t cpa_allocate(
     int64_t V, int64_t P,
     const double *table,
-    const int64_t *topo,
-    const int64_t *succ_indptr, const int64_t *succ_indices,
-    const int64_t *pred_indptr, const int64_t *pred_indices,
+    const int32_t *topo,
+    const int32_t *succ_indptr, const int32_t *succ_indices,
+    const int32_t *pred_indptr, const int32_t *pred_indices,
     const int64_t *caps,
-    const int64_t *level, int64_t num_levels,
+    const int32_t *level, int64_t num_levels,
     double area, int64_t divisor,
     int allow_negative_gain, int64_t max_steps,
     int64_t *alloc);
@@ -317,7 +318,7 @@ static void record_task(int32_t v, double t_start, double t_finish,
 static double schedule_slots(
     int V, int P,
     const double *flat_times,
-    const int32_t *rev_topo,
+    const int32_t *topo,
     const int32_t *indptr,
     const int32_t *indices,
     const int32_t *indeg,
@@ -344,16 +345,12 @@ static double schedule_slots(
     for (int v = 0; v < V; v++)
         t[v] = flat_times[(size_t)v * P + (alloc[v] - 1)];
 
-    /* bottom levels: reverse-topological sweep, exact max chains */
-    for (int i = 0; i < V; i++) {
-        int32_t v = rev_topo[i];
-        int32_t s = indptr[v], e = indptr[v + 1];
-        if (s == e) {
-            bl[v] = t[v];
-            continue;
-        }
-        double m = bl[indices[s]];
-        for (int32_t j = s + 1; j < e; j++) {
+    /* bottom levels: the topological order backwards, exact max chains
+     * (a sink adds 0.0, which leaves its positive time unchanged) */
+    for (int i = V - 1; i >= 0; i--) {
+        int32_t v = topo[i];
+        double m = 0.0;
+        for (int32_t j = indptr[v]; j < indptr[v + 1]; j++) {
             double x = bl[indices[j]];
             if (x > m)
                 m = x;
@@ -582,7 +579,7 @@ static double schedule_slots(
 int schedule_makespan_batch(
     int B, int V, int P, int nthreads,
     const double *flat_times,
-    const int32_t *rev_topo,
+    const int32_t *topo,
     const int32_t *indptr,
     const int32_t *indices,
     const int32_t *indeg,
@@ -604,7 +601,7 @@ int schedule_makespan_batch(
 #pragma omp for schedule(static)
         for (int b = 0; b < B; b++) {
             out[b] = ok ? schedule_slots(
-                              V, P, flat_times, rev_topo, indptr, indices,
+                              V, P, flat_times, topo, indptr, indices,
                               indeg, alloc_rows + (size_t)b * V, bound,
                               inner_bound, &a, NULL, NULL, NULL, NULL)
                         : NAN;
@@ -621,7 +618,7 @@ int schedule_makespan_batch(
 double schedule_build(
     int V, int P,
     const double *flat_times,
-    const int32_t *rev_topo,
+    const int32_t *topo,
     const int32_t *indptr,
     const int32_t *indices,
     const int32_t *indeg,
@@ -631,7 +628,7 @@ double schedule_build(
 {
     slot_arena a;
     double makespan = slot_arena_alloc(&a, V, P)
-        ? schedule_slots(V, P, flat_times, rev_topo, indptr, indices,
+        ? schedule_slots(V, P, flat_times, topo, indptr, indices,
                          indeg, alloc, INFINITY, INFINITY, &a,
                          start, finish, proc_end, procs)
         : NAN;
@@ -656,11 +653,11 @@ double schedule_build(
 int64_t cpa_allocate(
     int64_t V, int64_t P,
     const double *table,
-    const int64_t *topo,
-    const int64_t *succ_indptr, const int64_t *succ_indices,
-    const int64_t *pred_indptr, const int64_t *pred_indices,
+    const int32_t *topo,
+    const int32_t *succ_indptr, const int32_t *succ_indices,
+    const int32_t *pred_indptr, const int32_t *pred_indices,
     const int64_t *caps,
-    const int64_t *level, int64_t num_levels,
+    const int32_t *level, int64_t num_levels,
     double area, int64_t divisor,
     int allow_negative_gain, int64_t max_steps,
     int64_t *alloc)

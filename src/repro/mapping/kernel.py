@@ -6,9 +6,9 @@ scheduling pass per offspring.  For a fixed (PTG, platform, time model)
 triple the structure of that pass is *invariant across calls*, so this
 module flattens it once:
 
-* the DAG as int32 CSR index arrays (successors, reverse topological
-  order, in-degree vector) via :func:`repro.graph.csr_adjacency` — the
-  same analysis the native CPA-family growth loop walks;
+* the DAG as the PTG's own int32 arrays (:attr:`repro.graph.PTG.arrays`:
+  topological order, successor CSR, in-degrees), bound without a copy —
+  the same arrays the native CPA-family growth loop walks;
 * the execution-time model as the dense ``(V, P)`` float64 matrix of
   the :class:`~repro.timemodels.TimeTable`, flattened row-major.
 
@@ -48,7 +48,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from ..exceptions import AllocationError
-from ..graph import PTG, csr_adjacency
+from ..graph import PTG
 from . import _cscheduler
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for hints
@@ -160,7 +160,7 @@ class ScheduleKernel:
     Parameters
     ----------
     ptg:
-        The task graph; flattened to CSR arrays at construction.
+        The task graph; the kernel binds its :attr:`~repro.graph.PTG.arrays`.
     table:
         The precomputed :class:`~repro.timemodels.TimeTable`; its dense
         ``(V, P)`` matrix is the kernel's only time-model interface.
@@ -177,41 +177,36 @@ class ScheduleKernel:
         self.table = table
         self.num_tasks = ptg.num_tasks
         self.num_processors = table.num_processors
-        csr = csr_adjacency(ptg)
-        self.csr = csr
         # flat row-major view: T(v, p) lives at v * P + (p - 1)
         self._flat_times = np.ascontiguousarray(table.array).reshape(-1)
-        # int32 copies of the graph structure for the C entry points
-        self._graph = tuple(
-            np.ascontiguousarray(a, dtype=np.int32)
-            for a in (
-                ptg.topological_order[::-1],
-                csr.succ_indptr,
-                csr.succ_indices,
-                csr.in_degree,
-            )
-        )
         self._c = None
         self._attach_c()
 
     def _attach_c(self) -> None:
         """Bind the native library, if it can be built.
 
-        The kernel's own arrays are wrapped once here, so a native call
-        only passes precomputed handles.  When
-        :func:`_cscheduler.load` degrades to ``(None, None)`` every
-        entry point runs the reference mapper.
+        The time matrix and the PTG's own int32 arrays (no copies) are
+        wrapped once here, so a native call only passes precomputed
+        handles.  When :func:`_cscheduler.load` degrades to ``(None,
+        None)`` every entry point runs the reference mapper.
         """
         ffi, lib = _cscheduler.load()
         if lib is None:
             self._c = None
             return
+        graph = self.ptg.arrays
         self._c = (
             ffi,
             lib,
-            (
-                ffi.from_buffer("double[]", self._flat_times),
-                *(ffi.from_buffer("int32_t[]", a) for a in self._graph),
+            tuple(
+                ffi.from_buffer(ctype, a)
+                for ctype, a in (
+                    ("double[]", self._flat_times),
+                    ("int32_t[]", graph.order),
+                    ("int32_t[]", graph.succ_indptr),
+                    ("int32_t[]", graph.succ_indices),
+                    ("int32_t[]", graph.in_degree),
+                )
             ),
         )
 
@@ -389,7 +384,7 @@ class ScheduleKernel:
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
             f"ScheduleKernel(V={self.num_tasks}, "
-            f"P={self.num_processors}, E={self.csr.num_edges})"
+            f"P={self.num_processors}, E={self.ptg.num_edges})"
         )
 
 

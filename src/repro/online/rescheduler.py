@@ -74,7 +74,8 @@ class _FrontierProblem:
     ``0..n-1`` local tasks over ``0..P_alive-1`` local processors.
 
     ``ptg``/``table`` are the frontier's tasks, the precedence edges
-    among them and their times on the alive processors; the offline
+    among them (:meth:`PTG.induced <repro.graph.PTG.induced>`, no second
+    validation) and their times on the alive processors; the offline
     allocators read them as they are, and :meth:`evaluate` maps them
     with the reference mapper under the frontier's release times and
     the alive processors' availability.
@@ -92,17 +93,7 @@ class _FrontierProblem:
         self.release = release
         self.avail = avail
         self.P_alive = int(alive.size)
-        pos = {v: i for i, v in enumerate(frontier.tolist())}
-        self.ptg = PTG(
-            [ptg.task(v) for v in pos],
-            [
-                (i, pos[w])
-                for v, i in pos.items()
-                for w in ptg.successors(v)
-                if w in pos
-            ],
-            name=f"{ptg.name}/frontier",
-        )
+        self.ptg = ptg.induced(frontier.tolist(), name=f"{ptg.name}/frontier")
         cluster = Cluster(
             name=f"{table.cluster.name}/alive",
             num_processors=self.P_alive,

@@ -13,13 +13,14 @@ from .io import (
     parse_platform_text,
     save_cluster,
 )
-from .presets import by_name, chti, grelon, paper_platforms
+from .presets import PLATFORMS, by_name, chti, grelon, paper_platforms
 
 __all__ = [
     "Cluster",
     "chti",
     "grelon",
     "paper_platforms",
+    "PLATFORMS",
     "by_name",
     "cluster_to_dict",
     "cluster_from_dict",

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from .cluster import Cluster
 
-__all__ = ["chti", "grelon", "paper_platforms", "by_name"]
+__all__ = ["chti", "grelon", "paper_platforms", "PLATFORMS", "by_name"]
 
 
 def chti() -> Cluster:
@@ -31,15 +31,16 @@ def paper_platforms() -> tuple[Cluster, Cluster]:
     return (chti(), grelon())
 
 
-_REGISTRY = {"chti": chti, "grelon": grelon}
+#: the preset platforms :func:`by_name` builds, by name
+PLATFORMS = {"chti": chti, "grelon": grelon}
 
 
 def by_name(name: str) -> Cluster:
     """Look up a preset platform by (case-insensitive) name."""
     try:
-        return _REGISTRY[name.lower()]()
+        return PLATFORMS[name.lower()]()
     except KeyError:
-        known = ", ".join(sorted(_REGISTRY))
+        known = ", ".join(sorted(PLATFORMS))
         raise KeyError(
             f"unknown platform {name!r}; known presets: {known}"
         ) from None

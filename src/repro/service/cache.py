@@ -29,7 +29,7 @@ from ..core import fingerprint_digest, problem_fingerprint
 from ..graph import ptg_from_dict
 from ..mapping.kernel import kernel_for
 from ..platform import by_name
-from ..timemodels import TimeTable
+from ..timemodels import TimeTable, model_by_name
 from .protocol import ScheduleRequest, problem_digest
 
 __all__ = [
@@ -77,13 +77,10 @@ class PreparedProblem:
 
 def prepare_problem(request: ScheduleRequest) -> PreparedProblem:
     """Cold path: parse, build the table and warm the kernel binding."""
-    # imported here to avoid a module cycle (cli -> service -> cli)
-    from ..cli import _make_model
-
     t0 = time.perf_counter()
     ptg = ptg_from_dict(request.ptg_doc)
     cluster = by_name(request.platform)
-    model = _make_model(request.model)
+    model = model_by_name(request.model)
     table = TimeTable.build(model, ptg, cluster)
     # bind (and if necessary compile) the native kernel now, so request
     # latency never pays for it again on this problem

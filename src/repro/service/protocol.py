@@ -38,6 +38,8 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from ..exceptions import ServiceError
+from ..platform.presets import PLATFORMS
+from ..timemodels import MODELS
 
 __all__ = [
     "PROTOCOL_VERSION",
@@ -58,12 +60,12 @@ __all__ = [
 
 PROTOCOL_VERSION = 1
 
-# mirrors repro.cli._MODELS / repro.platform.presets / the EMTS presets;
-# validated here so a bad request fails at parse time with a 400 instead
-# of deep inside a worker thread
+# the names repro.timemodels and repro.platform.presets build, and the
+# EMTS presets; validated here so a bad request fails at parse time with
+# a 400 instead of deep inside a worker thread
 KNOWN_ALGORITHMS = ("emts5", "emts10")
-KNOWN_MODELS = ("model1", "amdahl", "model2", "synthetic", "downey")
-KNOWN_PLATFORMS = ("chti", "grelon")
+KNOWN_MODELS = tuple(MODELS)
+KNOWN_PLATFORMS = tuple(PLATFORMS)
 
 _MAX_PRIORITY = 9
 

@@ -1,6 +1,7 @@
 """Tests for the command-line interface."""
 
 import json
+import re
 
 import pytest
 
@@ -710,3 +711,25 @@ class TestObservability:
         )
         assert args.log_level == "debug"
         assert args.log_json is True
+
+
+class TestPtgFileErrors:
+    """A ``--ptg`` file that does not hold a PTG ends every subcommand
+    that reads one with a message naming the file, not a traceback."""
+
+    @pytest.mark.parametrize("command", ["schedule", "online", "submit"])
+    @pytest.mark.parametrize(
+        "content, reason",
+        [(None, "could not read PTG file"), ("{not json", "is not valid JSON")],
+        ids=["missing", "invalid-json"],
+    )
+    def test_bad_file_exits_cleanly(self, tmp_path, command, content, reason):
+        path = tmp_path / "graph.json"
+        if content is not None:
+            path.write_text(content, encoding="utf-8")
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--ptg", str(path)])
+        message = str(exc.value.code)
+        assert message.startswith("ptg error: ")
+        assert re.search(re.escape(str(path)), message)
+        assert reason in message

@@ -6,7 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.exceptions import ValidationError
+from repro.allocation import cpa as cpa_mod
+from repro.allocation.mcpa import McpaAllocator
+from repro.exceptions import GraphError, ValidationError
 from repro.graph import (
     PTG,
     Task,
@@ -20,6 +22,9 @@ from repro.graph import (
     precedence_levels,
     top_levels,
 )
+from repro.mapping import ScheduleKernel, _cscheduler
+from repro.platform import chti
+from repro.timemodels import AmdahlModel, TimeTable
 from repro.workloads import (
     DaggenParams,
     generate_daggen,
@@ -315,3 +320,152 @@ class TestLevelsMatchRecursion:
             top_levels(diamond_ptg, np.ones(5))
         with pytest.raises(ValidationError, match="non-negative"):
             top_levels(diamond_ptg, np.array([1.0, np.inf, 1.0, 1.0]))
+
+
+def edges_into(ptg, nodes):
+    """The edges among ``nodes`` in local indices, listed the way
+    :meth:`PTG.induced` lists them: by source position, then by the
+    original index of the target."""
+    pos = {v: i for i, v in enumerate(nodes)}
+    return [
+        (i, pos[w])
+        for i, v in enumerate(nodes)
+        for w in ptg.successors(v)
+        if w in pos
+    ]
+
+
+def array_fields(ptg):
+    """``ptg.arrays`` as plain lists, the order left out."""
+    return {
+        name: getattr(ptg.arrays, name).tolist()
+        for name in ptg.arrays._fields
+        if name != "order"
+    }
+
+
+def assert_topological(ptg, order):
+    assert sorted(order) == list(range(ptg.num_tasks))
+    pos = {v: i for i, v in enumerate(order)}
+    assert all(pos[u] < pos[v] for u, v in ptg.edges)
+
+
+class TestGraphArrays:
+    """``PTG.arrays`` is the one array form of the DAG: it agrees with
+    the PTG's tuples, is read-only int32, and every native consumer
+    reads it as it is."""
+
+    @given(shuffled_dags_with_times())
+    @settings(max_examples=150, deadline=None)
+    def test_arrays_agree_with_the_tuples(self, case):
+        ptg, _ = case
+        a = ptg.arrays
+        V = ptg.num_tasks
+        assert a.succ_indptr[0] == a.pred_indptr[0] == 0
+        for v in range(V):
+            succ = a.succ_indices[a.succ_indptr[v]:a.succ_indptr[v + 1]]
+            pred = a.pred_indices[a.pred_indptr[v]:a.pred_indptr[v + 1]]
+            assert succ.tolist() == list(ptg.successors(v))
+            assert pred.tolist() == list(ptg.predecessors(v))
+            assert a.level[v] == 1 + max(
+                (a.level[u] for u in ptg.predecessors(v)), default=-1
+            )
+        assert a.in_degree.tolist() == list(ptg.in_degrees)
+        assert_topological(ptg, a.order.tolist())
+        assert precedence_levels(ptg) is a.level
+        assert ptg.topological_order is a.order
+
+    def test_read_only_int32_built_once(self, irregular_ptg):
+        a = irregular_ptg.arrays
+        assert irregular_ptg.arrays is a
+        for arr in a:
+            assert arr.dtype == np.int32
+            assert arr.flags.c_contiguous
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 0
+
+    def test_kernel_binds_the_ptgs_own_arrays(self, irregular_ptg):
+        ptg = irregular_ptg
+        table = TimeTable.build(AmdahlModel(), ptg, chti())
+        kernel = ScheduleKernel(ptg, table)
+        if kernel._c is None:
+            pytest.skip("native library unavailable: nothing is bound")
+        ffi, _, handles = kernel._c
+        a = ptg.arrays
+        own = (a.order, a.succ_indptr, a.succ_indices, a.in_degree)
+        for handle, arr in zip(handles[1:], own):
+            bound = np.frombuffer(ffi.buffer(handle), dtype=np.int32)
+            assert np.shares_memory(bound, arr)
+            assert int(ffi.cast("uintptr_t", handle)) == arr.ctypes.data
+
+    def test_cpa_loop_reads_the_same_arrays(self, irregular_ptg):
+        ffi, lib = _cscheduler.load()
+        if lib is None:
+            pytest.skip("native library unavailable")
+        ptg = irregular_ptg
+        table = TimeTable.build(AmdahlModel(), ptg, chti())
+        seen = []
+
+        class Recording:
+            def cpa_allocate(self, *args):
+                seen.extend(args)
+                return lib.cpa_allocate(*args)
+
+        loop = McpaAllocator()._loop(ptg, table)
+        cpa_mod._grow_native(loop, ffi, Recording())
+        a = ptg.arrays
+        graph = seen[3:8] + [seen[9]]  # topo, 4 CSR arrays, levels
+        own = (
+            a.order,
+            a.succ_indptr,
+            a.succ_indices,
+            a.pred_indptr,
+            a.pred_indices,
+            a.level,
+        )
+        for pointer, arr in zip(graph, own):
+            assert int(ffi.cast("uintptr_t", pointer)) == arr.ctypes.data
+
+
+class TestInduced:
+    """``PTG.induced`` cuts the sub-graph the full constructor would
+    build, from the parent's tuples and without a second sort."""
+
+    @given(shuffled_dags_with_times(), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_equals_the_full_constructor(self, case, data):
+        ptg, _ = case
+        perm = data.draw(st.permutations(range(ptg.num_tasks)))
+        nodes = perm[: data.draw(st.integers(1, ptg.num_tasks))]
+        sub = ptg.induced(nodes, name="sub")
+        ref = PTG([ptg.task(v) for v in nodes], edges_into(ptg, nodes), "sub")
+        assert sub == ref and sub.name == ref.name
+        assert all(t is ptg.task(v) for t, v in zip(sub.tasks, nodes))
+        assert sub.edges == ref.edges
+        for v in range(len(nodes)):
+            assert sub.successors(v) == ref.successors(v)
+            assert sub.predecessors(v) == ref.predecessors(v)
+            assert sub.index(ref.task(v).name) == v
+        assert sub.in_degrees == ref.in_degrees
+        for attr in ("work", "alpha", "data_size"):
+            assert getattr(sub, attr).tolist() == getattr(ref, attr).tolist()
+        assert array_fields(sub) == array_fields(ref)
+        # the order is the parent's, restricted to the nodes
+        pos = {v: i for i, v in enumerate(nodes)}
+        assert sub.topological_order.tolist() == [
+            pos[v] for v in ptg.topological_order.tolist() if v in pos
+        ]
+        assert_topological(sub, sub.topological_order.tolist())
+
+    @pytest.mark.parametrize(
+        "nodes, match",
+        [
+            ([0, 2, 0], "listed twice"),
+            ([1, 4], "not in PTG"),
+            ([-1, 2], "not in PTG"),
+            ([], "at least one task"),
+        ],
+    )
+    def test_rejects_bad_nodes(self, diamond_ptg, nodes, match):
+        with pytest.raises(GraphError, match=match):
+            diamond_ptg.induced(nodes)

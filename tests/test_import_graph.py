@@ -192,6 +192,7 @@ LAZY_PACKAGES = (
     "repro.graph",
     "repro.mapping",
     "repro.service",
+    "repro.timemodels",
     "repro.verify",
     "repro.workloads",
 )

@@ -7,11 +7,16 @@ import pytest
 from repro._rng import DEFAULT_SEED
 from repro.exceptions import ServiceError
 from repro.graph import ptg_to_dict
+from repro.platform import by_name
 from repro.service import (
+    KNOWN_MODELS,
+    KNOWN_PLATFORMS,
     parse_request,
     problem_digest,
     result_key,
 )
+from repro.service.cache import prepare_problem
+from repro.timemodels import ExecutionTimeModel, model_by_name
 from repro.workloads import generate_fft
 
 
@@ -87,6 +92,21 @@ class TestParseRequest:
         doc = dict(request_doc, ptg={"format": "not-a-ptg"})
         with pytest.raises(ServiceError):
             parse_request(doc)
+
+
+class TestKnownNames:
+    def test_every_accepted_name_builds_a_model_and_a_platform(
+        self, request_doc
+    ):
+        """The names a request may carry are the registries' own, so
+        every model and platform the protocol accepts prepares."""
+        for model in KNOWN_MODELS:
+            assert isinstance(model_by_name(model), ExecutionTimeModel)
+            for platform in KNOWN_PLATFORMS:
+                doc = dict(request_doc, model=model, platform=platform)
+                prepared = prepare_problem(parse_request(doc))
+                assert prepared.cluster == by_name(platform)
+                assert prepared.table.model_name == model_by_name(model).name
 
 
 class TestFingerprints:
