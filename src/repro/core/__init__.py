@@ -10,7 +10,8 @@ Public API:
   :func:`sample_adjustments`, :func:`adjustment_pmf` — the Eq. 1 mutation
   operator (Figure 3);
 * :func:`seed_population` — heuristic-seeded initial populations;
-* encoding helpers (:func:`clamp_allocations` etc., Figure 2);
+* encoding helpers (:func:`clamp_allocations` etc., Figure 2; an
+  allocation is checked by :func:`repro.mapping.check_allocation`);
 * the fitness-evaluation engine (the batch-kernel backend
   :class:`SerialEvaluator` and :func:`create_evaluator`);
 * resumable run checkpoints (:class:`Checkpoint`,
@@ -37,7 +38,6 @@ from .encoding import (
     clamp_allocations,
     describe_genome,
     random_allocations,
-    validate_genome,
 )
 from .mutation import (
     AllocationMutation,
@@ -60,7 +60,6 @@ __all__ = [
     "sample_adjustments",
     "adjustment_pmf",
     "clamp_allocations",
-    "validate_genome",
     "random_allocations",
     "describe_genome",
     "seed_population",

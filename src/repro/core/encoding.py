@@ -3,8 +3,11 @@
 EMTS encodes the set of processor allocations of a PTG directly as an
 integer vector: individual ``I_j`` of PTG ``G_j`` holds at position ``i``
 the number of processors allocated to task ``v_i`` — ``I_j(i) = s(v_i)``.
-This module provides the clamp/validate/repair helpers shared by the
-mutation operator and the seeding logic.
+This module provides the clamp (repair) and random helpers shared by
+the mutation operator and the seeding logic; whether a vector is a
+feasible allocation is judged by
+:func:`repro.mapping.check_allocation`, the library's one allocation
+check.
 """
 
 from __future__ import annotations
@@ -16,7 +19,6 @@ from ..graph import PTG
 
 __all__ = [
     "clamp_allocations",
-    "validate_genome",
     "random_allocations",
     "describe_genome",
 ]
@@ -29,28 +31,6 @@ def clamp_allocations(genome: np.ndarray, P: int) -> np.ndarray:
     machine size; clamping is EMTS's repair rule.
     """
     return np.clip(np.asarray(genome, dtype=np.int64), 1, P)
-
-
-def validate_genome(genome: np.ndarray, V: int, P: int) -> np.ndarray:
-    """Check that ``genome`` is a feasible allocation vector.
-
-    Returns the canonical int64 copy; raises :class:`AllocationError`
-    otherwise.
-    """
-    genome = np.asarray(genome)
-    if genome.shape != (V,):
-        raise AllocationError(
-            f"genome has shape {genome.shape}, expected ({V},)"
-        )
-    out = genome.astype(np.int64)
-    if not np.array_equal(out, genome):
-        raise AllocationError("genome entries must be integers")
-    if out.min() < 1 or out.max() > P:
-        raise AllocationError(
-            f"genome entries must lie in [1, {P}], got range "
-            f"[{out.min()}, {out.max()}]"
-        )
-    return out
 
 
 def random_allocations(

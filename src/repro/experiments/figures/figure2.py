@@ -14,8 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ...core import describe_genome, validate_genome
+from ...core import describe_genome
 from ...graph import PTG, PTGBuilder
+from ...mapping import check_allocation
 
 __all__ = ["Figure2Data", "generate_figure2"]
 
@@ -60,5 +61,5 @@ def generate_figure2(P: int = 8) -> Figure2Data:
     """
     ptg = _example_ptg()
     genome = np.array([3, 2, 1, 2, 1], dtype=np.int64)
-    validate_genome(genome, ptg.num_tasks, P)
+    check_allocation(genome, ptg, P)
     return Figure2Data(ptg=ptg, genome=genome)

@@ -40,6 +40,12 @@ from ..exceptions import CycleError, GraphError
 __all__ = ["Task", "PTG", "GraphArrays"]
 
 
+def _freeze(*arrays: np.ndarray) -> None:
+    """Make every array read-only."""
+    for arr in arrays:
+        arr.setflags(write=False)
+
+
 @dataclass(frozen=True)
 class Task:
     """A single moldable parallel task.
@@ -204,6 +210,7 @@ class PTG:
         self._data_size = np.array(
             [t.data_size for t in tasks], dtype=np.float64
         )
+        _freeze(self._work, self._alpha, self._data_size)
         self._arrays: GraphArrays | None = None  # built by .arrays
 
     def _toposort(self) -> tuple[int, ...]:
@@ -264,7 +271,7 @@ class PTG:
 
     @property
     def data_size(self) -> np.ndarray:
-        """Dataset size (doubles) per task."""
+        """Dataset size (doubles) per task (read-only float64 array)."""
         return self._data_size
 
     @property
@@ -296,8 +303,7 @@ class PTG:
                     )
                 )
             )
-            for arr in arrays:
-                arr.setflags(write=False)
+            _freeze(*arrays)
             self._arrays = arrays
         return self._arrays
 
@@ -373,6 +379,19 @@ class PTG:
 
     def __hash__(self) -> int:
         return hash((self._tasks, self._edges))
+
+    # a pickle or a deep copy carries the tuples and the attribute
+    # arrays, which numpy hands back writable: they are frozen again on
+    # arrival, and the array form, a cache, is rebuilt at first use
+    def __getstate__(self) -> dict:
+        state = {slot: getattr(self, slot) for slot in PTG.__slots__}
+        state["_arrays"] = None
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        for slot, value in state.items():
+            setattr(self, slot, value)
+        _freeze(self._work, self._alpha, self._data_size)
 
     # ------------------------------------------------------------------
     # conversions

@@ -3,7 +3,8 @@
 Public API:
 
 * :func:`map_allocations` — list scheduling by decreasing bottom level,
-  first-fit processor sets; returns a validated :class:`Schedule`;
+  first-fit processor sets; returns a :class:`Schedule`, which the
+  mapper does not check (:class:`repro.verify.ScheduleVerifier` does);
 * :func:`makespan_of` — the same engine, makespan-only (the EA fitness
   fast path), with the optional ``abort_above`` rejection strategy;
 * :class:`ScheduleKernel` / :func:`kernel_for` — the compiled engine
@@ -12,8 +13,9 @@ Public API:
   one native loop (the
   reference mapper when no C compiler is available); safe to share
   between threads;
-* :class:`Schedule`, :class:`ScheduledTask` — schedule data model with
-  invariant checking;
+* :func:`check_allocation` — the one check of an allocation vector
+  (shape, integral entries in ``[1, P]``);
+* :class:`Schedule`, :class:`ScheduledTask` — schedule data model;
 * :class:`ProcessorState` — processor-availability bookkeeping;
 * :func:`ascii_gantt` / :func:`svg_gantt` — Gantt rendering (Figure 6).
 """

@@ -210,16 +210,11 @@ class ScheduleKernel:
             ),
         )
 
-    # the library handle is re-bound on arrival (the .so build is
-    # cached, so this is just a dlopen)
-    def __getstate__(self) -> dict:
-        state = dict(self.__dict__)
-        state["_c"] = None
-        return state
-
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
-        self._attach_c()
+    # built again on arrival from its PTG and table: the flat times are
+    # a view of the read-only table, and the library handle is re-bound
+    # (the .so build is cached, so this is just a dlopen)
+    def __reduce__(self):
+        return ScheduleKernel, (self.ptg, self.table)
 
     @property
     def has_native(self) -> bool:

@@ -1,15 +1,12 @@
-"""Schedule representation and invariant checking.
+"""Schedule representation.
 
 A :class:`Schedule` is the final product of any scheduling algorithm in
 this library: for every task a start time, a finish time and a concrete
-processor set.  :meth:`Schedule.validate` independently re-checks the
-three invariants every valid mixed-parallel schedule must satisfy:
-
-1. *allocation consistency* — task ``v`` occupies exactly ``s(v)``
-   distinct processors, all within the platform;
-2. *precedence* — a task starts no earlier than the finish of each of its
-   predecessors;
-3. *exclusivity* — no processor executes two tasks at once.
+processor set.  Its constructor checks only the shapes; whether the
+placements form a valid mixed-parallel schedule (allocation consistency,
+precedence, processor exclusivity, finite times, durations that match
+the time table) is judged by :class:`repro.verify.ScheduleVerifier`,
+which shares no code with the mappers that build schedules.
 """
 
 from __future__ import annotations
@@ -23,9 +20,6 @@ from ..graph import PTG
 from ..platform import Cluster
 
 __all__ = ["Schedule", "ScheduledTask"]
-
-#: Numerical slack for start/finish comparisons.
-_EPS = 1e-9
 
 
 @dataclass(frozen=True)
@@ -128,79 +122,6 @@ class Schedule:
         """All placements ordered by start time (ties: task index)."""
         order = np.lexsort((np.arange(len(self.start)), self.start))
         return [self.task(int(v)) for v in order]
-
-    # ------------------------------------------------------------------
-    def validate(self, times: np.ndarray | None = None) -> None:
-        """Raise :class:`ScheduleError` if any invariant is violated.
-
-        Parameters
-        ----------
-        times:
-            Optional expected durations; when given, each task's
-            ``finish - start`` must match.
-        """
-        V = self.ptg.num_tasks
-        P = self.cluster.num_processors
-
-        if np.any(self.start < -_EPS):
-            raise ScheduleError("negative start time")
-        if np.any(self.finish < self.start - _EPS):
-            raise ScheduleError("task finishes before it starts")
-
-        for v in range(V):
-            ps = self.proc_sets[v]
-            if ps.size == 0:
-                raise ScheduleError(
-                    f"task {self.ptg.task(v).name!r} has no processors"
-                )
-            if np.unique(ps).size != ps.size:
-                raise ScheduleError(
-                    f"task {self.ptg.task(v).name!r} lists a processor "
-                    "twice"
-                )
-            if ps.min() < 0 or ps.max() >= P:
-                raise ScheduleError(
-                    f"task {self.ptg.task(v).name!r} uses an unknown "
-                    "processor"
-                )
-
-        if times is not None:
-            times = np.asarray(times, dtype=np.float64)
-            durations = self.finish - self.start
-            if not np.allclose(durations, times, rtol=1e-9, atol=1e-9):
-                bad = int(np.argmax(np.abs(durations - times)))
-                raise ScheduleError(
-                    f"task {self.ptg.task(bad).name!r}: duration "
-                    f"{durations[bad]} != expected {times[bad]}"
-                )
-
-        for u, v in self.ptg.edges:
-            if self.start[v] < self.finish[u] - _EPS:
-                raise ScheduleError(
-                    f"precedence violated: {self.ptg.task(v).name!r} "
-                    f"starts at {self.start[v]} before "
-                    f"{self.ptg.task(u).name!r} finishes at "
-                    f"{self.finish[u]}"
-                )
-
-        # exclusivity: per processor, intervals must not overlap
-        per_proc: dict[int, list[tuple[float, float, int]]] = {}
-        for v in range(V):
-            for p in self.proc_sets[v]:
-                per_proc.setdefault(int(p), []).append(
-                    (float(self.start[v]), float(self.finish[v]), v)
-                )
-        for p, intervals in per_proc.items():
-            intervals.sort()
-            for (s1, f1, v1), (s2, f2, v2) in zip(
-                intervals, intervals[1:]
-            ):
-                if s2 < f1 - _EPS:
-                    raise ScheduleError(
-                        f"processor {p} double-booked by "
-                        f"{self.ptg.task(v1).name!r} and "
-                        f"{self.ptg.task(v2).name!r}"
-                    )
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

@@ -75,7 +75,9 @@ class _FrontierProblem:
 
     ``ptg``/``table`` are the frontier's tasks, the precedence edges
     among them (:meth:`PTG.induced <repro.graph.PTG.induced>`, no second
-    validation) and their times on the alive processors; the offline
+    validation) and their times on the alive processors
+    (:meth:`TimeTable.cut <repro.timemodels.TimeTable.cut>`, no second
+    check); the offline
     allocators read them as they are, and :meth:`evaluate` maps them
     with the reference mapper under the frontier's release times and
     the alive processors' availability.
@@ -102,11 +104,8 @@ class _FrontierProblem:
         # execution-time rows truncated to the alive count: homogeneity
         # means T(v, s) depends only on s, so columns 0..P_alive-1 of
         # the full table are exactly the feasible sub-instance times
-        self.table = TimeTable(
-            self.ptg,
-            cluster,
-            table.array[frontier, : self.P_alive],
-            model_name=f"{table.model_name}/frontier",
+        self.table = table.cut(
+            self.ptg, cluster, frontier, f"{table.model_name}/frontier"
         )
 
     def evaluate(

@@ -91,7 +91,67 @@ class JobTimeout(ServiceError):
         super().__init__(message, code="timeout", status=504)
 
 
-class ServiceClient:
+#: Job states after which a job never changes again.
+_TERMINAL = ("done", "failed")
+
+
+class _Blocking:
+    """The blocking calls of both clients, :meth:`wait_for` and
+    :meth:`schedule`, written over the subclass's ``submit`` and
+    ``get_job`` and its ``_clock`` and ``_sleep`` (injectable on
+    :class:`~repro.service.retry.RetryingServiceClient`)."""
+
+    _clock = staticmethod(time.monotonic)
+    _sleep = staticmethod(time.sleep)
+
+    def wait_for(
+        self,
+        job_id: str,
+        timeout: float = 120.0,
+        poll_interval: float = 0.1,
+    ) -> dict[str, Any]:
+        """Poll until the job reaches a terminal state.
+
+        Raises :class:`JobTimeout` if it is still pending ``timeout``
+        seconds from now (exit code 124 in the CLI).
+        """
+        deadline = self._clock() + float(timeout)
+        return self._poll(job_id, deadline, timeout, poll_interval)
+
+    def schedule(
+        self,
+        request_doc: dict[str, Any],
+        timeout: float = 120.0,
+        poll_interval: float = 0.1,
+    ) -> dict[str, Any]:
+        """Submit and block until done, within ``timeout`` seconds in all.
+
+        The server holds the POST for up to 30 s of the budget, and the
+        client polls for what is left of it.
+        """
+        deadline = self._clock() + float(timeout)
+        doc = self.submit(request_doc, wait=min(float(timeout), 30.0))
+        job = doc.get("job", {})
+        if job.get("state") in _TERMINAL:
+            return doc
+        return self._poll(job["id"], deadline, timeout, poll_interval)
+
+    def _poll(
+        self, job_id: str, deadline: float, timeout: float, interval: float
+    ) -> dict[str, Any]:
+        while True:
+            doc = self.get_job(job_id)
+            state = doc.get("job", {}).get("state")
+            if state in _TERMINAL:
+                return doc
+            if self._clock() >= deadline:
+                raise JobTimeout(
+                    f"job {job_id} still {state!r} after {timeout:g}s"
+                )
+            self._sleep(interval)
+
+
+class ServiceClient(_Blocking):
     """Talk to one ``repro-emts serve`` daemon."""
 
     def __init__(
@@ -212,43 +272,3 @@ class ServiceClient:
         if status != 200:
             self._raise_for(status, headers, doc)
         return doc
-
-    def wait_for(
-        self,
-        job_id: str,
-        timeout: float = 120.0,
-        poll_interval: float = 0.1,
-    ) -> dict[str, Any]:
-        """Poll until the job reaches a terminal state.
-
-        Raises :class:`JobTimeout` if it is still pending at the
-        deadline (exit code 124 in the CLI).
-        """
-        deadline = time.monotonic() + float(timeout)
-        while True:
-            doc = self.get_job(job_id)
-            state = doc.get("job", {}).get("state")
-            if state in ("done", "failed"):
-                return doc
-            if time.monotonic() >= deadline:
-                raise JobTimeout(
-                    f"job {job_id} still {state!r} after {timeout:g}s"
-                )
-            time.sleep(poll_interval)
-
-    def schedule(
-        self,
-        request_doc: dict[str, Any],
-        timeout: float = 120.0,
-        poll_interval: float = 0.1,
-    ) -> dict[str, Any]:
-        """Submit and block until done (server wait + client polling)."""
-        server_wait = min(float(timeout), 30.0)
-        doc = self.submit(request_doc, wait=server_wait)
-        job = doc.get("job", {})
-        if job.get("state") in ("done", "failed"):
-            return doc
-        remaining = max(0.0, timeout - server_wait)
-        return self.wait_for(
-            job["id"], timeout=remaining, poll_interval=poll_interval
-        )

@@ -40,6 +40,7 @@ from .client import (
     QueueFullError,
     ServiceClient,
     ServiceUnavailable,
+    _Blocking,
     mint_trace_field,
 )
 
@@ -170,14 +171,16 @@ class RetryPolicy:
         return delay
 
 
-class RetryingServiceClient:
+class RetryingServiceClient(_Blocking):
     """A :class:`ServiceClient` that survives transient failure.
 
     Every ``submit`` injects an idempotency key (unless the request
     document already carries one), so the retry loop can safely re-POST
     after ambiguous failures: the server answers a duplicate key with
     the original job.  GETs (``get_job``, ``healthz``, ``stats``) are
-    idempotent by nature and retried without ceremony.
+    idempotent by nature and retried without ceremony, so each poll of
+    ``wait_for`` and ``schedule`` (the loop the plain client runs) is
+    retried too.
 
     ``sleep`` and ``clock`` are injectable for tests.
     """
@@ -274,39 +277,3 @@ class RetryingServiceClient:
     def stats_doc(self) -> dict[str, Any]:
         """The daemon's ``/v1/stats`` snapshot (retried)."""
         return self._with_retry(self.inner.stats)
-
-    # ------------------------------------------------------------------
-    def wait_for(
-        self,
-        job_id: str,
-        timeout: float = 120.0,
-        poll_interval: float = 0.1,
-    ) -> dict[str, Any]:
-        """Poll (with per-poll retries) until the job is terminal."""
-        poll_deadline = self._clock() + float(timeout)
-        while True:
-            doc = self.get_job(job_id)
-            state = doc.get("job", {}).get("state")
-            if state in ("done", "failed"):
-                return doc
-            if self._clock() >= poll_deadline:
-                raise JobTimeout(
-                    f"job {job_id} still {state!r} after {timeout:g}s"
-                )
-            self._sleep(poll_interval)
-
-    def schedule(
-        self,
-        request_doc: dict[str, Any],
-        timeout: float = 120.0,
-        poll_interval: float = 0.1,
-    ) -> dict[str, Any]:
-        """Submit and block until done — the resilient one-call path."""
-        server_wait = min(float(timeout), 30.0)
-        doc = self.submit(request_doc, wait=server_wait)
-        job = doc.get("job", {})
-        if job.get("state") in ("done", "failed"):
-            return doc
-        return self.wait_for(
-            job["id"], timeout=timeout, poll_interval=poll_interval
-        )

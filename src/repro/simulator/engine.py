@@ -65,13 +65,25 @@ def simulate(
     Raises
     ------
     SimulationError
-        On any violation of precedence, exclusivity or duration
-        consistency.
+        On a NaN or infinite start or finish, and on any violation of
+        precedence, exclusivity or duration consistency.
     """
     ptg = schedule.ptg
     P = schedule.cluster.num_processors
     V = ptg.num_tasks
 
+    # a non-finite time has no place in the event order: reject it
+    # before it is queued, whether or not a table is given
+    finite = np.isfinite(schedule.start) & np.isfinite(schedule.finish)
+    if not finite.all():
+        bad = int(np.flatnonzero(~finite)[0])
+        raise SimulationError(
+            f"task {ptg.task(bad).name!r} has a non-finite placement: "
+            f"start={schedule.start[bad]!r}, "
+            f"finish={schedule.finish[bad]!r}",
+            task=bad,
+            processors=tuple(int(p) for p in schedule.proc_sets[bad]),
+        )
     durations = schedule.finish - schedule.start
     if table is not None:
         expected = np.array(

@@ -133,6 +133,16 @@ class TimeTable:
                 p=col + 1,
                 model=model_name,
             )
+        self._set(ptg, cluster, table, model_name)
+
+    def _set(
+        self,
+        ptg: "PTG",
+        cluster: "Cluster",
+        table: np.ndarray,
+        model_name: str,
+    ) -> None:
+        """Bind checked times, read-only, with no kernel yet."""
         self.ptg = ptg
         self.cluster = cluster
         self.model_name = model_name
@@ -152,6 +162,30 @@ class TimeTable:
         return cls(
             ptg, cluster, model.build_table(ptg, cluster), model.name
         )
+
+    def cut(
+        self,
+        ptg: "PTG",
+        cluster: "Cluster",
+        rows: np.ndarray,
+        model_name: str,
+    ) -> "TimeTable":
+        """The table of a sub-instance: ``T(rows[i], p)`` for task ``i``
+        of ``ptg`` (one task per row) and ``p`` up to ``cluster``'s
+        processor count (at most this table's).
+
+        Its entries are this table's, checked when it was built, so
+        they are not checked again (an online frontier is cut on every
+        reschedule).
+        """
+        out = TimeTable.__new__(TimeTable)
+        out._set(
+            ptg,
+            cluster,
+            self._table[rows, : cluster.num_processors],
+            model_name,
+        )
+        return out
 
     # ------------------------------------------------------------------
     @property
@@ -224,6 +258,20 @@ class TimeTable:
     def best_allocation(self, v: int) -> int:
         """The processor count minimizing ``T(v, .)`` (ties: smallest p)."""
         return int(np.argmin(self._table[v])) + 1
+
+    # a pickle or a deep copy carries the times, which numpy hands back
+    # writable: they are frozen again on arrival, and the kernel, a
+    # cache, is rebuilt from them by kernel_for at first use
+    def __getstate__(self) -> dict:
+        return {
+            "ptg": self.ptg,
+            "cluster": self.cluster,
+            "table": self._table,
+            "model_name": self.model_name,
+        }
+
+    def __setstate__(self, state: dict) -> None:
+        self._set(**state)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

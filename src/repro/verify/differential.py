@@ -14,7 +14,9 @@ engines with very different failure modes:
   semantics.
 
 :func:`differential_check` replays one allocation through every
-available engine, verifies the built schedule's invariants with
+available engine (the reference mapper once: the schedule it builds
+gives its makespan and is the one verified and simulated), verifies the
+built schedule's invariants with
 :class:`~repro.verify.ScheduleVerifier`, and raises
 :class:`~repro.exceptions.VerificationError` (``kind =
 "engine-divergence"``) the moment any two engines disagree.  Build-time
@@ -35,7 +37,7 @@ import numpy as np
 
 from ..exceptions import SimulationError, VerificationError
 from ..graph import PTG
-from ..mapping import kernel_for, makespan_of, map_allocations
+from ..mapping import kernel_for, map_allocations
 from ..simulator import simulate
 from ..timemodels import TimeTable
 from .verifier import ScheduleVerifier
@@ -115,9 +117,10 @@ def differential_check(
     kernel = kernel_for(table)
     if kernel.has_native:
         engines["kernel-c"] = float(kernel.makespan(alloc))
-    engines["reference"] = float(
-        makespan_of(ptg, table, alloc, compiled=False)
-    )
+    # one pass of the reference mapper builds the schedule that is
+    # verified and simulated below, and its makespan is this engine's
+    schedule = map_allocations(ptg, table, alloc, compiled=False)
+    engines["reference"] = schedule.makespan
 
     exact = [
         (name, value)
@@ -135,9 +138,8 @@ def differential_check(
             engines, f"reported != {first_name}"
         )
 
-    # rebuild the full schedule through the reference engine, check every
-    # structural invariant, then replay it in simulated time
-    schedule = map_allocations(ptg, table, alloc, compiled=False)
+    # check every structural invariant of the reference schedule, then
+    # replay it in simulated time
     ScheduleVerifier(ptg, table).verify(
         schedule, expected_makespan=first
     )

@@ -4,9 +4,13 @@ A :class:`ScheduleVerifier` re-derives every invariant of a
 :class:`~repro.mapping.Schedule` from first principles — directly from
 the PTG's edge list, the platform's processor count and (when given) the
 time table — without trusting any intermediate the scheduler produced.
-It is deliberately redundant with :meth:`Schedule.validate`: the point
-of a verifier is that it shares *no code path* with the engines it
-checks, so a bug in the scheduler's bookkeeping cannot hide itself.
+It is the library's one judge of a schedule: served results, perfbench
+outputs, loaded files and the test suites all go through it.  It shares
+*no code path* with the engines it checks, so a bug in the scheduler's
+bookkeeping cannot hide itself; the discrete-event simulator
+(:func:`repro.simulator.simulate`) is the second, event-driven replay,
+and a per-task loop in ``tests/test_verify_parity.py`` is this module's
+reference.
 
 Each invariant group is one numpy pass over whole arrays — times, the
 processor sets concatenated in task order, the edge list, and the
@@ -52,7 +56,7 @@ from ..timemodels import TimeTable
 
 __all__ = ["ScheduleVerifier", "VerificationReport", "VIOLATION_KINDS"]
 
-#: Numerical slack for start/finish comparisons (same as the mapper's).
+#: Numerical slack for start/finish comparisons.
 _EPS = 1e-9
 
 #: Every ``kind`` tag :class:`ScheduleVerifier` can emit.

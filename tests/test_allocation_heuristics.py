@@ -16,6 +16,7 @@ from repro.graph import level_members, precedence_levels
 from repro.mapping import makespan_of
 from repro.platform import Cluster
 from repro.timemodels import AmdahlModel, SyntheticModel, TimeTable
+from repro.verify import ScheduleVerifier
 
 
 def table_for(ptg, P=8, model=None, speed=1.0):
@@ -32,7 +33,7 @@ class TestSerial:
     def test_schedule_composition(self, fft8_ptg):
         table = table_for(fft8_ptg)
         s = SerialAllocator().schedule(fft8_ptg, table)
-        s.validate()
+        ScheduleVerifier(fft8_ptg, table).verify(s)
         assert s.makespan == pytest.approx(
             makespan_of(
                 fft8_ptg, table, np.ones(39, dtype=np.int64)

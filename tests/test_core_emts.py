@@ -11,6 +11,7 @@ from repro.platform import Cluster, chti, grelon
 from repro.simulator import simulate
 from repro.testing import Unbounded
 from repro.timemodels import AmdahlModel, SyntheticModel, TimeTable
+from repro.verify import ScheduleVerifier
 from repro.workloads import generate_fft
 
 
@@ -56,9 +57,7 @@ class TestEMTSBasics:
     def test_schedule_is_valid_and_simulates(self, problem):
         ptg, cluster, table = problem
         result = emts5().schedule(ptg, cluster, table, rng=3)
-        result.schedule.validate(
-            times=table.times_for(result.allocation)
-        )
+        ScheduleVerifier(ptg, table).verify(result.schedule)
         sim = simulate(result.schedule, table)
         assert sim.makespan == pytest.approx(result.makespan)
 
@@ -183,7 +182,7 @@ class TestModelIndependence:
         result = emts5(generations=2).schedule(
             ptg, cluster, model_factory(), rng=55
         )
-        result.schedule.validate()
+        ScheduleVerifier(ptg, cluster=cluster).verify(result.schedule)
         assert result.makespan <= min(
             result.seed_makespans.values()
         ) + 1e-9

@@ -7,7 +7,6 @@ from repro.core import (
     clamp_allocations,
     describe_genome,
     random_allocations,
-    validate_genome,
 )
 from repro.exceptions import AllocationError
 from repro.graph import chain
@@ -24,26 +23,6 @@ class TestClamp:
 
     def test_returns_int64(self):
         assert clamp_allocations(np.array([2.0]), 4).dtype == np.int64
-
-
-class TestValidate:
-    def test_valid(self):
-        out = validate_genome(np.array([1, 2, 3]), 3, 4)
-        assert out.dtype == np.int64
-
-    def test_wrong_shape(self):
-        with pytest.raises(AllocationError, match="shape"):
-            validate_genome(np.array([1, 2]), 3, 4)
-
-    def test_non_integer(self):
-        with pytest.raises(AllocationError, match="integers"):
-            validate_genome(np.array([1.5, 2.0, 3.0]), 3, 4)
-
-    def test_out_of_range(self):
-        with pytest.raises(AllocationError, match="lie in"):
-            validate_genome(np.array([0, 2, 3]), 3, 4)
-        with pytest.raises(AllocationError, match="lie in"):
-            validate_genome(np.array([1, 2, 5]), 3, 4)
 
 
 class TestRandom:

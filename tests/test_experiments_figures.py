@@ -18,6 +18,9 @@ from repro.experiments.figures import (
     generate_figure5,
     generate_figure6,
 )
+from repro.platform import grelon
+from repro.timemodels import SyntheticModel, TimeTable
+from repro.verify import ScheduleVerifier
 
 
 class TestFigure1:
@@ -170,8 +173,10 @@ class TestFigure6:
         )
 
     def test_schedules_valid(self, fig):
-        fig.mcpa_schedule.validate()
-        fig.emts_schedule.validate()
+        table = TimeTable.build(SyntheticModel(), fig.ptg, grelon())
+        verifier = ScheduleVerifier(fig.ptg, table)
+        verifier.verify(fig.mcpa_schedule)
+        verifier.verify(fig.emts_schedule)
 
     def test_render_and_svg(self, fig, tmp_path):
         out = fig.render()

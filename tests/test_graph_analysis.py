@@ -1,6 +1,9 @@
 """Unit tests for graph analyses (bottom/top levels, critical path,
 precedence levels, delta-critical sets)."""
 
+import copy
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -22,7 +25,7 @@ from repro.graph import (
     precedence_levels,
     top_levels,
 )
-from repro.mapping import ScheduleKernel, _cscheduler
+from repro.mapping import ScheduleKernel, _cscheduler, kernel_for
 from repro.platform import chti
 from repro.timemodels import AmdahlModel, TimeTable
 from repro.workloads import (
@@ -383,6 +386,35 @@ class TestGraphArrays:
             assert arr.flags.c_contiguous
             with pytest.raises(ValueError, match="read-only"):
                 arr[0] = 0
+
+    @pytest.mark.parametrize(
+        "duplicate",
+        [lambda obj: pickle.loads(pickle.dumps(obj)), copy.deepcopy],
+        ids=["pickle", "deepcopy"],
+    )
+    def test_read_only_across_copies(self, irregular_ptg, duplicate):
+        """A copied PTG and table (a spawned campaign worker's) keep
+        every array read-only, and the caches are rebuilt from them."""
+        table = TimeTable.build(AmdahlModel(), irregular_ptg, chti())
+        kernel_for(table)  # built, so the copy must not carry it
+        clone = duplicate(table)
+        ptg = clone.ptg
+        assert ptg == irregular_ptg
+        assert clone._kernel is None
+        frozen = [
+            *ptg.arrays,
+            ptg.work,
+            ptg.alpha,
+            ptg.data_size,
+            clone.array,
+            kernel_for(clone)._flat_times,
+        ]
+        copied_ptg = duplicate(irregular_ptg)
+        frozen += [*copied_ptg.arrays, copied_ptg.work, copied_ptg.alpha]
+        frozen += [irregular_ptg.work, irregular_ptg.data_size]
+        for arr in frozen:
+            assert not arr.flags.writeable
+        assert np.array_equal(clone.array, table.array)
 
     def test_kernel_binds_the_ptgs_own_arrays(self, irregular_ptg):
         ptg = irregular_ptg

@@ -22,6 +22,7 @@ from repro import (
 from repro.experiments import mean_confidence_interval
 from repro.graph import load_ptg, save_ptg
 from repro.mapping import makespan_of
+from repro.verify import ScheduleVerifier
 from repro.workloads import (
     DaggenParams,
     generate_daggen,
@@ -65,10 +66,11 @@ class TestFullPipeline:
         cluster = chti()
         table = TimeTable.build(model, ptg, cluster)
 
+        verifier = ScheduleVerifier(ptg, table)
         makespans = {}
         for h in ALL_HEURISTICS:
             schedule = h.schedule(ptg, table)
-            schedule.validate()
+            verifier.verify(schedule)
             sim = simulate(schedule, table)
             assert sim.makespan == pytest.approx(schedule.makespan)
             makespans[h.name] = schedule.makespan

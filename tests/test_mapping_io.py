@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from repro.exceptions import ScheduleError
+from repro.exceptions import ScheduleError, VerificationError
 from repro.graph import chain
 from repro.mapping import (
     load_schedule,
@@ -16,6 +16,7 @@ from repro.mapping import (
 )
 from repro.platform import Cluster
 from repro.timemodels import AmdahlModel, TimeTable
+from repro.verify import ScheduleVerifier
 
 
 @pytest.fixture
@@ -92,8 +93,9 @@ class TestErrors:
         doc = schedule_to_dict(schedule)
         doc["tasks"][1]["start"] = 0.0
         back = schedule_from_dict(doc, ptg, validate=False)
-        with pytest.raises(ScheduleError):
-            back.validate()
+        with pytest.raises(VerificationError) as info:
+            ScheduleVerifier(ptg, cluster=back.cluster).verify(back)
+        assert info.value.kind == "precedence"
 
     def test_non_dict_document(self, scheduled):
         ptg, _ = scheduled

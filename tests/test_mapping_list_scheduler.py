@@ -13,6 +13,7 @@ from repro.mapping import (
 )
 from repro.platform import Cluster
 from repro.timemodels import AmdahlModel, SyntheticModel, TimeTable
+from repro.verify import ScheduleVerifier
 
 
 def table_for(ptg, P=4, speed=1.0, model=None):
@@ -171,7 +172,7 @@ class TestConsistency:
                 1, 17, size=irregular_ptg.num_tasks, dtype=np.int64
             )
             s = map_allocations(irregular_ptg, table, alloc)
-            s.validate(times=table.times_for(alloc))
+            ScheduleVerifier(irregular_ptg, table).verify(s)
 
     def test_deterministic(self, irregular_ptg):
         table = table_for(irregular_ptg, P=8)
@@ -237,7 +238,7 @@ class TestPriorityVariants:
             s = map_allocations(
                 irregular_ptg, table, alloc, priority=priority
             )
-            s.validate(times=table.times_for(alloc))
+            ScheduleVerifier(irregular_ptg, table).verify(s)
 
     def test_unknown_priority_rejected(self, diamond_ptg):
         table = table_for(diamond_ptg, P=4)

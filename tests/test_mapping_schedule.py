@@ -1,12 +1,16 @@
-"""Unit tests for the Schedule data model and its invariant checks."""
+"""Unit tests for the Schedule data model, and the invariants
+:class:`~repro.verify.ScheduleVerifier` judges it by (each violation
+asserted by its ``kind``)."""
 
 import numpy as np
 import pytest
 
-from repro.exceptions import ScheduleError
-from repro.graph import chain
+from repro.exceptions import ScheduleError, VerificationError
+from repro.graph import PTG, Task, chain
 from repro.mapping import Schedule
 from repro.platform import Cluster
+from repro.timemodels import TimeTable
+from repro.verify import ScheduleVerifier
 
 
 @pytest.fixture
@@ -72,40 +76,82 @@ class TestBasics:
             )
 
 
+def _violation(schedule: Schedule, table: TimeTable | None = None) -> str:
+    """The ``kind`` of the first invariant ``schedule`` violates."""
+    verifier = ScheduleVerifier(
+        schedule.ptg, table, cluster=schedule.cluster
+    )
+    with pytest.raises(VerificationError) as info:
+        verifier.verify(schedule)
+    return info.value.kind
+
+
+def _one_task(cluster, start, finish, procs) -> Schedule:
+    return Schedule(
+        chain([1e9], name="c1"),
+        cluster,
+        start=np.array([start]),
+        finish=np.array([finish]),
+        proc_sets=[np.array(procs, dtype=np.int64)],
+    )
+
+
+def _times(valid_schedule, t1_on_two: float) -> TimeTable:
+    """A table giving t0 1 s on one processor and t1 ``t1_on_two`` s on
+    two (the other entries are never read)."""
+    return TimeTable(
+        valid_schedule.ptg,
+        valid_schedule.cluster,
+        np.array([[1.0, 0.6, 0.5], [4.0, t1_on_two, 1.5]]),
+    )
+
+
 class TestValidation:
-    def test_valid_passes(self, valid_schedule):
-        valid_schedule.validate()
+    def test_valid_passes(self, valid_schedule, cluster):
+        report = ScheduleVerifier(
+            valid_schedule.ptg, cluster=cluster
+        ).verify(valid_schedule)
+        assert report.makespan == 3.0
+        assert not report.durations_checked
 
     def test_valid_with_times(self, valid_schedule):
-        valid_schedule.validate(times=np.array([1.0, 2.0]))
+        table = _times(valid_schedule, 2.0)
+        report = ScheduleVerifier(valid_schedule.ptg, table).verify(
+            valid_schedule
+        )
+        assert report.durations_checked
 
     def test_wrong_duration_detected(self, valid_schedule):
-        with pytest.raises(ScheduleError, match="duration"):
-            valid_schedule.validate(times=np.array([1.0, 5.0]))
+        table = _times(valid_schedule, 5.0)
+        assert _violation(valid_schedule, table) == "wrong-duration"
 
     def test_negative_start_detected(self, cluster):
-        ptg = chain([1e9], name="c1")
-        s = Schedule(
-            ptg,
-            cluster,
-            start=np.array([-1.0]),
-            finish=np.array([0.5]),
-            proc_sets=[np.array([0])],
-        )
-        with pytest.raises(ScheduleError, match="negative"):
-            s.validate()
+        s = _one_task(cluster, -1.0, 0.5, [0])
+        assert _violation(s) == "negative-start"
 
     def test_finish_before_start_detected(self, cluster):
-        ptg = chain([1e9], name="c1")
+        s = _one_task(cluster, 2.0, 1.0, [0])
+        assert _violation(s) == "negative-duration"
+
+    @pytest.mark.parametrize(
+        "start, finish",
+        [(np.nan, np.nan), (0.0, np.inf), (-np.inf, 1.0)],
+        ids=["nan", "inf-finish", "minus-inf-start"],
+    )
+    def test_non_finite_detected(self, cluster, start, finish):
+        s = _one_task(cluster, start, finish, [0])
+        assert _violation(s) == "non-finite"
+
+    def test_successor_of_a_nan_placed_task_is_rejected(self, cluster):
+        ptg = chain([1e9, 1e9], name="c2")
         s = Schedule(
             ptg,
             cluster,
-            start=np.array([2.0]),
-            finish=np.array([1.0]),
-            proc_sets=[np.array([0])],
+            start=np.array([np.nan, 0.0]),
+            finish=np.array([np.nan, 1.0]),
+            proc_sets=[np.array([0]), np.array([1])],
         )
-        with pytest.raises(ScheduleError, match="before it starts"):
-            s.validate()
+        assert _violation(s) == "non-finite"
 
     def test_precedence_violation_detected(self, cluster):
         ptg = chain([1e9, 1e9], name="c2")
@@ -116,12 +162,9 @@ class TestValidation:
             finish=np.array([1.0, 1.5]),
             proc_sets=[np.array([0]), np.array([1])],
         )
-        with pytest.raises(ScheduleError, match="precedence"):
-            s.validate()
+        assert _violation(s) == "precedence"
 
     def test_double_booking_detected(self, cluster):
-        from repro.graph import PTG, Task
-
         ptg = PTG(
             [Task("a", work=1e9), Task("b", work=1e9)], []
         )
@@ -132,44 +175,19 @@ class TestValidation:
             finish=np.array([1.0, 1.5]),
             proc_sets=[np.array([0]), np.array([0])],  # overlap on P0
         )
-        with pytest.raises(ScheduleError, match="double-booked"):
-            s.validate()
+        assert _violation(s) == "overlap"
 
     def test_empty_proc_set_detected(self, cluster):
-        ptg = chain([1e9], name="c1")
-        s = Schedule(
-            ptg,
-            cluster,
-            start=np.array([0.0]),
-            finish=np.array([1.0]),
-            proc_sets=[np.array([], dtype=np.int64)],
-        )
-        with pytest.raises(ScheduleError, match="no processors"):
-            s.validate()
+        s = _one_task(cluster, 0.0, 1.0, [])
+        assert _violation(s) == "allocation-empty"
 
     def test_duplicate_processor_detected(self, cluster):
-        ptg = chain([1e9], name="c1")
-        s = Schedule(
-            ptg,
-            cluster,
-            start=np.array([0.0]),
-            finish=np.array([1.0]),
-            proc_sets=[np.array([1, 1])],
-        )
-        with pytest.raises(ScheduleError, match="twice"):
-            s.validate()
+        s = _one_task(cluster, 0.0, 1.0, [1, 1])
+        assert _violation(s) == "allocation-duplicate"
 
     def test_unknown_processor_detected(self, cluster):
-        ptg = chain([1e9], name="c1")
-        s = Schedule(
-            ptg,
-            cluster,
-            start=np.array([0.0]),
-            finish=np.array([1.0]),
-            proc_sets=[np.array([7])],
-        )
-        with pytest.raises(ScheduleError, match="unknown processor"):
-            s.validate()
+        s = _one_task(cluster, 0.0, 1.0, [7])
+        assert _violation(s) == "allocation-range"
 
     def test_back_to_back_on_same_processor_ok(self, cluster):
         ptg = chain([1e9, 1e9], name="c2")
@@ -180,4 +198,5 @@ class TestValidation:
             finish=np.array([1.0, 2.0]),
             proc_sets=[np.array([0]), np.array([0])],
         )
-        s.validate()  # touching intervals are fine
+        # touching intervals are fine
+        ScheduleVerifier(ptg, cluster=cluster).verify(s)

@@ -1,10 +1,11 @@
 """Failure-injection property tests (hypothesis).
 
 Start from a provably valid schedule, inject one random corruption, and
-require the independent checkers (Schedule.validate and the
-discrete-event simulator) to reject it.  This guards the guards: a
-validator that silently accepts broken schedules would let scheduler
-bugs masquerade as good results.
+require both independent checkers, :class:`~repro.verify.ScheduleVerifier`
+(which must name the violated invariant by its ``kind``) and the
+discrete-event simulator, to reject it.  This guards the guards: a
+checker that silently accepts broken schedules would let scheduler bugs
+masquerade as good results.
 """
 
 import numpy as np
@@ -12,12 +13,13 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from repro.exceptions import ScheduleError, SimulationError
+from repro.exceptions import SimulationError, VerificationError
 from repro.graph import PTG, Task
 from repro.mapping import Schedule, map_allocations
 from repro.platform import Cluster
 from repro.simulator import simulate
 from repro.timemodels import AmdahlModel, TimeTable
+from repro.verify import ScheduleVerifier
 
 
 @st.composite
@@ -49,6 +51,13 @@ def valid_schedules(draw):
     )
 
 
+def _violation(table, schedule) -> str:
+    """The ``kind`` the verifier rejects ``schedule`` with."""
+    with pytest.raises(VerificationError) as info:
+        ScheduleVerifier(schedule.ptg, table).verify(schedule)
+    return info.value.kind
+
+
 def _rebuild(schedule, start=None, finish=None, proc_sets=None):
     return Schedule(
         schedule.ptg,
@@ -63,8 +72,9 @@ def _rebuild(schedule, start=None, finish=None, proc_sets=None):
 @settings(max_examples=40, deadline=None)
 def test_uncorrupted_schedule_passes_both_checkers(case):
     ptg, table, schedule, _ = case
-    schedule.validate(times=table.times_for(schedule.allocations))
+    ScheduleVerifier(ptg, table).verify(schedule)
     simulate(schedule, table)
+    simulate(schedule)
 
 
 @given(valid_schedules(), st.floats(min_value=0.05, max_value=0.95))
@@ -86,8 +96,7 @@ def test_shifting_a_task_earlier_is_caught(case, fraction):
     )
     assume(start[victim] < pred_end - 1e-9)
     corrupted = _rebuild(schedule, start=start, finish=finish)
-    with pytest.raises(ScheduleError):
-        corrupted.validate()
+    assert _violation(table, corrupted) == "precedence"
     with pytest.raises(SimulationError):
         simulate(corrupted)
 
@@ -119,8 +128,8 @@ def test_stealing_a_busy_processor_is_caught(case):
     # keep the set duplicate-free
     assume(np.unique(proc_sets[victim]).size == proc_sets[victim].size)
     corrupted = _rebuild(schedule, proc_sets=proc_sets)
-    with pytest.raises((ScheduleError, SimulationError)):
-        corrupted.validate()
+    assert _violation(table, corrupted) == "overlap"
+    with pytest.raises(SimulationError):
         simulate(corrupted)
 
 
@@ -135,8 +144,26 @@ def test_wrong_duration_is_caught(case, stretch):
         schedule.finish[victim] - schedule.start[victim]
     )
     corrupted = _rebuild(schedule, finish=finish)
-    with pytest.raises((ScheduleError, SimulationError)):
-        corrupted.validate(
-            times=table.times_for(schedule.allocations)
-        )
+    assert _violation(table, corrupted) == "wrong-duration"
+    with pytest.raises(SimulationError):
         simulate(corrupted, table)
+
+
+@given(
+    valid_schedules(),
+    st.sampled_from(["start", "finish"]),
+    st.sampled_from([np.nan, np.inf, -np.inf]),
+)
+@settings(max_examples=40, deadline=None)
+def test_non_finite_placement_is_caught(case, field, value):
+    """A NaN or infinite start or finish is rejected by the verifier
+    (``non-finite``) and by the simulator, with or without a table."""
+    ptg, table, schedule, victim = case
+    times = getattr(schedule, field).copy()
+    times[victim] = value
+    corrupted = _rebuild(schedule, **{field: times})
+    assert _violation(table, corrupted) == "non-finite"
+    for check_table in (None, table):
+        with pytest.raises(SimulationError) as info:
+            simulate(corrupted, check_table)
+        assert info.value.task == victim

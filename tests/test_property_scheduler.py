@@ -14,6 +14,7 @@ from repro.mapping import makespan_of, map_allocations
 from repro.platform import Cluster
 from repro.simulator import simulate
 from repro.timemodels import AmdahlModel, SyntheticModel, TimeTable
+from repro.verify import ScheduleVerifier
 
 
 @st.composite
@@ -53,7 +54,7 @@ def scheduling_problems(draw):
 def test_schedule_satisfies_all_invariants(problem):
     ptg, table, alloc = problem
     schedule = map_allocations(ptg, table, alloc)
-    schedule.validate(times=table.times_for(alloc))
+    ScheduleVerifier(ptg, table).verify(schedule)
 
 
 @given(scheduling_problems())

@@ -192,6 +192,79 @@ class TestRetryLoop:
         assert client.healthz() == OK
 
 
+class HoldingServer:
+    """A server that holds every ``?wait=`` POST for its whole wait on
+    the fake clock and never finishes the job."""
+
+    RUNNING = {"job": {"id": "job-1", "state": "running"}}
+
+    def __init__(self, clock):
+        self.clock = clock
+        self.polls = 0
+
+    def submit(self, doc, wait=None):
+        self.clock.now += wait or 0.0
+        return self.RUNNING
+
+    def get_job(self, job_id):
+        self.polls += 1
+        return self.RUNNING
+
+
+def _holding_retrying_client(clock, server):
+    return RetryingServiceClient(
+        client=server,
+        policy=RetryPolicy(seed=7),
+        sleep=clock.sleep,
+        clock=clock,
+    )
+
+
+def _holding_plain_client(clock, server):
+    client = ServiceClient()
+    client.submit = server.submit
+    client.get_job = server.get_job
+    client._sleep = clock.sleep
+    client._clock = clock
+    return client
+
+
+class TestBlockingCalls:
+    """``schedule`` and ``wait_for``, one loop for both clients, keep
+    to the caller's timeout on the fake clock."""
+
+    @pytest.mark.parametrize(
+        "make",
+        [_holding_retrying_client, _holding_plain_client],
+        ids=["retrying", "plain"],
+    )
+    @pytest.mark.parametrize("timeout", [10.0, 45.0])
+    def test_schedule_times_out_within_its_timeout(self, make, timeout):
+        clock = FakeClock()
+        server = HoldingServer(clock)
+        client = make(clock, server)
+        with pytest.raises(JobTimeout, match=f"after {timeout:g}s"):
+            client.schedule({"seed": 1}, timeout=timeout, poll_interval=1.0)
+        # the server's hold counts against the timeout: polling stops
+        # at the first poll past it, not a whole timeout later
+        assert timeout <= clock.now <= timeout + 1.0
+        assert server.polls >= 1
+
+    def test_wait_for_polls_until_its_timeout(self):
+        clock = FakeClock()
+        server = HoldingServer(clock)
+        client = _holding_retrying_client(clock, server)
+        with pytest.raises(JobTimeout, match="after 3s"):
+            client.wait_for("job-1", timeout=3.0, poll_interval=1.0)
+        assert clock.now == 3.0
+        assert server.polls == 4
+
+    def test_a_finished_job_returns_at_once(self):
+        client, inner, clock = make_client([OK])
+        assert client.schedule({"seed": 1}, timeout=10.0) == OK
+        assert clock.now == 0.0
+
+
 class TestIdempotencyKeyInjection:
     def test_key_is_injected_and_stable_across_retries(self):
         client, inner, _ = make_client(

@@ -49,6 +49,18 @@ class TestConstruction:
         with pytest.raises(ValueError):
             table.array[0, 0] = 99.0
 
+    def test_cut_equals_the_checked_constructor(self, table):
+        """A sub-instance's table, cut without a second check, holds
+        what the checking constructor builds from the same rows."""
+        sub = table.ptg.induced([1], name="t1")
+        cluster = Cluster("alive", num_processors=3, speed_gflops=1.0)
+        cut = table.cut(sub, cluster, np.array([1]), "amdahl/frontier")
+        built = TimeTable(sub, cluster, table.array[[1], :3])
+        assert np.array_equal(cut.array, built.array)
+        assert cut.shape == (1, 3) and cut.cluster is cluster
+        assert cut.model_name == "amdahl/frontier"
+        assert not cut.array.flags.writeable
+
 
 class TestLookup:
     def test_time(self, table):

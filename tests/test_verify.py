@@ -98,6 +98,27 @@ class TestDifferentialCheck:
         assert report.makespan == report.engines["reference"]
         assert "agree" in str(report)
 
+    def test_reference_mapper_runs_once(
+        self, fft8_ptg, synthetic_table, alloc, monkeypatch
+    ):
+        """One reference pass both scores the allocation and builds the
+        schedule that is verified and simulated."""
+        from repro.mapping import list_scheduler
+
+        calls = []
+        run = list_scheduler._run
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return run(*args, **kwargs)
+
+        monkeypatch.setattr(list_scheduler, "_run", counted)
+        report = differential_check(fft8_ptg, synthetic_table, alloc)
+        assert len(calls) == 1
+        assert report.engines["reference"] == map_allocations(
+            fft8_ptg, synthetic_table, alloc, compiled=False
+        ).makespan
+
     def test_expected_matches(self, fft8_ptg, synthetic_table, alloc):
         kernel = kernel_for(synthetic_table)
         ms = kernel.makespan(alloc)
