@@ -14,8 +14,9 @@ restart the exactly-once ledger is settled:
     after the restart.  ``jobs_lost`` counts the ones that did not —
     gated at exactly 0.
 ``jobs_duplicated``
-    Submissions are keyed, so a key appearing on more than one spool
-    record means a retry spawned a twin — gated at exactly 0.
+    Submissions are keyed, so a key carried by the frames of more than
+    one job id in the spool log means a retry spawned a twin — gated at
+    exactly 0.
 ``results_identical``
     A fixed reference request is re-submitted (fresh key) every cycle;
     all cycles must produce bit-identical result documents — crash
@@ -49,7 +50,7 @@ from repro.service import (  # noqa: E402
     RetryPolicy,
     ServiceClient,
 )
-from repro.testing import ServiceDaemon  # noqa: E402
+from repro.testing import ServiceDaemon, spool_ids_per_key  # noqa: E402
 from repro.workloads import generate_fft  # noqa: E402
 
 DEFAULT_OUT = Path(__file__).resolve().parent / "BENCH_recovery.json"
@@ -163,16 +164,12 @@ def run(out_path: Path, *, cycles: int, results_txt: Path | None) -> dict:
                     if doc["job"]["state"] != "done":
                         lost.add(key)
 
-            # duplicate scan over the whole spool: at most one record
-            # per idempotency key across every cycle and crash
-            seen: dict[str, list[str]] = {}
-            for record_path in sorted((spool / "jobs").glob("*.json")):
-                record = json.loads(record_path.read_text())
-                key = record["request"].get("idempotency_key")
-                if key:
-                    seen.setdefault(key, []).append(record["id"])
+            # duplicate scan over the whole spool log: one job id per
+            # idempotency key across every cycle and crash
             duplicates = {
-                k: ids for k, ids in seen.items() if len(ids) > 1
+                k: ids
+                for k, ids in spool_ids_per_key(spool).items()
+                if len(ids) > 1
             }
         finally:
             daemon.kill()

@@ -537,8 +537,9 @@ def check_recovery(recovery_path: Path) -> int:
 
     * no-loss — every job the client got an ack for reached ``done``
       after the kill-restart cycles (``jobs_lost == 0``).
-    * no-duplicate — no idempotency key ever owned more than one spool
-      record (``jobs_duplicated == 0``): retries after lost acks were
+    * no-duplicate — no idempotency key ever named more than one job
+      id in the spool log (``jobs_duplicated == 0``): retries after lost
+      acks were
       answered by the original job, never by a twin.
     * bit-identity — the per-cycle reference request produced the same
       result document in every cycle, crashes notwithstanding.

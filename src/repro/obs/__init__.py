@@ -23,7 +23,7 @@ the scheduler:
 * :mod:`repro.obs.slo` — declarative SLO specs evaluated continuously
   from the metrics registry with multi-window burn-rate alerting.
 * :mod:`repro.obs.flight` — a bounded crash flight recorder ring,
-  dumped atomically beside quarantined spool records and on armed
+  dumped atomically beside quarantined spool files and on armed
   crash-point exits.
 
 Instrumentation is **off by default** and adds <2 % overhead when

@@ -11,7 +11,7 @@ The ring becomes useful exactly when things go wrong, so it is dumped
 atomically (temp file + ``os.replace``) at the two places PR 9 made
 failure observable:
 
-* next to every quarantined spool record (:mod:`repro.service.jobs`),
+* next to every quarantined spool file (:mod:`repro.service.jobs`),
   so the debris carries its own context; and
 * on armed crash-point exits, via :func:`arm_crash_dump` registering a
   :func:`repro.util.crash.register_crash_hook` — the kill-restart

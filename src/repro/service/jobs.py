@@ -2,58 +2,66 @@
 
 A job moves through ``queued -> running -> done`` (or ``failed``), with
 one extra state — ``interrupted`` — for jobs stopped at a generation
-boundary by a drain: their EMTS checkpoint (written by the run itself,
-PR 3 machinery) lives next to the job record, and a restarted daemon
+boundary by a drain: their EMTS checkpoint (written by the run itself)
+lives in ``spool/checkpoints/<id>.json``, and a restarted daemon
 re-enqueues them and resumes bit-identically.
 
-Persistence is a spool directory of one JSON file per job, written
-atomically (temp file + ``os.replace``), so a crash at any instant
-leaves either the old or the new record — never a torn one.  Passing
-``spool=None`` runs the store fully in memory (tests, ephemeral
-benches).  A record is one JSON document with unspecified key order:
-the request's PTG and the job's result go in as the text they were
-encoded to once (:meth:`Job.to_json`), not encoded again per write.
+Persistence is one append-only log, ``spool/jobs.log``, that the store
+keeps open.  Every state change appends one frame::
 
-Two durability mechanisms live here beyond the basic spool:
+    magic (4) | payload length (u32) | CRC-32 of payload (u32)
+    | header length (u16) | header | record
 
-* **Idempotency index** — every job whose request carried an
-  ``idempotency_key`` is registered in an LRU-bounded key → job map.
-  A retried submit after an ambiguous failure (connection dropped
-  after the POST landed) finds the original job instead of enqueuing a
-  twin.  The index is derived state: it is rebuilt from the spool
-  records on :meth:`JobStore.recover`, so dedupe survives a daemon
-  restart without its own persistence (and therefore cannot itself be
-  torn by a crash).
+The header is the JSON array ``[id, state, finished_at,
+idempotency_key]``; the record is :meth:`Job.to_json`, so any frame
+alone restores its job.  An append is two ``os.write`` calls under one
+lock (no open, no rename), and an in-memory index keeps each job's
+latest frame.  A crash mid-append leaves a torn frame at the tail.
+Passing ``spool=None`` runs the store fully in memory (tests, ephemeral
+benches).
 
-* **Quarantine** — :meth:`JobStore.recover` moves unreadable spool
-  records (zero-byte, truncated, tampered) and orphaned ``.json.tmp``
-  partial-rename debris into ``spool/quarantine/`` instead of raising:
-  one corrupt record must never poison recovery of the healthy ones.
-  The daemon surfaces the count as ``service.spool.quarantined``.
+:meth:`JobStore.recover` reads the log once and keeps each job's latest
+intact frame.  Only unfinished jobs and the newest ``max_finished``
+finished ones are parsed in full; the rest register their idempotency
+key from the header, and :meth:`JobStore.get` reads their frame back by
+offset.  Every byte outside an intact frame (a torn tail, a corrupt
+frame the scan resyncs past at the next magic marker) and every frame
+whose record does not make a job goes to ``spool/quarantine/``: one
+bad frame never poisons the rest.  The daemon surfaces the count as
+``service.spool.quarantined``.
 
-Memory holds every live job but only the newest ``max_finished``
-finished ones, while serving and after :meth:`JobStore.recover`.  With
-a spool, :meth:`JobStore.get` and idempotent dedupe read an older
-finished job's record back from disk; without one it is gone.
+Compaction writes the latest frames to a temp log and swaps it in with
+``os.replace``; it runs at recovery and whenever superseded bytes pass
+half the log, so the log stays within twice its live bytes.  A spool
+left in the old one-file-per-job layout (``spool/jobs/<id>.json``) is
+imported into the log once, its ``.json.tmp`` debris quarantined.
 
-Neither the spool record nor the run checkpoint is fsynced: both
-survive the death of the process (the kernel holds the written pages),
-not the loss of power.
+The **idempotency index** (key -> job id, LRU-bounded) lets a retried
+submit after an ambiguous failure find the original job instead of
+enqueuing a twin.  It is derived state, rebuilt from the frame headers
+on recovery, so dedupe survives a restart without its own persistence.
+
+Neither the log nor the run checkpoint is fsynced: both survive the
+death of the process (the kernel holds the written pages), not the
+loss of power.
 """
 
 from __future__ import annotations
 
 import heapq
 import json
+import mmap
 import os
 import re
+import struct
 import threading
 import time
 import uuid
+import zlib
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable
+from typing import Any, Callable, NamedTuple
 
 from ..exceptions import ServiceError
 from ..util.crash import crash_point
@@ -81,8 +89,18 @@ DEFAULT_FINISHED_JOBS = 256
 JOB_STATES = ("queued", "running", "interrupted", "done", "failed")
 FINISHED_STATES = ("done", "failed")
 
-#: what a job id read from a URL must look like before it names a file
+#: what a job id read from a frame must look like before it names a
+#: checkpoint file
 _SAFE_JOB_ID = re.compile(r"[A-Za-z0-9_-]{1,64}")
+
+#: a frame starts with this marker; 0xF5 never occurs in UTF-8 text
+_MAGIC = b"\xf5JL1"
+#: magic, payload length, CRC-32 of the payload, header length
+_PREFIX = struct.Struct("<4sIIH")
+#: compaction waits until the log is at least this large ...
+_COMPACT_MIN_BYTES = 1 << 20
+#: ... and superseded frames are more than half of it
+_COMPACT_DEAD_SHARE = 0.5
 
 #: guards every job's done callbacks; held only for a list operation
 _callbacks_lock = threading.Lock()
@@ -242,28 +260,120 @@ class Job:
 
     @classmethod
     def from_dict(cls, doc: dict[str, Any]) -> "Job":
-        state = doc.get("state", "queued")
-        if state not in JOB_STATES:
+        """The job a record describes; :class:`ServiceError` if it is
+        malformed."""
+        try:
+            state = doc.get("state", "queued")
+            if state not in JOB_STATES:
+                raise ServiceError(
+                    f"job record has unknown state {state!r}",
+                    code="corrupt-job",
+                    status=500,
+                )
+            job = cls(
+                id=str(doc["id"]),
+                request=parse_request(doc["request"]),
+                state=state,
+                result=doc.get("result"),
+                error=doc.get("error"),
+                submitted_at=float(doc.get("submitted_at", 0.0)),
+                started_at=doc.get("started_at"),
+                finished_at=doc.get("finished_at"),
+                served_from=doc.get("served_from", "run"),
+                attempts=int(doc.get("attempts", 0)),
+            )
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
             raise ServiceError(
-                f"job record has unknown state {state!r}",
+                f"malformed job record: {type(exc).__name__}: {exc}",
                 code="corrupt-job",
                 status=500,
-            )
-        job = cls(
-            id=str(doc["id"]),
-            request=parse_request(doc["request"]),
-            state=state,
-            result=doc.get("result"),
-            error=doc.get("error"),
-            submitted_at=float(doc.get("submitted_at", 0.0)),
-            started_at=doc.get("started_at"),
-            finished_at=doc.get("finished_at"),
-            served_from=doc.get("served_from", "run"),
-            attempts=int(doc.get("attempts", 0)),
-        )
+            ) from None
         if job.state in FINISHED_STATES:
             job.done_event.set()
         return job
+
+
+class Frame(NamedTuple):
+    """One intact frame of a spool log: where it is and its header."""
+
+    offset: int
+    #: first byte of the record
+    body: int
+    end: int
+    job_id: str
+    state: str
+    finished_at: float | None
+    idempotency_key: str | None
+
+
+def encode_frame(header: list, record: bytes) -> tuple[bytes, bytes]:
+    """A frame as its two appends: prefix and header, then the record."""
+    head = json.dumps(header).encode()
+    crc = zlib.crc32(record, zlib.crc32(head))
+    prefix = _PREFIX.pack(_MAGIC, len(head) + len(record), crc, len(head))
+    return prefix + head, record
+
+
+def _frame_at(view: memoryview, pos: int) -> Frame | None:
+    """The intact frame starting at ``pos``, if one does."""
+    if view[pos : pos + 4] != _MAGIC or pos + _PREFIX.size > len(view):
+        return None
+    _, length, crc, head_len = _PREFIX.unpack_from(view, pos)
+    start = pos + _PREFIX.size
+    end = start + length
+    if head_len > length or end > len(view):
+        return None
+    if zlib.crc32(view[start:end]) != crc:
+        return None
+    try:
+        job_id, state, finished_at, key = json.loads(
+            view[start : start + head_len].tobytes()
+        )
+    except (TypeError, ValueError):
+        return None
+    if (
+        not isinstance(job_id, str)
+        or not _SAFE_JOB_ID.fullmatch(job_id)
+        or state not in JOB_STATES
+        or not isinstance(finished_at, (int, float, type(None)))
+        or not isinstance(key, (str, type(None)))
+    ):
+        return None
+    return Frame(
+        pos, start + head_len, end, job_id, state, finished_at, key
+    )
+
+
+def scan_log(data) -> tuple[list[Frame], list[tuple[int, int]]]:
+    """The intact frames of a spool log and its bad byte ranges.
+
+    ``data`` is the log's bytes (or an mmap of them).  A position that
+    holds no intact frame starts a bad range, and the scan resyncs at
+    the next magic marker; both lists are in log order.
+    """
+    frames: list[Frame] = []
+    bad: list[tuple[int, int]] = []
+    bad_start = None
+    pos = 0
+    with memoryview(data) as view:
+        size = len(view)
+        while pos < size:
+            frame = _frame_at(view, pos)
+            if frame is None:
+                if bad_start is None:
+                    bad_start = pos
+                pos = data.find(_MAGIC, pos + 1)
+                if pos < 0:
+                    pos = size
+                continue
+            if bad_start is not None:
+                bad.append((bad_start, pos))
+                bad_start = None
+            frames.append(frame)
+            pos = frame.end
+    if bad_start is not None:
+        bad.append((bad_start, size))
+    return frames, bad
 
 
 def new_job_id() -> str:
@@ -271,7 +381,7 @@ def new_job_id() -> str:
 
 
 class JobStore:
-    """Registry of jobs plus (optionally) their on-disk spool records."""
+    """Registry of jobs plus (optionally) their spool log."""
 
     def __init__(
         self,
@@ -298,12 +408,35 @@ class JobStore:
         #: idempotency key -> job id, LRU-bounded (oldest key evicted)
         self._idempotency: OrderedDict[str, str] = OrderedDict()
         self.idempotency_entries = int(idempotency_entries)
-        #: spool records quarantined by the last :meth:`recover` call
+        #: quarantine files written by the last :meth:`recover` call
         self.quarantined: list[Path] = []
         self.spool = Path(spool) if spool is not None else None
+        #: guards the log, its size and the frame index
+        self._log_lock = threading.Lock()
+        #: job id -> (offset, size) of its latest frame in the log
+        self._frames: dict[str, tuple[int, int]] = {}
+        self._log_size = 0
+        #: bytes of frames a later frame of the same job superseded
+        self._dead = 0
+        self._log = None
         if self.spool is not None:
-            (self.spool / "jobs").mkdir(parents=True, exist_ok=True)
             (self.spool / "checkpoints").mkdir(parents=True, exist_ok=True)
+            self._log = open(self.log_path, "a+b", buffering=0)
+            self._log_size = os.fstat(self._log.fileno()).st_size
+        #: the index covers the whole log, so compaction may rewrite it
+        #: (a log left by another process is indexed by :meth:`recover`)
+        self._indexed = self._log_size == 0
+
+    @property
+    def log_path(self) -> Path:
+        assert self.spool is not None
+        return self.spool / "jobs.log"
+
+    def close(self) -> None:
+        """Close the log; the store keeps serving what is in memory."""
+        with self._log_lock:
+            if self._log is not None:
+                self._log.close()
 
     # ------------------------------------------------------------------
     def checkpoint_path(self, job: Job) -> Path | None:
@@ -311,10 +444,6 @@ class JobStore:
         if self.spool is None:
             return None
         return self.spool / "checkpoints" / f"{job.id}.json"
-
-    def _record_path(self, job_id: str) -> Path:
-        assert self.spool is not None
-        return self.spool / "jobs" / f"{job_id}.json"
 
     # ------------------------------------------------------------------
     def create(self, request: ScheduleRequest, key: str = "") -> Job:
@@ -366,7 +495,7 @@ class JobStore:
             self._jobs.pop(old, None)
 
     def get(self, job_id: str) -> Job | None:
-        """The job, from memory or else (finished, spooled) from disk."""
+        """The job, from memory or else (finished, spooled) from the log."""
         with self._lock:
             job = self._jobs.get(job_id)
         if job is None:
@@ -374,13 +503,19 @@ class JobStore:
         return job
 
     def _load(self, job_id: str) -> Job | None:
-        """Read a job that left memory back from its spool record."""
-        if self.spool is None or not _SAFE_JOB_ID.fullmatch(job_id):
+        """Read a job that left memory back from its latest frame."""
+        with self._log_lock:
+            entry = self._frames.get(job_id)
+            if entry is None or self._log is None or self._log.closed:
+                return None
+            offset, size = entry
+            data = os.pread(self._log.fileno(), size, offset)
+        frame = _frame_at(memoryview(data), 0)
+        if frame is None:  # unreadable: recover() judges
             return None
         try:
-            text = self._record_path(job_id).read_text(encoding="utf-8")
-            return Job.from_dict(json.loads(text))
-        except Exception:  # missing, or unreadable: recover() judges
+            return Job.from_dict(json.loads(data[frame.body :]))
+        except (ServiceError, ValueError):
             return None
 
     # -- idempotent submission -----------------------------------------
@@ -421,16 +556,68 @@ class JobStore:
 
     # ------------------------------------------------------------------
     def persist(self, job: Job) -> None:
-        """Atomically write the job's spool record (no-op in-memory)."""
+        """Append the job's record to the log (no-op in-memory)."""
         if self.spool is None:
             return
         crash_point("pre-spool-write")
-        path = self._record_path(job.id)
-        tmp = path.with_suffix(".json.tmp")
-        tmp.write_text(job.to_json(), encoding="utf-8")
-        crash_point("mid-spool-write")
-        os.replace(tmp, path)
+        head, record = encode_frame(
+            [job.id, job.state, job.finished_at, job.request.idempotency_key],
+            job.to_json().encode(),
+        )
+        with self._log_lock:
+            self._append(job.id, head, record)
         crash_point("post-spool-write")
+
+    def _append(self, job_id: str, head: bytes, record: bytes) -> None:
+        """Append one frame and index it (log lock held)."""
+        offset = self._log_size
+        try:
+            _write_all(self._log, head)
+            crash_point("mid-spool-write")
+            _write_all(self._log, record)
+        except OSError:
+            # a failed append leaves a torn frame that recovery resyncs
+            # past; the frames after it must still find their offsets
+            self._log_size = os.fstat(self._log.fileno()).st_size
+            raise
+        size = len(head) + len(record)
+        self._log_size = offset + size
+        old = self._frames.get(job_id)
+        self._frames[job_id] = (offset, size)
+        if old is not None:
+            self._dead += old[1]
+            if self._indexed and self._log_size >= _COMPACT_MIN_BYTES:
+                if self._dead > _COMPACT_DEAD_SHARE * self._log_size:
+                    self._compact_locked()
+
+    def _compact_locked(self) -> None:
+        """Rewrite the log as the latest frame of every job.
+
+        If the rewrite fails (a full disk), the log stays as it was and
+        the next append past the threshold tries again.
+        """
+        tmp = self.spool / "jobs.log.tmp"
+        fd = self._log.fileno()
+        frames: dict[str, tuple[int, int]] = {}
+        pos = 0
+        try:
+            with open(tmp, "wb") as out:
+                for job_id, (offset, size) in sorted(
+                    self._frames.items(), key=lambda item: item[1][0]
+                ):
+                    out.write(os.pread(fd, size, offset))
+                    frames[job_id] = (pos, size)
+                    pos += size
+            os.replace(tmp, self.log_path)
+        except OSError:
+            tmp.unlink(missing_ok=True)
+            return
+        self._log.close()
+        self._log = open(self.log_path, "a+b", buffering=0)
+        self._frames = frames
+        self._log_size = pos
+        self._dead = 0
+        self._indexed = True
 
     def forget_checkpoint(self, job: Job) -> None:
         """Delete the job's checkpoint once it finished cleanly."""
@@ -439,101 +626,216 @@ class JobStore:
             path.unlink(missing_ok=True)
 
     # ------------------------------------------------------------------
-    def _quarantine(self, path: Path) -> None:
-        """Move an unusable spool file aside, keeping it for forensics."""
+    def _quarantine(self, name: str, put: Callable[[Path], Any]) -> None:
+        """Park unusable spool bytes, keeping them for forensics.
+
+        ``put(target)`` moves or writes them to a fresh name under
+        ``spool/quarantine/``.
+        """
         assert self.spool is not None
         qdir = self.spool / "quarantine"
         qdir.mkdir(parents=True, exist_ok=True)
-        target = qdir / path.name
+        target = qdir / name
         n = 1
-        while target.exists():  # same-named record from an older crash
-            target = qdir / f"{path.name}.{n}"
+        while target.exists():  # same name from an older crash
+            target = qdir / f"{name}.{n}"
             n += 1
         try:
-            os.replace(path, target)
+            put(target)
         except OSError:
             return  # vanished (or unmovable): nothing left to poison
         self.quarantined.append(target)
-        # park the flight ring next to the debris: the record can no
-        # longer say what happened to it, but the process's last moves
-        # leading up to the quarantine can
+        # park the flight ring next to the debris: the bytes can no
+        # longer say what happened to them, but the process's last
+        # moves leading up to the quarantine can
         try:
             from ..obs.flight import flight_recorder
 
             flight_recorder().record(
-                "spool", "quarantined record", file=path.name
+                "spool", "quarantined record", file=name
             )
             flight_recorder().dump(
                 target.with_name(target.name + ".flight.json"),
-                reason=f"quarantine:{path.name}",
+                reason=f"quarantine:{name}",
             )
         except Exception:  # pragma: no cover - forensics must not kill
             pass
 
-    def recover(self) -> list[Job]:
-        """Load every unfinished job from the spool, oldest first.
+    def _import_legacy(self) -> None:
+        """Move a spool of per-job files (``spool/jobs/``) into the log.
 
-        ``running`` records (daemon died mid-run without a clean drain)
+        A ``.json.tmp`` never reached its final name, so its content is
+        unacked state: it is quarantined, as is a record that is not a
+        JSON job document.  Each imported file is deleted after its
+        frame is written, so an interrupted import resumes.
+        """
+        jobs_dir = self.spool / "jobs"
+        if not jobs_dir.is_dir():
+            return
+        for tmp in sorted(jobs_dir.glob("*.tmp")):
+            self._quarantine(tmp.name, tmp.replace)
+        for path in sorted(jobs_dir.glob("*.json")):
+            try:
+                raw = path.read_bytes()
+                doc = json.loads(raw)
+                header = [
+                    str(doc["id"]),
+                    doc.get("state", "queued"),
+                    doc.get("finished_at") or doc.get("submitted_at"),
+                    doc["request"].get("idempotency_key"),
+                ]
+                if header[1] not in JOB_STATES:
+                    raise ValueError(f"unknown state {header[1]!r}")
+                head, record = encode_frame(header, raw)
+            except (
+                AttributeError,
+                KeyError,
+                OSError,
+                TypeError,
+                ValueError,
+                struct.error,
+            ):
+                self._quarantine(path.name, path.replace)
+                continue
+            with self._log_lock:
+                self._append(header[0], head, record)
+            path.unlink()
+        try:
+            jobs_dir.rmdir()
+        except OSError:  # something unexpected stays for the operator
+            pass
+
+    def recover(self) -> list[Job]:
+        """Load every unfinished job from the log, oldest first.
+
+        ``running`` jobs (daemon died mid-run without a clean drain)
         come back as ``queued``/``interrupted`` depending on whether
         their run left a resumable checkpoint behind.
 
-        Of the finished records only the newest ``max_finished`` (by
+        Of the finished jobs only the newest ``max_finished`` (by
         finish time) become :class:`Job` objects in memory; the rest
         register just their idempotency key, and :meth:`get` reads
         them back on demand.
 
-        A torn record cannot exist (atomic writes), so anything
-        unreadable here — zero-byte, truncated, tampered, or an
-        orphaned ``.json.tmp`` from a crash between temp-write and
-        rename — is moved to ``spool/quarantine/`` (never deleted,
-        never fatal) and reported via :attr:`quarantined`.
+        Bad byte ranges and frames whose record does not make a job are
+        moved to ``spool/quarantine/`` (never fatal) and reported via
+        :attr:`quarantined`; the log is then compacted, or a torn tail
+        truncated, so a second recovery finds nothing new.
         """
         if self.spool is None:
             return []
         self.quarantined = []
-        jobs_dir = self.spool / "jobs"
-        # partial-rename debris: the atomic-write temp never made it to
-        # its final name, so its content is by definition unacked state
-        for tmp in sorted(jobs_dir.glob("*.tmp")):
-            self._quarantine(tmp)
+        self._import_legacy()
+        (self.spool / "jobs.log.tmp").unlink(missing_ok=True)
+        with self._log_lock:
+            parsed = self._scan_locked()
         pending: list[Job] = []
-        #: min-heap of the newest finished records: (finished, path, doc)
-        newest: list[tuple[float, Path, dict]] = []
-        for path in sorted(jobs_dir.glob("*.json")):
-            try:
-                doc = json.loads(path.read_text(encoding="utf-8"))
-                if doc.get("state") in FINISHED_STATES:
-                    finished = float(
-                        doc.get("finished_at") or doc["submitted_at"]
-                    )
-                    key = doc["request"].get("idempotency_key")
-                    with self._lock:
-                        self._register_idempotency_locked(
-                            key, str(doc["id"])
-                        )
-                    heapq.heappush(newest, (finished, path, doc))
-                    if len(newest) > self.max_finished:
-                        heapq.heappop(newest)
-                    continue
-                job = Job.from_dict(doc)
-            except Exception:
-                self._quarantine(path)
-                continue
+        for job in parsed:
             self.adopt(job)
-            ckpt = self.checkpoint_path(job)
+            if job.state in FINISHED_STATES:
+                continue
             if job.state == "running":
-                job.state = (
-                    "interrupted"
-                    if ckpt is not None and ckpt.exists()
-                    else "queued"
-                )
+                ckpt = self.checkpoint_path(job)
+                job.state = "interrupted" if ckpt.exists() else "queued"
                 self.persist(job)
             pending.append(job)
-        for _, path, doc in sorted(newest, key=lambda entry: entry[0]):
-            try:
-                job = Job.from_dict(doc)
-            except Exception:
-                self._quarantine(path)
-                continue
-            self.adopt(job)
+        pending.sort(key=lambda job: job.submitted_at)
         return pending
+
+    def _scan_locked(self) -> list[Job]:
+        """Index the log, quarantine what is bad, and parse the jobs
+        kept in memory: unfinished ones first, then the newest finished
+        ones, oldest first."""
+        fd = self._log.fileno()
+        size = os.fstat(fd).st_size
+        if size == 0:
+            self._frames, self._log_size, self._dead = {}, 0, 0
+            self._indexed = True
+            return []
+        with mmap.mmap(fd, size, access=mmap.ACCESS_READ) as data:
+            frames, bad = scan_log(data)
+            latest: dict[str, Frame] = {}
+            for frame in frames:
+                latest[frame.job_id] = frame
+            for start, end in bad:
+                self._quarantine(
+                    f"jobs.log.{start}", _writer(data[start:end])
+                )
+            finished = [
+                f for f in latest.values() if f.state in FINISHED_STATES
+            ]
+            newest = heapq.nlargest(
+                self.max_finished,
+                finished,
+                key=lambda f: (f.finished_at or 0.0, f.offset),
+            )
+            chosen = {f.job_id for f in newest}
+            chosen.update(
+                f.job_id
+                for f in latest.values()
+                if f.state not in FINISHED_STATES
+            )
+            parsed: list[Job] = []
+            malformed = False
+            for frame in sorted(latest.values()):
+                if frame.job_id not in chosen:
+                    continue
+                try:
+                    job = Job.from_dict(
+                        json.loads(data[frame.body : frame.end])
+                    )
+                    if job.id != frame.job_id:
+                        raise ServiceError(
+                            "record and header name different jobs",
+                            code="corrupt-job",
+                            status=500,
+                        )
+                except (ServiceError, ValueError):
+                    self._quarantine(
+                        f"jobs.log.{frame.offset}",
+                        _writer(data[frame.offset : frame.end]),
+                    )
+                    del latest[frame.job_id]
+                    malformed = True
+                    continue
+                parsed.append(job)
+        self._frames = {
+            f.job_id: (f.offset, f.end - f.offset)
+            for f in sorted(latest.values())
+        }
+        live = sum(length for _, length in self._frames.values())
+        self._log_size = size
+        self._dead = sum(f.end - f.offset for f in frames) - live
+        self._indexed = True
+        with self._lock:
+            for frame in sorted(latest.values()):
+                if frame.job_id not in chosen:
+                    self._register_idempotency_locked(
+                        frame.idempotency_key, frame.job_id
+                    )
+        parsed.sort(
+            key=lambda job: (
+                job.state in FINISHED_STATES, job.finished_at or 0.0
+            )
+        )
+        tail_only = bad and bad[-1][1] == size and len(bad) == 1
+        if malformed or (bad and not tail_only) or (
+            self._dead > _COMPACT_DEAD_SHARE * size
+        ):
+            self._compact_locked()
+        elif bad:  # a torn tail: cut it off
+            os.ftruncate(fd, bad[-1][0])
+            self._log_size = bad[-1][0]
+        return parsed
+
+
+def _writer(data: bytes) -> Callable[[Path], int]:
+    return lambda target: target.write_bytes(data)
+
+
+def _write_all(log, data: bytes) -> None:
+    """Write all of ``data``; a short write is retried, so a full disk
+    raises :class:`OSError`."""
+    view = memoryview(data)
+    while view:
+        view = view[log.write(view) :]

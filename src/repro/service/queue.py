@@ -172,6 +172,18 @@ class FairQueue:
             self._tenant_depth[tenant] = held + 1
             self._depth += 1
 
+    def restore(self, job: Any, *, tenant: str, priority: int = 0) -> None:
+        """Enqueue a job admitted before a restart, past the limits.
+
+        It was acked once, so it is never refused; it counts against
+        the depth limit and the tenant's quota like any queued job, so
+        new submissions are refused until the backlog drains.
+        """
+        with self._lock:
+            self._tenant_depth[tenant] = self._tenant_depth.get(tenant, 0) + 1
+            self._depth += 1
+        self.fill(job, tenant=tenant, priority=priority)
+
     def fill(self, job: Any, *, tenant: str, priority: int = 0) -> None:
         """Enqueue ``job`` in a slot :meth:`reserve` held for ``tenant``."""
         with self._lock:

@@ -15,7 +15,7 @@ Endpoints
     worker finishes the job.  Responses: 200 done, 202 queued, 400
     malformed, 429 backpressure (with ``Retry-After``), 503 draining.
     ``GET /v1/jobs/<id>``        poll one job (result inline when done);
-    a finished job that left memory is read from the spool.
+    a finished job that left memory is read from the spool log.
     ``GET /v1/jobs``             list the summaries of the jobs in memory:
     every live one and the newest ``result_cache_size`` finished ones.
     ``GET /metrics``             Prometheus text (run + service series).
@@ -221,8 +221,12 @@ class SchedulingService:
 
     # ------------------------------------------------------------------
     def recover_spool(self) -> int:
-        """Re-enqueue unfinished jobs left behind by a previous daemon."""
-        recovered = 0
+        """Re-enqueue unfinished jobs left behind by a previous daemon.
+
+        They were admitted before the restart, so the queue's limits
+        do not refuse them; they count against those limits until they
+        drain.
+        """
         pending = self.store.recover()
         if self.store.quarantined:
             self.metrics.counter(
@@ -230,18 +234,14 @@ class SchedulingService:
                 help="corrupt spool records moved to quarantine",
             ).inc(len(self.store.quarantined))
         for job in pending:
-            try:
-                self.queue.put(
-                    job,
-                    tenant=job.request.tenant,
-                    priority=job.request.priority,
-                )
-            except ServiceError:
-                break  # queue full: remaining jobs stay spooled
+            self.queue.restore(
+                job,
+                tenant=job.request.tenant,
+                priority=job.request.priority,
+            )
             job.state = "queued"
             self.store.persist(job)
-            recovered += 1
-        return recovered
+        return len(pending)
 
     # -- tracing -------------------------------------------------------
     def _trace_request(
@@ -673,6 +673,7 @@ class SchedulingService:
         await self._server.wait_closed()
         if self.tracer is not None:
             self.tracer.close()
+        self.store.close()
         print("drain complete; daemon exiting", flush=True)
 
 

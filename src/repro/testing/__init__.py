@@ -10,7 +10,7 @@ fitness, delays, stragglers, stop events).
 :mod:`repro.testing.chaos_service` raises the attack one layer: a
 fault-injecting TCP proxy between client and daemon (drops, resets
 after the request landed, truncated responses, delays), deterministic
-spool-record corruptors, and a subprocess harness for kill-restart
+spool-log corruptors and readers, and a subprocess harness for kill-restart
 recovery tests with named crash points.
 
 :class:`repro.testing.unbounded.Unbounded` drops the rejection bound
@@ -34,7 +34,10 @@ __all__ = [
     "CORRUPTION_MODES",
     "ServiceDaemon",
     "DaemonStartupError",
+    "spool_frames",
+    "spool_ids_per_key",
     "spool_job_ids",
+    "spool_record",
     "quarantined_files",
     "Unbounded",
 ]
@@ -52,7 +55,10 @@ __getattr__, __dir__ = lazy_namespace(
             "ServiceDaemon",
             "corrupt_record",
             "quarantined_files",
+            "spool_frames",
+            "spool_ids_per_key",
             "spool_job_ids",
+            "spool_record",
         ),
         ".unbounded": ("Unbounded",),
     },

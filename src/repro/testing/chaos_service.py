@@ -14,9 +14,10 @@ network and the disk that the scheduling service depends on:
   request, so connection ordinals map 1:1 onto requests and a
   :class:`ProxyPlan` is an exact per-request fault schedule.
 
-* :func:`corrupt_record` — deterministic spool corruptors (truncate,
-  tamper, zero-fill, partial-rename debris) for exercising the
-  quarantine path of :meth:`repro.service.jobs.JobStore.recover`.
+* :func:`corrupt_record` — deterministic corruptors of one frame of a
+  spool log (truncate, tamper, zero-fill, torn tail) for exercising
+  the quarantine path of :meth:`repro.service.jobs.JobStore.recover`;
+  :func:`spool_frames` reads a log's intact frames.
 
 * :class:`ServiceDaemon` — a subprocess harness around ``repro-emts
   serve`` with crash-point env plumbing and hard-kill support, for
@@ -28,6 +29,7 @@ reproducible from its plan.
 
 from __future__ import annotations
 
+import json
 import os
 import random
 import re
@@ -308,51 +310,59 @@ class ChaosProxy:
 CORRUPTION_MODES = ("truncate", "tamper", "zero", "partial-rename")
 
 
-def corrupt_record(path: Path | str, mode: str, *, seed: int = 0) -> Path:
-    """Corrupt one spool record in a deterministic way.
+def corrupt_record(
+    spool: Path | str, job_id: str, mode: str, *, seed: int = 0
+) -> bytes:
+    """Corrupt the latest frame of one job in a spool log.
 
     Modes
     -----
     ``truncate``
-        Cut the file mid-JSON (first half of its bytes) — a crash
-        during a non-atomic write or a torn filesystem.
+        Cut the frame's second half out of the log — a torn write
+        inside the file.
     ``tamper``
-        Flip bytes in the middle of the document so it stays the same
-        size but no longer parses / carries garbage fields.
+        Overwrite 16 bytes in the middle of the frame with random
+        bytes: same size, a payload that no longer matches its CRC.
     ``zero``
-        Replace the content with NUL bytes — what some filesystems
-        leave after a power loss between metadata and data flush.
+        Replace the frame with NUL bytes — what some filesystems leave
+        after a power loss between metadata and data flush.
     ``partial-rename``
-        Leave a ``.tmp`` sibling (the debris of a crash between the
-        temp write and ``os.replace``) and remove the final record.
+        Move the frame to the end of the log, torn: its last 7 bytes
+        never made it, as after a crash mid-append.
 
-    Returns the path that now holds the corrupt artifact (the ``.tmp``
-    sibling for ``partial-rename``, else ``path``).
+    Returns the corrupt bytes as they now sit in the log.
     """
-    path = Path(path)
-    raw = path.read_bytes()
+    from ..service.jobs import scan_log
+
+    if mode not in CORRUPTION_MODES:
+        raise ValueError(
+            f"unknown corruption mode {mode!r}; pick from {CORRUPTION_MODES}"
+        )
+    log = Path(spool) / "jobs.log"
+    data = log.read_bytes()
+    (frame,) = [
+        f for f in scan_log(data)[0] if f.job_id == job_id
+    ][-1:]
+    start, end = frame.offset, frame.end
+    before, raw, after = data[:start], data[start:end], data[end:]
     if mode == "truncate":
-        path.write_bytes(raw[: max(1, len(raw) // 2)])
-        return path
-    if mode == "tamper":
+        bad = raw[: len(raw) // 2]
+        log.write_bytes(before + bad + after)
+    elif mode == "tamper":
         rng = random.Random(seed)
-        data = bytearray(raw)
-        mid = len(data) // 2
-        for offset in range(mid, min(mid + 16, len(data))):
-            data[offset] = rng.randrange(256)
-        path.write_bytes(bytes(data))
-        return path
-    if mode == "zero":
-        path.write_bytes(b"\x00" * len(raw))
-        return path
-    if mode == "partial-rename":
-        tmp = path.with_suffix(path.suffix + ".tmp")
-        tmp.write_bytes(raw[: max(1, len(raw) - 7)])
-        path.unlink()
-        return tmp
-    raise ValueError(
-        f"unknown corruption mode {mode!r}; pick from {CORRUPTION_MODES}"
-    )
+        bad = bytearray(raw)
+        mid = len(bad) // 2
+        for offset in range(mid, min(mid + 16, len(bad))):
+            bad[offset] = rng.randrange(256)
+        bad = bytes(bad)
+        log.write_bytes(before + bad + after)
+    elif mode == "zero":
+        bad = b"\x00" * len(raw)
+        log.write_bytes(before + bad + after)
+    else:
+        bad = raw[: max(1, len(raw) - 7)]
+        log.write_bytes(before + after + bad)
+    return bad
 
 
 # ----------------------------------------------------------------------
@@ -518,12 +528,41 @@ class ServiceDaemon:
 
 
 # ----------------------------------------------------------------------
+def spool_frames(spool: Path | str) -> list:
+    """The intact frames of a spool's log, in log order (crash-safe
+    view: a torn tail or a corrupt frame is skipped)."""
+    from ..service.jobs import scan_log
+
+    log = Path(spool) / "jobs.log"
+    if not log.is_file():
+        return []
+    return scan_log(log.read_bytes())[0]
+
+
+def spool_record(spool: Path | str, job_id: str) -> dict | None:
+    """The record of a job's latest intact frame, decoded."""
+    from ..service.jobs import scan_log
+
+    log = Path(spool) / "jobs.log"
+    data = log.read_bytes() if log.is_file() else b""
+    frames = [f for f in scan_log(data)[0] if f.job_id == job_id]
+    if not frames:
+        return None
+    return json.loads(data[frames[-1].body : frames[-1].end])
+
+
 def spool_job_ids(spool: Path | str) -> set[str]:
     """The job ids currently persisted in a spool (crash-safe view)."""
-    jobs_dir = Path(spool) / "jobs"
-    if not jobs_dir.is_dir():
-        return set()
-    return {p.stem for p in jobs_dir.glob("*.json")}
+    return {frame.job_id for frame in spool_frames(spool)}
+
+
+def spool_ids_per_key(spool: Path | str) -> dict[str, set[str]]:
+    """Idempotency key -> the job ids whose frames carry it."""
+    seen: dict[str, set[str]] = {}
+    for frame in spool_frames(spool):
+        if frame.idempotency_key is not None:
+            seen.setdefault(frame.idempotency_key, set()).add(frame.job_id)
+    return seen
 
 
 def quarantined_files(spool: Path | str) -> list[Path]:

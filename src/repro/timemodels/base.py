@@ -115,7 +115,18 @@ class TimeTable:
         table: np.ndarray,
         model_name: str = "custom",
     ) -> None:
-        table = np.asarray(table, dtype=np.float64)
+        # a copy: the caller's array stays writable, and no view of it
+        # can write into the checked table
+        self._check(ptg, cluster, np.array(table, dtype=np.float64), model_name)
+
+    def _check(
+        self,
+        ptg: "PTG",
+        cluster: "Cluster",
+        table: np.ndarray,
+        model_name: str,
+    ) -> None:
+        """Check times this table owns, then bind them."""
         expected = (ptg.num_tasks, cluster.num_processors)
         if table.shape != expected:
             raise ModelError(
@@ -158,10 +169,18 @@ class TimeTable:
     def build(
         cls, model: ExecutionTimeModel, ptg: "PTG", cluster: "Cluster"
     ) -> "TimeTable":
-        """Materialize the table for ``model`` on ``(ptg, cluster)``."""
-        return cls(
-            ptg, cluster, model.build_table(ptg, cluster), model.name
+        """Materialize the table for ``model`` on ``(ptg, cluster)``.
+
+        The model's fresh output is checked and kept without a copy.
+        """
+        out = cls.__new__(cls)
+        out._check(
+            ptg,
+            cluster,
+            np.asarray(model.build_table(ptg, cluster), dtype=np.float64),
+            model.name,
         )
+        return out
 
     def cut(
         self,

@@ -1,8 +1,8 @@
 """Named crash points: deterministic process death for recovery tests.
 
 Crash-only software is a hypothesis until you crash it.  The daemon's
-durability story (atomic spool records, per-generation checkpoints,
-restart recovery) claims that dying at *any* instant loses nothing —
+durability story (an append-only spool log, checkpoints, restart
+recovery) claims that dying at *any* instant loses nothing —
 this module makes specific instants addressable so the kill-restart
 acceptance suite can detonate each one on purpose.
 
@@ -46,9 +46,9 @@ CRASH_EXIT_CODE = 66
 #: (The tuple is documentation plus a test fixture — ``crash_point``
 #: itself accepts any name, so adding a point is a one-line change.)
 KNOWN_CRASH_POINTS = (
-    "pre-spool-write",    # job record not yet on disk
-    "mid-spool-write",    # temp record written, rename not yet done
-    "post-spool-write",   # record durable, caller not yet told
+    "pre-spool-write",    # job's frame not yet appended to the log
+    "mid-spool-write",    # frame half appended: a torn tail
+    "post-spool-write",   # frame durable, caller not yet told
     "post-enqueue",       # job queued + durable, ack not yet sent
     "mid-checkpoint",     # run checkpoint temp written, not published
     "pre-result-persist", # run finished, result not yet durable

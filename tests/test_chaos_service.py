@@ -9,13 +9,13 @@ ORIGINAL job id — no duplicate job, no lost work.
 from __future__ import annotations
 
 import asyncio
-import json
 import threading
 
 import pytest
 
 from repro.graph import ptg_to_dict
 from repro.service import (
+    Job,
     JobStore,
     RetryingServiceClient,
     RetryPolicy,
@@ -30,6 +30,7 @@ from repro.testing import (
     ProxyPlan,
     corrupt_record,
     quarantined_files,
+    spool_job_ids,
 )
 from repro.workloads import generate_fft
 
@@ -184,85 +185,73 @@ class TestChaosProxy:
 
 class TestSpoolCorruption:
     def populated_store(self, tmp_path, n=3):
+        """``n`` done jobs, one frame each in the spool log."""
         spool = tmp_path / "spool"
         store = JobStore(spool)
         jobs = []
         for i in range(n):
-            job = store.create(
-                parse_request(make_doc(seed=i, key=f"idem-{i}"))
+            job = Job(
+                id=f"job-{i:012x}",
+                request=parse_request(make_doc(seed=i, key=f"idem-{i}")),
+                state="done",
+                result={"makespan": 1.0 + i},
+                finished_at=1.0 + i,
             )
-            job.state = "done"
-            job.result = {"makespan": 1.0 + i}
-            job.done_event.set()
-            store.persist(job)
+            store.add(job)
             jobs.append(job)
+        store.close()
         return spool, jobs
 
     @pytest.mark.parametrize("mode", CORRUPTION_MODES)
     def test_each_corruption_shape_is_quarantined(self, tmp_path, mode):
         spool, jobs = self.populated_store(tmp_path)
-        victim = spool / "jobs" / f"{jobs[0].id}.json"
-        corrupt_record(victim, mode, seed=1)
+        corrupt_record(spool, jobs[0].id, mode, seed=1)
 
         fresh = JobStore(spool)
         fresh.recover()
         assert len(fresh.quarantined) == 1
         assert quarantined_files(spool) == fresh.quarantined
-        # healthy records recovered untouched
-        survivors = {j.id for j in fresh.jobs()}
-        expected = {j.id for j in jobs[1:]}
-        if mode == "tamper":
-            # a tampered record may still parse; if it did, it was
-            # adopted — the quarantine claim only covers unreadable
-            # records, so just require the healthy ones survived
-            assert expected <= survivors
-        else:
-            assert jobs[0].id not in survivors
-            assert survivors == expected
+        # healthy frames recovered untouched
+        assert {j.id for j in fresh.jobs()} == {j.id for j in jobs[1:]}
+        # the bad bytes left the log: a second recovery finds nothing
+        again = JobStore(spool)
+        again.recover()
+        assert again.quarantined == []
+        assert {j.id for j in again.jobs()} == {j.id for j in jobs[1:]}
 
     def test_tampered_record_does_not_parse(self, tmp_path):
-        # byte-flipping the middle of a compact JSON document breaks
-        # it with overwhelming probability for these seeds; pin one
-        spool, jobs = self.populated_store(tmp_path, n=1)
-        victim = spool / "jobs" / f"{jobs[0].id}.json"
-        corrupt_record(victim, "tamper", seed=1)
-        with pytest.raises(Exception):
-            json.loads(victim.read_text())
+        # the tampered frame no longer matches its CRC, so no reader
+        # takes it for a record
+        spool, jobs = self.populated_store(tmp_path, n=2)
+        corrupt_record(spool, jobs[0].id, "tamper", seed=1)
+        assert spool_job_ids(spool) == {jobs[1].id}
 
     def test_multiple_corrupt_records_all_quarantined(self, tmp_path):
-        spool, jobs = self.populated_store(tmp_path, n=4)
-        for job, mode in zip(jobs[:3], ("truncate", "zero", "tamper")):
-            corrupt_record(
-                spool / "jobs" / f"{job.id}.json", mode, seed=1
-            )
+        spool, jobs = self.populated_store(tmp_path, n=6)
+        for job, mode in zip(jobs[::2], ("truncate", "zero", "tamper")):
+            corrupt_record(spool, job.id, mode, seed=1)
         fresh = JobStore(spool)
         recovered = fresh.recover()
-        assert len(fresh.quarantined) >= 2  # tamper may still parse
+        assert len(fresh.quarantined) == 3
         assert recovered == []  # survivors were all done
-        assert {j.id for j in fresh.jobs()} >= {jobs[3].id}
+        assert {j.id for j in fresh.jobs()} == {j.id for j in jobs[1::2]}
 
     def test_quarantine_preserves_bytes_for_forensics(self, tmp_path):
-        spool, jobs = self.populated_store(tmp_path, n=1)
-        victim = spool / "jobs" / f"{jobs[0].id}.json"
-        corrupt_record(victim, "truncate")
-        corrupted_bytes = victim.read_bytes()
+        spool, jobs = self.populated_store(tmp_path, n=2)
+        corrupted_bytes = corrupt_record(spool, jobs[0].id, "truncate")
         fresh = JobStore(spool)
         fresh.recover()
-        assert not victim.exists()
         assert fresh.quarantined[0].read_bytes() == corrupted_bytes
+        assert corrupted_bytes not in (spool / "jobs.log").read_bytes()
 
     def test_unknown_mode_rejected(self, tmp_path):
         spool, jobs = self.populated_store(tmp_path, n=1)
         with pytest.raises(ValueError):
-            corrupt_record(
-                spool / "jobs" / f"{jobs[0].id}.json", "bitrot"
-            )
+            corrupt_record(spool, jobs[0].id, "bitrot")
 
     def test_daemon_counts_quarantined_records(self, tmp_path):
         spool, jobs = self.populated_store(tmp_path)
-        corrupt_record(
-            spool / "jobs" / f"{jobs[0].id}.json", "zero"
-        )
+        corrupt_record(spool, jobs[0].id, "zero")
         service, thread = start_service(spool)
         try:
             assert (

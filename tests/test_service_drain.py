@@ -11,10 +11,17 @@ import time
 import pytest
 
 from repro.core import emts5
+from repro.exceptions import ServiceError
 from repro.graph import ptg_to_dict
 from repro.mapping import schedule_to_dict
 from repro.platform import by_name
-from repro.service import SchedulingService, ServiceClient
+from repro.service import (
+    JobStore,
+    SchedulingService,
+    ServiceClient,
+    parse_request,
+)
+from repro.testing import spool_record
 from repro.timemodels import TimeTable
 from repro.workloads import generate_fft
 
@@ -89,9 +96,7 @@ class TestDrainAndResume:
         assert checkpoint_doc["generation"] < GENERATIONS
 
         # the spool record survived with the full request
-        record = json.loads(
-            (spool / "jobs" / f"{job_id}.json").read_text()
-        )
+        record = spool_record(spool, job_id)
         assert record["state"] == "interrupted"
         assert record["request"]["seed"] == SEED
 
@@ -178,3 +183,34 @@ class TestDrainAndResume:
         finally:
             service2.request_drain()
             thread2.join(timeout=60)
+
+    def test_recovered_jobs_past_the_quota_all_run(self, tmp_path):
+        """Jobs acked before a restart are never refused by the queue:
+        quota + 1 recovered jobs of one tenant all reach done, and they
+        hold new submissions of that tenant off until they drain."""
+        spool = tmp_path / "spool"
+        store = JobStore(spool)
+        ids = [
+            store.create(
+                parse_request(make_doc() | {"seed": s, "generations": 1})
+            ).id
+            for s in range(3)
+        ]
+        store.close()
+        service = SchedulingService(
+            port=0, workers=1, spool=str(spool), tenant_quota=2
+        )
+        assert service.recover_spool() == 3
+        assert service.queue.depth == 3
+        with pytest.raises(ServiceError) as refused:
+            service.submit(make_doc() | {"seed": 9, "generations": 1})
+        assert refused.value.status == 429
+        service.pool.start()
+        try:
+            for job_id in ids:
+                job = service.store.get(job_id)
+                assert job.done_event.wait(timeout=60), job.state
+                assert job.state == "done"
+        finally:
+            service.pool.stop()
+        assert service.queue.depth == 0

@@ -8,7 +8,6 @@ across a daemon restart (the index is rebuilt from the spool).
 from __future__ import annotations
 
 import asyncio
-import json
 import threading
 import time
 
@@ -24,6 +23,7 @@ from repro.service import (
     ServiceClient,
     parse_request,
 )
+from repro.testing import spool_record
 from repro.workloads import generate_fft
 
 LONG_GENERATIONS = 400  # keeps the single worker busy while we dedupe
@@ -219,9 +219,7 @@ class TestStoreIndex:
     def test_spool_record_round_trips_the_key(self, tmp_path):
         store = JobStore(tmp_path / "spool")
         job = store.create(self.make_request(key="idem-disk"))
-        record = json.loads(
-            (tmp_path / "spool" / "jobs" / f"{job.id}.json").read_text()
-        )
+        record = spool_record(tmp_path / "spool", job.id)
         assert record["request"]["idempotency_key"] == "idem-disk"
 
         fresh = JobStore(tmp_path / "spool")

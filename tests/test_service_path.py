@@ -469,15 +469,14 @@ class TestFinishedJobBound:
             result={"makespan": 1.0},
             submitted_at=1.0,
         ).to_dict()
-        (spool / "jobs").mkdir(parents=True)
+        writer = JobStore(spool)
         for i in range(2000):
             template.update(id=f"job-{i:012x}", finished_at=1000.0 + i)
             template["request"]["idempotency_key"] = f"idem-{i}"
-            (spool / "jobs" / f"job-{i:012x}.json").write_text(
-                json.dumps(template)
-            )
+            writer.persist(Job.from_dict(template))
         queued = template | {"id": "job-queued", "state": "queued"}
-        (spool / "jobs" / "job-queued.json").write_text(json.dumps(queued))
+        writer.persist(Job.from_dict(queued))
+        writer.close()
 
         store = JobStore(spool)
         pending = store.recover()

@@ -6,9 +6,9 @@
 * A served request encodes its PTG document once and its result once.
 * ``POST ?wait=``, ``GET`` from memory and ``GET`` read back from the
   spool reply with the same bytes, ``json.dumps(doc) + "\\n"``.
-* A spool record is one JSON document that reads back to an equal
-  :class:`~repro.service.jobs.Job` in every state.
-* A submission answered from the result cache writes one record.
+* A spool frame's record is one JSON document that reads back to an
+  equal :class:`~repro.service.jobs.Job` in every state.
+* A submission answered from the result cache writes one frame.
 * A 429 refusal leaves no job behind, in memory or on the spool.
 """
 
@@ -40,6 +40,7 @@ from repro.service.protocol import (
     request_trace_context,
     result_key,
 )
+from repro.testing import spool_frames, spool_record
 from repro.workloads import (
     DaggenParams,
     generate_daggen,
@@ -321,8 +322,7 @@ def test_records_round_trip_in_every_state(tmp_path, state):
     assert json.loads(job.to_json()) == job.to_dict()
     store = JobStore(tmp_path / "spool")
     store.persist(job)
-    text = (tmp_path / "spool" / "jobs" / f"{job.id}.json").read_text()
-    back = Job.from_dict(json.loads(text))
+    back = Job.from_dict(spool_record(tmp_path / "spool", job.id))
     assert back == job
     assert back.key == job.key
     assert back.request.ptg_json == job.request.ptg_json
@@ -357,9 +357,8 @@ def test_cache_hit_writes_one_done_record(tmp_path, monkeypatch):
     assert (status, deduplicated) == (200, False)
     assert written == ["done"]
     assert job.done_event.is_set()
-    record = json.loads(
-        (tmp_path / "spool" / "jobs" / f"{job.id}.json").read_text()
-    )
+    assert len(spool_frames(tmp_path / "spool")) == 1
+    record = spool_record(tmp_path / "spool", job.id)
     assert record["state"] == "done"
     assert record["served_from"] == "result-cache"
     assert record["result"] == result
@@ -394,7 +393,7 @@ def test_429_leaves_no_job_on_the_spool(tmp_path):
     spool = tmp_path / "spool"
     service = SchedulingService(queue_limit=1, workers=1, spool=str(spool))
     refuse_then_retry(service)
-    assert len(list((spool / "jobs").glob("*.json"))) == 1
+    assert len(spool_frames(spool)) == 1
 
     restarted = SchedulingService(queue_limit=2, workers=1, spool=str(spool))
     assert restarted.recover_spool() == 1

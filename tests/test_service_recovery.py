@@ -7,7 +7,7 @@ exit code), restarted on the same spool, and then held to the contract:
 * **no acked job is lost** — anything the client got a 202 for reaches
   ``done`` after the restart;
 * **no duplicate execution** — a keyed resubmit lands on the surviving
-  job (at most one spool record per idempotency key, ever);
+  job (one job id per idempotency key in the spool log, ever);
 * **bit-identical results** — the recovered result equals one
   uninterrupted offline run of the same request;
 * **corrupt debris is quarantined**, never fatal.
@@ -38,6 +38,7 @@ from repro.obs import read_flight_dump
 from repro.testing import (
     ServiceDaemon,
     quarantined_files,
+    spool_ids_per_key,
     spool_job_ids,
 )
 from repro.timemodels import TimeTable
@@ -86,21 +87,11 @@ def offline_reference(generations):
 def assert_contract(spool, final_doc, key, generations):
     """The recovery contract, asserted after the restarted run."""
     assert final_doc["job"]["state"] == "done"
-    # no duplicate execution: exactly one spool record carries the key
-    records = [
-        json.loads(p.read_text())
-        for p in (spool / "jobs").glob("*.json")
-    ]
-    with_key = [
-        r
-        for r in records
-        if r["request"].get("idempotency_key") == key
-    ]
-    assert len(with_key) == 1, (
-        f"expected exactly one job for key {key!r}, "
-        f"got {[r['id'] for r in with_key]}"
+    # no duplicate execution: the spool log holds one job id per key
+    with_key = spool_ids_per_key(spool)[key]
+    assert with_key == {final_doc["job"]["id"]}, (
+        f"expected exactly one job for key {key!r}, got {with_key}"
     )
-    assert with_key[0]["id"] == final_doc["job"]["id"]
     # bit-identical to the undisturbed offline run
     reference = offline_reference(generations)
     result = final_doc["result"]
@@ -149,7 +140,7 @@ def wait_running(client, job_id, timeout=60):
 # ----------------------------------------------------------------------
 SUBMIT_TIME_POINTS = (
     "pre-spool-write",   # record not yet durable: job may vanish
-    "mid-spool-write",   # torn write: .tmp debris must be quarantined
+    "mid-spool-write",   # torn frame at the log's tail: quarantined
     "post-spool-write",  # durable but never acked
     "post-enqueue",      # durable + queued but never acked
 )
@@ -191,9 +182,9 @@ def test_submit_time_crash(tmp_path, point):
         # the retry was answered by the job the crash left behind
         assert final["job"]["id"] in durable
     if point == "mid-spool-write":
-        # the torn temp file was parked, not deleted and not fatal
+        # the torn frame was parked, not deleted and not fatal
         assert any(
-            p.name.endswith(".json.tmp") for p in quarantined_files(spool)
+            p.name.startswith("jobs.log.") for p in quarantined_files(spool)
         )
 
 

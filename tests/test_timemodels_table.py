@@ -49,6 +49,21 @@ class TestConstruction:
         with pytest.raises(ValueError):
             table.array[0, 0] = 99.0
 
+    def test_table_owns_its_times(self):
+        """An outside array is copied: the caller's stays writable, and
+        a view of it taken before cannot write into the checked table."""
+        a = np.ones((2, 3))
+        view = a[:]
+        t = TimeTable(
+            chain([1e9, 1e9]),
+            Cluster("c", num_processors=3, speed_gflops=1.0),
+            a,
+        )
+        view[0, 0] = -5.0
+        assert t.array[0, 0] == 1.0
+        assert a.flags.writeable
+        assert not t.array.flags.writeable
+
     def test_cut_equals_the_checked_constructor(self, table):
         """A sub-instance's table, cut without a second check, holds
         what the checking constructor builds from the same rows."""
