@@ -50,8 +50,6 @@ class EMTSConfig:
         {"mcpa", "hcpa", "delta-critical", "serial", "cpa", "mcpa2"}.
     selection:
         "plus" (paper) or "comma" (ablation).
-    time_budget_seconds:
-        Optional wall-clock cap on the evolutionary search.
     verify:
         Online differential verification of fitness values: ``"off"``
         (default), ``"sample"`` (NaN scan every batch plus one full
@@ -83,7 +81,6 @@ class EMTSConfig:
         "delta-critical",
     )
     selection: str = "plus"
-    time_budget_seconds: float | None = None
     verify: str = "off"
     islands: bool = False
     migration_interval: int = 1
@@ -122,11 +119,6 @@ class EMTSConfig:
                 f"selection must be 'plus' or 'comma', got "
                 f"{self.selection!r}"
             )
-        if (
-            self.time_budget_seconds is not None
-            and self.time_budget_seconds <= 0
-        ):
-            raise ConfigurationError("time budget must be > 0 seconds")
         if self.verify not in ("off", "sample", "full"):
             raise ConfigurationError(
                 f"verify must be 'off', 'sample' or 'full', got "

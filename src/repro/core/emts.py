@@ -35,7 +35,6 @@ from ..ea import (
     EvolutionStrategy,
     GenerationLimit,
     StopFlag,
-    TimeBudget,
 )
 from ..graph import PTG
 from ..mapping import Schedule, kernel_for, map_allocations
@@ -420,8 +419,6 @@ class EMTS:
                 )
 
             criteria: list = [GenerationLimit(cfg.generations)]
-            if cfg.time_budget_seconds is not None:
-                criteria.append(TimeBudget(cfg.time_budget_seconds))
             deadline: Deadline | None = None
             if max_wall_time is not None:
                 # anchor at run start; time already spent by previous

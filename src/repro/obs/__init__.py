@@ -22,9 +22,10 @@ the scheduler:
   which walks those trees.
 * :mod:`repro.obs.slo` — declarative SLO specs evaluated continuously
   from the metrics registry with multi-window burn-rate alerting.
-* :mod:`repro.obs.flight` — a bounded crash flight recorder ring,
-  dumped atomically beside quarantined spool files and on armed
-  crash-point exits.
+
+A daemon's crash record is not kept here: its spool log
+(:mod:`repro.service.jobs`) holds every job state change as a frame
+that outlives the process, read in order after a death.
 
 Instrumentation is **off by default** and adds <2 % overhead when
 disabled (gated by ``benchmarks/check_perf.py``); enable it per run via
@@ -70,12 +71,6 @@ __all__ = [
     "SLOEngine",
     "default_service_slos",
     "evaluate_bench",
-    # flight recorder
-    "FlightRecorder",
-    "flight_recorder",
-    "arm_crash_dump",
-    "read_flight_dump",
-    "reset_flight_recorder",
     # logging
     "get_logger",
     "configure_logging",
@@ -98,13 +93,6 @@ __getattr__, __dir__ = lazy_namespace(
             "assemble_traces",
             "canonical_tree",
             "load_trace",
-        ),
-        ".flight": (
-            "FlightRecorder",
-            "arm_crash_dump",
-            "flight_recorder",
-            "read_flight_dump",
-            "reset_flight_recorder",
         ),
         ".instrument": ("ObservedEvaluator", "run_metrics"),
         ".log": (

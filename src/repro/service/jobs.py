@@ -30,6 +30,11 @@ whose record does not make a job goes to ``spool/quarantine/``: one
 bad frame never poisons the rest.  The daemon surfaces the count as
 ``service.spool.quarantined``.
 
+The log is also the daemon's crash record: its intact frames, read in
+order (:func:`scan_log`) before the next start compacts them, show
+what each job was doing when the process died, whether by ``kill -9``,
+an out-of-memory kill or a crash point.
+
 Compaction writes the latest frames to a temp log and swaps it in with
 ``os.replace``; it runs at recovery and whenever superseded bytes pass
 half the log, so the log stays within twice its live bytes.  A spool
@@ -645,21 +650,6 @@ class JobStore:
         except OSError:
             return  # vanished (or unmovable): nothing left to poison
         self.quarantined.append(target)
-        # park the flight ring next to the debris: the bytes can no
-        # longer say what happened to them, but the process's last
-        # moves leading up to the quarantine can
-        try:
-            from ..obs.flight import flight_recorder
-
-            flight_recorder().record(
-                "spool", "quarantined record", file=name
-            )
-            flight_recorder().dump(
-                target.with_name(target.name + ".flight.json"),
-                reason=f"quarantine:{name}",
-            )
-        except Exception:  # pragma: no cover - forensics must not kill
-            pass
 
     def _import_legacy(self) -> None:
         """Move a spool of per-job files (``spool/jobs/``) into the log.
@@ -710,7 +700,10 @@ class JobStore:
 
         ``running`` jobs (daemon died mid-run without a clean drain)
         come back as ``queued``/``interrupted`` depending on whether
-        their run left a resumable checkpoint behind.
+        their run left a resumable checkpoint behind; that state gets
+        one frame, the only one recovery writes.  Every other job keeps
+        its state and appends nothing, so a restart that finds nothing
+        running leaves the log as it was.
 
         Of the finished jobs only the newest ``max_finished`` (by
         finish time) become :class:`Job` objects in memory; the rest

@@ -40,7 +40,6 @@ from typing import Any
 
 from ..exceptions import ServiceError, TraceError
 from ..obs import MetricsRegistry
-from ..obs.flight import arm_crash_dump, record as flight_record
 from ..obs.slo import SLOEngine, default_service_slos
 from ..obs.trace import TraceContext, Tracer, derive_span_id
 from ..util.crash import crash_point
@@ -208,10 +207,6 @@ class SchedulingService:
         )
         self.slo = SLOEngine(default_service_slos())
         self.slo_interval = float(slo_interval)
-        if spool is not None:
-            # on any crash-point exit the in-memory flight ring lands
-            # next to the spool for the postmortem
-            arm_crash_dump(Path(spool) / "flight")
         self.draining = False
         self.started_at = time.time()
         self._server: asyncio.AbstractServer | None = None
@@ -223,9 +218,10 @@ class SchedulingService:
     def recover_spool(self) -> int:
         """Re-enqueue unfinished jobs left behind by a previous daemon.
 
-        They were admitted before the restart, so the queue's limits
-        do not refuse them; they count against those limits until they
-        drain.
+        :meth:`JobStore.recover` decides and writes each job's state;
+        this only queues them.  They were admitted before the restart,
+        so the queue's limits do not refuse them; they count against
+        those limits until they drain.
         """
         pending = self.store.recover()
         if self.store.quarantined:
@@ -239,8 +235,6 @@ class SchedulingService:
                 tenant=job.request.tenant,
                 priority=job.request.priority,
             )
-            job.state = "queued"
-            self.store.persist(job)
         return len(pending)
 
     # -- tracing -------------------------------------------------------
@@ -353,9 +347,6 @@ class SchedulingService:
         except ServiceError as exc:
             self.metrics.counter("service.jobs.rejected").inc()
             self._trace_request(request, "rejected", exc.status)
-            flight_record(
-                "server", "submission rejected", tenant=request.tenant
-            )
             raise
         try:
             job = self.store.create(request, key)
@@ -598,9 +589,6 @@ class SchedulingService:
     async def start(self) -> None:
         self._loop = asyncio.get_running_loop()
         recovered = self.recover_spool()
-        flight_record(
-            "server", "daemon starting", recovered=recovered
-        )
         self.pool.start()
         self._server = await asyncio.start_server(
             self._handle_connection, host=self.host, port=self.port
@@ -620,12 +608,6 @@ class SchedulingService:
             return
         self.draining = True
         print("drain requested: finishing in-flight work", flush=True)
-        flight_record(
-            "server",
-            "drain requested",
-            queued=self.queue.depth,
-            running=len(self.pool.running_jobs()),
-        )
         if self.tracer is not None:
             try:
                 # context-free by design: a drain belongs to the daemon,

@@ -40,7 +40,6 @@ from typing import Any
 from ..core import emts5, emts10
 from ..mapping import schedule_to_dict
 from ..obs import MetricsRegistry
-from ..obs.flight import record as flight_record
 from ..obs.trace import TraceContext, Tracer, use_context
 from ..util.crash import crash_point
 from ..verify import ScheduleVerifier
@@ -371,9 +370,6 @@ class WorkerPool:
         with self._running_lock:
             self._running[job.id] = job
         self.store.persist(job)
-        flight_record(
-            "worker", "job started", job_id=job.id, attempt=job.attempts
-        )
         tracer, ctx = self._open_attempt_trace(job)
         try:
             with use_context(ctx):
@@ -466,9 +462,6 @@ class WorkerPool:
             with self._running_lock:
                 self._running.pop(job.id, None)
             store.persist(job)
-            flight_record(
-                "worker", "job interrupted by drain", job_id=job.id
-            )
             self._end_run_span(tracer, state="interrupted")
         except Exception as exc:
             job.error = {
@@ -476,12 +469,6 @@ class WorkerPool:
                 "message": str(exc),
             }
             self.metrics.counter("service.jobs.failed").inc()
-            flight_record(
-                "worker",
-                "job failed",
-                job_id=job.id,
-                code=job.error["code"],
-            )
             self._end_run_span(
                 tracer, state="failed", error=job.error["code"]
             )

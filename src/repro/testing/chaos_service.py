@@ -566,17 +566,11 @@ def spool_ids_per_key(spool: Path | str) -> dict[str, set[str]]:
 
 
 def quarantined_files(spool: Path | str) -> list[Path]:
-    """Records parked in ``spool/quarantine/`` by recovery.
-
-    Flight-recorder sidecars (``*.flight.json``) are evidence written
-    *beside* quarantined records, not quarantined records themselves.
-    """
+    """Records parked in ``spool/quarantine/`` by recovery."""
     qdir = Path(spool) / "quarantine"
     if not qdir.is_dir():
         return []
-    return sorted(
-        p for p in qdir.iterdir() if not p.name.endswith(".flight.json")
-    )
+    return sorted(qdir.iterdir())
 
 
 def wait_for(

@@ -11,9 +11,7 @@ from .crash import (
     CRASH_EXIT_CODE,
     KNOWN_CRASH_POINTS,
     crash_point,
-    register_crash_hook,
     reset_crash_counts,
-    reset_crash_hooks,
 )
 
 __all__ = [
@@ -23,7 +21,5 @@ __all__ = [
     "CRASH_EXIT_CODE",
     "KNOWN_CRASH_POINTS",
     "crash_point",
-    "register_crash_hook",
     "reset_crash_counts",
-    "reset_crash_hooks",
 ]

@@ -10,10 +10,12 @@ A production code path marks its dangerous instants with
 ``crash_point("name")``.  The call is a no-op unless the
 ``REPRO_CRASH_POINT`` environment variable selects that name, in which
 case the process dies *hard* — ``os._exit``: no ``atexit`` handlers, no
-flushing, no graceful anything, exactly like ``kill -9`` landing on
-that line.  The variable accepts an optional 1-based hit count,
-``name:N``, to detonate on the N-th crossing (e.g.
-``mid-checkpoint:3`` dies while journalling the third checkpoint).
+flushing, no last-gasp dump, exactly like ``kill -9`` landing on that
+line, so a test sees only what a real death leaves behind: the spool
+log's intact frames and the published checkpoints.  The variable
+accepts an optional 1-based hit count, ``name:N``, to detonate on the
+N-th crossing (e.g. ``mid-checkpoint:3`` dies while journalling the
+third checkpoint).
 
 Overhead when unarmed: one dict lookup on ``os.environ`` per crossing.
 Every call site sits on a cold persistence path (spool writes, drain,
@@ -23,16 +25,13 @@ checkpoint journalling), never in the evaluation hot loop.
 from __future__ import annotations
 
 import os
-from typing import Callable
 
 __all__ = [
     "CRASH_ENV_VAR",
     "CRASH_EXIT_CODE",
     "KNOWN_CRASH_POINTS",
     "crash_point",
-    "register_crash_hook",
     "reset_crash_counts",
-    "reset_crash_hooks",
 ]
 
 CRASH_ENV_VAR = "REPRO_CRASH_POINT"
@@ -58,29 +57,6 @@ KNOWN_CRASH_POINTS = (
 # per-process crossing counters, keyed by point name
 _hits: dict[str, int] = {}
 
-# last-gasp callbacks run right before ``os._exit`` — the flight
-# recorder registers its dump here.  Hooks must be exception-proof in
-# spirit; they are wrapped anyway because a crash simulation that
-# crashes differently defeats the test.
-_hooks: list[Callable[[str], None]] = []
-
-
-def register_crash_hook(hook: Callable[[str], None]) -> None:
-    """Run ``hook(point_name)`` just before a crash point detonates.
-
-    Hooks fire in registration order, each shielded from exceptions;
-    ``os._exit`` follows regardless.  This is the only pre-death
-    extension point — everything else about the death stays as brutal
-    as ``kill -9``.
-    """
-    if hook not in _hooks:
-        _hooks.append(hook)
-
-
-def reset_crash_hooks() -> None:
-    """Drop every registered hook (test isolation)."""
-    _hooks.clear()
-
 
 def crash_point(name: str) -> None:
     """Die with :data:`CRASH_EXIT_CODE` if this point is armed.
@@ -98,11 +74,6 @@ def crash_point(name: str) -> None:
     _hits[name] = _hits.get(name, 0) + 1
     threshold = int(count) if count else 1
     if _hits[name] >= threshold:
-        for hook in _hooks:
-            try:
-                hook(name)
-            except Exception:  # pragma: no cover - must still die
-                pass
         os._exit(CRASH_EXIT_CODE)
 
 

@@ -50,7 +50,6 @@ class TestValidation:
             dict(delta=2.0),
             dict(seed_heuristics=()),
             dict(selection="rank"),
-            dict(time_budget_seconds=0.0),
         ],
     )
     def test_invalid(self, kwargs):

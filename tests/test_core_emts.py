@@ -1,6 +1,6 @@
 """Integration-grade unit tests for the EMTS algorithm itself."""
 
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -148,16 +148,19 @@ class TestEMTSVariants:
         assert result.makespan > 0
 
     def test_time_budget_stops_early(self, problem):
+        # one wall-clock budget: a run the clock stops says so, since
+        # its answer depends on machine speed
+        assert "time_budget_seconds" not in {
+            f.name for f in fields(EMTSConfig)
+        }
         ptg, cluster, table = problem
-        config = EMTSConfig(
-            mu=5,
-            lam=25,
-            generations=100_000,
-            time_budget_seconds=0.15,
+        config = EMTSConfig(mu=5, lam=25, generations=100_000)
+        result = EMTS(config).schedule(
+            ptg, cluster, table, rng=11, max_wall_time=0.15
         )
-        result = EMTS(config).schedule(ptg, cluster, table, rng=11)
         assert result.elapsed_seconds < 5.0
         assert result.log.generations < 100_000
+        assert result.interrupted
 
 
 class TestModelIndependence:

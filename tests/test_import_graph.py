@@ -209,10 +209,10 @@ def test_every_export_resolves_and_is_listed(package):
 
 def test_lazy_namespace_behaves_like_an_eager_one():
     import repro.obs
-    import repro.obs.flight
-    from repro.obs import flight
+    import repro.obs.slo
+    from repro.obs import slo
 
-    assert flight is repro.obs.flight
+    assert slo is repro.obs.slo
     assert repro.obs.Tracer is importlib.import_module("repro.obs.trace").Tracer
     with pytest.raises(AttributeError):
         repro.obs.no_such_name

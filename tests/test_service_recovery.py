@@ -10,7 +10,10 @@ exit code), restarted on the same spool, and then held to the contract:
   job (one job id per idempotency key in the spool log, ever);
 * **bit-identical results** — the recovered result equals one
   uninterrupted offline run of the same request;
-* **corrupt debris is quarantined**, never fatal.
+* **corrupt debris is quarantined**, never fatal;
+* **the log is the crash record** — read after the death and before
+  the restart, the victim job's intact frames hold exactly the states
+  the crash point implies, and no other dump is left in the spool.
 
 These run the real ``repro-emts serve`` daemon as a subprocess (the
 in-process drain tests cannot model ``kill -9``).
@@ -34,10 +37,10 @@ from repro.service import (
 )
 from repro.exceptions import ServiceError
 from repro.mapping import schedule_to_dict
-from repro.obs import read_flight_dump
 from repro.testing import (
     ServiceDaemon,
     quarantined_files,
+    spool_frames,
     spool_ids_per_key,
     spool_job_ids,
 )
@@ -102,17 +105,30 @@ def assert_contract(spool, final_doc, key, generations):
     )
 
 
-def assert_flight_dump(spool, point):
-    """Every induced crash leaves a parseable flight-recorder dump."""
-    dumps = sorted((spool / "flight").glob(f"flight-{point}-*.json"))
-    assert dumps, (
-        f"no flight-recorder dump for crash point {point!r} under "
-        f"{spool / 'flight'}"
-    )
-    for dump in dumps:
-        doc = read_flight_dump(dump)  # raises if malformed
-        assert doc["reason"] == f"crash-point:{point}"
-        assert doc["events"], "flight dump recorded no breadcrumbs"
+def victim_states(spool, key):
+    """The states of the intact frames that carry ``key``, in log order."""
+    return [
+        frame.state
+        for frame in spool_frames(spool)
+        if frame.idempotency_key == key
+    ]
+
+
+def assert_no_dumps(spool):
+    """The spool holds the log, checkpoints and quarantine; no dump."""
+    assert not (spool / "flight").exists()
+    assert list(spool.rglob("*.flight.json")) == []
+
+
+#: the victim's frames at the death, per crash point
+FRAMES_AT_DEATH = {
+    "pre-spool-write": [],
+    "mid-spool-write": [],  # the torn frame is not intact
+    "post-spool-write": ["queued"],
+    "post-enqueue": ["queued"],
+    "mid-checkpoint": ["queued", "running"],
+    "pre-result-persist": ["queued", "running"],
+}
 
 
 def recovered_schedule(spool, doc):
@@ -168,7 +184,8 @@ def test_submit_time_crash(tmp_path, point):
     except ServiceError:
         pass
     assert daemon.wait(timeout=30) == CRASH_EXIT_CODE
-    assert_flight_dump(spool, point)
+    assert victim_states(spool, key) == FRAMES_AT_DEATH[point]
+    assert_no_dumps(spool)
 
     durable = spool_job_ids(spool)
     if point in ("post-spool-write", "post-enqueue"):
@@ -178,6 +195,7 @@ def test_submit_time_crash(tmp_path, point):
 
     final = recovered_schedule(spool, doc)
     assert_contract(spool, final, key, SHORT_GENERATIONS)
+    assert_no_dumps(spool)
     if durable:
         # the retry was answered by the job the crash left behind
         assert final["job"]["id"] in durable
@@ -211,12 +229,14 @@ def test_run_time_crash_recovers_acked_job(tmp_path, spec):
     acked = client.submit(doc)  # 202 before the run begins
     acked_id = acked["job"]["id"]
     assert daemon.wait(timeout=120) == CRASH_EXIT_CODE
-    assert_flight_dump(spool, spec.split(":")[0])
-    assert acked_id in spool_job_ids(spool), "acked job lost"
+    assert victim_states(spool, key) == FRAMES_AT_DEATH[spec.split(":")[0]]
+    assert spool_ids_per_key(spool)[key] == {acked_id}, "acked job lost"
+    assert_no_dumps(spool)
 
     final = recovered_schedule(spool, doc)
     assert final["job"]["id"] == acked_id, "acked job lost on restart"
     assert_contract(spool, final, key, LONG_GENERATIONS)
+    assert_no_dumps(spool)
 
 
 def test_mid_drain_crash_recovers_acked_job(tmp_path):
@@ -232,12 +252,19 @@ def test_mid_drain_crash_recovers_acked_job(tmp_path):
     wait_running(client, acked_id)
     daemon.terminate()  # SIGTERM starts the drain; the point detonates
     assert daemon.returncode == CRASH_EXIT_CODE
-    assert_flight_dump(spool, "mid-drain")
-    assert acked_id in spool_job_ids(spool), "acked job lost"
+    # the drain died before the worker stopped, unless it reached its
+    # generation boundary first
+    assert victim_states(spool, key) in (
+        ["queued", "running"],
+        ["queued", "running", "interrupted"],
+    )
+    assert spool_ids_per_key(spool)[key] == {acked_id}, "acked job lost"
+    assert_no_dumps(spool)
 
     final = recovered_schedule(spool, doc)
     assert final["job"]["id"] == acked_id
     assert_contract(spool, final, key, LONG_GENERATIONS)
+    assert_no_dumps(spool)
 
 
 def test_plain_sigkill_mid_run(tmp_path):
@@ -252,6 +279,8 @@ def test_plain_sigkill_mid_run(tmp_path):
     acked_id = client.submit(doc)["job"]["id"]
     wait_running(client, acked_id)
     daemon.kill()
+    assert victim_states(spool, key) == ["queued", "running"]
+    assert_no_dumps(spool)
 
     final = recovered_schedule(spool, doc)
     assert final["job"]["id"] == acked_id

@@ -11,6 +11,8 @@ import of a spool in the old one-file-per-job layout.
   :class:`ServiceError` and its frame is quarantined.
 * Compaction keeps the log within twice its live bytes, and a finished
   job that left memory still reads back by offset.
+* A restart writes one frame for each job it found ``running`` and
+  none for any other job, so a second restart leaves the log as it was.
 """
 
 from __future__ import annotations
@@ -34,8 +36,9 @@ from repro.service.jobs import (
     encode_frame,
     scan_log,
 )
+from repro.service import SchedulingService
 from repro.service.protocol import parse_request
-from repro.testing import quarantined_files, spool_job_ids
+from repro.testing import quarantined_files, spool_frames, spool_job_ids
 from repro.workloads import generate_fft
 
 
@@ -304,3 +307,51 @@ def test_legacy_spool_is_imported_once(tmp_path):
         records["running"].id: "queued",
         records["done"].id: "done",
     }
+
+
+# -- recovery writes a recovered job's state once ----------------------------
+@pytest.mark.parametrize("checkpointed", [False, True])
+def test_restart_writes_each_recovered_state_once(tmp_path, checkpointed):
+    """The store's recovery decides a ``running`` job's state and
+    writes it; the service only queues the jobs.  A drained job keeps
+    its ``interrupted`` frame, and a second restart appends nothing."""
+    spool = tmp_path / "spool"
+    store = JobStore(spool)
+    running = store.create(parse_request(make_doc(seed=1)))
+    drained = store.create(parse_request(make_doc(seed=2)))
+    step(store, running, "running")
+    step(store, drained, "interrupted")
+    # finished jobs keep superseded frames under half the log, so
+    # recovery does not compact it and its bytes can be compared
+    for seed in range(3, 6):
+        done = Job(
+            id=f"job-done-{seed}",
+            request=parse_request(make_doc(seed=seed)),
+            state="done",
+        )
+        step(store, done, "done")
+    if checkpointed:
+        store.checkpoint_path(running).write_text("{}")
+    store.close()
+    chosen = "interrupted" if checkpointed else "queued"
+    log = spool / "jobs.log"
+
+    def restart():
+        service = SchedulingService(workers=1, spool=str(spool))
+        assert service.recover_spool() == 2
+        service.store.close()
+        return service
+
+    service = restart()
+    assert {
+        job.id: [f.state for f in spool_frames(spool) if f.job_id == job.id]
+        for job in (running, drained)
+    } == {
+        running.id: ["queued", "running", chosen],
+        drained.id: ["queued", "interrupted"],
+    }
+    assert service.store.get(running.id).state == chosen
+    assert service.store.get(drained.id).state == "interrupted"
+    before = log.read_bytes()
+    restart()
+    assert log.read_bytes() == before
